@@ -2,7 +2,7 @@
 //! and an LDA/NCA-style supervised projection.
 
 use crate::transform::Transformation;
-use snoopy_linalg::eigen::symmetric_eigen;
+use snoopy_linalg::eigen::symmetric_eigen_f64;
 use snoopy_linalg::{DatasetView, Matrix, Pca, RandomProjection, Standardizer};
 
 /// The identity ("Raw") transformation of Table III.
@@ -70,7 +70,8 @@ impl Transformation for StandardizeTransform {
 }
 
 /// PCA projection fitted on the training split (PCA32/PCA64/PCA128 of
-/// Table III).
+/// Table III). The widths of one task share one basis: the zoo fits the
+/// widest and wraps [`Pca::truncated`] copies with [`PcaTransform::from_pca`].
 pub struct PcaTransform {
     name: String,
     pca: Pca,
@@ -80,7 +81,11 @@ pub struct PcaTransform {
 impl PcaTransform {
     /// Fits PCA with `k` components on `train`.
     pub fn fit(train: &Matrix, k: usize) -> Self {
-        let pca = Pca::fit(train, k);
+        Self::from_pca(Pca::fit(train, k))
+    }
+
+    /// Wraps an already fitted PCA, named after its width.
+    pub fn from_pca(pca: Pca) -> Self {
         Self { name: format!("pca{}", pca.num_components()), pca, cost: 2e-6 }
     }
 }
@@ -132,6 +137,14 @@ impl Transformation for RandomProjectionTransform {
 /// NCA/LDA-style supervised linear projection (the "NCA" entry of the paper's
 /// vision zoo): projects onto the top eigenvectors of the between-class
 /// scatter of standardised features.
+///
+/// The scatter `S = M·Mᵀ` has one column `√w_c·(μ_c − μ)` in `M` per class
+/// present in the training split (class weight `w_c`, class mean `μ_c`,
+/// global mean `μ`), so its rank is below the class count `C`. The directions
+/// come from the `C × C` Gram matrix `G = Mᵀ·M` instead: an eigenpair
+/// `(λ, u)` of `G` gives the unit eigenvector `M·u / √λ` of `S`, at `O(C²d)`
+/// rather than `O(d³)`. A direction with `λ ≤ 1e-12·λ_max` carries no
+/// between-class signal and stays a zero column of the projection.
 pub struct SupervisedProjection {
     name: String,
     standardizer: Standardizer,
@@ -149,42 +162,43 @@ impl SupervisedProjection {
         let d = std_train.cols();
         let k = k.min(num_classes.saturating_sub(1).max(1)).min(d);
 
-        // Between-class scatter of standardised data.
         let global_mean = std_train.column_means();
-        let mut class_means = vec![vec![0.0f64; d]; num_classes];
+        let mut class_sums = vec![vec![0.0f64; d]; num_classes];
         let mut counts = vec![0usize; num_classes];
         for (i, &y) in labels.iter().enumerate() {
             counts[y as usize] += 1;
-            for (j, v) in std_train.row(i).iter().enumerate() {
-                class_means[y as usize][j] += *v as f64;
+            for (sum, &v) in class_sums[y as usize].iter_mut().zip(std_train.row(i)) {
+                *sum += v as f64;
             }
         }
-        let mut scatter = Matrix::zeros(d, d);
-        for (c, mean) in class_means.iter_mut().enumerate() {
-            if counts[c] == 0 {
-                continue;
-            }
-            for v in mean.iter_mut() {
-                *v /= counts[c] as f64;
-            }
-            let weight = counts[c] as f64 / labels.len().max(1) as f64;
-            for a in 0..d {
-                let da = mean[a] - global_mean[a];
-                for b in a..d {
-                    let db = mean[b] - global_mean[b];
-                    let add = (weight * da * db) as f32;
-                    scatter.set(a, b, scatter.get(a, b) + add);
-                    if a != b {
-                        scatter.set(b, a, scatter.get(b, a) + add);
-                    }
+        // The columns of M, one per present class.
+        let columns: Vec<Vec<f64>> = class_sums
+            .into_iter()
+            .zip(counts)
+            .filter(|&(_, count)| count > 0)
+            .map(|(mut column, count)| {
+                let root_weight = (count as f64 / labels.len() as f64).sqrt();
+                for (v, &mu) in column.iter_mut().zip(&global_mean) {
+                    *v = root_weight * (*v / count as f64 - mu);
                 }
-            }
-        }
-        let eig = symmetric_eigen(&scatter, 60);
+                column
+            })
+            .collect();
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+        let c = columns.len();
+        let gram = (0..c * c).map(|ab| dot(&columns[ab / c], &columns[ab % c])).collect();
+        let eig = symmetric_eigen_f64(c, gram);
+
+        let floor = 1e-12 * eig.values.first().copied().unwrap_or(0.0);
         let mut projection = Matrix::zeros(d, k);
-        for col in 0..k {
+        for (col, (&lambda, u)) in eig.values.iter().zip(eig.vectors.rows_iter()).take(k).enumerate() {
+            if lambda <= floor {
+                break;
+            }
+            let inv_norm = 1.0 / lambda.sqrt();
             for row in 0..d {
-                projection.set(row, col, eig.vectors.get(col, row));
+                let v: f64 = columns.iter().zip(u).map(|(column, &uc)| column[row] * uc as f64).sum();
+                projection.set(row, col, (v * inv_norm) as f32);
             }
         }
         Self { name: "nca".to_string(), standardizer, projection }
@@ -268,5 +282,68 @@ mod tests {
         );
         assert_eq!(sup.name(), "nca");
         assert!(sup.output_dim() < task.num_classes);
+    }
+
+    /// `V·Vᵀ` for the `d × k` matrix `V` whose columns span a subspace.
+    fn projector(columns: &[Vec<f64>], d: usize) -> Vec<f64> {
+        (0..d * d).map(|rc| columns.iter().map(|v| v[rc / d] * v[rc % d]).sum()).collect()
+    }
+
+    #[test]
+    fn supervised_projection_spans_the_top_scatter_eigenvectors() {
+        for name in ["cifar10", "cifar100"] {
+            let task = load_clean(name, SizeScale::Tiny, 6);
+            let (train, labels) = (&task.train.features, &task.train.labels);
+            let sup = SupervisedProjection::fit(train, labels, task.num_classes, 16);
+
+            // The d × d between-class scatter, assembled explicitly.
+            let std_train = Standardizer::fit(train).transform(train);
+            let d = std_train.cols();
+            let mu = std_train.column_means();
+            let mut scatter = vec![0.0f64; d * d];
+            for c in 0..task.num_classes as u32 {
+                let rows: Vec<usize> = (0..labels.len()).filter(|&i| labels[i] == c).collect();
+                if rows.is_empty() {
+                    continue;
+                }
+                let weight = rows.len() as f64 / labels.len() as f64;
+                let mean_c = std_train.select_rows(&rows).column_means();
+                let diff: Vec<f64> = mean_c.iter().zip(&mu).map(|(m, g)| m - g).collect();
+                for (rc, s) in scatter.iter_mut().enumerate() {
+                    *s += weight * diff[rc / d] * diff[rc % d];
+                }
+            }
+            let eig = symmetric_eigen_f64(d, scatter);
+            let k = sup.output_dim();
+            let top: Vec<Vec<f64>> =
+                (0..k).map(|i| eig.vectors.row(i).iter().map(|&v| v as f64).collect()).collect();
+            let nca: Vec<Vec<f64>> =
+                (0..k).map(|c| sup.projection.column(c).iter().map(|&v| v as f64).collect()).collect();
+            let diff = projector(&top, d)
+                .iter()
+                .zip(projector(&nca, d))
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            assert!(diff <= 1e-4, "{name}: projectors differ by {diff:e}");
+        }
+    }
+
+    #[test]
+    fn supervised_projection_leaves_null_directions_zero_when_a_class_is_absent() {
+        let task = load_clean("cifar10", SizeScale::Tiny, 7);
+        let kept: Vec<usize> = (0..task.train.len()).filter(|&i| task.train.labels[i] != 3).collect();
+        let train = task.train.features.select_rows(&kept);
+        let labels: Vec<u32> = kept.iter().map(|&i| task.train.labels[i]).collect();
+        let sup = SupervisedProjection::fit(&train, &labels, task.num_classes, 16);
+
+        // Nine classes present: eight between-class directions, then null ones.
+        assert_eq!(sup.output_dim(), task.num_classes - 1);
+        for c in 0..sup.output_dim() {
+            let norm = Matrix::row_norm(&sup.projection.column(c));
+            let expected = if c < 8 { 1.0 } else { 0.0 };
+            assert!((norm - expected).abs() < 1e-4, "column {c} has norm {norm}");
+        }
+        let out = sup.transform_matrix(&task.test.features);
+        assert!(out.data().iter().all(|v| v.is_finite()));
     }
 }

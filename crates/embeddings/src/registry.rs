@@ -22,6 +22,7 @@ use crate::basic::{
 use crate::pretrained::SimulatedPretrained;
 use crate::transform::Transformation;
 use snoopy_data::{Modality, TaskDataset};
+use snoopy_linalg::Pca;
 
 /// Static description of one registry entry.
 #[derive(Debug, Clone)]
@@ -301,9 +302,12 @@ pub fn vision_zoo(task: &TaskDataset, seed: u64) -> Vec<Box<dyn Transformation>>
     let mut zoo: Vec<Box<dyn Transformation>> = Vec::new();
     let raw_dim = task.raw_dim();
     zoo.push(Box::new(Identity::new(raw_dim)));
-    for k in [32usize, 64, 128] {
-        if k < raw_dim {
-            zoo.push(Box::new(PcaTransform::fit(&task.train.features, k)));
+    // One covariance eigenbasis serves every PCA width.
+    let widths: Vec<usize> = [32usize, 64, 128].into_iter().filter(|&k| k < raw_dim).collect();
+    if let Some(&widest) = widths.last() {
+        let pca = Pca::fit(&task.train.features, widest);
+        for k in widths {
+            zoo.push(Box::new(PcaTransform::from_pca(pca.truncated(k))));
         }
     }
     zoo.push(Box::new(SupervisedProjection::fit(

@@ -25,8 +25,12 @@
 //! * Lloyd's k-means with deterministic seeding and cluster-contiguous
 //!   row-partition buffers ([`kmeans`]) — the coarse-partition substrate of
 //!   the exact pruned nearest-neighbour index in `snoopy-knn`,
-//! * a Jacobi eigen-solver for symmetric matrices ([`eigen`]),
-//! * principal component analysis ([`pca::Pca`]), feature standardisation
+//! * a symmetric eigen-solver ([`eigen`]): Householder tridiagonalisation
+//!   followed by implicit-shift QL (Golub & Van Loan §8.3, EISPACK
+//!   `tred2`/`tql2`), in `f64` working precision; the cyclic Jacobi method
+//!   it replaced is kept only as the test oracle in `tests/proptest_eigen.rs`,
+//! * principal component analysis ([`pca::Pca`], one eigenbasis per task,
+//!   truncated for each width), feature standardisation
 //!   ([`projection::Standardizer`]) and Gaussian random projections
 //!   ([`projection::RandomProjection`]),
 //! * small statistics helpers (softmax, log-sum-exp, argmax, quantiles,

@@ -3,12 +3,18 @@
 //! Snoopy's transformation zoo includes PCA32/PCA64/PCA128 entries (Table III
 //! of the paper). PCA here is the classic covariance-eigendecomposition
 //! variant: fit on the training split, then apply to train and test alike.
+//!
+//! All widths of one task share one basis: the eigendecomposition orders the
+//! principal directions by variance, so a width-`k` fit is exactly the first
+//! `k` components of any wider fit. Fit once at the widest width and take the
+//! narrower ones with [`Pca::truncated`].
 
 use crate::eigen::symmetric_eigen;
 use crate::matrix::Matrix;
 use crate::view::DatasetView;
 
-/// A fitted PCA transform.
+/// A fitted PCA transform. One fit serves every width of a task: the
+/// narrower transforms are [`Pca::truncated`] copies of the widest.
 #[derive(Debug, Clone)]
 pub struct Pca {
     /// Per-feature mean subtracted before projecting.
@@ -37,7 +43,7 @@ impl Pca {
         let mean_f64 = data.column_means();
         let mean: Vec<f32> = mean_f64.iter().map(|&m| m as f32).collect();
         let cov = data.covariance();
-        let eig = symmetric_eigen(&cov, 60);
+        let eig = symmetric_eigen(&cov);
         let mut components = Matrix::zeros(k, d);
         let mut explained = Vec::with_capacity(k);
         for i in 0..k {
@@ -45,6 +51,19 @@ impl Pca {
             explained.push(eig.values[i].max(0.0));
         }
         Self { mean, components, explained_variance: explained }
+    }
+
+    /// The leading `k` components of this fit (`k` clamped to
+    /// `1..=num_components()`), bit-identical to refitting the same data with
+    /// `k` components.
+    pub fn truncated(&self, k: usize) -> Self {
+        let k = k.clamp(1, self.num_components());
+        let d = self.components.cols();
+        Self {
+            mean: self.mean.clone(),
+            components: Matrix::from_vec(k, d, self.components.data()[..k * d].to_vec()),
+            explained_variance: self.explained_variance[..k].to_vec(),
+        }
     }
 
     /// Number of retained components.
@@ -171,6 +190,19 @@ mod tests {
                 let expected = if i == j { 1.0 } else { 0.0 };
                 assert!((dot - expected).abs() < 1e-4, "dot({i},{j}) = {dot}");
             }
+        }
+    }
+
+    #[test]
+    fn truncating_the_widest_fit_equals_a_narrow_fit() {
+        let mut r = rng::seeded(17);
+        let data = Matrix::from_fn(300, 160, |_, c| (rng::normal(&mut r) * (1.0 + c as f64 / 16.0)) as f32);
+        let wide = Pca::fit(&data, 128);
+        for k in [32, 64] {
+            let (narrow, cut) = (Pca::fit(&data, k), wide.truncated(k));
+            assert_eq!(cut.mean, narrow.mean);
+            assert_eq!(cut.components.data(), narrow.components.data());
+            assert_eq!(cut.explained_variance, narrow.explained_variance);
         }
     }
 
