@@ -36,8 +36,8 @@ use snoopy_linalg::LabeledView;
 #[derive(Debug, Clone, Copy)]
 pub struct OutOfCoreConfig {
     /// Resident shard budget. Peak residency is bounded by
-    /// `budget + one shard` (the shard being scanned); see
-    /// [`PagedResidentBytes`].
+    /// `budget + max_shard × (1 + prefetch_depth)`: the shard being scanned
+    /// plus up to `prefetch_depth` staged ones; see [`PagedResidentBytes`].
     pub shard_budget_bytes: usize,
     /// k-means cluster count — equivalently the shard count before
     /// empty-cluster pruning.
@@ -98,13 +98,11 @@ pub struct OutOfCoreReport {
 /// payload checksums of both files verify on a pool worker concurrently
 /// with the study; a mismatch surfaces as
 /// [`snoopy_linalg::disk::DiskDatasetError::ChecksumMismatch`] (wrapped in
-/// [`DiskPairError::Dataset`]) before any result is returned.
-///
-/// # Panics
-/// Panics if the dataset has fewer than two rows (no train/eval split
-/// exists).
+/// [`DiskPairError::Dataset`]) before any result is returned. A dataset
+/// with fewer than two rows (no train/eval split exists) is
+/// [`DiskPairError::TooFewRows`].
 pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError> {
-    let dataset = Arc::new(DiskLabeledDataset::open(dir)?);
+    let dataset = Arc::new(open_splittable(dir)?);
     // Integrity off the fault path: re-hashing faults every page in, so it
     // runs concurrently with the study instead of serialising in front of
     // it. The verdict gates the return below.
@@ -114,7 +112,6 @@ pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreRe
     };
     let full = dataset.view();
     let n = full.features().rows();
-    assert!(n >= 2, "out-of-core study needs at least one train and one eval row, got {n} total");
     let eval_rows = cfg.eval_rows.clamp(1, n - 1);
     let train_rows = n - eval_rows;
 
@@ -153,12 +150,12 @@ pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreRe
 
 /// The fully-resident reference for [`run_oocore_study`]: same split, same
 /// estimators, but the shared table comes from the in-memory engine. Exists
-/// so parity tests and benches state "paged == resident" in one call.
+/// so parity tests and benches state "paged == resident" in one call, and
+/// fails the same way on a dataset too small to split.
 pub fn run_resident_reference(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError> {
-    let dataset = DiskLabeledDataset::open(dir)?;
+    let dataset = open_splittable(dir)?;
     let full = dataset.view();
     let n = full.features().rows();
-    assert!(n >= 2, "reference study needs at least one train and one eval row, got {n} total");
     let eval_rows = cfg.eval_rows.clamp(1, n - 1);
     let train_rows = n - eval_rows;
 
@@ -186,6 +183,16 @@ pub fn run_resident_reference(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOf
         dim: full.features().cols(),
         num_classes: full.num_classes(),
     })
+}
+
+/// Opens the dataset at `dir`, refusing one with fewer than two rows: a
+/// study holds out at least one eval row and trains on at least one.
+fn open_splittable(dir: &Path) -> Result<DiskLabeledDataset, DiskPairError> {
+    let dataset = DiskLabeledDataset::open(dir)?;
+    if dataset.len() < 2 {
+        return Err(DiskPairError::TooFewRows { rows: dataset.len() });
+    }
+    Ok(dataset)
 }
 
 #[cfg(test)]
@@ -287,6 +294,19 @@ mod tests {
         let resident = run_resident_reference(dir.path(), &cfg).expect("resident study");
         assert_eq!(paged.table, resident.table);
         assert_eq!(paged.estimates, resident.estimates);
+    }
+
+    #[test]
+    fn datasets_too_small_to_split_are_a_typed_error() {
+        type Study = fn(&Path, &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError>;
+        for rows in [0usize, 1] {
+            let dir = TempDir::new("oocore_too_few");
+            write_dataset(dir.path(), 3, rows, 4);
+            for study in [run_oocore_study as Study, run_resident_reference] {
+                let err = study(dir.path(), &OutOfCoreConfig::default()).expect_err("no split exists");
+                assert!(matches!(err, DiskPairError::TooFewRows { rows: r } if r == rows), "{err:?}");
+            }
+        }
     }
 
     #[test]

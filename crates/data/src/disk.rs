@@ -32,6 +32,12 @@ pub enum DiskPairError {
         /// Label count.
         labels: usize,
     },
+    /// The dataset is valid but too small for a train/eval split, which
+    /// needs at least one row on each side.
+    TooFewRows {
+        /// Rows in the dataset.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for DiskPairError {
@@ -41,6 +47,9 @@ impl fmt::Display for DiskPairError {
             DiskPairError::RowMismatch { features, labels } => {
                 write!(f, "feature/label row mismatch: {features} feature rows, {labels} labels")
             }
+            DiskPairError::TooFewRows { rows } => {
+                write!(f, "a train/eval split needs at least 2 rows, the dataset has {rows}")
+            }
         }
     }
 }
@@ -49,7 +58,7 @@ impl std::error::Error for DiskPairError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DiskPairError::Dataset(e) => Some(e),
-            DiskPairError::RowMismatch { .. } => None,
+            DiskPairError::RowMismatch { .. } | DiskPairError::TooFewRows { .. } => None,
         }
     }
 }

@@ -150,28 +150,34 @@
 //! ## Anatomy
 //!
 //! Construction runs [`lloyd_kmeans`] (seeded via `snoopy_linalg::rng`, so
-//! indexes are deterministic), drops empty clusters, and regroups rows into
-//! cluster-contiguous buffers via [`partition_rows`] — each regrouped row
-//! remembers its original index, which is what gets admitted into
-//! [`TopKState`]s so tie-breaks and downstream label lookups are oblivious
-//! to the regrouping. A query computes all centroid distances, sorts
-//! clusters by lower bound, and scans them in order with the same distance
-//! expressions as the engine kernel until the next cluster's bound can no
-//! longer beat the current k-th distance. Queries are chunked across the
-//! configured engine's worker threads exactly like the exhaustive kernel;
-//! per-cluster visit order is per-query, so the scan is a straight
+//! indexes are deterministic), drops empty clusters, and copies the rows
+//! into one cluster-contiguous buffer — each regrouped row remembers its
+//! original index, which is what gets admitted into [`TopKState`]s so
+//! tie-breaks and downstream label lookups are oblivious to the regrouping.
+//! Queries run the cluster-scan core shared with the shard-paged index
+//! (the crate-internal `bounds` module): compute all centroid distances,
+//! sort clusters by lower bound, and scan them in order with the same
+//! distance expressions as the engine kernel until the next cluster's bound
+//! can no longer beat the current k-th distance — each visited cluster
+//! borrowed straight from the regrouped buffer. Queries are chunked across
+//! the configured engine's worker threads exactly like the exhaustive
+//! kernel; per-cluster visit order is per-query, so the scan is a straight
 //! row-contiguous loop rather than the engine's cross-query block walk.
 //!
 //! Every query path reports [`PruneStats`] — clusters visited vs total and
 //! rows scanned vs pruned — which `bench_knn_json` emits into
 //! `BENCH_knn.json` as the pruning-rate regression anchor.
+//!
+//! [`MetricKernel`]: crate::kernel::MetricKernel
+//! [`MetricKernel::tile_with`]: crate::kernel::MetricKernel::tile_with
+//! [`MetricKernel::pair_with`]: crate::kernel::MetricKernel::pair_with
+//! [`QuantizedShadow`]: crate::quantized::QuantizedShadow
 
-use crate::bounds::{euclid_f64, norm_f64, PruneBounds};
+use crate::bounds::{ClusterSlice, ClusterSource, Partition, ScanRows, KMEANS_MAX_ITERS};
 use crate::engine::{EvalEngine, NeighborTable, TopKState};
-use crate::kernel::MetricKernel;
 use crate::metric::Metric;
-use crate::quantized::{AffineQuantizer, QuantizedQuery, QuantizedShadow};
-use snoopy_linalg::kmeans::{lloyd_kmeans, partition_rows, RowPartition};
+use crate::quantized::AffineQuantizer;
+use snoopy_linalg::kmeans::{lloyd_kmeans, RowPartition};
 use snoopy_linalg::{DatasetView, Matrix};
 
 /// Which evaluation path a distance consumer routes through.
@@ -355,41 +361,18 @@ impl PruneStats {
 /// builds reproducible without threading a seed through every call site.
 pub const KMEANS_SEED: u64 = 0x5e3d_c0de;
 
-/// Iteration cap for the internal k-means run: Lloyd's converges fast on the
-/// coarse partitions used here, and a stale assignment only costs pruning
-/// power, never correctness.
-const KMEANS_MAX_ITERS: usize = 16;
-
 /// The exact-pruned clustered index. See the [module docs](self) for the
 /// bound derivation and exactness argument.
 #[derive(Debug, Clone)]
 pub struct ClusteredIndex {
-    /// The tile kernel: the metric plus the norm cache of the regrouped
-    /// rows (bound as its train side). All distance evaluations inside
-    /// visited clusters go through it — the same expressions, the same
-    /// bits, as the exhaustive engine.
-    kernel: MetricKernel,
     /// Regrouped cluster-contiguous rows (a copy of the training rows —
-    /// bit-identical values, new order).
-    data: Matrix,
-    /// Regrouped row → original training-row index (what gets admitted).
-    original: Vec<usize>,
-    /// Cluster `c` occupies regrouped rows `offsets[c]..offsets[c + 1]`.
-    offsets: Vec<usize>,
-    /// `nlist × d` centroids (empty clusters dropped).
-    centroids: Matrix,
-    /// Per-cluster radius `r_c = max_{x ∈ c} e(x, c)` in `f64`.
-    radii: Vec<f64>,
-    /// Per regrouped row: `e(x, c)` to its own centroid in `f64`.
-    row_center: Vec<f64>,
-    /// The prune-comparison constants (slack, kernel-error coefficient,
-    /// subnormal guard, global max member norm) — shared arithmetic with the
-    /// shard-paged index, see [`crate::bounds`].
-    bounds: PruneBounds,
-    /// The int8 shadow copy driving the two-phase scan — `None` until
-    /// [`ClusteredIndex::quantize`] (or when the overflow guard rejected
-    /// the data, in which case scans stay exact-only).
-    shadow: Option<QuantizedShadow>,
+    /// bit-identical values, new order) with their centroid distances,
+    /// kernel and optional int8 shadow: regrouped row `r` is training row
+    /// `part.members[r]`, so cluster `c` occupies rows `part.cluster(c)`.
+    rows: ScanRows,
+    /// Centroids, radii, member ids and prune constants — the partition
+    /// shape shared with the shard-paged index, see [`crate::bounds`].
+    part: Partition,
     engine: EvalEngine,
 }
 
@@ -464,51 +447,10 @@ impl ClusteredIndex {
     ) -> Self {
         assert!(EvalBackend::prunable(metric), "cosine dissimilarity is not triangle-prunable");
         assert!(!train.is_empty(), "cannot build a clustered index over an empty dataset");
-        assert_eq!(assignments.len(), train.rows(), "one assignment per training row required");
-        let k = centroids.rows();
-
-        // Compact away empty clusters so queries never bound-check them.
-        let mut counts = vec![0usize; k];
-        for &a in assignments {
-            assert!(a < k, "assignment {a} out of range for {k} centroids");
-            counts[a] += 1;
-        }
-        let keep: Vec<usize> = (0..k).filter(|&c| counts[c] > 0).collect();
-        let mut remap = vec![usize::MAX; k];
-        for (new, &old) in keep.iter().enumerate() {
-            remap[old] = new;
-        }
-        let assignments: Vec<usize> = assignments.iter().map(|&a| remap[a]).collect();
-        let centroids = centroids.view().select_rows(&keep);
-
-        let part = partition_rows(train, &assignments, keep.len());
         let mut row_center = Vec::with_capacity(train.rows());
-        let mut radii = vec![0.0f64; keep.len()];
-        let mut max_norm = 0.0f64;
-        for (c, radius) in radii.iter_mut().enumerate() {
-            let cent = centroids.row(c);
-            for r in part.offsets[c]..part.offsets[c + 1] {
-                let row = part.data.row(r);
-                let d = euclid_f64(row, cent);
-                row_center.push(d);
-                *radius = radius.max(d);
-                max_norm = max_norm.max(norm_f64(row));
-            }
-        }
-        let mut kernel = MetricKernel::new(metric);
-        kernel.bind_train(part.data.view());
-        Self {
-            kernel,
-            data: part.data,
-            original: part.original,
-            offsets: part.offsets,
-            centroids,
-            radii,
-            row_center,
-            bounds: PruneBounds::new(metric, train.cols(), max_norm),
-            shadow: None,
-            engine,
-        }
+        let part = Partition::new(train, metric, centroids, assignments, Some(&mut row_center));
+        let rows = ScanRows::new(metric, train.select_rows(&part.members), row_center);
+        Self { rows, part, engine }
     }
 
     /// Attaches the int8 shadow, fitting the per-dimension affine over the
@@ -517,7 +459,7 @@ impl ClusteredIndex {
     /// whose norms break the overflow guard the shadow is silently skipped
     /// and scans stay exact-only.
     pub fn quantize(mut self) -> Self {
-        let quantizer = AffineQuantizer::fit(self.data.view());
+        let quantizer = AffineQuantizer::fit(self.rows.data.view());
         self.quantize_with(quantizer);
         self
     }
@@ -531,13 +473,13 @@ impl ClusteredIndex {
     /// # Panics
     /// Panics if `quantizer` was fitted for a different dimensionality.
     pub fn quantize_with(&mut self, quantizer: AffineQuantizer) {
-        self.shadow = QuantizedShadow::build(self.data.view(), quantizer);
+        self.rows.quantize(quantizer);
     }
 
     /// Whether an int8 shadow is attached (false when the overflow guard
     /// rejected the data).
     pub fn is_quantized(&self) -> bool {
-        self.shadow.is_some()
+        self.rows.shadow.is_some()
     }
 
     /// Removes every row whose *original* training index satisfies `evict`,
@@ -554,7 +496,7 @@ impl ClusteredIndex {
     /// The index may become empty; queries against an empty index admit
     /// nothing (the sliding-window caller replaces it at that point).
     pub fn evict_rows(&mut self, evict: impl Fn(usize) -> bool) -> usize {
-        let keep: Vec<bool> = self.original.iter().map(|&o| !evict(o)).collect();
+        let keep: Vec<bool> = self.part.members.iter().map(|&o| !evict(o)).collect();
         if keep.iter().all(|&k| k) {
             return 0;
         }
@@ -562,59 +504,55 @@ impl ClusteredIndex {
         let mut kept = 0usize;
         for (r, &k) in keep.iter().enumerate() {
             if k {
-                self.row_center[kept] = self.row_center[r];
+                self.rows.row_center[kept] = self.rows.row_center[r];
                 kept += 1;
             }
         }
-        self.row_center.truncate(kept);
-        if let Some(shadow) = self.shadow.as_mut() {
+        self.rows.row_center.truncate(kept);
+        if let Some(shadow) = self.rows.shadow.as_mut() {
             shadow.retain_rows(&keep);
         }
-        // Reuse the partition bookkeeping for rows / originals / offsets.
-        let mut part = RowPartition {
-            data: std::mem::replace(&mut self.data, Matrix::zeros(0, 0)),
-            offsets: std::mem::take(&mut self.offsets),
-            original: std::mem::take(&mut self.original),
+        // Reuse the partition bookkeeping for rows / member ids / offsets.
+        let mut regrouped = RowPartition {
+            data: std::mem::replace(&mut self.rows.data, Matrix::zeros(0, 0)),
+            offsets: std::mem::take(&mut self.part.offsets),
+            original: std::mem::take(&mut self.part.members),
         };
-        let removed = part.retain_rows(&keep);
+        let removed = regrouped.retain_rows(&keep);
         // Drop clusters that became empty, keeping centroid/radius/offset
         // arrays aligned, and re-tighten surviving radii.
-        let groups = part.groups();
-        let keep_clusters: Vec<usize> = (0..groups).filter(|&c| part.group_len(c) > 0).collect();
+        let groups = regrouped.groups();
+        let keep_clusters: Vec<usize> = (0..groups).filter(|&c| regrouped.group_len(c) > 0).collect();
         if keep_clusters.len() != groups {
-            self.centroids = self.centroids.view().select_rows(&keep_clusters);
+            self.part.centroids = self.part.centroids.view().select_rows(&keep_clusters);
             let mut offsets = Vec::with_capacity(keep_clusters.len() + 1);
             offsets.push(0usize);
             for &c in &keep_clusters {
-                offsets.push(offsets.last().expect("non-empty") + part.group_len(c));
+                offsets.push(offsets.last().expect("non-empty") + regrouped.group_len(c));
             }
-            part.offsets = offsets;
+            regrouped.offsets = offsets;
         }
-        self.radii.clear();
-        for c in 0..part.offsets.len() - 1 {
-            let members = &self.row_center[part.offsets[c]..part.offsets[c + 1]];
-            self.radii.push(members.iter().fold(0.0f64, |r, &d| r.max(d)));
+        self.rows.data = regrouped.data;
+        self.part.offsets = regrouped.offsets;
+        self.part.members = regrouped.original;
+        self.part.radii.clear();
+        for c in 0..self.part.num_clusters() {
+            let members = &self.rows.row_center[self.part.cluster(c)];
+            self.part.radii.push(members.iter().fold(0.0f64, |r, &d| r.max(d)));
         }
-        self.data = part.data;
-        self.offsets = part.offsets;
-        self.original = part.original;
-        self.kernel.bind_train(self.data.view());
+        self.rows.kernel.bind_train(self.rows.data.view());
         removed
     }
 
     /// The resident heap footprint of the index, bucketed by role.
     pub fn resident_bytes(&self) -> ResidentBytes {
-        ResidentBytes {
-            train_rows: self.data.rows() * self.data.cols() * size_of::<f32>(),
-            quantized_codes: self.shadow.as_ref().map_or(0, |s| s.code_bytes()),
-            quantized_meta: self.shadow.as_ref().map_or(0, |s| s.meta_bytes()),
-            centroids: self.centroids.rows() * self.centroids.cols() * size_of::<f32>()
-                + self.radii.len() * size_of::<f64>()
-                + self.offsets.len() * size_of::<usize>(),
-            row_meta: self.row_center.len() * size_of::<f64>()
-                + self.original.len() * size_of::<usize>()
-                + self.kernel.train_bound() * size_of::<f32>(),
-        }
+        let mut rb = ResidentBytes {
+            centroids: self.part.geometry_bytes(),
+            row_meta: self.part.members.len() * size_of::<usize>(),
+            ..ResidentBytes::default()
+        };
+        self.rows.add_bytes(&mut rb);
+        rb
     }
 
     /// Replaces the engine driving query-chunk parallelism.
@@ -630,80 +568,24 @@ impl ClusteredIndex {
 
     /// Number of indexed training rows.
     pub fn len(&self) -> usize {
-        self.data.rows()
+        self.part.members.len()
     }
 
     /// Whether the index is empty (possible only after
     /// [`ClusteredIndex::evict_rows`] removed every row — an empty index
     /// admits nothing).
     pub fn is_empty(&self) -> bool {
-        self.data.rows() == 0
+        self.part.members.is_empty()
     }
 
     /// Number of (non-empty) clusters.
     pub fn num_clusters(&self) -> usize {
-        self.offsets.len() - 1
+        self.part.num_clusters()
     }
 
     /// The metric the index was built for.
     pub fn metric(&self) -> Metric {
-        self.kernel.metric()
-    }
-
-    /// The current stored threshold mapped into squared-distance space with
-    /// the safety inflation of the module docs: the stored distance itself
-    /// for squared-Euclidean consumers, `τ²·(1 + 8ε)` for Euclidean ones
-    /// (covering the square root's rounding). `∞` (state not yet full, in
-    /// the 1NN path) maps to `∞` and never prunes.
-    #[inline]
-    fn tau_sq(&self, tau: f32) -> f64 {
-        self.bounds.tau_sq(tau)
-    }
-
-    /// The per-query kernel-error margin: how far below the true squared
-    /// distance the norm-trick `f32` kernel can land for any indexed row
-    /// (`qn` is the query's `f64` Euclidean norm).
-    #[inline]
-    fn kernel_err(&self, qn: f64) -> f64 {
-        self.bounds.kernel_err(qn)
-    }
-
-    /// Whether a Euclidean-space lower bound `lb` proves that no candidate
-    /// can be admitted against the squared threshold `tau_sq`: the squared,
-    /// slack-deflated bound must clear it by the kernel-error margin `err`
-    /// plus the absolute subnormal guard. Monotone in `lb` for a fixed
-    /// query, which is what lets the bound-ordered cluster scan stop at the
-    /// first pruned cluster.
-    #[inline]
-    fn prunes(&self, lb: f64, tau_sq: f64, err: f64) -> bool {
-        self.bounds.prunes(lb, tau_sq, err)
-    }
-
-    /// The [`ClusteredIndex::prunes`] inequality solved for the bound: a
-    /// non-negative Euclidean lower bound prunes iff it strictly exceeds
-    /// `√((τ² + guard + err) / slack)`. The quantized scan caches this per
-    /// τ value so the per-row test `â − margin > (T + r_i)²` needs no
-    /// square root (`τ = ∞`, state not yet full, maps to `∞` and never
-    /// prunes).
-    #[inline]
-    fn prune_threshold(&self, tau: f32, err: f64) -> f64 {
-        self.bounds.prune_threshold(tau, err)
-    }
-
-    /// Shared per-query preamble: fills `order` with
-    /// `(lower bound, centroid distance, cluster)` triples sorted ascending
-    /// by bound (ties to the lowest cluster id) and books the exhaustive
-    /// work this query would have cost into `stats`.
-    fn order_clusters(&self, q: &[f32], order: &mut Vec<(f64, f64, usize)>, stats: &mut PruneStats) {
-        order.clear();
-        for (c, cent) in self.centroids.rows_iter().enumerate() {
-            let dqc = euclid_f64(q, cent);
-            order.push(((dqc - self.radii[c]).max(0.0), dqc, c));
-        }
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-        stats.queries += 1;
-        stats.clusters_total += self.num_clusters();
-        stats.rows_total += self.data.rows();
+        self.part.metric()
     }
 
     /// Shared chunk-parallel driver: splits `slots` (one per query) into one
@@ -740,216 +622,6 @@ impl ClusteredIndex {
         total
     }
 
-    /// Scans the rows of one visited cluster into `state`, one distance tile
-    /// at a time: a tile unbroken by the per-row bound or the self-exclusion
-    /// goes through the engine's tile kernel; a broken tile falls back to
-    /// the bit-identical per-pair path with a live (row-by-row) threshold.
-    #[allow(clippy::too_many_arguments)] // the scan's full per-query context
-    fn scan_cluster_topk(
-        &self,
-        q: &[f32],
-        qv: f32,
-        dqc: f64,
-        err: f64,
-        cluster: usize,
-        offset: usize,
-        skip: usize,
-        state: &mut TopKState,
-        tile: &mut [f32],
-        stats: &mut PruneStats,
-    ) {
-        let data = self.data.view();
-        let (s, e) = (self.offsets[cluster], self.offsets[cluster + 1]);
-        let mut r = s;
-        while r < e {
-            let len = tile.len().min(e - r);
-            // Pre-pass: is the whole tile admissible as one kernel call?
-            // (The tile-start τ is stale after mid-tile admissions, but a
-            // stale — larger — τ only keeps rows a fresh one might prune,
-            // so exactness never depends on it.)
-            let mut fast =
-                skip == usize::MAX || !self.original[r..r + len].iter().any(|&o| offset + o == skip);
-            if fast && state.hits().len() == state.k() {
-                let tau_sq = self.tau_sq(state.hits().last().expect("full state").distance);
-                fast = !(r..r + len).any(|j| self.prunes((dqc - self.row_center[j]).abs(), tau_sq, err));
-            }
-            if fast {
-                let out = &mut tile[..len];
-                self.kernel.tile_with(q, qv, data, r, out);
-                for (j, &d) in out.iter().enumerate() {
-                    state.offer(d, offset + self.original[r + j]);
-                }
-                stats.rows_scanned += len;
-            } else {
-                for j in r..r + len {
-                    let global = offset + self.original[j];
-                    if global == skip {
-                        continue;
-                    }
-                    if state.hits().len() == state.k() {
-                        let tau_sq = self.tau_sq(state.hits().last().expect("full state").distance);
-                        if self.prunes((dqc - self.row_center[j]).abs(), tau_sq, err) {
-                            stats.rows_pruned += 1;
-                            continue;
-                        }
-                    }
-                    state.offer(self.kernel.pair_with(q, qv, data, j), global);
-                    stats.rows_scanned += 1;
-                }
-            }
-            r += len;
-        }
-    }
-
-    /// The two-phase scan of one visited cluster on a quantized index:
-    /// phase 1 computes the exact integer dots of a whole tile from the int8
-    /// codes (one byte per dimension of row traffic) and classifies the tile
-    /// against the widened bound in one straight-line f64 pass; phase 2
-    /// re-ranks the surviving rows through the exact per-pair kernel —
-    /// interleaved per tile, so each admission tightens τ for the next tile.
-    /// The classify pass uses the τ of the tile *start* (a stale — larger —
-    /// τ only keeps rows a fresh one might prune, so exactness never depends
-    /// on it) and the prune threshold `T` is recomputed only when τ changes
-    /// (see [`ClusteredIndex::prune_threshold`]).
-    #[allow(clippy::too_many_arguments)] // the scan's full per-query context
-    fn scan_cluster_quantized(
-        &self,
-        shadow: &QuantizedShadow,
-        qq: &QuantizedQuery,
-        v: &[i16],
-        q: &[f32],
-        qv: f32,
-        err: f64,
-        cluster: usize,
-        offset: usize,
-        skip: usize,
-        state: &mut TopKState,
-        qtile: &mut [i32],
-        keep: &mut [bool],
-        stats: &mut PruneStats,
-    ) {
-        let data = self.data.view();
-        let (s, e) = (self.offsets[cluster], self.offsets[cluster + 1]);
-        let mut cached_tau = f32::NAN; // NaN ≠ everything → first full state recomputes
-        let mut cached_threshold = f64::INFINITY;
-        let mut r = s;
-        while r < e {
-            let len = qtile.len().min(e - r);
-            let dots = &mut qtile[..len];
-            shadow.approx_dot_tile(v, r, dots);
-            stats.rows_quantized += len;
-            let threshold = if state.hits().len() == state.k() {
-                let tau = state.hits().last().expect("full state").distance;
-                if tau != cached_tau {
-                    cached_tau = tau;
-                    cached_threshold = self.prune_threshold(tau, err);
-                }
-                cached_threshold
-            } else {
-                f64::INFINITY // not full: every row survives classification
-            };
-            shadow.classify_tile(qq, threshold, r, dots, &mut keep[..len]);
-            for (j, &kept) in keep[..len].iter().enumerate() {
-                if !kept {
-                    stats.rows_pruned += 1;
-                    continue;
-                }
-                let row = r + j;
-                let global = offset + self.original[row];
-                if global == skip {
-                    continue;
-                }
-                state.offer(self.kernel.pair_with(q, qv, data, row), global);
-                stats.rows_scanned += 1;
-            }
-            r += len;
-        }
-    }
-
-    /// Answers one query into `state`: orders clusters by lower bound, scans
-    /// until the bound can no longer beat the k-th admitted distance, and
-    /// applies the per-row bound inside visited clusters. `skip` is a global
-    /// training index to exclude (leave-one-out), `usize::MAX` for none.
-    #[allow(clippy::too_many_arguments)] // the scan's full per-query context
-    fn query_into(
-        &self,
-        q: &[f32],
-        offset: usize,
-        skip: usize,
-        state: &mut TopKState,
-        order: &mut Vec<(f64, f64, usize)>,
-        tile: &mut [f32],
-        qtile: &mut [i32],
-        keep: &mut [bool],
-        wbuf: &mut Vec<f32>,
-        vbuf: &mut Vec<i16>,
-        stats: &mut PruneStats,
-    ) {
-        self.order_clusters(q, order, stats);
-        let qv = self.kernel.query_value(q);
-        let err = self.kernel_err(norm_f64(q));
-        // `None` either because the index is unquantized or because this
-        // query's norm trips the overflow guard — both fall back to the
-        // exact f32 scan (bit-identical, just no phase-1 savings).
-        let qq = self.shadow.as_ref().and_then(|sh| sh.prepare_query(q, wbuf, vbuf));
-        for &(lb, dqc, c) in order.iter() {
-            if state.hits().len() == state.k() {
-                let tau_sq = self.tau_sq(state.hits().last().expect("full state").distance);
-                // Clusters are ordered by ascending bound and τ only shrinks,
-                // so the first unbeatable cluster ends the query.
-                if self.prunes(lb, tau_sq, err) {
-                    break;
-                }
-            }
-            stats.clusters_visited += 1;
-            match (&self.shadow, &qq) {
-                (Some(sh), Some(qq)) => self.scan_cluster_quantized(
-                    sh, qq, vbuf, q, qv, err, c, offset, skip, state, qtile, keep, stats,
-                ),
-                _ => self.scan_cluster_topk(q, qv, dqc, err, c, offset, skip, state, tile, stats),
-            }
-        }
-    }
-
-    /// Answers queries `[start, start + states.len())` serially, reusing one
-    /// cluster-order scratch buffer, the f32 and i32 tile buffers, and the
-    /// quantized query scratch (scaled residual + i16 codes).
-    fn query_chunk(
-        &self,
-        queries: DatasetView<'_>,
-        start: usize,
-        offset: usize,
-        states: &mut [TopKState],
-        exclude_self: Option<usize>,
-    ) -> PruneStats {
-        let mut stats = PruneStats::default();
-        let mut order = Vec::with_capacity(self.num_clusters());
-        let tile_len = self.engine.tile_rows().min(self.data.rows().max(1));
-        let mut tile = vec![0.0f32; tile_len];
-        let quantized = self.shadow.is_some();
-        let mut qtile = vec![0i32; if quantized { tile_len } else { 0 }];
-        let mut keep = vec![false; if quantized { tile_len } else { 0 }];
-        let mut wbuf = Vec::with_capacity(if quantized { self.data.cols() } else { 0 });
-        let mut vbuf = Vec::with_capacity(if quantized { self.data.cols() } else { 0 });
-        for (qi, state) in states.iter_mut().enumerate() {
-            let skip = exclude_self.map(|b| b + start + qi).unwrap_or(usize::MAX);
-            self.query_into(
-                queries.row(start + qi),
-                offset,
-                skip,
-                state,
-                &mut order,
-                &mut tile,
-                &mut qtile,
-                &mut keep,
-                &mut wbuf,
-                &mut vbuf,
-                &mut stats,
-            );
-        }
-        stats
-    }
-
     /// Folds the indexed training rows (global indices = original row index
     /// plus `offset`) into the running top-k state of every query row — the
     /// pruned counterpart of [`EvalEngine::update_topk`], with the same
@@ -967,9 +639,14 @@ impl ClusteredIndex {
         states: &mut [TopKState],
         exclude_self: Option<usize>,
     ) -> PruneStats {
-        assert_eq!(queries.cols(), self.data.cols(), "query/train dimensionality mismatch");
+        assert_eq!(queries.cols(), self.rows.data.cols(), "query/train dimensionality mismatch");
         assert_eq!(states.len(), queries.rows(), "one top-k state per query required");
-        self.fan_out(states, |start, slot| self.query_chunk(queries, start, offset, slot, exclude_self))
+        let tile_rows = self.engine.tile_rows();
+        self.fan_out(states, |start, slot| {
+            let chunk = queries.slice_rows(start, start + slot.len());
+            let exclude_self = exclude_self.map(|b| b + start);
+            self.part.update_topk(&mut &*self, chunk, offset, slot, exclude_self, tile_rows)
+        })
     }
 
     /// Top-k neighbour table for every query, from a cold start —
@@ -997,6 +674,21 @@ impl ClusteredIndex {
         let mut states = vec![TopKState::new(k.max(1)); data.rows()];
         let stats = self.update_topk(data, 0, &mut states, Some(0));
         (NeighborTable::from_states(&states), stats)
+    }
+}
+
+/// The resident index hands out its visited clusters by borrowing them from
+/// the regrouped buffer.
+impl ClusterSource for &ClusteredIndex {
+    fn obtain(
+        &mut self,
+        order: &[(f64, f64, usize)],
+        pos: usize,
+        _: Option<f64>,
+        _: f64,
+    ) -> ClusterSlice<'_> {
+        let range = self.part.cluster(order[pos].2);
+        ClusterSlice { rows: &self.rows, start: range.start, ids: &self.part.members[range] }
     }
 }
 
@@ -1051,6 +743,7 @@ impl EvalEngine {
 mod tests {
     use super::*;
     use crate::engine::{knn_reference, knn_reference_loo};
+    use crate::kernel::MetricKernel;
 
     fn blobs(n: usize, d: usize, centers: usize, seed: u64) -> Matrix {
         snoopy_testutil::blob_cloud(seed, n, d, centers, 6.0, 0.2)

@@ -372,7 +372,7 @@ const DEFAULT_BLOCK_ROWS: usize = 128;
 /// many distances before they are admitted into the per-query state. 64
 /// distances = 256 bytes of scratch, enough rows to amortise the admission
 /// loop without spilling the microkernel's register blocks.
-const DEFAULT_TILE_ROWS: usize = 64;
+pub(crate) const DEFAULT_TILE_ROWS: usize = 64;
 
 impl EvalEngine {
     /// A single-threaded engine (the bit-exact reference configuration).

@@ -34,7 +34,10 @@
 //!   (`Exhaustive` | `Clustered { nlist, quantize }`, with a train-size
 //!   auto-selection heuristic) behind the same `NeighborTable` handshake —
 //!   cosine dissimilarity has no triangle inequality, so cosine consumers
-//!   transparently fall back to the exhaustive kernel,
+//!   transparently fall back to the exhaustive kernel. Its bound-ordered
+//!   cluster visit loop, f32 tile scan and int8 two-phase scan are one
+//!   crate-internal cluster-scan core, shared with the shard-paged index
+//!   below,
 //! * the per-dimension affine int8 shadow ([`quantized::QuantizedShadow`],
 //!   `quantize: true`): visited clusters scan approximately at **one byte
 //!   per dimension** through a fixed-order int8 dot tile, a
@@ -42,16 +45,16 @@
 //!   only survivors are re-ranked through the exact f32 kernel — a ~4×
 //!   smaller scan copy with the identical `NeighborTable`,
 //! * the shard-paged out-of-core index ([`sharded::ShardedIndex`]): the
-//!   same partition and bound arithmetic over a borrowed — typically
-//!   mmap-backed ([`snoopy_linalg::disk::DiskDataset`]) — source view, but
-//!   each cluster materialises as an independently loadable/evictable
-//!   shard under an LRU byte budget ([`sharded::PagingStats`],
-//!   [`sharded::PagedResidentBytes`]); the triangle-inequality prune order
-//!   doubles as the paging order, so rejected clusters are never faulted
-//!   in, a configurable prefetch pipeline overlaps upcoming shard
-//!   materialisation with the current scan on `snoopy-pool` workers, and
-//!   results stay bit-identical to the resident paths at every prefetch
-//!   depth and worker count,
+//!   same partition and the same cluster-scan core over a borrowed —
+//!   typically mmap-backed ([`snoopy_linalg::disk::DiskDataset`]) — source
+//!   view, but each cluster materialises as an independently
+//!   loadable/evictable shard under an LRU byte budget
+//!   ([`sharded::PagingStats`], [`sharded::PagedResidentBytes`]); the
+//!   triangle-inequality prune order doubles as the paging order, so
+//!   rejected clusters are never faulted in, a configurable prefetch
+//!   pipeline overlaps upcoming shard materialisation with the current scan
+//!   on `snoopy-pool` workers, and results stay bit-identical to the
+//!   resident paths at every prefetch depth and worker count,
 //! * an exact brute-force index ([`brute::BruteForceIndex`]) whose k-NN
 //!   queries, batch evaluation, and leave-one-out error all route through
 //!   the engine (or the clustered index, per backend),

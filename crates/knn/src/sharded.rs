@@ -5,12 +5,15 @@
 //! — fine when the dataset fits in RAM, a non-starter for the
 //! millions-of-rows datasets the mmap-backed
 //! [`snoopy_linalg::disk::DiskDataset`] makes addressable.
-//! [`ShardedIndex`] keeps the *same* k-means partition and the *same*
-//! triangle-inequality bound arithmetic ([`crate::bounds`]) but materialises
-//! each cluster as an independent **shard** — the gathered f32 member rows,
-//! their per-row centroid distances, the kernel norm cache, and (when
-//! quantized) the int8 shadow — that loads and evicts on demand under a
-//! configurable resident byte budget.
+//! [`ShardedIndex`] keeps the *same* k-means partition and runs the *same*
+//! cluster-scan core (the crate-internal `bounds` module: one bound-ordered
+//! visit loop, one f32 tile scan, one int8 two-phase scan), but
+//! materialises each cluster as an independent **shard** — the gathered
+//! f32 member rows, their per-row centroid distances, the kernel norm
+//! cache, and (when quantized) the int8 shadow — that loads and evicts on
+//! demand under a configurable resident byte budget. The only paged part
+//! is how the visit loop obtains a cluster: it tops the prefetch pipeline
+//! up, then commits the cluster's staged shard or faults it in.
 //!
 //! ## Paging order *is* prune order
 //!
@@ -39,12 +42,12 @@
 //!
 //! Results are **bit-identical** to the resident index and the exhaustive
 //! engine: member order within a shard ascends by original row index (the
-//! same regrouping [`partition_rows`] produces), every admitted distance
+//! same regrouping the resident index copies), every admitted distance
 //! comes from the same [`MetricKernel`] expressions (which depend only on
-//! the pair of rows, never on which buffer holds them), and every prune
-//! decision routes through the shared [`PruneBounds`] arithmetic. Evicting
-//! and re-faulting a shard recomputes identical bytes — gathers and
-//! per-row geometry are deterministic functions of the source view.
+//! the pair of rows, never on which buffer holds them), and every scan and
+//! prune decision is the shared core's. Evicting and re-faulting a shard
+//! recomputes identical bytes — gathers and per-row geometry are
+//! deterministic functions of the source view.
 //!
 //! ## Pipelined prefetch
 //!
@@ -70,19 +73,17 @@
 //! [`PagingStats::prefetch_wasted`]) without ever touching the cache.
 //! Queries still scan on one thread (`&mut self`) — the pipeline overlaps
 //! materialisation with scanning, it does not fan the scan out.
+//!
+//! [`MetricKernel`]: crate::kernel::MetricKernel
 
-use crate::bounds::{euclid_f64, norm_f64, PruneBounds};
+use crate::bounds::{euclid_f64, ClusterSlice, ClusterSource, Partition, ScanRows, KMEANS_MAX_ITERS};
 use crate::clustered::{ResidentBytes, KMEANS_SEED};
-use crate::engine::{EvalEngine, NeighborTable, TopKState};
-use crate::kernel::MetricKernel;
+use crate::engine::{num_threads, NeighborTable, TopKState, DEFAULT_TILE_ROWS};
 use crate::metric::Metric;
-use crate::quantized::{AffineQuantizer, QuantizedQuery, QuantizedShadow};
+use crate::quantized::AffineQuantizer;
 use crate::PruneStats;
 use snoopy_linalg::kmeans::lloyd_kmeans;
-use snoopy_linalg::{DatasetView, Matrix};
-
-/// Iteration cap for the internal k-means run (mirrors the resident index).
-const KMEANS_MAX_ITERS: usize = 16;
+use snoopy_linalg::DatasetView;
 
 /// Paging counters accumulated by the shard cache over the index's
 /// lifetime — the out-of-core counterpart of [`PruneStats`].
@@ -131,50 +132,54 @@ pub struct PagedResidentBytes {
     pub max_shard: usize,
 }
 
-/// One materialised cluster: the gathered member rows plus everything a
-/// scan needs that is derived from them. Rebuilt deterministically on every
-/// fault, so eviction never loses information.
+/// One materialised cluster: the gathered member rows, ascending by
+/// original row index, plus everything a scan derives from them. Rebuilt
+/// deterministically on every fault, so eviction never loses information.
 struct Shard {
-    /// Gathered f32 member rows, ascending by original row index.
-    rows: Matrix,
-    /// Per member row: `e(x, c)` to its own centroid in `f64`.
-    row_center: Vec<f64>,
-    /// The tile kernel with this shard's rows bound as its train side.
-    kernel: MetricKernel,
-    /// The int8 shadow (when the index is quantized and the rows pass the
-    /// overflow guard).
-    shadow: Option<QuantizedShadow>,
+    rows: ScanRows,
     /// Resident footprint of this shard.
     bytes: usize,
     /// LRU clock value of the last fault or visit.
     last_use: u64,
 }
 
-/// Gathers one cluster's shard from the source view. Deterministic: the
-/// same ids against the same view always produce the same bytes, which is
-/// what makes evict-then-refault invisible in the results.
-fn load_shard(
-    source: DatasetView<'_>,
-    metric: Metric,
-    ids: &[usize],
-    centroid: &[f32],
-    quantizer: Option<&AffineQuantizer>,
-) -> Shard {
-    let rows = source.select_rows(ids);
-    let row_center: Vec<f64> = rows.rows_iter().map(|r| euclid_f64(r, centroid)).collect();
-    let mut kernel = MetricKernel::new(metric);
-    kernel.bind_train(rows.view());
-    let shadow = quantizer.and_then(|qz| QuantizedShadow::build(rows.view(), qz.clone()));
-    let bytes = rows.rows() * rows.cols() * size_of::<f32>()
-        + row_center.len() * size_of::<f64>()
-        + kernel.train_bound() * size_of::<f32>()
-        + shadow.as_ref().map_or(0, |s| s.code_bytes() + s.meta_bytes());
-    Shard { rows, row_center, kernel, shadow, bytes, last_use: 0 }
+/// Everything a shard load reads: the source view, the partition, and the
+/// frozen quantizer.
+#[derive(Clone, Copy)]
+struct ShardLoader<'p> {
+    source: DatasetView<'p>,
+    part: &'p Partition,
+    quantizer: Option<&'p AffineQuantizer>,
 }
 
-/// The borrow-erased description of one speculative [`load_shard`] call,
-/// shipped to a pool worker as a `'static` task. Everything a load reads is
-/// captured as raw parts (the quantizer is small and simply cloned).
+impl<'p> ShardLoader<'p> {
+    /// Cluster `c`'s member ids.
+    fn ids(&self, c: usize) -> &'p [usize] {
+        let part = self.part;
+        &part.members[part.cluster(c)]
+    }
+
+    /// Gathers cluster `c`'s shard from the source view. Deterministic: the
+    /// same ids against the same view always produce the same bytes, which
+    /// is what makes evict-then-refault invisible in the results.
+    fn load(&self, c: usize) -> Shard {
+        let data = self.source.select_rows(self.ids(c));
+        let centroid = self.part.centroids.row(c);
+        let row_center = data.rows_iter().map(|r| euclid_f64(r, centroid)).collect();
+        let mut rows = ScanRows::new(self.part.metric(), data, row_center);
+        if let Some(quantizer) = self.quantizer {
+            rows.quantize(quantizer.clone());
+        }
+        let mut rb = ResidentBytes::default();
+        rows.add_bytes(&mut rb);
+        Shard { bytes: rb.total(), rows, last_use: 0 }
+    }
+}
+
+/// The borrow-erased description of one speculative [`ShardLoader::load`]
+/// call, shipped to a pool worker as a `'static` task. Everything a load
+/// reads is captured as raw parts (the quantizer is small and simply
+/// cloned).
 ///
 /// # Safety
 /// `run` dereferences the captured pointers, so a job must not outlive the
@@ -183,44 +188,33 @@ fn load_shard(
 /// before `update_topk` returns (the staging area drains on exit, and a
 /// dropped handle waits), and for the whole `update_topk` call the index is
 /// exclusively borrowed — `source` outlives the index by construction
-/// (`'a`), and `members` / `centroids` are never mutated after build.
+/// (`'a`), and the partition is never mutated after build.
 struct PrefetchJob {
     data: *const f32,
     data_len: usize,
     rows: usize,
     cols: usize,
-    metric: Metric,
-    ids: *const usize,
-    ids_len: usize,
-    centroid: *const f32,
-    centroid_len: usize,
+    part: *const Partition,
     quantizer: Option<AffineQuantizer>,
+    cluster: usize,
 }
 
 // SAFETY: the job only carries shared read-only borrows in pointer form;
-// the data they point to (`&[f32]` / `&[usize]`) is Sync, and the liveness
+// the data they point to (`[f32]` / `Partition`) is Sync, and the liveness
 // obligation is discharged by the join-before-return rule above.
 unsafe impl Send for PrefetchJob {}
 
 impl PrefetchJob {
-    fn capture(
-        source: DatasetView<'_>,
-        metric: Metric,
-        ids: &[usize],
-        centroid: &[f32],
-        quantizer: Option<&AffineQuantizer>,
-    ) -> Self {
+    /// Captures the load of cluster `c`'s shard.
+    fn capture(loader: &ShardLoader<'_>, c: usize) -> Self {
         PrefetchJob {
-            data: source.data().as_ptr(),
-            data_len: source.data().len(),
-            rows: source.rows(),
-            cols: source.cols(),
-            metric,
-            ids: ids.as_ptr(),
-            ids_len: ids.len(),
-            centroid: centroid.as_ptr(),
-            centroid_len: centroid.len(),
-            quantizer: quantizer.cloned(),
+            data: loader.source.data().as_ptr(),
+            data_len: loader.source.data().len(),
+            rows: loader.source.rows(),
+            cols: loader.source.cols(),
+            part: loader.part,
+            quantizer: loader.quantizer.cloned(),
+            cluster: c,
         }
     }
 
@@ -228,10 +222,8 @@ impl PrefetchJob {
     /// Every captured pointer must still be live (see the type docs).
     unsafe fn run(&self) -> Shard {
         let data = std::slice::from_raw_parts(self.data, self.data_len);
-        let ids = std::slice::from_raw_parts(self.ids, self.ids_len);
-        let centroid = std::slice::from_raw_parts(self.centroid, self.centroid_len);
         let source = DatasetView::from_raw(data, self.rows, self.cols);
-        load_shard(source, self.metric, ids, centroid, self.quantizer.as_ref())
+        ShardLoader { source, part: &*self.part, quantizer: self.quantizer.as_ref() }.load(self.cluster)
     }
 }
 
@@ -247,7 +239,7 @@ struct StagedSlot {
 /// The scanning thread's view of the prefetch pipeline: at most
 /// [`ShardCache::prefetch_depth`] slots, each owning one speculative load.
 /// The prefetcher never touches the LRU cache's residency — it only hands
-/// fully-materialised shards to [`ShardCache::commit`] at visit time.
+/// fully-materialised shards to [`ShardCache::obtain`] at visit time.
 /// Spawn/drop decisions depend only on the (deterministic) visit order,
 /// residency trace, and τ evolution — never on worker timing — so the
 /// pipeline issues the same speculative loads at every worker count.
@@ -316,26 +308,20 @@ impl Prefetcher {
     /// obtained and scanned — that is the overlap. Also folds finished
     /// loads into the staged ledger and retires leftovers τ already prunes,
     /// so stale speculation cannot starve the pipeline.
-    #[allow(clippy::too_many_arguments)] // the pipeline's full spawn context
     fn top_up(
         &mut self,
         cache: &mut ShardCache,
+        loader: &ShardLoader<'_>,
         order: &[(f64, f64, usize)],
         pos: usize,
         tau_sq: Option<f64>,
         err: f64,
-        bounds: &PruneBounds,
-        source: DatasetView<'_>,
-        metric: Metric,
-        members: &[usize],
-        offsets: &[usize],
-        centroids: &Matrix,
-        quantizer: Option<&AffineQuantizer>,
     ) {
         let depth = cache.prefetch_depth;
         if depth == 0 {
             return;
         }
+        let bounds = &loader.part.bounds;
         // Fold finished loads into the staged ledger (non-blocking).
         for slot in self.slots.iter_mut() {
             if slot.shard.is_none() && slot.handle.as_ref().expect("in-flight slot").is_finished() {
@@ -376,8 +362,7 @@ impl Prefetcher {
             if cache.resident[c].is_some() || self.slots.iter().any(|s| s.cluster == c) {
                 continue;
             }
-            let ids = &members[offsets[c]..offsets[c + 1]];
-            let job = PrefetchJob::capture(source, metric, ids, centroids.row(c), quantizer);
+            let job = PrefetchJob::capture(loader, c);
             // SAFETY: joined before `update_topk` returns — see `PrefetchJob`.
             let handle = snoopy_pool::spawn(move || unsafe { job.run() });
             cache.stats.shards_prefetched += 1;
@@ -451,21 +436,35 @@ impl ShardCache {
         );
     }
 
-    /// Returns cluster `c`'s shard, materialising it through `load` on a
-    /// miss and then evicting LRU shards (the fresh shard pinned) until the
-    /// cache fits the budget again.
-    fn fault(&mut self, c: usize, load: impl FnOnce() -> Shard) -> &Shard {
+    /// Returns cluster `c`'s shard. On a miss it admits `staged` (a
+    /// prefetched shard, counted as a commit) or else materialises one
+    /// through `load` (a demand fault), in one evict→charge→evict sequence
+    /// with one LRU clock tick — so the residency trace is identical
+    /// whether a shard arrived by fault or by prefetch. The fresh shard is
+    /// pinned while LRU shards are evicted until the cache fits the budget
+    /// again.
+    fn obtain(&mut self, c: usize, staged: Option<Shard>, load: impl FnOnce() -> Shard) -> &Shard {
+        debug_assert!(staged.is_none() || self.resident[c].is_none(), "staged cluster {c} already resident");
         self.tick += 1;
         if self.resident[c].is_none() {
-            // Make room first: nothing is mid-scan between faults (queries
+            // Make room first: nothing is mid-scan between visits (queries
             // are serial), so even a previously-pinned over-budget shard is
             // evictable now. This keeps the peak at `budget + one shard`
             // rather than `budget + two`.
             self.evict_over_budget(usize::MAX);
-            let shard = load();
-            self.stats.shards_faulted += 1;
-            self.stats.bytes_faulted += shard.bytes;
-            self.max_shard_bytes = self.max_shard_bytes.max(shard.bytes);
+            let shard = match staged {
+                Some(shard) => {
+                    self.stats.prefetch_committed += 1;
+                    shard
+                }
+                None => {
+                    let shard = load();
+                    self.stats.shards_faulted += 1;
+                    self.stats.bytes_faulted += shard.bytes;
+                    self.max_shard_bytes = self.max_shard_bytes.max(shard.bytes);
+                    shard
+                }
+            };
             self.resident_bytes += shard.bytes;
             self.resident[c] = Some(shard);
             self.note_peak(); // transient charge-before-evict state counts
@@ -473,28 +472,7 @@ impl ShardCache {
             self.note_peak();
         }
         let tick = self.tick;
-        let shard = self.resident[c].as_mut().expect("shard resident after fault");
-        shard.last_use = tick;
-        shard
-    }
-
-    /// Commits a staged (prefetched) shard for cluster `c` — the visit-time
-    /// twin of a demand [`ShardCache::fault`] miss, running the *same*
-    /// evict→charge→evict sequence with the same LRU clock tick, so the
-    /// cache's residency trace is identical whether a shard arrived by
-    /// fault or by prefetch.
-    fn commit(&mut self, c: usize, shard: Shard) -> &Shard {
-        debug_assert!(self.resident[c].is_none(), "staged cluster {c} already resident");
-        self.tick += 1;
-        self.evict_over_budget(usize::MAX);
-        self.stats.prefetch_committed += 1;
-        self.resident_bytes += shard.bytes;
-        self.resident[c] = Some(shard);
-        self.note_peak(); // transient charge-before-evict state counts
-        self.evict_over_budget(c);
-        self.note_peak();
-        let tick = self.tick;
-        let shard = self.resident[c].as_mut().expect("shard resident after commit");
+        let shard = self.resident[c].as_mut().expect("shard resident after fault or commit");
         shard.last_use = tick;
         shard
     }
@@ -533,6 +511,38 @@ impl ShardCache {
     }
 }
 
+/// The paged [`ClusterSource`]: at each visit it tops the prefetch pipeline
+/// up with that visit's τ, then commits the cluster's staged shard or
+/// faults it in.
+struct Pager<'p> {
+    loader: ShardLoader<'p>,
+    cache: &'p mut ShardCache,
+    pf: Prefetcher,
+}
+
+impl ClusterSource for Pager<'_> {
+    fn obtain(
+        &mut self,
+        order: &[(f64, f64, usize)],
+        pos: usize,
+        tau_sq: Option<f64>,
+        err: f64,
+    ) -> ClusterSlice<'_> {
+        if pos == 0 {
+            // Every query that visits anything starts at position 0.
+            self.pf.begin_query(order);
+        }
+        let (c, loader) = (order[pos].2, self.loader);
+        // Top the pipeline up *before* touching this visit's shard: the
+        // workers materialise what comes next while this thread faults (if
+        // needed) and scans the current cluster.
+        self.pf.top_up(self.cache, &loader, order, pos, tau_sq, err);
+        let staged = self.pf.take(self.cache, c);
+        let shard = self.cache.obtain(c, staged, || loader.load(c));
+        ClusterSlice { rows: &shard.rows, start: 0, ids: loader.ids(c) }
+    }
+}
+
 /// The shard-paged exact clustered index over a borrowed (typically
 /// mmap-backed) source view. See the [module docs](self) for the paging and
 /// exactness contracts.
@@ -540,18 +550,8 @@ pub struct ShardedIndex<'a> {
     /// The source rows — on the out-of-core path, a window over a
     /// memory-mapped [`snoopy_linalg::disk::DiskDataset`].
     source: DatasetView<'a>,
-    metric: Metric,
-    engine: EvalEngine,
-    /// `nlist × d` centroids (empty clusters dropped) — always resident.
-    centroids: Matrix,
-    /// Per-cluster radius `r_c = max_{x ∈ c} e(x, c)` in `f64`.
-    radii: Vec<f64>,
-    /// Cluster-contiguous original row ids; cluster `c` owns
-    /// `members[offsets[c]..offsets[c + 1]]`, ascending within a cluster.
-    members: Vec<usize>,
-    offsets: Vec<usize>,
-    /// Shared prune-comparison arithmetic (see [`crate::bounds`]).
-    bounds: PruneBounds,
+    /// Centroids, radii, member ids and prune constants — always resident.
+    part: Partition,
     /// The frozen affine fitted over the *whole* source at
     /// [`ShardedIndex::quantize`] time — every shard encodes against it, so
     /// eviction and re-faulting cannot change any code.
@@ -561,77 +561,24 @@ pub struct ShardedIndex<'a> {
 
 impl<'a> ShardedIndex<'a> {
     /// Builds a shard-paged index over `source` with (at most) `nlist`
-    /// k-means clusters and an LRU shard cache of `budget_bytes`, using a
-    /// parallel default engine for the build. The build streams the source
-    /// twice (k-means plus one radii/member pass) and materialises no row
-    /// buffer — per-row residency starts at one `usize` id.
+    /// k-means clusters and an LRU shard cache of `budget_bytes`; the
+    /// k-means assignment passes run on all available cores. The build
+    /// streams the source twice (k-means plus one radii/member pass) and
+    /// materialises no row buffer — per-row residency starts at one `usize`
+    /// id.
     ///
     /// # Panics
     /// Panics for [`Metric::Cosine`] (not triangle-prunable) or an empty
     /// `source`.
     pub fn build(source: DatasetView<'a>, metric: Metric, nlist: usize, budget_bytes: usize) -> Self {
-        Self::build_with_engine(source, metric, nlist, budget_bytes, EvalEngine::parallel())
-    }
-
-    /// [`ShardedIndex::build`] with an explicit engine (the engine's thread
-    /// count drives the k-means assignment passes; queries themselves run
-    /// serially — see the [module docs](self)).
-    pub fn build_with_engine(
-        source: DatasetView<'a>,
-        metric: Metric,
-        nlist: usize,
-        budget_bytes: usize,
-        engine: EvalEngine,
-    ) -> Self {
         assert!(crate::EvalBackend::prunable(metric), "cosine dissimilarity is not triangle-prunable");
         assert!(!source.is_empty(), "cannot build a sharded index over an empty dataset");
-        let km = lloyd_kmeans(source, nlist, KMEANS_MAX_ITERS, KMEANS_SEED, engine.threads());
-        let k = km.centroids.rows();
-
-        // Cluster-contiguous member ids, ascending within each cluster
-        // (assignments are iterated in row order), empty clusters dropped —
-        // the same regrouping `partition_rows` produces, minus the row copy.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (row, &a) in km.assignments.iter().enumerate() {
-            groups[a].push(row);
-        }
-        let keep: Vec<usize> = (0..k).filter(|&c| !groups[c].is_empty()).collect();
-        let centroids = km.centroids.view().select_rows(&keep);
-        let mut members = Vec::with_capacity(source.rows());
-        let mut offsets = Vec::with_capacity(keep.len() + 1);
-        offsets.push(0usize);
-        for &c in &keep {
-            members.extend_from_slice(&groups[c]);
-            offsets.push(members.len());
-        }
-
-        // One streaming pass over the source: per-cluster radii plus the
-        // global max member norm of the kernel-error term. Per-row centroid
-        // distances are shard metadata — recomputed at fault, not stored.
-        let mut radii = vec![0.0f64; keep.len()];
-        let mut max_norm = 0.0f64;
-        for (c, radius) in radii.iter_mut().enumerate() {
-            let cent = centroids.row(c);
-            for &row in &members[offsets[c]..offsets[c + 1]] {
-                let r = source.row(row);
-                *radius = radius.max(euclid_f64(r, cent));
-                max_norm = max_norm.max(norm_f64(r));
-            }
-        }
-
-        let clusters = keep.len();
-        ShardedIndex {
-            source,
-            metric,
-            engine,
-            centroids,
-            radii,
-            members,
-            offsets,
-            bounds: PruneBounds::new(metric, source.cols(), max_norm),
-            quantizer: None,
-            cache: ShardCache::new(clusters, budget_bytes),
-        }
+        let km = lloyd_kmeans(source, nlist, KMEANS_MAX_ITERS, KMEANS_SEED, num_threads());
+        // Per-row centroid distances are shard metadata — recomputed at
+        // fault, not stored.
+        let part = Partition::new(source, metric, &km.centroids, &km.assignments, None);
+        let cache = ShardCache::new(part.num_clusters(), budget_bytes);
+        ShardedIndex { source, part, quantizer: None, cache }
     }
 
     /// Attaches the int8 quantization: fits the affine over the whole
@@ -651,31 +598,25 @@ impl<'a> ShardedIndex<'a> {
         self.quantizer.is_some()
     }
 
-    /// Replaces the engine driving the build-time k-means passes.
-    pub fn with_engine(mut self, engine: EvalEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Number of indexed source rows.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.part.members.len()
     }
 
     /// Whether the index is empty (never — build rejects empty sources —
     /// but the standard pair keeps clippy and callers honest).
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.part.members.is_empty()
     }
 
     /// Number of (non-empty) clusters = number of shards.
     pub fn num_clusters(&self) -> usize {
-        self.offsets.len() - 1
+        self.part.num_clusters()
     }
 
     /// The metric the index was built for.
     pub fn metric(&self) -> Metric {
-        self.metric
+        self.part.metric()
     }
 
     /// The configured shard-cache budget in bytes.
@@ -713,20 +654,13 @@ impl<'a> ShardedIndex<'a> {
     /// residency contract is `peak ≤ budget + max_shard × (1 + prefetch_depth)`.
     pub fn resident_bytes(&self) -> PagedResidentBytes {
         let mut rb = ResidentBytes {
-            train_rows: 0,
-            quantized_codes: 0,
             quantized_meta: self.quantizer.as_ref().map_or(0, |q| q.param_bytes()),
-            centroids: self.centroids.rows() * self.centroids.cols() * size_of::<f32>()
-                + self.radii.len() * size_of::<f64>()
-                + self.offsets.len() * size_of::<usize>(),
-            row_meta: self.members.len() * size_of::<usize>(),
+            centroids: self.part.geometry_bytes(),
+            row_meta: self.part.members.len() * size_of::<usize>(),
+            ..ResidentBytes::default()
         };
         for shard in self.cache.resident.iter().flatten() {
-            rb.train_rows += shard.rows.rows() * shard.rows.cols() * size_of::<f32>();
-            rb.quantized_codes += shard.shadow.as_ref().map_or(0, |s| s.code_bytes());
-            rb.quantized_meta += shard.shadow.as_ref().map_or(0, |s| s.meta_bytes());
-            rb.row_meta +=
-                shard.row_center.len() * size_of::<f64>() + shard.kernel.train_bound() * size_of::<f32>();
+            shard.rows.add_bytes(&mut rb);
         }
         PagedResidentBytes {
             resident: rb,
@@ -734,86 +668,6 @@ impl<'a> ShardedIndex<'a> {
             peak: self.cache.peak_resident,
             staged: self.cache.staged_bytes,
             max_shard: self.cache.max_shard_bytes,
-        }
-    }
-
-    /// Answers one query into `state`: clusters ordered by ascending lower
-    /// bound, shards faulted only when visited, scan stopping at the first
-    /// unbeatable cluster — the prune order is the paging order. With a
-    /// non-zero prefetch depth, upcoming shards materialise on pool workers
-    /// (via `pf`) while this thread scans the current one.
-    #[allow(clippy::too_many_arguments)] // the scan's full per-query context
-    fn query_into(
-        &mut self,
-        q: &[f32],
-        offset: usize,
-        skip: usize,
-        state: &mut TopKState,
-        order: &mut Vec<(f64, f64, usize)>,
-        pf: &mut Prefetcher,
-        tile: &mut [f32],
-        qtile: &mut [i32],
-        keep: &mut [bool],
-        wbuf: &mut Vec<f32>,
-        vbuf: &mut Vec<i16>,
-        stats: &mut PruneStats,
-    ) {
-        order.clear();
-        for (c, cent) in self.centroids.rows_iter().enumerate() {
-            let dqc = euclid_f64(q, cent);
-            order.push(((dqc - self.radii[c]).max(0.0), dqc, c));
-        }
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-        pf.begin_query(order);
-        stats.queries += 1;
-        stats.clusters_total += self.num_clusters();
-        stats.rows_total += self.members.len();
-        let qv = MetricKernel::new(self.metric).query_value(q);
-        let err = self.bounds.kernel_err(norm_f64(q));
-        let ShardedIndex { source, metric, centroids, members, offsets, bounds, quantizer, cache, .. } = self;
-        for (pos, &(lb, dqc, c)) in order.iter().enumerate() {
-            let tau_sq = (state.hits().len() == state.k())
-                .then(|| bounds.tau_sq(state.hits().last().expect("full state").distance));
-            if let Some(tau_sq) = tau_sq {
-                // Clusters are ordered by ascending bound and τ only
-                // shrinks, so the first unbeatable cluster ends the query —
-                // and with it, the paging.
-                if bounds.prunes(lb, tau_sq, err) {
-                    break;
-                }
-            }
-            stats.clusters_visited += 1;
-            // Top the pipeline up *before* touching this visit's shard: the
-            // workers materialise what comes next while this thread faults
-            // (if needed) and scans the current cluster.
-            pf.top_up(
-                cache,
-                order,
-                pos,
-                tau_sq,
-                err,
-                bounds,
-                *source,
-                *metric,
-                members,
-                offsets,
-                centroids,
-                quantizer.as_ref(),
-            );
-            let ids = &members[offsets[c]..offsets[c + 1]];
-            let shard = match pf.take(cache, c) {
-                Some(staged) => cache.commit(c, staged),
-                None => {
-                    cache.fault(c, || load_shard(*source, *metric, ids, centroids.row(c), quantizer.as_ref()))
-                }
-            };
-            let qq = shard.shadow.as_ref().and_then(|sh| sh.prepare_query(q, wbuf, vbuf));
-            match (&shard.shadow, qq) {
-                (Some(sh), Some(qq)) => scan_shard_quantized(
-                    shard, sh, &qq, vbuf, bounds, ids, q, qv, err, offset, skip, state, qtile, keep, stats,
-                ),
-                _ => scan_shard_topk(shard, bounds, ids, q, qv, dqc, err, offset, skip, state, tile, stats),
-            }
         }
     }
 
@@ -835,38 +689,16 @@ impl<'a> ShardedIndex<'a> {
     ) -> PruneStats {
         assert_eq!(queries.cols(), self.source.cols(), "query/train dimensionality mismatch");
         assert_eq!(states.len(), queries.rows(), "one top-k state per query required");
-        let mut stats = PruneStats::default();
-        let largest =
-            (0..self.num_clusters()).map(|c| self.offsets[c + 1] - self.offsets[c]).max().unwrap_or(1);
-        let tile_len = self.engine.tile_rows().min(largest.max(1));
-        let mut order = Vec::with_capacity(self.num_clusters());
-        let mut pf = Prefetcher::new(self.num_clusters(), self.cache.prefetch_depth);
-        let mut tile = vec![0.0f32; tile_len];
-        let quantized = self.quantizer.is_some();
-        let mut qtile = vec![0i32; if quantized { tile_len } else { 0 }];
-        let mut keep = vec![false; if quantized { tile_len } else { 0 }];
-        let mut wbuf = Vec::with_capacity(if quantized { self.source.cols() } else { 0 });
-        let mut vbuf = Vec::with_capacity(if quantized { self.source.cols() } else { 0 });
-        for (qi, state) in states.iter_mut().enumerate() {
-            let skip = exclude_self.map(|b| b + qi).unwrap_or(usize::MAX);
-            self.query_into(
-                queries.row(qi),
-                offset,
-                skip,
-                state,
-                &mut order,
-                &mut pf,
-                &mut tile,
-                &mut qtile,
-                &mut keep,
-                &mut wbuf,
-                &mut vbuf,
-                &mut stats,
-            );
-        }
+        let ShardedIndex { source, part, quantizer, cache } = self;
+        let mut pager = Pager {
+            loader: ShardLoader { source: *source, part, quantizer: quantizer.as_ref() },
+            pf: Prefetcher::new(part.num_clusters(), cache.prefetch_depth),
+            cache,
+        };
+        let stats = part.update_topk(&mut pager, queries, offset, states, exclude_self, DEFAULT_TILE_ROWS);
         // Resolve every outstanding speculative load before returning —
         // the soundness condition of `PrefetchJob`'s pointer erasure.
-        pf.drain(&mut self.cache);
+        pager.pf.drain(pager.cache);
         stats
     }
 
@@ -900,128 +732,12 @@ impl<'a> ShardedIndex<'a> {
     }
 }
 
-/// Scans one faulted shard into `state` — the shard-local twin of
-/// `ClusteredIndex::scan_cluster_topk`: whole tiles through the shard's
-/// tile kernel when unbroken by the per-row bound or self-exclusion, the
-/// bit-identical per-pair path otherwise.
-#[allow(clippy::too_many_arguments)] // the scan's full per-query context
-fn scan_shard_topk(
-    shard: &Shard,
-    bounds: &PruneBounds,
-    ids: &[usize],
-    q: &[f32],
-    qv: f32,
-    dqc: f64,
-    err: f64,
-    offset: usize,
-    skip: usize,
-    state: &mut TopKState,
-    tile: &mut [f32],
-    stats: &mut PruneStats,
-) {
-    let data = shard.rows.view();
-    let n = data.rows();
-    let mut r = 0usize;
-    while r < n {
-        let len = tile.len().min(n - r);
-        let mut fast = skip == usize::MAX || !ids[r..r + len].iter().any(|&o| offset + o == skip);
-        if fast && state.hits().len() == state.k() {
-            let tau_sq = bounds.tau_sq(state.hits().last().expect("full state").distance);
-            fast = !(r..r + len).any(|j| bounds.prunes((dqc - shard.row_center[j]).abs(), tau_sq, err));
-        }
-        if fast {
-            let out = &mut tile[..len];
-            shard.kernel.tile_with(q, qv, data, r, out);
-            for (j, &d) in out.iter().enumerate() {
-                state.offer(d, offset + ids[r + j]);
-            }
-            stats.rows_scanned += len;
-        } else {
-            for (j, &id) in ids.iter().enumerate().take(r + len).skip(r) {
-                let global = offset + id;
-                if global == skip {
-                    continue;
-                }
-                if state.hits().len() == state.k() {
-                    let tau_sq = bounds.tau_sq(state.hits().last().expect("full state").distance);
-                    if bounds.prunes((dqc - shard.row_center[j]).abs(), tau_sq, err) {
-                        stats.rows_pruned += 1;
-                        continue;
-                    }
-                }
-                state.offer(shard.kernel.pair_with(q, qv, data, j), global);
-                stats.rows_scanned += 1;
-            }
-        }
-        r += len;
-    }
-}
-
-/// The two-phase int8 scan of one faulted shard — the shard-local twin of
-/// `ClusteredIndex::scan_cluster_quantized`: integer dot tiles from the
-/// shard's shadow, the widened bound classifies, survivors re-rank through
-/// the exact kernel.
-#[allow(clippy::too_many_arguments)] // the scan's full per-query context
-fn scan_shard_quantized(
-    shard: &Shard,
-    shadow: &QuantizedShadow,
-    qq: &QuantizedQuery,
-    v: &[i16],
-    bounds: &PruneBounds,
-    ids: &[usize],
-    q: &[f32],
-    qv: f32,
-    err: f64,
-    offset: usize,
-    skip: usize,
-    state: &mut TopKState,
-    qtile: &mut [i32],
-    keep: &mut [bool],
-    stats: &mut PruneStats,
-) {
-    let data = shard.rows.view();
-    let n = data.rows();
-    let mut cached_tau = f32::NAN; // NaN ≠ everything → first full state recomputes
-    let mut cached_threshold = f64::INFINITY;
-    let mut r = 0usize;
-    while r < n {
-        let len = qtile.len().min(n - r);
-        let dots = &mut qtile[..len];
-        shadow.approx_dot_tile(v, r, dots);
-        stats.rows_quantized += len;
-        let threshold = if state.hits().len() == state.k() {
-            let tau = state.hits().last().expect("full state").distance;
-            if tau != cached_tau {
-                cached_tau = tau;
-                cached_threshold = bounds.prune_threshold(tau, err);
-            }
-            cached_threshold
-        } else {
-            f64::INFINITY // not full: every row survives classification
-        };
-        shadow.classify_tile(qq, threshold, r, dots, &mut keep[..len]);
-        for (j, &kept) in keep[..len].iter().enumerate() {
-            if !kept {
-                stats.rows_pruned += 1;
-                continue;
-            }
-            let row = r + j;
-            let global = offset + ids[row];
-            if global == skip {
-                continue;
-            }
-            state.offer(shard.kernel.pair_with(q, qv, data, row), global);
-            stats.rows_scanned += 1;
-        }
-        r += len;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{knn_reference, knn_reference_loo};
     use crate::ClusteredIndex;
+    use snoopy_linalg::Matrix;
 
     fn blobs(n: usize, d: usize, centers: usize, seed: u64) -> Matrix {
         snoopy_testutil::blob_cloud(seed, n, d, centers, 6.0, 0.2)
@@ -1051,6 +767,43 @@ mod tests {
         let mut paged = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 10, 2 * 6 * 4 * 500 / 10);
         assert_eq!(paged.topk(queries.view(), 5), resident.topk(queries.view(), 5));
         assert_eq!(paged.topk_loo(train.view(), 3), resident.topk_loo(train.view(), 3));
+        // Both indexes run one visit loop over one partition, so they do the
+        // same pruning work under eviction at every prefetch depth. With
+        // shadows only the per-shard margins differ: the visits and phase-1
+        // rows match, the re-rank count may not.
+        let budget = 2 * 6 * 4 * 500 / 10;
+        for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
+            let resident = ClusteredIndex::build(train.view(), metric, 10);
+            let resident_q = resident.clone().quantize();
+            for depth in [0usize, 2] {
+                let mut paged =
+                    ShardedIndex::build(train.view(), metric, 10, budget).with_prefetch_depth(depth);
+                assert_eq!(
+                    paged.topk_with_stats(queries.view(), 5),
+                    resident.topk_with_stats(queries.view(), 5)
+                );
+                assert_eq!(
+                    paged.topk_loo_with_stats(train.view(), 3),
+                    resident.topk_loo_with_stats(train.view(), 3)
+                );
+                assert!(paged.paging_stats().shards_evicted > 0, "{:?}", paged.paging_stats());
+                let mut paged_q = paged.quantize();
+                for (got, want) in [
+                    (
+                        paged_q.topk_with_stats(queries.view(), 5),
+                        resident_q.topk_with_stats(queries.view(), 5),
+                    ),
+                    (
+                        paged_q.topk_loo_with_stats(train.view(), 3),
+                        resident_q.topk_loo_with_stats(train.view(), 3),
+                    ),
+                ] {
+                    assert_eq!(got.0, want.0, "depth {depth}");
+                    assert_eq!(got.1.clusters_visited, want.1.clusters_visited, "depth {depth}");
+                    assert_eq!(got.1.rows_quantized, want.1.rows_quantized, "depth {depth}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use snoopy_knn::engine::{knn_reference, knn_reference_loo};
-use snoopy_knn::{ClusteredIndex, EvalBackend, EvalEngine, Metric, TopKState};
+use snoopy_knn::{ClusteredIndex, EvalBackend, EvalEngine, Metric, PruneStats, ShardedIndex, TopKState};
 use snoopy_testutil::{cloud, cloud_with_ties};
 
 fn prunable_metrics() -> [Metric; 2] {
@@ -90,21 +90,30 @@ proptest! {
 
     /// Streamed fold parity: seeding states with earlier batches' results
     /// and folding the remaining batches through per-batch clustered indexes
-    /// accumulates to the cold-start reference.
+    /// accumulates to the cold-start reference — through resident and
+    /// shard-paged indexes alike, the latter at a non-zero `offset` into
+    /// pre-seeded states under any budget and prefetch depth.
     #[test]
     fn streamed_clustered_fold_accumulates_to_reference(
         seed in 0u64..300,
         batch in 1usize..40,
         nlist in 1usize..12,
+        budget in 0usize..4096,
+        depth in 0usize..3,
     ) {
         let (train_x, _) = cloud_with_ties(seed, 70, 4, 3);
         let (test_x, _) = cloud(seed ^ 0x5eed, 13, 4, 3);
         for metric in prunable_metrics() {
             let mut states = vec![TopKState::new(4); test_x.rows()];
+            let mut paged_states = states.clone();
             let mut consumed = 0;
             for chunk in train_x.view().batches(batch) {
                 let index = ClusteredIndex::build(chunk, metric, nlist);
-                index.update_topk(test_x.view(), consumed, &mut states, None);
+                let stats = index.update_topk(test_x.view(), consumed, &mut states, None);
+                let mut paged = ShardedIndex::build(chunk, metric, nlist, budget).with_prefetch_depth(depth);
+                let paged_stats = paged.update_topk(test_x.view(), consumed, &mut paged_states, None);
+                prop_assert_eq!(&paged_states, &states, "{} prefix {}", metric.name(), consumed);
+                prop_assert_eq!(paged_stats, stats);
                 consumed += chunk.rows();
             }
             let table = snoopy_knn::NeighborTable::from_states(&states);
@@ -133,4 +142,21 @@ fn degenerate_single_row_and_single_cluster() {
         index.topk(test_x.view(), 7),
         knn_reference(train_x.view(), test_x.view(), Metric::SquaredEuclidean, 7)
     );
+    // The shard-paged index on the same shapes — one row (nlist > n),
+    // nlist = 1, and zero queries — under a zero budget (every fault evicts
+    // the previous shard) at prefetch depths 0 and 2.
+    let no_queries = test_x.view().slice_rows(0, 0);
+    for metric in prunable_metrics() {
+        for depth in [0usize, 2] {
+            let mut paged = ShardedIndex::build(one.view(), metric, 8, 0).with_prefetch_depth(depth);
+            assert_eq!(paged.num_clusters(), 1);
+            assert_eq!(paged.topk(queries.view(), 3), knn_reference(one.view(), queries.view(), metric, 3));
+            let mut paged = ShardedIndex::build(train_x.view(), metric, 1, 0).with_prefetch_depth(depth);
+            assert_eq!(paged.num_clusters(), 1);
+            assert_eq!(paged.topk(test_x.view(), 7), knn_reference(train_x.view(), test_x.view(), metric, 7));
+            let (table, stats) = paged.topk_with_stats(no_queries, 7);
+            assert_eq!(table.num_queries(), 0);
+            assert_eq!(stats, PruneStats::default());
+        }
+    }
 }

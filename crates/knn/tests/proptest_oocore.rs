@@ -7,7 +7,7 @@
 //! mid-query. Backing must be invisible: same bytes in, same bits out.
 
 use proptest::prelude::*;
-use snoopy_knn::{EvalBackend, EvalEngine, IncrementalTopK, Metric, ShardedIndex};
+use snoopy_knn::{ClusteredIndex, EvalBackend, EvalEngine, IncrementalTopK, Metric, ShardedIndex};
 use snoopy_linalg::disk::{DiskDataset, DiskLabels};
 use snoopy_testutil::{cloud_with_ties, TempDir};
 
@@ -16,7 +16,8 @@ proptest! {
 
     /// Disk-backed train/query views equal the in-memory ones bit for bit
     /// through the exhaustive, clustered, and quantized paths, plus the
-    /// sharded index under an eviction-forcing budget.
+    /// sharded index under an eviction-forcing budget — which also does the
+    /// resident index's pruning work, visit for visit.
     #[test]
     fn disk_views_match_memory_through_every_backend(
         seed in 0u64..500,
@@ -82,6 +83,40 @@ proptest! {
                     train.view(), metric, k, EvalBackend::clustered(nlist),
                 );
                 prop_assert_eq!(&sharded.topk_loo(disk_train.view(), k), &loo_ref);
+
+                // Same pruning work as the resident index over the same
+                // partition, at prefetch depths 0 and 2. Per-shard shadows
+                // carry their own margins, so quantized runs pin only the
+                // cluster visits and the phase-1 rows.
+                let mut resident = ClusteredIndex::build(train.view(), metric, nlist);
+                if quantize {
+                    resident = resident.quantize();
+                }
+                for depth in [0usize, 2] {
+                    let mut paged = ShardedIndex::build(disk_train.view(), metric, nlist, 2 * shard_bytes)
+                        .with_prefetch_depth(depth);
+                    if quantize {
+                        paged = paged.quantize();
+                    }
+                    for (got, want) in [
+                        (
+                            paged.topk_with_stats(disk_queries.view(), k),
+                            resident.topk_with_stats(queries.view(), k),
+                        ),
+                        (
+                            paged.topk_loo_with_stats(disk_train.view(), k),
+                            resident.topk_loo_with_stats(train.view(), k),
+                        ),
+                    ] {
+                        prop_assert_eq!(&got.0, &want.0, "metric {} depth {}", metric.name(), depth);
+                        if quantize {
+                            prop_assert_eq!(got.1.clusters_visited, want.1.clusters_visited);
+                            prop_assert_eq!(got.1.rows_quantized, want.1.rows_quantized);
+                        } else {
+                            prop_assert_eq!(got.1, want.1, "metric {} depth {}", metric.name(), depth);
+                        }
+                    }
+                }
             }
         }
     }
