@@ -45,6 +45,7 @@
 //! cargo run --release -p snoopy-bench --bin bench_knn_json [--scale tiny|small|standard]
 //! ```
 
+use snoopy_bench::time_median;
 use snoopy_knn::engine::{knn_reference, nearest_reference, EvalEngine, NeighborTable, TopKState};
 use snoopy_knn::{
     BruteForceIndex, ClusteredIndex, EvalBackend, IncrementalTopK, Metric, MetricKernel, RepartitionPolicy,
@@ -83,18 +84,6 @@ fn cold_window_table(
     let mut states = vec![TopKState::new(k); queries.rows()];
     engine.update_topk(queries, &kernel, window, start, &mut states, None);
     NeighborTable::from_states(&states)
-}
-
-/// Median seconds per run of `f` over `reps` runs.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        times.push(start.elapsed().as_secs_f64());
-    }
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 struct Case {

@@ -13,6 +13,7 @@
 use snoopy_data::registry::SizeScale;
 use std::fs;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Parses `--scale` from the command line (default: `small`).
 pub fn scale_from_args() -> SizeScale {
@@ -27,6 +28,18 @@ pub fn scale_from_args() -> SizeScale {
         }
     }
     SizeScale::Small
+}
+
+/// Median seconds per run of `f` over `reps` runs.
+pub fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let start = Instant::now();
+        f();
+        times.push(start.elapsed().as_secs_f64());
+    }
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
 }
 
 /// Parses a `--<name> <value>` string argument.

@@ -22,8 +22,10 @@ pub struct SnoopyConfig {
     /// Seed used for anything stochastic in the study (zoo construction).
     pub seed: u64,
     /// Evaluation backend for the per-batch append folds: `None`
-    /// auto-selects per arm by the train-size heuristic
-    /// ([`EvalBackend::auto_for`] over the batch size and test-split size);
+    /// auto-selects per arm by the build-amortisation rule
+    /// ([`EvalBackend::auto_for`] over the batch size and test-split size:
+    /// clustering only once the test split is large enough to pay for a
+    /// k-means build over the batch);
     /// `Some` forces a path — e.g. [`EvalBackend::quantized`] to scan
     /// visited clusters through the int8 two-phase path. Every path returns
     /// bit-identical errors — the backend only decides how much scan work
@@ -90,8 +92,9 @@ impl SnoopyConfig {
     }
 
     /// The backend an arm should use for a given per-pull batch size and
-    /// test-split size: the forced one if set, otherwise the train-size
-    /// auto-selection heuristic over the streamed batch.
+    /// test-split size: the forced one if set, otherwise the
+    /// build-amortisation rule of [`EvalBackend::auto_for`] over the
+    /// streamed batch.
     pub fn backend_for(&self, batch_size: usize, test_len: usize) -> EvalBackend {
         self.backend.unwrap_or_else(|| EvalBackend::auto_for(batch_size, test_len, self.metric))
     }

@@ -152,6 +152,13 @@ pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreRe
 /// estimators, but the shared table comes from the in-memory engine. Exists
 /// so parity tests and benches state "paged == resident" in one call, and
 /// fails the same way on a dataset too small to split.
+///
+/// The table goes through [`snoopy_estimators::shared_neighbor_table`], so
+/// [`snoopy_knn::EvalBackend::auto_for`] picks its backend: at the usual
+/// out-of-core shapes (a few hundred eval rows) that is the exhaustive
+/// engine, since so few queries cannot amortise a k-means build. "Paged ==
+/// resident" then compares the paged cluster scan against an independent
+/// code path rather than against a second cluster scan.
 pub fn run_resident_reference(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError> {
     let dataset = open_splittable(dir)?;
     let full = dataset.view();

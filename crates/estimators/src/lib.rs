@@ -33,13 +33,16 @@
 //! through the same engine kernels (blocked Prim relaxations and per-class
 //! Gaussian kernel accumulation, respectively).
 //!
-//! Table construction is backend-dispatched ([`EvalBackend`]): large
-//! training splits are answered by the exact-pruned clustered index in
-//! `snoopy-knn` (k-means coarse partition + triangle-inequality pruning),
-//! small ones by the exhaustive engine — the resulting tables are
-//! bit-identical, so every estimate is too. [`shared_neighbor_table`] and
-//! [`estimate_all`] auto-select by train size; the `_with_backend` variants
-//! force a path.
+//! Table construction is backend-dispatched ([`EvalBackend`]): a split
+//! with enough eval queries to amortise a k-means build is answered by the
+//! exact-pruned clustered index in `snoopy-knn` (k-means coarse partition +
+//! triangle-inequality pruning), everything else by the exhaustive engine —
+//! the resulting tables are bit-identical, so every estimate is too.
+//! [`shared_neighbor_table`] and [`estimate_all`] auto-select by the
+//! build-amortisation rule of [`EvalBackend::auto_for`] (clustering from
+//! about `4 · 16 · √n` queries on `n` training rows, ~11.9k at n = 32k;
+//! below that the exhaustive engine measured faster); the `_with_backend`
+//! variants force a path.
 //!
 //! All estimators receive a training view and a held-out evaluation view;
 //! estimators that conceptually use a single sample (GHP, KDE fitted on
@@ -103,9 +106,10 @@ pub fn shared_table_k(estimators: &[Box<dyn BerEstimator>]) -> usize {
 /// training rows of every eval row, by the parallel engine. Neighbours depend
 /// only on features, so one table serves every relabelling of the same
 /// (transformation, split) pair. The evaluation backend is auto-selected by
-/// the train-size heuristic ([`EvalBackend::auto_for`]): large training
-/// splits route through the exact-pruned clustered index, small ones through
-/// the exhaustive kernel — the table is bit-identical either way.
+/// the build-amortisation rule ([`EvalBackend::auto_for`]): the
+/// exact-pruned clustered index only when the eval rows are numerous enough
+/// to pay for its k-means build, the exhaustive kernel otherwise — the
+/// table is bit-identical either way.
 pub fn shared_neighbor_table(
     train: snoopy_linalg::DatasetView<'_>,
     eval: snoopy_linalg::DatasetView<'_>,

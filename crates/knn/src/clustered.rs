@@ -185,7 +185,7 @@ use snoopy_linalg::{DatasetView, Matrix};
 /// Both backends speak the same [`NeighborTable`] handshake and return
 /// bit-identical tables; `Clustered` merely skips work that provably cannot
 /// change the answer. Auto-selection ([`EvalBackend::auto_for`]) picks
-/// `Clustered` once the training side is large enough to amortise the
+/// `Clustered` only when the queries are numerous enough to amortise the
 /// k-means build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalBackend {
@@ -206,24 +206,45 @@ pub enum EvalBackend {
     },
 }
 
-/// Minimum training rows before [`EvalBackend::auto_for`] picks clustering:
-/// below this the k-means build costs more than the scans it saves.
+/// Minimum training rows before [`EvalBackend::auto_for`] picks clustering,
+/// whatever the query count: below it a whole exhaustive scan is cheap, and
+/// the break-even sweep behind [`AUTO_BUILD_MARGIN`] measured no smaller
+/// training set.
 pub const AUTO_MIN_TRAIN: usize = 4096;
 
-/// Minimum queries before [`EvalBackend::auto_for`] picks clustering: the
-/// build cost is amortised across queries.
-pub const AUTO_MIN_QUERIES: usize = 32;
+/// How many times more distance pairs the exhaustive scan must cost than
+/// clustering before [`EvalBackend::auto_for`] picks clustering (see
+/// [`EvalBackend::auto_costs`] for both pair counts). The k-means
+/// assignment pass walks one row–centroid pair at a time rather than the
+/// exhaustive engine's register tiles, and the visited clusters still scan
+/// rows, so the two counts are not on par. The `bench_auto_backend` sweep
+/// (exhaustive top-10 vs build plus clustered top-10, n = 8k–32k,
+/// q = 512–16k, 2-core host, `BENCH_auto_backend.json` holds the last run)
+/// measured the break-even at a pair ratio of 1.7–4.0 on the 4-class
+/// d = 16 Gaussian mixture (four runs) and 1.3–2.2 on d = 32 blobs (three):
+/// near it the two costs grow almost in parallel, so host noise moves the
+/// crossing far. 4 sits at the top of that range, so the rule errs towards
+/// the exhaustive engine: in every run, each point it routed to clustering
+/// took 0.25–0.86× the exhaustive time, while at q = 512 clustering took
+/// 3.3–10.7× as long.
+pub const AUTO_BUILD_MARGIN: u128 = 4;
 
 impl EvalBackend {
-    /// Train-size auto-selection heuristic: clustering pays once the k-means
-    /// build (`O(n · nlist · d)` per iteration) is amortised over enough
-    /// queries, and is only sound for triangle-prunable metrics. Returns
-    /// [`EvalBackend::Clustered`] with [`EvalBackend::default_nlist`] when
-    /// `train_rows ≥` [`AUTO_MIN_TRAIN`], `num_queries ≥`
-    /// [`AUTO_MIN_QUERIES`], and the metric is prunable; otherwise
-    /// [`EvalBackend::Exhaustive`].
+    /// Build-amortisation auto-selection: returns
+    /// [`EvalBackend::Clustered`] with [`EvalBackend::default_nlist`]
+    /// clusters, unquantized, only when the metric is prunable,
+    /// `train_rows ≥` [`AUTO_MIN_TRAIN`], and the exhaustive scan costs
+    /// more than [`AUTO_BUILD_MARGIN`] times clustering, in the pair counts
+    /// of [`EvalBackend::auto_costs`]; otherwise
+    /// [`EvalBackend::Exhaustive`]. With `nlist = ⌈√n⌉` that switches to
+    /// clustering from about `4 · 16 · √n` queries (11 913 at n = 32 768),
+    /// so a few hundred queries never pay for a build.
     pub fn auto_for(train_rows: usize, num_queries: usize, metric: Metric) -> EvalBackend {
-        if Self::prunable(metric) && train_rows >= AUTO_MIN_TRAIN && num_queries >= AUTO_MIN_QUERIES {
+        if !Self::prunable(metric) || train_rows < AUTO_MIN_TRAIN {
+            return EvalBackend::Exhaustive;
+        }
+        let (exhaustive, clustering) = Self::auto_costs(train_rows, num_queries);
+        if exhaustive > AUTO_BUILD_MARGIN * clustering {
             // Auto-selection stays unquantized: the shadow *adds* resident
             // memory (codes + per-row radii on top of the f32 rows) and only
             // pays off on scan-bound workloads — an explicit opt-in via
@@ -232,6 +253,21 @@ impl EvalBackend {
         } else {
             EvalBackend::Exhaustive
         }
+    }
+
+    /// The distance-pair counts [`EvalBackend::auto_for`] weighs for `n`
+    /// training rows and `q` queries, as `(exhaustive, clustering)`: the
+    /// exhaustive scan costs `q · n`; clustering costs the k-means build at
+    /// its iteration cap, `16 · n · nlist` point–centroid pairs (the unit
+    /// [`crate::IncrementalTopK::partition_pairs`] counts), plus the
+    /// `q · nlist` centroid scan, with `nlist = `
+    /// [`EvalBackend::default_nlist`]`(n)`. The rows scanned inside visited
+    /// clusters are left to [`AUTO_BUILD_MARGIN`]. Computed in `u128`, so no
+    /// pair of `usize` arguments overflows.
+    pub fn auto_costs(train_rows: usize, num_queries: usize) -> (u128, u128) {
+        let (n, q) = (train_rows as u128, num_queries as u128);
+        let nlist = Self::default_nlist(train_rows) as u128;
+        (q * n, KMEANS_MAX_ITERS as u128 * n * nlist + q * nlist)
     }
 
     /// The plain clustered backend: coarse partition plus exact pruning,
@@ -865,7 +901,21 @@ mod tests {
         assert_eq!(EvalBackend::auto_for(100, 1000, SquaredEuclidean), EvalBackend::Exhaustive);
         assert_eq!(EvalBackend::auto_for(10_000, 4, SquaredEuclidean), EvalBackend::Exhaustive);
         assert_eq!(EvalBackend::auto_for(10_000, 1000, Cosine), EvalBackend::Exhaustive);
-        assert_eq!(EvalBackend::auto_for(10_000, 1000, SquaredEuclidean), EvalBackend::clustered(100));
+        // The out-of-core benchmark's resident table: 512 queries cannot
+        // amortise a 180-cluster build over 32 256 rows.
+        assert_eq!(EvalBackend::auto_costs(32_256, 512), (512 * 32_256, 16 * 32_256 * 180 + 512 * 180));
+        assert_eq!(EvalBackend::auto_for(32_256, 512, SquaredEuclidean), EvalBackend::Exhaustive);
+        // Past the break-even (≈ 11.8k queries at this n) clustering pays.
+        assert_eq!(EvalBackend::auto_for(32_256, 16_384, Cosine), EvalBackend::Exhaustive);
+        assert_eq!(
+            EvalBackend::auto_for(32_256, 16_384, SquaredEuclidean),
+            EvalBackend::clustered(EvalBackend::default_nlist(32_256))
+        );
+        // The pair counts are `u128`: no `usize` shape overflows.
+        assert_eq!(
+            EvalBackend::auto_for(usize::MAX, usize::MAX, Euclidean),
+            EvalBackend::clustered(EvalBackend::default_nlist(usize::MAX))
+        );
         assert_eq!(EvalBackend::clustered(50).resolve(10, SquaredEuclidean), Some((10, false)));
         assert_eq!(EvalBackend::quantized(50).resolve(10, SquaredEuclidean), Some((10, true)));
         assert_eq!(EvalBackend::clustered(50).resolve(0, SquaredEuclidean), None);

@@ -171,7 +171,9 @@ impl TopKState {
 /// from a grown [`crate::IncrementalTopK`] — bit-identical in every case.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborTable {
-    /// Neighbours stored per query: `min(k, candidate training rows)`.
+    /// Neighbours stored per query: `min(k, candidate training rows)`, and
+    /// 0 when there are no queries, so every constructor builds the same
+    /// empty table.
     per_query: usize,
     num_queries: usize,
     /// `num_queries * per_query` hits, query-major.
@@ -202,6 +204,7 @@ impl NeighborTable {
     /// # Panics
     /// Panics if any state holds fewer than `per_query` hits.
     pub fn from_state_prefixes(states: &[TopKState], per_query: usize) -> Self {
+        let per_query = if states.is_empty() { 0 } else { per_query };
         let mut hits = Vec::with_capacity(states.len() * per_query);
         for s in states {
             assert!(s.hits.len() >= per_query, "state holds fewer hits than the requested prefix");
@@ -255,7 +258,8 @@ impl NeighborTable {
         self.num_queries
     }
 
-    /// Neighbours stored per query (0 when no training rows were available).
+    /// Neighbours stored per query (0 when no training rows were available
+    /// or there are no queries).
     #[inline]
     pub fn k(&self) -> usize {
         self.per_query
@@ -916,7 +920,7 @@ fn reference_table(
     exclude_diag: bool,
 ) -> NeighborTable {
     let candidates = if exclude_diag { train.rows().saturating_sub(1) } else { train.rows() };
-    let per_query = k.min(candidates);
+    let per_query = if queries.rows() == 0 { 0 } else { k.min(candidates) };
     let mut hits = Vec::with_capacity(queries.rows() * per_query);
     for (qi, q) in queries.rows_iter().enumerate() {
         let mut all: Vec<NearestHit> = train

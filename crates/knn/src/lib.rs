@@ -31,8 +31,9 @@
 //!   skips most distance evaluations on clustered embedding spaces while
 //!   staying bit-identical to the exhaustive engine, surfaced as the
 //!   [`clustered::EvalBackend`] enum
-//!   (`Exhaustive` | `Clustered { nlist, quantize }`, with a train-size
-//!   auto-selection heuristic) behind the same `NeighborTable` handshake —
+//!   (`Exhaustive` | `Clustered { nlist, quantize }`, auto-selected only
+//!   when enough queries amortise the k-means build) behind the same
+//!   `NeighborTable` handshake —
 //!   cosine dissimilarity has no triangle inequality, so cosine consumers
 //!   transparently fall back to the exhaustive kernel. Its bound-ordered
 //!   cluster visit loop, f32 tile scan and int8 two-phase scan are one

@@ -142,10 +142,19 @@ fn degenerate_single_row_and_single_cluster() {
         index.topk(test_x.view(), 7),
         knn_reference(train_x.view(), test_x.view(), Metric::SquaredEuclidean, 7)
     );
+    // Zero queries: every constructor builds the same empty table.
+    let no_queries = test_x.view().slice_rows(0, 0);
+    for metric in prunable_metrics() {
+        let reference = knn_reference(train_x.view(), no_queries, metric, 7);
+        assert_eq!(reference.num_queries(), 0);
+        let index = ClusteredIndex::build(train_x.view(), metric, 4);
+        assert_eq!(index.topk(no_queries, 7), reference, "{}", metric.name());
+        let engine = EvalEngine::parallel();
+        assert_eq!(engine.topk(train_x.view(), no_queries, metric, 7), reference, "{}", metric.name());
+    }
     // The shard-paged index on the same shapes — one row (nlist > n),
     // nlist = 1, and zero queries — under a zero budget (every fault evicts
     // the previous shard) at prefetch depths 0 and 2.
-    let no_queries = test_x.view().slice_rows(0, 0);
     for metric in prunable_metrics() {
         for depth in [0usize, 2] {
             let mut paged = ShardedIndex::build(one.view(), metric, 8, 0).with_prefetch_depth(depth);
@@ -156,6 +165,7 @@ fn degenerate_single_row_and_single_cluster() {
             assert_eq!(paged.topk(test_x.view(), 7), knn_reference(train_x.view(), test_x.view(), metric, 7));
             let (table, stats) = paged.topk_with_stats(no_queries, 7);
             assert_eq!(table.num_queries(), 0);
+            assert_eq!(table, knn_reference(train_x.view(), no_queries, metric, 7));
             assert_eq!(stats, PruneStats::default());
         }
     }
