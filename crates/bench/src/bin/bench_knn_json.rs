@@ -12,9 +12,6 @@
 //! plus the relabel refresh latency), the sliding-window eviction comparison
 //! (per-slide append+evict on an eviction-enabled state vs a cold rebuild of
 //! the surviving window, with the re-scanned query count per slide), the
-//! re-partition policy sweep
-//! (growth factors 1.5/2/3 and the prune-rate trigger replaying one
-//! *drifting* append stream whose batch means walk round over round), the
 //! persistent-pool comparison (per-call latency of the old scoped-spawn
 //! fan-out vs the pool-backed engine, plus the zero-alloc scratch variant),
 //! the multi-tenant serving comparison (studies/sec of the warm
@@ -47,9 +44,7 @@
 
 use snoopy_bench::time_median;
 use snoopy_knn::engine::{knn_reference, nearest_reference, EvalEngine, NeighborTable, TopKState};
-use snoopy_knn::{
-    BruteForceIndex, ClusteredIndex, EvalBackend, IncrementalTopK, Metric, MetricKernel, RepartitionPolicy,
-};
+use snoopy_knn::{BruteForceIndex, ClusteredIndex, EvalBackend, IncrementalTopK, Metric, MetricKernel};
 use snoopy_linalg::{rng, DatasetView, LabeledView, Matrix};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -129,17 +124,6 @@ struct QuantizedCase {
     f32_bytes: usize,
     code_bytes: usize,
     meta_bytes: usize,
-}
-
-struct RepartitionCase {
-    policy: &'static str,
-    total_append_s: f64,
-    repartitions: usize,
-    row_prune_rate: f64,
-    /// Cumulative k-means work (Lloyd's iterations plus batch assignment,
-    /// in point–centroid pairs) across *all* partitions of the stream — the
-    /// build-side cost the policy trades against query-side pruning.
-    partition_pairs: u64,
 }
 
 struct PoolCase {
@@ -234,10 +218,6 @@ struct EvictionSlide {
     append_evict_s: f64,
     rebuild_s: f64,
     affected_queries: usize,
-    /// Whether this slide's append crossed the re-partition trigger and
-    /// rebuilt the coarse partition (an amortised, policy-scheduled cost —
-    /// such slides are exempt from the per-slide ≥ 2× contract).
-    repartitioned: bool,
 }
 
 struct EvictionCase {
@@ -248,7 +228,6 @@ struct EvictionCase {
     window: usize,
     slide: usize,
     slack: usize,
-    backend: &'static str,
     slides: Vec<EvictionSlide>,
 }
 
@@ -762,9 +741,8 @@ fn main() {
     // the cold baseline rebuilds the whole surviving window —
     // O(window × queries). Parity with a cold fold of the surviving window
     // (global indices) is asserted at every position, and at n ≥ 10k every
-    // steady-state exhaustive slide must beat the rebuild by ≥ 2× — the
-    // contract that makes eviction a slide, not a rebuild in disguise
-    // (quantized slides also pay per-slide index compaction; see below).
+    // slide must beat the rebuild by ≥ 2× — the contract that makes
+    // eviction a slide, not a rebuild in disguise.
     let evict_k = 10;
     let evict_slack = 10;
     let mut eviction_cases = Vec::new();
@@ -776,217 +754,102 @@ fn main() {
         let query_x = make_data(incr_queries, incr_dim, 620 + i as u64);
         let query_y: Vec<u32> = (0..incr_queries).map(|j| (j % 10) as u32).collect();
         let engine = EvalEngine::parallel();
-        for (backend_name, backend) in [
-            ("exhaustive", EvalBackend::Exhaustive),
-            ("quantized", EvalBackend::quantized(EvalBackend::default_nlist(window))),
-        ] {
-            let mut state =
-                IncrementalTopK::new(query_x.clone(), query_y.clone(), Metric::SquaredEuclidean, evict_k)
-                    .with_backend(backend)
-                    .with_eviction(evict_slack);
-            // Pre-fill the window, then slide it over the rest of the stream.
-            let mut consumed = 0usize;
-            while consumed < window {
-                let end = (consumed + slide).min(window);
-                state.append(train_x.view().slice_rows(consumed, end), &train_y[consumed..end]);
-                consumed = end;
-            }
-            let mut slides = Vec::new();
-            let mut position = 0usize;
-            while consumed < n {
-                let end = (consumed + slide).min(n);
-                let batch_view = train_x.view().slice_rows(consumed, end);
-                let batch_labels = &train_y[consumed..end];
-                let rows_out = end - consumed;
-                // Each rep replays the slide on a fresh clone; the clone
-                // itself (large for the quantized window index) is re-seeding
-                // machinery, not slide work, so it stays outside the timer.
-                let t_slide = {
-                    let mut times: Vec<f64> = Vec::with_capacity(incr_reps);
-                    for _ in 0..incr_reps {
-                        let mut s = state.clone();
-                        let start = Instant::now();
-                        s.append(batch_view, batch_labels);
-                        std::hint::black_box(s.evict_oldest(rows_out));
-                        times.push(start.elapsed().as_secs_f64());
-                    }
-                    times.sort_by(f64::total_cmp);
-                    times[times.len() / 2]
-                };
-                let reps_before = state.repartitions();
-                state.append(batch_view, batch_labels);
-                let report = state.evict_oldest(rows_out);
-                let repartitioned = state.repartitions() > reps_before;
-                consumed = end;
-                position += 1;
-                let start = state.window_start();
-                let t_rebuild = time_median(incr_reps, || {
-                    std::hint::black_box(engine.topk(
-                        train_x.view().slice_rows(start, consumed),
-                        query_x.view(),
-                        Metric::SquaredEuclidean,
-                        evict_k,
-                    ));
-                });
-                assert_eq!(
-                    state.table(),
-                    cold_window_table(
-                        train_x.view(),
-                        query_x.view(),
-                        Metric::SquaredEuclidean,
-                        evict_k,
-                        start,
-                        consumed,
-                        &engine
-                    ),
-                    "slid window must be bit-identical to a cold fold of the surviving window \
-                     ({backend_name}, position {position})"
-                );
-                if n >= 10_000 && !repartitioned {
-                    // The exhaustive backend is the headline contract: a
-                    // slide touches O(batch × queries + affected × window)
-                    // work and must beat the O(window × queries) rebuild
-                    // by 2×. The quantized backend additionally compacts
-                    // its persistent window index and int8 shadow in place
-                    // on every eviction — O(window) memtraffic the rebuild
-                    // never pays — so it is held to the weaker bar of never
-                    // being slower than the rebuild.
-                    let floor = if backend_name == "exhaustive" { 2.0 } else { 1.0 };
-                    assert!(
-                        t_rebuild / t_slide >= floor,
-                        "append+evict must beat the cold window rebuild >= {floor}x at n = {n} \
-                         ({backend_name}, position {position}, got {:.2}x) — eviction regressed \
-                         to rebuild-shaped work",
-                        t_rebuild / t_slide
-                    );
+        let mut state =
+            IncrementalTopK::new(query_x.clone(), query_y.clone(), Metric::SquaredEuclidean, evict_k)
+                .with_eviction(evict_slack);
+        // Pre-fill the window, then slide it over the rest of the stream.
+        let mut consumed = 0usize;
+        while consumed < window {
+            let end = (consumed + slide).min(window);
+            state.append(train_x.view().slice_rows(consumed, end), &train_y[consumed..end]);
+            consumed = end;
+        }
+        let mut slides = Vec::new();
+        let mut position = 0usize;
+        while consumed < n {
+            let end = (consumed + slide).min(n);
+            let batch_view = train_x.view().slice_rows(consumed, end);
+            let batch_labels = &train_y[consumed..end];
+            let rows_out = end - consumed;
+            // Each rep replays the slide on a fresh clone; the clone itself
+            // is re-seeding machinery, not slide work, so it stays outside
+            // the timer.
+            let t_slide = {
+                let mut times: Vec<f64> = Vec::with_capacity(incr_reps);
+                for _ in 0..incr_reps {
+                    let mut s = state.clone();
+                    let start = Instant::now();
+                    s.append(batch_view, batch_labels);
+                    std::hint::black_box(s.evict_oldest(rows_out));
+                    times.push(start.elapsed().as_secs_f64());
                 }
-                println!(
-                    "n={:>6} d={incr_dim} top-{evict_k} eviction({backend_name:<10}) slide @[{:>6}, {:>6})   append+evict {:>8.2} ms   rebuild {:>8.2} ms   speedup {:.2}x   re-scanned {:>3} queries{}",
-                    n,
+                times.sort_by(f64::total_cmp);
+                times[times.len() / 2]
+            };
+            state.append(batch_view, batch_labels);
+            let report = state.evict_oldest(rows_out);
+            consumed = end;
+            position += 1;
+            let start = state.window_start();
+            let t_rebuild = time_median(incr_reps, || {
+                std::hint::black_box(engine.topk(
+                    train_x.view().slice_rows(start, consumed),
+                    query_x.view(),
+                    Metric::SquaredEuclidean,
+                    evict_k,
+                ));
+            });
+            assert_eq!(
+                state.table(),
+                cold_window_table(
+                    train_x.view(),
+                    query_x.view(),
+                    Metric::SquaredEuclidean,
+                    evict_k,
                     start,
                     consumed,
-                    t_slide * 1e3,
-                    t_rebuild * 1e3,
-                    t_rebuild / t_slide,
-                    report.affected_queries,
-                    if repartitioned { "   (re-partitioned)" } else { "" },
+                    &engine
+                ),
+                "slid window must be bit-identical to a cold fold of the surviving window (position {position})"
+            );
+            if n >= 10_000 {
+                // A slide touches O(batch × queries + affected × window) work
+                // and must beat the O(window × queries) rebuild by 2×.
+                assert!(
+                    t_rebuild / t_slide >= 2.0,
+                    "append+evict must beat the cold window rebuild >= 2x at n = {n} \
+                     (position {position}, got {:.2}x) — eviction regressed to rebuild-shaped work",
+                    t_rebuild / t_slide
                 );
-                slides.push(EvictionSlide {
-                    position,
-                    window_start: start,
-                    append_evict_s: t_slide,
-                    rebuild_s: t_rebuild,
-                    affected_queries: report.affected_queries,
-                    repartitioned,
-                });
             }
-            eviction_cases.push(EvictionCase {
-                train_n: n,
-                dim: incr_dim,
-                k: evict_k,
-                queries: incr_queries,
-                window,
-                slide,
-                slack: evict_slack,
-                backend: backend_name,
-                slides,
+            println!(
+                "n={:>6} d={incr_dim} top-{evict_k} eviction slide @[{:>6}, {:>6})   append+evict {:>8.2} ms   rebuild {:>8.2} ms   speedup {:.2}x   re-scanned {:>3} queries",
+                n,
+                start,
+                consumed,
+                t_slide * 1e3,
+                t_rebuild * 1e3,
+                t_rebuild / t_slide,
+                report.affected_queries,
+            );
+            slides.push(EvictionSlide {
+                position,
+                window_start: start,
+                append_evict_s: t_slide,
+                rebuild_s: t_rebuild,
+                affected_queries: report.affected_queries,
             });
         }
-    }
-
-    // Re-partition policy sweep on the quantized incremental path: replay
-    // the same append stream under each policy and compare total append
-    // wall-clock, re-cluster count, and the cumulative row prune rate. The
-    // stream *drifts*: every round's batch is drawn from blob centers whose
-    // means walk by one unit per round, so a partition built on early rounds
-    // goes stale and the policies differ in how quickly they chase the
-    // moving distribution — the adversarial regime the ROADMAP asked the
-    // `REPARTITION_GROWTH = 2.0` default to be validated against (the
-    // original sweep used stationary blobs, where never re-clustering is
-    // nearly free). Every policy must still land on the bit-identical final
-    // table (policies only move *when* the partition is rebuilt, never what
-    // a query answers).
-    let (rep_n, rep_queries, rep_rounds): (usize, usize, usize) = match scale {
-        snoopy_data::registry::SizeScale::Tiny => (4_000, 100, 8),
-        snoopy_data::registry::SizeScale::Standard => (16_000, 300, 12),
-        _ => (10_000, 200, 12),
-    };
-    let rep_dim = 32;
-    let rep_k = 10;
-    let rep_policies: [(&str, RepartitionPolicy); 4] = [
-        ("growth-1.5", RepartitionPolicy::Growth(1.5)),
-        ("growth-2.0", RepartitionPolicy::Growth(2.0)),
-        ("growth-3.0", RepartitionPolicy::Growth(3.0)),
-        ("prune-rate-0.5", RepartitionPolicy::PruneRate { min_row_prune: 0.5 }),
-    ];
-    // Walking batch means: round r's rows (and queries) are offset by
-    // `r × drift` in every coordinate — a stream whose distribution the
-    // early partition has never seen.
-    let rep_drift = 1.0f32;
-    let drifting = |total: usize, seed_base: u64| {
-        let per_round = total.div_ceil(rep_rounds);
-        let mut rows: Vec<Vec<f32>> = Vec::with_capacity(total);
-        for r in 0..rep_rounds {
-            let len = per_round.min(total - rows.len());
-            if len == 0 {
-                break;
-            }
-            let chunk = make_blobs(len, rep_dim, 64, seed_base + r as u64);
-            let offset = rep_drift * r as f32;
-            rows.extend(chunk.view().rows_iter().map(|row| row.iter().map(|v| v + offset).collect()));
-        }
-        Matrix::from_rows(&rows)
-    };
-    let rep_train = drifting(rep_n, 900);
-    let rep_train_y: Vec<u32> = (0..rep_n).map(|j| (j % 10) as u32).collect();
-    let rep_query = drifting(rep_queries, 950);
-    let rep_query_y: Vec<u32> = (0..rep_queries).map(|j| (j % 10) as u32).collect();
-    let rep_nlist = EvalBackend::default_nlist(rep_n);
-    let rep_batch = rep_n.div_ceil(rep_rounds);
-    let mut repartition_cases = Vec::new();
-    let mut rep_reference_table = None;
-    for (name, policy) in rep_policies {
-        let replay = || {
-            let mut state =
-                IncrementalTopK::new(rep_query.clone(), rep_query_y.clone(), Metric::SquaredEuclidean, rep_k)
-                    .with_backend(EvalBackend::quantized(rep_nlist))
-                    .with_repartition_policy(policy);
-            let mut consumed = 0usize;
-            for chunk in rep_train.view().batches(rep_batch) {
-                let len = chunk.rows();
-                state.append(chunk, &rep_train_y[consumed..consumed + len]);
-                consumed += len;
-            }
-            state
-        };
-        let probe = replay();
-        let table = probe.table();
-        match &rep_reference_table {
-            None => rep_reference_table = Some(table),
-            Some(reference) => assert_eq!(
-                &table, reference,
-                "policy {name} changed query results — policies may only move when re-partitions happen"
-            ),
-        }
-        let t_total = time_median(incr_reps, || {
-            std::hint::black_box(replay().error());
+        eviction_cases.push(EvictionCase {
+            train_n: n,
+            dim: incr_dim,
+            k: evict_k,
+            queries: incr_queries,
+            window,
+            slide,
+            slack: evict_slack,
+            slides,
         });
-        let case = RepartitionCase {
-            policy: name,
-            total_append_s: t_total,
-            repartitions: probe.repartitions(),
-            row_prune_rate: probe.prune_stats().row_prune_rate(),
-            partition_pairs: probe.partition_pairs(),
-        };
-        println!(
-            "n={rep_n:>6} d={rep_dim} top-{rep_k} repartition {:<14} total append {:>8.2} ms   re-clusters {}   row prune {:.1}%   k-means work {} pairs",
-            case.policy,
-            case.total_append_s * 1e3,
-            case.repartitions,
-            100.0 * case.row_prune_rate,
-            case.partition_pairs,
-        );
-        repartition_cases.push(case);
     }
 
     // Persistent pool vs per-call thread churn: the same two-way query
@@ -1316,7 +1179,7 @@ fn main() {
     // Per-section provenance: say what each section's speedup compares and
     // whether that comparison depends on the thread count. A blanket
     // "single-core numbers are noise" note would be wrong for most of the
-    // file — kernel/clustered/quantized/incremental/repartition sections
+    // file — kernel/clustered/quantized/incremental/eviction sections
     // compare two single-threaded code paths and are valid on any host; only
     // the serial-vs-parallel sections degenerate when threads == 1.
     let _ = writeln!(json, "  \"section_meta\": {{");
@@ -1342,11 +1205,6 @@ fn main() {
         json,
         "{}",
         thread_free("eviction_cases", "sliding-window append+evict vs cold rebuild of the surviving window")
-    );
-    let _ = writeln!(
-        json,
-        "{}",
-        thread_free("repartition_cases", "re-partition policies on a drifting quantized append stream")
     );
     let _ = writeln!(
         json,
@@ -1492,38 +1350,23 @@ fn main() {
         let comma = if i + 1 < eviction_cases.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"train_n\": {}, \"dim\": {}, \"k\": {}, \"queries\": {}, \"window\": {}, \"slide\": {}, \"slack\": {}, \"backend\": \"{}\", \"metric\": \"sq-euclidean\", \"slides\": [",
-            c.train_n, c.dim, c.k, c.queries, c.window, c.slide, c.slack, c.backend,
+            "    {{\"train_n\": {}, \"dim\": {}, \"k\": {}, \"queries\": {}, \"window\": {}, \"slide\": {}, \"slack\": {}, \"metric\": \"sq-euclidean\", \"slides\": [",
+            c.train_n, c.dim, c.k, c.queries, c.window, c.slide, c.slack,
         );
         for (j, s) in c.slides.iter().enumerate() {
             let scomma = if j + 1 < c.slides.len() { "," } else { "" };
             let _ = writeln!(
                 json,
-                "      {{\"position\": {}, \"window_start\": {}, \"append_evict_s\": {:.6}, \"rebuild_s\": {:.6}, \"speedup\": {:.3}, \"affected_queries\": {}, \"repartitioned\": {}}}{scomma}",
+                "      {{\"position\": {}, \"window_start\": {}, \"append_evict_s\": {:.6}, \"rebuild_s\": {:.6}, \"speedup\": {:.3}, \"affected_queries\": {}}}{scomma}",
                 s.position,
                 s.window_start,
                 s.append_evict_s,
                 s.rebuild_s,
                 s.rebuild_s / s.append_evict_s,
                 s.affected_queries,
-                s.repartitioned,
             );
         }
         let _ = writeln!(json, "    ]}}{comma}");
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"repartition_cases\": [");
-    for (i, c) in repartition_cases.iter().enumerate() {
-        let comma = if i + 1 < repartition_cases.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"train_n\": {rep_n}, \"dim\": {rep_dim}, \"k\": {rep_k}, \"queries\": {rep_queries}, \"rounds\": {rep_rounds}, \"metric\": \"sq-euclidean\", \"policy\": \"{}\", \"total_append_s\": {:.6}, \"repartitions\": {}, \"row_prune_rate\": {:.4}, \"partition_pairs\": {}}}{comma}",
-            c.policy,
-            c.total_append_s,
-            c.repartitions,
-            c.row_prune_rate,
-            c.partition_pairs,
-        );
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"pool_cases\": [");

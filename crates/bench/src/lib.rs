@@ -1,7 +1,8 @@
 //! # snoopy-bench
 //!
 //! The experiment harness regenerating every table and figure of the paper's
-//! evaluation section, plus Criterion micro-benchmarks.
+//! evaluation section, plus the JSON perf snapshots (`bench_knn_json`,
+//! `bench_auto_backend`).
 //!
 //! Each `exp_*` binary in `src/bin/` prints the rows/series of one table or
 //! figure as a markdown-ish table on stdout and writes the same data as CSV

@@ -9,15 +9,12 @@
 //! batch (test-set inference is charged on the first pull), which is exactly
 //! the cost structure that makes successive halving worthwhile in the paper
 //! (Section V); the *true incremental evaluation cost* (query–row pairs the
-//! append actually folded, post-pruning) is additionally reported to the
-//! strategies through [`snoopy_bandit::Arm::eval_pairs`].
+//! append folded) is additionally reported to the strategies through
+//! [`snoopy_bandit::Arm::eval_pairs`].
 //!
 //! Raw batches are sliced zero-copy from the task's training split
 //! ([`snoopy_linalg::DatasetView`]); only the *embedded* batch is
-//! materialised, appended, and dropped — except under a clustered append
-//! backend, whose persistent partition retains the embedded rows it folded
-//! (the raw material of its re-partitions; see
-//! [`IncrementalTopK::with_backend`]). Nothing is ever re-embedded or
+//! materialised, appended, and dropped. Nothing is ever re-embedded or
 //! reassembled for a rebuild — the study takes the winning arm's state itself
 //! ([`TransformationArm::take_state`]) and hands it to the cleaning loop and
 //! the estimators unchanged. Pull/cost bookkeeping lives in the shared
@@ -27,7 +24,7 @@
 use snoopy_bandit::{Arm, PullLedger};
 use snoopy_data::TaskDataset;
 use snoopy_embeddings::{Transformation, TransformedTask};
-use snoopy_knn::{EvalBackend, EvalEngine, IncrementalTopK, Metric};
+use snoopy_knn::{EvalEngine, IncrementalTopK, Metric};
 use std::sync::Arc;
 
 /// A bandit arm evaluating one transformation on one task.
@@ -49,11 +46,6 @@ pub struct TransformationArm<'a> {
     /// their own worker threads, and nesting a full-width engine inside each
     /// would oversubscribe the CPU.
     engine: EvalEngine,
-    /// Append backend handed to the incremental state (the study resolves
-    /// the config's choice — forced or auto-by-batch-size — before
-    /// constructing arms). Exhaustive and clustered appends are
-    /// bit-identical.
-    backend: EvalBackend,
     /// Pre-computed embeddings of both splits (the feasibility service's
     /// warm path). When present, pulls slice the cached train rows
     /// zero-copy and the first pull clones the cached test embedding —
@@ -83,7 +75,6 @@ impl<'a> TransformationArm<'a> {
             consumed: 0,
             ledger: PullLedger::new(),
             engine: EvalEngine::parallel(),
-            backend: EvalBackend::Exhaustive,
             embeddings: None,
         }
     }
@@ -112,15 +103,6 @@ impl<'a> TransformationArm<'a> {
     /// Overrides the evaluation engine used by this arm's state.
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Overrides the append backend used by this arm's state.
-    pub fn with_backend(mut self, backend: EvalBackend) -> Self {
-        self.backend = backend;
-        if let Some(state) = self.state.as_mut() {
-            state.set_backend(backend);
-        }
         self
     }
 
@@ -199,8 +181,7 @@ impl<'a> TransformationArm<'a> {
         };
         self.state = Some(
             IncrementalTopK::new(test_embedded, self.task.test.labels.clone(), self.metric, self.table_k)
-                .with_engine(self.engine)
-                .with_backend(self.backend),
+                .with_engine(self.engine),
         );
     }
 }

@@ -1,7 +1,8 @@
 //! Configuration of a feasibility study.
 
 use snoopy_bandit::SelectionStrategy;
-use snoopy_knn::{EvalBackend, Metric};
+use snoopy_knn::Metric;
+use std::fmt;
 
 /// Configuration of one Snoopy run.
 #[derive(Debug, Clone, Copy)]
@@ -21,16 +22,6 @@ pub struct SnoopyConfig {
     pub budget: Option<usize>,
     /// Seed used for anything stochastic in the study (zoo construction).
     pub seed: u64,
-    /// Evaluation backend for the per-batch append folds: `None`
-    /// auto-selects per arm by the build-amortisation rule
-    /// ([`EvalBackend::auto_for`] over the batch size and test-split size:
-    /// clustering only once the test split is large enough to pay for a
-    /// k-means build over the batch);
-    /// `Some` forces a path — e.g. [`EvalBackend::quantized`] to scan
-    /// visited clusters through the int8 two-phase path. Every path returns
-    /// bit-identical errors — the backend only decides how much scan work
-    /// is pruned (and, when quantized, how many bytes the scan touches).
-    pub backend: Option<EvalBackend>,
     /// Per-query neighbour capacity `k` of each arm's incremental state.
     /// The feasibility signal only reads the first hit (identical for every
     /// `k`), but a larger capacity makes the winning arm's snapshot — the
@@ -48,7 +39,6 @@ impl Default for SnoopyConfig {
             metric: Metric::SquaredEuclidean,
             budget: None,
             seed: 0,
-            backend: None,
             table_k: 1,
         }
     }
@@ -78,25 +68,11 @@ impl SnoopyConfig {
         self
     }
 
-    /// Forces the evaluation backend (instead of per-arm auto-selection).
-    pub fn backend(mut self, backend: EvalBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
     /// Sets the per-query neighbour capacity of each arm's incremental state
     /// (clamped to ≥ 1).
     pub fn table_k(mut self, k: usize) -> Self {
         self.table_k = k.max(1);
         self
-    }
-
-    /// The backend an arm should use for a given per-pull batch size and
-    /// test-split size: the forced one if set, otherwise the
-    /// build-amortisation rule of [`EvalBackend::auto_for`] over the
-    /// streamed batch.
-    pub fn backend_for(&self, batch_size: usize, test_len: usize) -> EvalBackend {
-        self.backend.unwrap_or_else(|| EvalBackend::auto_for(batch_size, test_len, self.metric))
     }
 
     /// The target *error* corresponding to the target accuracy.
@@ -106,20 +82,16 @@ impl SnoopyConfig {
 
     /// Validates the configuration.
     ///
-    /// # Panics
-    /// Panics if the target accuracy or batch fraction are outside their
-    /// valid ranges.
-    pub fn validate(&self) {
-        assert!(
-            self.target_accuracy > 0.0 && self.target_accuracy <= 1.0,
-            "target accuracy must be in (0, 1], got {}",
-            self.target_accuracy
-        );
-        assert!(
-            self.batch_fraction > 0.0 && self.batch_fraction <= 1.0,
-            "batch fraction must be in (0, 1], got {}",
-            self.batch_fraction
-        );
+    /// # Errors
+    /// Returns the first field outside its valid range (NaN included).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.target_accuracy > 0.0 && self.target_accuracy <= 1.0) {
+            return Err(ConfigError::TargetAccuracy(self.target_accuracy));
+        }
+        if !(self.batch_fraction > 0.0 && self.batch_fraction <= 1.0) {
+            return Err(ConfigError::BatchFraction(self.batch_fraction));
+        }
+        Ok(())
     }
 
     /// Number of batches needed to stream the full training split.
@@ -143,6 +115,26 @@ impl SnoopyConfig {
     }
 }
 
+/// Why [`SnoopyConfig::validate`] rejected a configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// The target accuracy lies outside `(0, 1]`.
+    TargetAccuracy(f64),
+    /// The per-pull batch fraction lies outside `(0, 1]`.
+    BatchFraction(f64),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::TargetAccuracy(v) => write!(f, "target accuracy must be in (0, 1], got {v}"),
+            ConfigError::BatchFraction(v) => write!(f, "batch fraction must be in (0, 1], got {v}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +142,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = SnoopyConfig::default();
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.strategy, SelectionStrategy::SuccessiveHalvingTangent);
         assert!((c.target_error() - 0.1).abs() < 1e-12);
     }
@@ -184,8 +176,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "target accuracy")]
     fn rejects_zero_target() {
-        SnoopyConfig::with_target(0.0).validate();
+        assert_eq!(SnoopyConfig::with_target(0.0).validate(), Err(ConfigError::TargetAccuracy(0.0)));
     }
 }

@@ -44,7 +44,7 @@ pub mod sliding;
 pub mod study;
 pub mod theory;
 
-pub use config::SnoopyConfig;
+pub use config::{ConfigError, SnoopyConfig};
 pub use guidance::AdditionalGuidance;
 pub use incremental::IncrementalStudy;
 pub use oocore::{run_oocore_study, run_resident_reference, OutOfCoreConfig, OutOfCoreReport};

@@ -49,7 +49,7 @@ pub struct StudyRequest<'a> {
     pub task: &'a TaskDataset,
     /// The transformation zoo to evaluate.
     pub zoo: &'a [Box<dyn Transformation>],
-    /// Study configuration (strategy, budget, metric, backend, target).
+    /// Study configuration (strategy, budget, metric, target).
     pub config: SnoopyConfig,
 }
 
@@ -202,7 +202,7 @@ impl FeasibilityService {
         let task = request.task;
         let zoo = request.zoo;
         let config = &request.config;
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(!zoo.is_empty(), "the transformation zoo must not be empty");
         assert!(!task.train.is_empty() && !task.test.is_empty(), "task must have train and test samples");
 
@@ -211,12 +211,10 @@ impl FeasibilityService {
         let batch_size = config.batch_size(task.train.len());
         let batches = config.batches_for(task.train.len());
         let budget = config.effective_budget(zoo.len(), batches);
-        let backend = config.backend_for(batch_size, task.test.len());
         let arms: Vec<TransformationArm<'a>> = zoo
             .iter()
             .map(|t| {
                 TransformationArm::new(t.as_ref(), task, config.metric, batch_size)
-                    .with_backend(backend)
                     .with_table_k(config.table_k)
                     .with_embeddings(cache.get_or_compute(t.as_ref(), task))
             })

@@ -137,8 +137,12 @@ pub struct SlidingWindowStudy {
 
 impl SlidingWindowStudy {
     /// Creates a monitor with the given study and window configurations.
+    ///
+    /// # Panics
+    /// Panics with the [`crate::ConfigError`] message if `config` is
+    /// invalid, or if the window shape is.
     pub fn new(config: SnoopyConfig, window: SlidingWindowConfig) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         window.validate();
         Self { config, window }
     }
@@ -179,11 +183,7 @@ impl SlidingWindowStudy {
         let baseline = FeasibilityStudy::new(self.config).run(task, zoo);
         let started = Instant::now();
 
-        // One eviction-enabled incremental state per transformation. The
-        // backend is resolved once from the slide size — an eviction-enabled
-        // state cannot switch backends mid-stream (its persistent window
-        // index needs contiguous coverage).
-        let backend = self.config.backend_for(self.window.slide, task.test.len());
+        // One eviction-enabled incremental state per transformation.
         let mut monitors: Vec<IncrementalTopK> = zoo
             .iter()
             .map(|t| {
@@ -193,7 +193,6 @@ impl SlidingWindowStudy {
                     self.config.metric,
                     self.config.table_k,
                 )
-                .with_backend(backend)
                 .with_eviction(self.window.slack)
             })
             .collect();

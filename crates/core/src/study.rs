@@ -163,8 +163,12 @@ pub struct FeasibilityStudy {
 
 impl FeasibilityStudy {
     /// Creates a study with the given configuration.
+    ///
+    /// # Panics
+    /// Panics with the [`crate::ConfigError`] message if the configuration
+    /// is invalid.
     pub fn new(config: SnoopyConfig) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         Self { config }
     }
 
@@ -215,15 +219,10 @@ impl FeasibilityStudy {
         // strategy executors in `snoopy-bandit`, which resize each arm's
         // inner 1NN engine per round (`Arm::on_concurrency`) so arm-level
         // and query-level parallelism compose instead of oversubscribing.
-        // The per-batch evaluation backend (exhaustive vs exact-pruned
-        // clustered) is resolved once — forced by the config or auto-selected
-        // from the streamed batch size — and handed to every arm.
-        let backend = self.config.backend_for(batch_size, task.test.len());
         let mut arms: Vec<TransformationArm<'_>> = zoo
             .iter()
             .map(|t| {
                 TransformationArm::new(t.as_ref(), task, self.config.metric, batch_size)
-                    .with_backend(backend)
                     .with_table_k(self.config.table_k)
             })
             .collect();

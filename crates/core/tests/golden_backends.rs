@@ -1,13 +1,10 @@
-//! Golden end-to-end parity: the whole feasibility pipeline — streamed arm
-//! evaluation, minimum aggregation, and all five Bayes-error estimators —
-//! must produce **identical** results whether distances flow through the
-//! exhaustive engine, the exact-pruned clustered index, or the int8
-//! scalar-quantized two-phase scan. The non-exhaustive backends are forced
-//! (tiny fixtures never cross the auto-selection threshold) so both pruned
-//! paths are genuinely exercised end to end.
+//! Golden estimator parity: the shared neighbour table and all five
+//! Bayes-error estimators must produce **identical** results whether
+//! distances flow through the exhaustive engine, the exact-pruned clustered
+//! index, or the int8 scalar-quantized two-phase scan. The non-exhaustive
+//! backends are forced (tiny fixtures never cross the auto-selection
+//! threshold) so both pruned paths are genuinely exercised.
 
-use snoopy_bandit::SelectionStrategy;
-use snoopy_core::{FeasibilityStudy, SnoopyConfig, StudyReport};
 use snoopy_data::registry::{load_clean, SizeScale};
 use snoopy_embeddings::zoo_for_task;
 use snoopy_estimators::{
@@ -18,47 +15,6 @@ use snoopy_knn::EvalBackend;
 
 const CLUSTERED: EvalBackend = EvalBackend::clustered(5);
 const QUANTIZED: EvalBackend = EvalBackend::quantized(5);
-
-fn run(backend: EvalBackend) -> StudyReport {
-    let task = load_clean("mnist", SizeScale::Tiny, 42);
-    let zoo = zoo_for_task(&task, 7);
-    let config = SnoopyConfig::with_target(0.8)
-        .strategy(SelectionStrategy::Exhaustive)
-        .batch_fraction(0.2)
-        .backend(backend);
-    FeasibilityStudy::new(config).run(&task, &zoo)
-}
-
-fn assert_reports_identical(exhaustive: &StudyReport, other: &StudyReport, backend: &str) {
-    assert_eq!(
-        exhaustive.best_transformation, other.best_transformation,
-        "{backend}: winning arm must match"
-    );
-    assert_eq!(exhaustive.decision, other.decision, "{backend}: decision");
-    assert_eq!(
-        exhaustive.ber_estimate.to_bits(),
-        other.ber_estimate.to_bits(),
-        "{backend}: aggregated BER must match bit for bit"
-    );
-    assert_eq!(exhaustive.per_transformation.len(), other.per_transformation.len());
-    for (a, b) in exhaustive.per_transformation.iter().zip(&other.per_transformation) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.one_nn_error.to_bits(), b.one_nn_error.to_bits(), "{backend} {}: 1NN error", a.name);
-        assert_eq!(a.ber_estimate.to_bits(), b.ber_estimate.to_bits(), "{backend} {}: BER estimate", a.name);
-        assert_eq!(a.curve, b.curve, "{backend} {}: convergence curve", a.name);
-        assert_eq!(a.consumed_samples, b.consumed_samples);
-    }
-}
-
-#[test]
-fn feasibility_study_is_identical_across_backends() {
-    let exhaustive = run(EvalBackend::Exhaustive);
-    let clustered = run(CLUSTERED);
-    let quantized = run(QUANTIZED);
-
-    assert_reports_identical(&exhaustive, &clustered, "clustered");
-    assert_reports_identical(&exhaustive, &quantized, "quantized");
-}
 
 #[test]
 fn all_five_estimators_and_neighbor_tables_are_identical_across_backends() {

@@ -13,13 +13,12 @@
 //! ## The `NeighborTable` handshake
 //!
 //! No estimator performs its own per-query distance scans: every distance is
-//! computed by the blocked, chunk-parallel
-//! [`EvalEngine`](snoopy_knn::EvalEngine) in `snoopy-knn`. The kNN-family
-//! estimators consume a query-major [`NeighborTable`] — Cover–Hart reads each
-//! eval point's first hit, Devijver's posterior plug-in reads a `k`-prefix,
-//! and kNN-extrapolation reads the final rung of its convergence ladder from
-//! the table (the earlier rungs are snapshots of one
-//! [`IncrementalTopK`] grown rung by rung). Because per-query lists are
+//! computed by the blocked, chunk-parallel [`EvalEngine`] in `snoopy-knn`.
+//! The kNN-family estimators consume a query-major [`NeighborTable`] —
+//! Cover–Hart reads each eval point's first hit, Devijver's posterior
+//! plug-in reads a `k`-prefix, and kNN-extrapolation reads the final rung of
+//! its convergence ladder from the table (the earlier rungs are snapshots of
+//! one [`IncrementalTopK`] grown rung by rung). Because per-query lists are
 //! sorted, one table computed at
 //! `k_max = max(`[`BerEstimator::table_k`]`)` serves *all* of them by prefix:
 //! [`estimate_all`] computes that table once per (train, eval) pair — and

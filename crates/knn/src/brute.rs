@@ -1,10 +1,9 @@
 //! Exact brute-force k-nearest-neighbour index over a borrowed
 //! [`LabeledView`]. Every distance computation — single queries, parallel
 //! batch queries, kNN classifier error, and the leave-one-out error — routes
-//! through the shared [`EvalEngine`](crate::engine::EvalEngine) top-k kernel
-//! and its [`NeighborTable`](crate::engine::NeighborTable) results, so tie
-//! handling (lowest global index wins on equal distances) and floating-point
-//! behaviour are identical across all of them. Selecting
+//! through the shared [`EvalEngine`] top-k kernel and its [`NeighborTable`]
+//! results, so tie handling (lowest global index wins on equal distances)
+//! and floating-point behaviour are identical across all of them. Selecting
 //! [`EvalBackend::Clustered`] via [`BruteForceIndex::with_backend`] swaps
 //! the scan for the exact-pruned [`ClusteredIndex`] — same handshake, same
 //! bits, less work.

@@ -177,8 +177,8 @@ use crate::bounds::{ClusterSlice, ClusterSource, Partition, ScanRows, KMEANS_MAX
 use crate::engine::{EvalEngine, NeighborTable, TopKState};
 use crate::metric::Metric;
 use crate::quantized::AffineQuantizer;
-use snoopy_linalg::kmeans::{lloyd_kmeans, RowPartition};
-use snoopy_linalg::{DatasetView, Matrix};
+use snoopy_linalg::kmeans::lloyd_kmeans;
+use snoopy_linalg::DatasetView;
 
 /// Which evaluation path a distance consumer routes through.
 ///
@@ -255,15 +255,18 @@ impl EvalBackend {
         }
     }
 
-    /// The distance-pair counts [`EvalBackend::auto_for`] weighs for `n`
-    /// training rows and `q` queries, as `(exhaustive, clustering)`: the
-    /// exhaustive scan costs `q · n`; clustering costs the k-means build at
-    /// its iteration cap, `16 · n · nlist` point–centroid pairs (the unit
-    /// [`crate::IncrementalTopK::partition_pairs`] counts), plus the
-    /// `q · nlist` centroid scan, with `nlist = `
-    /// [`EvalBackend::default_nlist`]`(n)`. The rows scanned inside visited
-    /// clusters are left to [`AUTO_BUILD_MARGIN`]. Computed in `u128`, so no
-    /// pair of `usize` arguments overflows.
+    /// The distance-pair counts [`EvalBackend::auto_for`] weighs for one
+    /// one-shot table over `n` training rows and `q` queries, as
+    /// `(exhaustive, clustering)`: the exhaustive scan costs `q · n`;
+    /// clustering costs one k-means build at its iteration cap,
+    /// `16 · n · nlist` point–centroid pairs, plus the `q · nlist` centroid
+    /// scan, with `nlist = ` [`EvalBackend::default_nlist`]`(n)`. The rows
+    /// scanned inside visited clusters are left to [`AUTO_BUILD_MARGIN`].
+    /// The model prices a single build over a fixed training set, which is
+    /// what the one-shot tables (`shared_neighbor_table`, `estimate_all`,
+    /// the out-of-core study's resident reference) pay; the incremental
+    /// state always folds exhaustively. Computed in `u128`, so no pair of
+    /// `usize` arguments overflows.
     pub fn auto_costs(train_rows: usize, num_queries: usize) -> (u128, u128) {
         let (n, q) = (train_rows as u128, num_queries as u128);
         let nlist = Self::default_nlist(train_rows) as u128;
@@ -459,32 +462,11 @@ impl ClusteredIndex {
         nlist: usize,
         engine: EvalEngine,
     ) -> Self {
-        assert!(!train.is_empty(), "cannot build a clustered index over an empty dataset");
-        let km = lloyd_kmeans(train, nlist, KMEANS_MAX_ITERS, KMEANS_SEED, engine.threads());
-        Self::from_assignments(train, metric, &km.centroids, &km.assignments, engine)
-    }
-
-    /// Builds an index from a *given* partition — `assignments[i]` is row
-    /// `i`'s cluster against `centroids` — skipping the k-means run. Any
-    /// total assignment yields valid triangle-inequality bounds (a poor one
-    /// only costs pruning power), which is what lets the incremental top-k
-    /// state fold appended batches against the centroids of an *earlier*
-    /// partition instead of re-clustering per batch.
-    ///
-    /// # Panics
-    /// Panics for [`Metric::Cosine`], an empty `train`, an assignment count
-    /// mismatch, or an assignment out of `centroids`' range.
-    pub fn from_assignments(
-        train: DatasetView<'_>,
-        metric: Metric,
-        centroids: &Matrix,
-        assignments: &[usize],
-        engine: EvalEngine,
-    ) -> Self {
         assert!(EvalBackend::prunable(metric), "cosine dissimilarity is not triangle-prunable");
         assert!(!train.is_empty(), "cannot build a clustered index over an empty dataset");
+        let km = lloyd_kmeans(train, nlist, KMEANS_MAX_ITERS, KMEANS_SEED, engine.threads());
         let mut row_center = Vec::with_capacity(train.rows());
-        let part = Partition::new(train, metric, centroids, assignments, Some(&mut row_center));
+        let part = Partition::new(train, metric, &km.centroids, &km.assignments, Some(&mut row_center));
         let rows = ScanRows::new(metric, train.select_rows(&part.members), row_center);
         Self { rows, part, engine }
     }
@@ -496,88 +478,14 @@ impl ClusteredIndex {
     /// and scans stay exact-only.
     pub fn quantize(mut self) -> Self {
         let quantizer = AffineQuantizer::fit(self.rows.data.view());
-        self.quantize_with(quantizer);
-        self
-    }
-
-    /// Attaches the int8 shadow against a *frozen* quantizer (the
-    /// incremental append path encodes every batch with the affine of the
-    /// last full partition, so bounds stay valid without re-fitting per
-    /// batch — out-of-range rows are clamped and simply carry a larger
-    /// reconstruction radius).
-    ///
-    /// # Panics
-    /// Panics if `quantizer` was fitted for a different dimensionality.
-    pub fn quantize_with(&mut self, quantizer: AffineQuantizer) {
         self.rows.quantize(quantizer);
+        self
     }
 
     /// Whether an int8 shadow is attached (false when the overflow guard
     /// rejected the data).
     pub fn is_quantized(&self) -> bool {
         self.rows.shadow.is_some()
-    }
-
-    /// Removes every row whose *original* training index satisfies `evict`,
-    /// compacting the cluster-contiguous row buffers, the per-row metadata,
-    /// the int8 shadow (codes and bound bookkeeping), and dropping clusters
-    /// that become empty — so [`ClusteredIndex::resident_bytes`] shrinks
-    /// truthfully. Surviving cluster radii are recomputed from the surviving
-    /// members; `max_norm` (a global upper bound in the kernel-error term) is
-    /// kept as-is — still a valid bound for the subset, trading a sliver of
-    /// pruning power until the next full re-partition. Results stay
-    /// bit-identical to an index built cold over the surviving rows with the
-    /// same assignment. Returns the number of rows removed.
-    ///
-    /// The index may become empty; queries against an empty index admit
-    /// nothing (the sliding-window caller replaces it at that point).
-    pub fn evict_rows(&mut self, evict: impl Fn(usize) -> bool) -> usize {
-        let keep: Vec<bool> = self.part.members.iter().map(|&o| !evict(o)).collect();
-        if keep.iter().all(|&k| k) {
-            return 0;
-        }
-        // Compact the per-row centroid distances in the same keep order.
-        let mut kept = 0usize;
-        for (r, &k) in keep.iter().enumerate() {
-            if k {
-                self.rows.row_center[kept] = self.rows.row_center[r];
-                kept += 1;
-            }
-        }
-        self.rows.row_center.truncate(kept);
-        if let Some(shadow) = self.rows.shadow.as_mut() {
-            shadow.retain_rows(&keep);
-        }
-        // Reuse the partition bookkeeping for rows / member ids / offsets.
-        let mut regrouped = RowPartition {
-            data: std::mem::replace(&mut self.rows.data, Matrix::zeros(0, 0)),
-            offsets: std::mem::take(&mut self.part.offsets),
-            original: std::mem::take(&mut self.part.members),
-        };
-        let removed = regrouped.retain_rows(&keep);
-        // Drop clusters that became empty, keeping centroid/radius/offset
-        // arrays aligned, and re-tighten surviving radii.
-        let groups = regrouped.groups();
-        let keep_clusters: Vec<usize> = (0..groups).filter(|&c| regrouped.group_len(c) > 0).collect();
-        if keep_clusters.len() != groups {
-            self.part.centroids = self.part.centroids.view().select_rows(&keep_clusters);
-            let mut offsets = Vec::with_capacity(keep_clusters.len() + 1);
-            offsets.push(0usize);
-            for &c in &keep_clusters {
-                offsets.push(offsets.last().expect("non-empty") + regrouped.group_len(c));
-            }
-            regrouped.offsets = offsets;
-        }
-        self.rows.data = regrouped.data;
-        self.part.offsets = regrouped.offsets;
-        self.part.members = regrouped.original;
-        self.part.radii.clear();
-        for c in 0..self.part.num_clusters() {
-            let members = &self.rows.row_center[self.part.cluster(c)];
-            self.part.radii.push(members.iter().fold(0.0f64, |r, &d| r.max(d)));
-        }
-        self.rows.kernel.bind_train(self.rows.data.view());
-        removed
     }
 
     /// The resident heap footprint of the index, bucketed by role.
@@ -607,9 +515,8 @@ impl ClusteredIndex {
         self.part.members.len()
     }
 
-    /// Whether the index is empty (possible only after
-    /// [`ClusteredIndex::evict_rows`] removed every row — an empty index
-    /// admits nothing).
+    /// Whether the index is empty (never — build rejects empty training
+    /// sets — but the standard pair keeps clippy and callers honest).
     pub fn is_empty(&self) -> bool {
         self.part.members.is_empty()
     }
@@ -780,6 +687,7 @@ mod tests {
     use super::*;
     use crate::engine::{knn_reference, knn_reference_loo};
     use crate::kernel::MetricKernel;
+    use snoopy_linalg::Matrix;
 
     fn blobs(n: usize, d: usize, centers: usize, seed: u64) -> Matrix {
         snoopy_testutil::blob_cloud(seed, n, d, centers, 6.0, 0.2)

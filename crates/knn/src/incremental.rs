@@ -15,20 +15,8 @@
 //! * **Train-row append** ([`IncrementalTopK::append`]) folds a batch of new
 //!   training rows into every query's bounded top-k state through the tiled
 //!   [`EvalEngine`] — `O(batch × queries)` kernel work, never a rebuild of
-//!   what earlier batches already paid for. With a clustered backend the
-//!   state keeps the centroids of its last k-means partition, assigns
-//!   appended rows to the *existing* centroids
-//!   ([`snoopy_linalg::kmeans::assign_to_centroids`]), folds the batch with
-//!   the exact triangle-inequality pruning of [`ClusteredIndex`] (plus the
-//!   two-phase int8 scan when the backend quantizes — new rows are encoded
-//!   against the *frozen* affine of the last partition), and re-partitions
-//!   from scratch only when the [`RepartitionPolicy`] fires — by default
-//!   once the row count has grown [`REPARTITION_GROWTH`]× since the last
-//!   partition; re-fitting the int8 affine rides the same pass (stale
-//!   centroids and clamped codes only cost pruning power, never
-//!   correctness). Re-partitioning needs the rows, so the clustered path
-//!   keeps a copy of everything appended through it (`O(rows × d)` memory);
-//!   the exhaustive path retains only labels and heaps.
+//!   what earlier batches already paid for. The state retains only labels
+//!   and heaps (plus the window's rows once eviction is enabled).
 //! * **Relabel** ([`IncrementalTopK::relabel_train`] /
 //!   [`IncrementalTopK::relabel_test`] / [`IncrementalTopK::set_labels`])
 //!   touches no features: cleaning never moves a neighbour, so the 1NN
@@ -57,267 +45,25 @@
 //!   eviction shrinks
 //!   `valid` by the members it removed from the certified prefix. Only when
 //!   a query's certified prefix drops below `min(k, window)` — its buffer
-//!   *drained* — is that one query re-scanned against the surviving window
-//!   (pruned through the persistent window index on clustered backends):
+//!   *drained* — is that one query re-scanned against the surviving window:
 //!   eviction costs `O(buffers) + O(affected queries × window)`, never a
-//!   full rebuild. On clustered backends the evicted rows leave the
-//!   [`ClusteredIndex`] cluster buffers and the int8 shadow metadata in
-//!   place ([`ClusteredIndex::evict_rows`]), so `resident_bytes` shrinks
-//!   truthfully with the window.
+//!   full rebuild.
 //!
 //! The state is bit-identical to a cold build at every point: after any
 //! sequence of appends, [`IncrementalTopK::table`] equals
 //! [`EvalEngine::topk`] over the consumed prefix (pinned by
-//! `tests/proptest_incremental.rs` across metrics, `k`, batch shapes,
-//! backends, and interleaved relabels), because every distance flows through
-//! the same [`MetricKernel`] expressions and the same lexicographic
+//! `tests/proptest_incremental.rs` across metrics, `k`, batch shapes, and
+//! interleaved relabels), because every distance flows through the same
+//! [`MetricKernel`] expressions and the same lexicographic
 //! `(distance, index)` admission as the cold path. With eviction the same
 //! contract holds at every *window position*: the k-prefix table equals a
 //! cold fold over the surviving window at its global offset (pinned by
 //! `tests/proptest_eviction.rs`, including the buffer-drain re-scan path).
 
-use crate::bounds::KMEANS_MAX_ITERS;
-use crate::clustered::{ClusteredIndex, EvalBackend, PruneStats};
 use crate::engine::{EvalEngine, NeighborTable, TopKState};
 use crate::kernel::MetricKernel;
 use crate::metric::Metric;
-use crate::quantized::AffineQuantizer;
-use snoopy_linalg::kmeans::{assign_to_centroids, lloyd_kmeans};
 use snoopy_linalg::{DatasetView, LabeledView, Matrix};
-
-/// Default re-partition growth threshold of the clustered append backend:
-/// once the state holds this many times the rows of its last k-means
-/// partition, the next append re-runs Lloyd's over everything (fresh
-/// centroids and radii restore pruning power). Between partitions, appended
-/// rows are assigned to the existing centroids in `O(batch × nlist × d)`.
-///
-/// Pinned at 2.0 by the `repartition_cases` sweep in `BENCH_knn.json`,
-/// which replays a *drifting* append stream (every batch's blob means walk
-/// by one unit per round, so the partition built on early rounds goes stale
-/// against later ones — the adversarial case for any re-partition trigger;
-/// single-core tiny scale, 4k rows, d = 32, quantized backend). Under
-/// drift the settings finally separate on pruning power, not just
-/// wall-clock: growth 1.5 re-clustered 5× and held a 95.3 % cumulative row
-/// prune, 2.0 re-clustered 4× for 94.7 %, growth 3 re-clustered only 2×
-/// and gave up four points (90.9 %), and the
-/// [`RepartitionPolicy::PruneRate`] trigger — which looked free on the old
-/// stationary fixture — re-clustered once and let the stale partition
-/// decay to a 74.2 % prune, because a partition that still prunes "well
-/// enough" this round keeps chasing a distribution that has already moved.
-/// Growth(2.0) therefore survives as the default: it matches the
-/// every-1.5× prune rate to within a point at lower re-cluster cost, and
-/// its size proxy bounds staleness without assuming past prune rates
-/// predict the next batch. Choose `PruneRate` only when the stream is
-/// known stationary.
-pub const REPARTITION_GROWTH: f64 = 2.0;
-
-/// When the clustered append backend re-runs Lloyd's over everything it has
-/// consumed, instead of assigning new rows to the stale centroids. Both
-/// triggers are heuristics over *speed* — stale partitions only cost
-/// pruning power, never correctness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RepartitionPolicy {
-    /// Re-partition once the row count reaches `factor ×` the rows at the
-    /// last partition (the classic amortisation argument; factors ≤ 1 make
-    /// every append re-partition).
-    Growth(f64),
-    /// Re-partition when the *previous* clustered append's row prune rate
-    /// fell below `min_row_prune` — a direct measurement of bound
-    /// staleness instead of a size proxy. No growth backstop: a partition
-    /// that keeps pruning well is kept indefinitely.
-    PruneRate {
-        /// Row prune rate (`PruneStats::row_prune_rate` of one append)
-        /// below which the next append re-partitions.
-        min_row_prune: f64,
-    },
-}
-
-impl Default for RepartitionPolicy {
-    /// The bench-tuned default: [`RepartitionPolicy::Growth`] at
-    /// [`REPARTITION_GROWTH`].
-    fn default() -> Self {
-        RepartitionPolicy::Growth(REPARTITION_GROWTH)
-    }
-}
-
-/// Seed for the state's internal k-means runs — deterministic per state so
-/// appends are byte-for-byte reproducible.
-const KMEANS_SEED: u64 = 0x1c2e_5eed;
-
-/// The persistent partition of the clustered append backend: all rows that
-/// were folded through the clustered path (append order, global index =
-/// buffer row), plus the centroids of the last full partition.
-#[derive(Debug, Clone)]
-struct ClusteredAppendState {
-    /// Requested cluster count (clamped to the row count at each partition).
-    nlist: usize,
-    /// Whether per-batch indexes carry the int8 shadow (from
-    /// `EvalBackend::Clustered { quantize }`).
-    quantize: bool,
-    /// When to re-run Lloyd's over everything consumed.
-    policy: RepartitionPolicy,
-    /// All rows routed through the clustered path so far, append order.
-    data: Vec<f32>,
-    cols: usize,
-    /// Centroids of the last full k-means partition (empty before the first).
-    centroids: Matrix,
-    /// Row count at the last full partition (re-partition trigger).
-    rows_at_partition: usize,
-    /// Full k-means partitions run so far (bench/diagnostic counter).
-    repartitions: usize,
-    /// The frozen per-dimension affine of the last partition — every batch
-    /// until the next re-partition is encoded against it, so the int8
-    /// bounds stay valid without a per-batch re-fit (out-of-range rows are
-    /// clamped and carry a larger reconstruction radius).
-    quantizer: Option<AffineQuantizer>,
-    /// Row prune rate of the previous clustered append (drives
-    /// [`RepartitionPolicy::PruneRate`]).
-    last_row_prune: Option<f64>,
-    /// Global training index of `data`'s row 0 — 0 until eviction drains
-    /// the buffer's front.
-    base: usize,
-    /// Rows appended since the last full partition. The growth trigger
-    /// compares `rows_at_partition + appended_since` (the *virtual* total,
-    /// which ignores evictions) against the factor — identical to the row
-    /// count for pure-append streams, but still firing periodically under a
-    /// constant-size sliding window, where the real total never grows.
-    appended_since: usize,
-    /// Centroid-assignment distance pairs spent on Lloyd's iterations and
-    /// per-batch assignments, accumulated across re-partitions (never
-    /// reset) — the re-cluster side of the incremental cost ledger that
-    /// `folded_pairs` (kernel pairs only) does not see.
-    partition_pairs: u64,
-    /// Whether to maintain [`ClusteredAppendState::window_index`] (set when
-    /// the owner enabled eviction).
-    track_window: bool,
-    /// Persistent pruned index over the rows of the last full partition —
-    /// the structure evictions compact in place and affected-query re-scans
-    /// fold through. `None` until the first partition with `track_window`,
-    /// or after eviction emptied it.
-    window_index: Option<ClusteredIndex>,
-    /// Global training index of `window_index`'s build-local row 0.
-    index_base: usize,
-    /// Global end (exclusive) of the rows `window_index` covered at build
-    /// time; rows `[indexed_end, consumed)` are the unindexed tail a
-    /// re-scan folds exhaustively.
-    indexed_end: usize,
-}
-
-impl ClusteredAppendState {
-    fn new(nlist: usize, quantize: bool, policy: RepartitionPolicy, cols: usize, base: usize) -> Self {
-        Self {
-            nlist,
-            quantize,
-            policy,
-            data: Vec::new(),
-            cols,
-            centroids: Matrix::zeros(0, cols),
-            rows_at_partition: 0,
-            repartitions: 0,
-            quantizer: None,
-            last_row_prune: None,
-            base,
-            appended_since: 0,
-            partition_pairs: 0,
-            track_window: false,
-            window_index: None,
-            index_base: 0,
-            indexed_end: 0,
-        }
-    }
-
-    fn rows(&self) -> usize {
-        self.data.len() / self.cols.max(1)
-    }
-
-    /// Whether the policy calls for a fresh full partition.
-    fn repartition_due(&self) -> bool {
-        if self.centroids.rows() == 0 {
-            return true;
-        }
-        match self.policy {
-            RepartitionPolicy::Growth(factor) => {
-                let virtual_total = self.rows_at_partition + self.appended_since;
-                virtual_total as f64 >= factor * self.rows_at_partition as f64
-            }
-            RepartitionPolicy::PruneRate { min_row_prune } => {
-                self.last_row_prune.is_some_and(|rate| rate < min_row_prune)
-            }
-        }
-    }
-
-    /// Grows the buffer by `batch`, re-partitions if due, and returns the
-    /// per-batch pruned index (batch rows grouped under the current
-    /// centroids, int8 shadow attached when quantizing) ready to fold into
-    /// the query states.
-    fn grow_and_index(
-        &mut self,
-        batch: DatasetView<'_>,
-        metric: Metric,
-        engine: EvalEngine,
-    ) -> ClusteredIndex {
-        self.data.extend_from_slice(batch.data());
-        self.appended_since += batch.rows();
-        let total = self.rows();
-        let assignments = if self.repartition_due() {
-            let all = DatasetView::from_raw(&self.data, total, self.cols);
-            let km = lloyd_kmeans(all, self.nlist, KMEANS_MAX_ITERS, KMEANS_SEED, engine.threads());
-            self.partition_pairs += (km.iterations * total * km.centroids.rows()) as u64;
-            self.centroids = km.centroids;
-            self.rows_at_partition = total;
-            self.appended_since = 0;
-            self.repartitions += 1;
-            // Re-fit the affine on the same pass — the only time the frozen
-            // quantizer moves.
-            self.quantizer = self.quantize.then(|| AffineQuantizer::fit(all));
-            // The eviction path keeps a persistent pruned index over the
-            // partitioned window so drained queries re-scan through
-            // triangle-inequality bounds instead of exhaustively.
-            if self.track_window {
-                let mut wi =
-                    ClusteredIndex::from_assignments(all, metric, &self.centroids, &km.assignments, engine);
-                if let Some(q) = self.quantizer.clone() {
-                    wi.quantize_with(q);
-                }
-                self.index_base = self.base;
-                self.indexed_end = self.base + total;
-                self.window_index = Some(wi);
-            }
-            // The batch occupies the tail of the just-partitioned buffer, so
-            // its assignments come for free (a max_iters exit may leave them
-            // one update step stale — valid bounds either way).
-            km.assignments[total - batch.rows()..].to_vec()
-        } else {
-            self.partition_pairs += (batch.rows() * self.centroids.rows()) as u64;
-            assign_to_centroids(batch, &self.centroids, engine.threads())
-        };
-        let mut index =
-            ClusteredIndex::from_assignments(batch, metric, &self.centroids, &assignments, engine);
-        if let Some(q) = self.quantizer.clone() {
-            index.quantize_with(q);
-        }
-        index
-    }
-
-    /// Drops every retained row with a global index below `new_start`: the
-    /// raw re-partition buffer drains from the front and the persistent
-    /// window index compacts its cluster buffers and shadow metadata in
-    /// place.
-    fn evict_front(&mut self, new_start: usize) {
-        let drop_rows = new_start.saturating_sub(self.base).min(self.rows());
-        if drop_rows > 0 {
-            self.data.drain(0..drop_rows * self.cols);
-            self.base += drop_rows;
-        }
-        if let Some(wi) = self.window_index.as_mut() {
-            let index_base = self.index_base;
-            wi.evict_rows(|orig| index_base + orig < new_start);
-            if wi.is_empty() {
-                self.window_index = None;
-            }
-        }
-    }
-}
 
 /// What one [`IncrementalTopK::evict_oldest`] call did: how many rows left
 /// the window and how many queries' admission buffers drained below
@@ -342,13 +88,8 @@ pub struct IncrementalTopK {
     query_labels: Vec<u32>,
     k: usize,
     engine: EvalEngine,
-    backend: EvalBackend,
-    /// When the clustered append backend re-runs Lloyd's (and re-fits the
-    /// int8 affine) over everything consumed.
-    policy: RepartitionPolicy,
     /// Query-side norm cache bound once at construction; the train side is
-    /// re-bound per appended batch (allocation reused) on the exhaustive
-    /// path.
+    /// re-bound per appended batch (allocation reused).
     kernel: MetricKernel,
     /// One bounded top-k state per query, ascending `(distance, index)`.
     states: Vec<TopKState>,
@@ -356,15 +97,10 @@ pub struct IncrementalTopK {
     train_labels: Vec<u32>,
     /// Error after each completed append: `(consumed rows, 1NN error)`.
     curve: Vec<(usize, f64)>,
-    /// The clustered backend's persistent partition (`None` until the first
-    /// clustered append).
-    clustered: Option<ClusteredAppendState>,
-    /// Pruning counters accumulated across clustered appends.
-    prune_stats: PruneStats,
     /// Query–row distance pairs folded so far — the state's true incremental
-    /// cost (an append adds `batch × queries` on the exhaustive path, the
-    /// post-pruning count on the clustered one). This is what a bandit arm
-    /// reports to the strategies instead of a rebuild-shaped estimate.
+    /// cost (an append adds `batch × queries`, a drain re-scan `affected ×
+    /// window`). This is what a bandit arm reports to the strategies
+    /// instead of a rebuild-shaped estimate.
     folded_pairs: u64,
     /// `1 + max label ever appended or relabelled in` — sizes the vote
     /// buffer so [`IncrementalTopK::knn_error`] never scans the label
@@ -406,13 +142,9 @@ impl IncrementalTopK {
             query_labels,
             k,
             engine: EvalEngine::parallel(),
-            backend: EvalBackend::Exhaustive,
-            policy: RepartitionPolicy::default(),
             kernel,
             train_labels: Vec::new(),
             curve: Vec::new(),
-            clustered: None,
-            prune_stats: PruneStats::default(),
             folded_pairs: 0,
             label_bound,
             eviction: false,
@@ -426,9 +158,8 @@ impl IncrementalTopK {
     /// Enables row eviction with `slack` extra admission-buffer slots per
     /// query (buffers hold up to `k + slack` hits; larger slack absorbs more
     /// evictions before a query's buffer drains and forces a re-scan). The
-    /// state retains a copy of the surviving window's rows, and with a
-    /// clustered backend additionally maintains a persistent pruned window
-    /// index for affected-query re-scans.
+    /// state retains a copy of the surviving window's rows for
+    /// affected-query re-scans.
     ///
     /// # Panics
     /// Panics if any rows were already appended — the window must be
@@ -481,63 +212,6 @@ impl IncrementalTopK {
         self.engine = engine;
     }
 
-    /// Selects the append backend. `Clustered` engages the persistent
-    /// partition for every subsequent append of a prunable metric; cosine
-    /// and `Exhaustive` fold through the tiled engine. Both paths are
-    /// bit-identical.
-    ///
-    /// Memory note: the clustered path retains a copy of every row appended
-    /// through it (`O(rows × d)`) — the raw material of future
-    /// re-partitions. The exhaustive path retains nothing but labels and
-    /// the per-query heaps.
-    pub fn with_backend(mut self, backend: EvalBackend) -> Self {
-        self.set_backend(backend);
-        self
-    }
-
-    /// Swaps the append backend in place. A new `Clustered { nlist }` takes
-    /// effect from the next append (re-partitions use the latest `nlist`);
-    /// rows appended while the backend was exhaustive are not retroactively
-    /// added to the partition — the centroids then cover only
-    /// clustered-appended rows, which costs pruning power on later batches
-    /// but never correctness (any assignment yields valid bounds).
-    ///
-    /// # Panics
-    /// Panics when eviction is enabled and rows were already appended: the
-    /// persistent window index requires the clustered buffer to cover the
-    /// window contiguously, which a mid-stream backend switch would break.
-    pub fn set_backend(&mut self, backend: EvalBackend) {
-        assert!(
-            !self.eviction || self.consumed() == 0 || backend == self.backend,
-            "an eviction-enabled state cannot switch backends mid-stream"
-        );
-        self.backend = backend;
-    }
-
-    /// Selects when the clustered append backend re-partitions (default:
-    /// the bench-tuned [`RepartitionPolicy::Growth`] at
-    /// [`REPARTITION_GROWTH`]). Takes effect from the next append.
-    pub fn with_repartition_policy(mut self, policy: RepartitionPolicy) -> Self {
-        self.set_repartition_policy(policy);
-        self
-    }
-
-    /// Swaps the re-partition policy in place (applies from the next
-    /// append; the current partition is kept until the new policy fires).
-    pub fn set_repartition_policy(&mut self, policy: RepartitionPolicy) {
-        self.policy = policy;
-        if let Some(state) = self.clustered.as_mut() {
-            state.policy = policy;
-        }
-    }
-
-    /// Full k-means re-partitions the clustered append backend has run (0
-    /// on the exhaustive path) — the cost side of the re-partition policy
-    /// trade-off.
-    pub fn repartitions(&self) -> usize {
-        self.clustered.as_ref().map_or(0, |s| s.repartitions)
-    }
-
     /// The metric the state evaluates.
     pub fn metric(&self) -> Metric {
         self.kernel.metric()
@@ -564,15 +238,8 @@ impl IncrementalTopK {
         &self.curve
     }
 
-    /// Pruning counters accumulated by clustered appends (all zeros on the
-    /// exhaustive path).
-    pub fn prune_stats(&self) -> PruneStats {
-        self.prune_stats
-    }
-
     /// Query–row distance pairs folded so far — the true incremental kernel
-    /// cost of this state (monotone; an append adds its post-pruning pair
-    /// count).
+    /// cost of this state (monotone; an append adds `batch × queries`).
     pub fn folded_pairs(&self) -> u64 {
         self.folded_pairs
     }
@@ -607,37 +274,13 @@ impl IncrementalTopK {
         self.train_labels.len() - self.window_start
     }
 
-    /// Centroid-assignment distance pairs spent on the clustered backend's
-    /// Lloyd's runs and per-batch assignments, accumulated across every
-    /// re-partition (never reset) — the re-cluster side of the incremental
-    /// cost ledger that [`IncrementalTopK::folded_pairs`] (exact kernel
-    /// pairs) does not include. 0 on the exhaustive path.
-    pub fn partition_pairs(&self) -> u64 {
-        self.clustered.as_ref().map_or(0, |s| s.partition_pairs)
-    }
-
-    /// Resident heap footprint of the persistent window index (`None` on
-    /// exhaustive backends or before the first clustered re-partition) —
-    /// how the eviction path's memory claims are measured, not asserted.
-    pub fn window_index_bytes(&self) -> Option<crate::clustered::ResidentBytes> {
-        self.clustered.as_ref().and_then(|s| s.window_index.as_ref()).map(|wi| wi.resident_bytes())
-    }
-
-    /// Whether a clustered append backend should handle this batch: the
-    /// backend must be clustered and the metric triangle-prunable (cosine
-    /// transparently falls back to the exhaustive fold).
-    fn clustered_applies(&self) -> bool {
-        matches!(self.backend, EvalBackend::Clustered { .. }) && EvalBackend::prunable(self.metric())
-    }
-
     /// Appends one batch of training rows whose global indices start at
     /// [`IncrementalTopK::consumed`], folding them into every query's top-k
-    /// state — `O(batch × queries)` kernel work (less under clustered
-    /// pruning) — and records the new 1NN error on the curve. Returns the
-    /// updated error.
+    /// state — `O(batch × queries)` kernel work — and records the new 1NN
+    /// error on the curve. Returns the updated error.
     ///
-    /// An empty batch is a complete no-op (no curve point, no re-partition
-    /// check, no counters) — it returns the current error unchanged.
+    /// An empty batch is a complete no-op (no curve point, no counters) —
+    /// it returns the current error unchanged.
     ///
     /// # Panics
     /// Panics on feature/label count or dimensionality mismatches.
@@ -650,9 +293,7 @@ impl IncrementalTopK {
             "batch dimensionality differs from the query split"
         );
         if batch.is_empty() {
-            // A degenerate batch must not push a duplicate curve point, run
-            // the growth-ratio check (a spurious re-partition), or feed a
-            // zero-row prune rate into the PruneRate trigger.
+            // A degenerate batch must not push a duplicate curve point.
             return self.error();
         }
         let offset = self.train_labels.len();
@@ -678,40 +319,16 @@ impl IncrementalTopK {
         } else {
             Vec::new()
         };
-        if self.clustered_applies() {
-            let (nlist, quantize) = match self.backend {
-                EvalBackend::Clustered { nlist, quantize } => (nlist, quantize),
-                EvalBackend::Exhaustive => unreachable!("clustered_applies checked the variant"),
-            };
-            let cols = batch.cols();
-            let policy = self.policy;
-            let track_window = self.eviction;
-            let state = self
-                .clustered
-                .get_or_insert_with(|| ClusteredAppendState::new(nlist, quantize, policy, cols, offset));
-            // Track the backend's current knobs so a set_backend retune
-            // takes effect at the next re-partition, not never.
-            state.nlist = nlist;
-            state.quantize = quantize;
-            state.policy = policy;
-            state.track_window = track_window;
-            let index = state.grow_and_index(batch, self.kernel.metric(), self.engine);
-            let stats = index.update_topk(self.query_features.view(), offset, &mut self.states, None);
-            state.last_row_prune = Some(stats.row_prune_rate());
-            self.folded_pairs += stats.rows_scanned as u64;
-            self.prune_stats.merge(&stats);
-        } else {
-            self.kernel.bind_train(batch);
-            self.engine.update_topk(
-                self.query_features.view(),
-                &self.kernel,
-                batch,
-                offset,
-                &mut self.states,
-                None,
-            );
-            self.folded_pairs += (batch.rows() * self.query_features.rows()) as u64;
-        }
+        self.kernel.bind_train(batch);
+        self.engine.update_topk(
+            self.query_features.view(),
+            &self.kernel,
+            batch,
+            offset,
+            &mut self.states,
+            None,
+        );
+        self.folded_pairs += (batch.rows() * self.query_features.rows()) as u64;
         if self.eviction {
             for (q, ok) in recertify.iter().enumerate() {
                 if *ok {
@@ -732,12 +349,8 @@ impl IncrementalTopK {
     /// (clamped to the window size), popping them out of every query's
     /// admission buffer with backfill from the slack tail. Only queries
     /// whose certified prefix drains below `min(k, window)` are re-scanned
-    /// against the surviving window — pruned through the persistent window
-    /// index on clustered backends — so the cost is `O(buffers)` plus
-    /// `O(affected queries × window scan)`, never a rebuild. On clustered
-    /// backends the evicted rows also leave the retained partition buffers,
-    /// the [`ClusteredIndex`] cluster buffers, and the int8 shadow metadata
-    /// ([`ClusteredIndex::resident_bytes`] shrinks truthfully).
+    /// against the surviving window, so the cost is `O(buffers)` plus
+    /// `O(affected queries × window scan)`, never a rebuild.
     ///
     /// Evicted rows' labels stay in [`IncrementalTopK::train_labels`] (they
     /// are globally indexed and never consulted again); all error reads and
@@ -754,9 +367,6 @@ impl IncrementalTopK {
         let new_start = self.window_start + rows;
         let cols = self.query_features.cols();
         self.window.drain(0..rows * cols);
-        if let Some(state) = self.clustered.as_mut() {
-            state.evict_front(new_start);
-        }
         let need = self.k.min(self.consumed() - new_start);
         let mut affected = Vec::new();
         for (q, s) in self.states.iter_mut().enumerate() {
@@ -774,10 +384,8 @@ impl IncrementalTopK {
     }
 
     /// Rebuilds the admission buffers of the given queries from the
-    /// surviving window: a pruned fold through the persistent window index
-    /// where one exists, then an exhaustive fold of the unindexed tail. The
-    /// rebuilt buffers are exact top-`min(k + slack, window)` — certified in
-    /// full.
+    /// surviving window with one exhaustive fold. The rebuilt buffers are
+    /// exact top-`min(k + slack, window)` — certified in full.
     fn rescan_queries(&mut self, affected: &[usize]) {
         let cols = self.query_features.cols();
         let mut qdata = Vec::with_capacity(affected.len() * cols);
@@ -785,34 +393,15 @@ impl IncrementalTopK {
             qdata.extend_from_slice(self.query_features.row(q));
         }
         let queries = DatasetView::from_raw(&qdata, affected.len(), cols);
-        let cap = self.k + self.slack;
-        let mut sub = vec![TopKState::new(cap); affected.len()];
-        // Pruned pass over the indexed part of the window.
-        let mut tail_start = self.window_start;
-        let mut index_stats: Option<PruneStats> = None;
-        if let Some(state) = self.clustered.as_ref() {
-            if let Some(wi) = state.window_index.as_ref() {
-                let stats = wi.update_topk(queries, state.index_base, &mut sub, None);
-                tail_start = state.indexed_end.max(self.window_start);
-                index_stats = Some(stats);
-            }
-        }
-        if let Some(stats) = index_stats {
-            self.folded_pairs += stats.rows_scanned as u64;
-            self.prune_stats.merge(&stats);
-        }
-        // Exhaustive pass over the unindexed tail (the whole window on
-        // exhaustive/cosine paths).
-        if tail_start < self.consumed() {
-            let lo = (tail_start - self.window_start) * cols;
-            let tail_rows = self.consumed() - tail_start;
-            let tail = DatasetView::from_raw(&self.window[lo..], tail_rows, cols);
-            let mut kernel = MetricKernel::new(self.metric());
-            kernel.bind_queries(queries);
-            kernel.bind_train(tail);
-            self.engine.update_topk(queries, &kernel, tail, tail_start, &mut sub, None);
-            self.folded_pairs += (tail_rows * affected.len()) as u64;
-        }
+        let mut sub = vec![TopKState::new(self.k + self.slack); affected.len()];
+        // An affected query needs at least one row, so the window is never
+        // empty here.
+        let window = DatasetView::from_raw(&self.window, self.window_len(), cols);
+        let mut kernel = MetricKernel::new(self.metric());
+        kernel.bind_queries(queries);
+        kernel.bind_train(window);
+        self.engine.update_topk(queries, &kernel, window, self.window_start, &mut sub, None);
+        self.folded_pairs += (window.rows() * affected.len()) as u64;
         for (i, &q) in affected.iter().enumerate() {
             self.valid[q] = sub[i].hits().len();
             self.states[q] = std::mem::replace(&mut sub[i], TopKState::new(1));
@@ -1140,138 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn clustered_backend_is_bit_identical_and_repartitions_on_growth() {
-        let (train_x, train_y, test_x, test_y) = toy_task(180);
-        let mut exhaustive =
-            IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 4);
-        let mut clustered = IncrementalTopK::new(test_x, test_y, Metric::SquaredEuclidean, 4)
-            .with_backend(EvalBackend::clustered(3));
-        for batch in LabeledView::new(&train_x, &train_y).batches(45) {
-            let a = exhaustive.append(batch.features(), batch.labels());
-            let b = clustered.append(batch.features(), batch.labels());
-            assert_eq!(a.to_bits(), b.to_bits());
-            assert_eq!(exhaustive.table(), clustered.table());
-        }
-        let stats = clustered.prune_stats();
-        assert_eq!(stats.queries, 60 * 4, "one pruned pass per test point per batch");
-        assert_eq!(exhaustive.prune_stats(), PruneStats::default());
-        assert!(clustered.folded_pairs() <= exhaustive.folded_pairs());
-        // 4 batches of 45: partitions at 45 (first) and 90/180 (2x growth):
-        // the internal state must have re-partitioned past the threshold.
-        let inner = clustered.clustered.as_ref().expect("clustered state engaged");
-        assert_eq!(inner.rows(), 180);
-        assert!(inner.rows_at_partition >= 90, "growth threshold should have re-partitioned");
-    }
-
-    #[test]
-    fn set_backend_retunes_nlist_for_future_repartitions() {
-        let (train_x, train_y, test_x, test_y) = toy_task(160);
-        let mut state = IncrementalTopK::new(test_x.clone(), test_y, Metric::SquaredEuclidean, 2)
-            .with_backend(EvalBackend::clustered(2));
-        let view = train_x.view();
-        state.append(view.slice_rows(0, 40), &train_y[..40]);
-        assert_eq!(state.clustered.as_ref().unwrap().nlist, 2);
-        // Retune: the next append must adopt the new nlist, and the 2x
-        // growth re-partition (40 -> 160 rows) must run with it.
-        state.set_backend(EvalBackend::clustered(8));
-        state.append(view.slice_rows(40, 160), &train_y[40..]);
-        let inner = state.clustered.as_ref().unwrap();
-        assert_eq!(inner.nlist, 8);
-        assert_eq!(inner.rows_at_partition, 160, "growth threshold re-partitioned");
-        assert!(inner.centroids.rows() > 2, "re-partition must use the retuned nlist");
-        assert_eq!(
-            state.table(),
-            EvalEngine::parallel().topk(view, test_x.view(), Metric::SquaredEuclidean, 2)
-        );
-    }
-
-    #[test]
-    fn quantized_backend_is_bit_identical_through_appends_and_repartitions() {
-        // The int8 shadow rides the clustered append path: batches between
-        // re-partitions are encoded against the *frozen* affine of the last
-        // partition (clamped codes, wider radii — never a wrong prune), and
-        // the affine re-fits only when the growth policy re-runs Lloyd's.
-        // Every append must stay bit-identical to the exhaustive state.
-        let (train_x, train_y, test_x, test_y) = toy_task(180);
-        let mut exhaustive =
-            IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 4);
-        let mut quantized = IncrementalTopK::new(test_x, test_y, Metric::SquaredEuclidean, 4)
-            .with_backend(EvalBackend::quantized(3));
-        for batch in LabeledView::new(&train_x, &train_y).batches(30) {
-            let a = exhaustive.append(batch.features(), batch.labels());
-            let b = quantized.append(batch.features(), batch.labels());
-            assert_eq!(a.to_bits(), b.to_bits());
-            assert_eq!(exhaustive.table(), quantized.table());
-        }
-        let stats = quantized.prune_stats();
-        assert!(stats.rows_quantized > 0, "the int8 phase must have run");
-        assert!(
-            stats.rows_scanned < stats.rows_quantized,
-            "re-rank must be a strict subset of the approximate scan"
-        );
-        // 6 batches of 30 at 2x growth: partitions at 30, 60, 120 — and the
-        // 90/150-row batches were encoded against a frozen affine.
-        assert_eq!(quantized.repartitions(), 3);
-        let inner = quantized.clustered.as_ref().expect("clustered state engaged");
-        assert!(inner.quantizer.is_some(), "re-partition must re-fit the affine");
-    }
-
-    #[test]
-    fn growth_policy_factor_controls_repartition_cadence() {
-        let (train_x, train_y, test_x, test_y) = toy_task(160);
-        let reference = knn_reference(train_x.view(), test_x.view(), Metric::SquaredEuclidean, 3);
-        let mut counts = Vec::new();
-        for factor in [1.5, 2.0, 3.0] {
-            let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 3)
-                .with_backend(EvalBackend::quantized(4))
-                .with_repartition_policy(RepartitionPolicy::Growth(factor));
-            for batch in LabeledView::new(&train_x, &train_y).batches(20) {
-                state.append(batch.features(), batch.labels());
-            }
-            assert_eq!(state.table(), reference, "growth {factor}");
-            counts.push(state.repartitions());
-        }
-        // 8 batches of 20: growth 1.5 partitions at 20/40/60/100/160,
-        // growth 2 at 20/40/80/160, growth 3 at 20/60/180(never, capped 160).
-        assert!(counts[0] > counts[1], "tighter growth must re-cluster more: {counts:?}");
-        assert!(counts[1] > counts[2], "looser growth must re-cluster less: {counts:?}");
-    }
-
-    #[test]
-    fn prune_rate_policy_repartitions_only_when_pruning_decays() {
-        let (train_x, train_y, test_x, test_y) = toy_task(160);
-        let reference = knn_reference(train_x.view(), test_x.view(), Metric::SquaredEuclidean, 3);
-        // min_row_prune = 0: the first partition is kept forever.
-        let mut keep = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 3)
-            .with_backend(EvalBackend::clustered(4))
-            .with_repartition_policy(RepartitionPolicy::PruneRate { min_row_prune: 0.0 });
-        // min_row_prune = 1.01: unattainable, so every append re-partitions.
-        let mut churn = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 3)
-            .with_backend(EvalBackend::clustered(4))
-            .with_repartition_policy(RepartitionPolicy::PruneRate { min_row_prune: 1.01 });
-        for batch in LabeledView::new(&train_x, &train_y).batches(40) {
-            keep.append(batch.features(), batch.labels());
-            churn.append(batch.features(), batch.labels());
-        }
-        assert_eq!(keep.table(), reference);
-        assert_eq!(churn.table(), reference);
-        assert_eq!(keep.repartitions(), 1, "a satisfied prune rate never re-clusters");
-        assert_eq!(churn.repartitions(), 4, "an unattainable prune rate re-clusters every append");
-    }
-
-    #[test]
-    fn cosine_with_clustered_backend_falls_back_to_exhaustive() {
-        let (train_x, train_y, test_x, test_y) = toy_task(60);
-        let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::Cosine, 2)
-            .with_backend(EvalBackend::clustered(4));
-        for batch in LabeledView::new(&train_x, &train_y).batches(20) {
-            state.append(batch.features(), batch.labels());
-        }
-        assert!(state.clustered.is_none(), "cosine must never engage the clustered partition");
-        assert_eq!(state.table(), knn_reference(train_x.view(), test_x.view(), Metric::Cosine, 2));
-    }
-
-    #[test]
     fn knn_error_matches_table_snapshot_votes() {
         let (train_x, train_y, test_x, test_y) = toy_task(70);
         let mut state = IncrementalTopK::new(test_x, test_y.clone(), Metric::SquaredEuclidean, 5);
@@ -1304,24 +761,16 @@ mod tests {
     #[test]
     fn empty_batch_append_is_a_noop() {
         let (train_x, train_y, test_x, test_y) = toy_task(80);
-        // Growth(1.0) re-partitions on every non-empty append — the sharpest
-        // fixture for the old spurious empty-batch re-partition.
-        let mut state = IncrementalTopK::new(test_x, test_y, Metric::SquaredEuclidean, 3)
-            .with_backend(EvalBackend::clustered(3))
-            .with_repartition_policy(RepartitionPolicy::Growth(1.0));
+        let mut state = IncrementalTopK::new(test_x, test_y, Metric::SquaredEuclidean, 3);
         state.append(train_x.view(), &train_y);
         let curve_len = state.curve().len();
-        let reps = state.repartitions();
         let pairs = state.folded_pairs();
-        let stats = state.prune_stats();
         let err = state.error();
         let empty = Matrix::zeros(0, 2);
         let err2 = state.append(empty.view(), &[]);
         assert_eq!(err2.to_bits(), err.to_bits(), "an empty append returns the current error");
         assert_eq!(state.curve().len(), curve_len, "no duplicate curve point");
-        assert_eq!(state.repartitions(), reps, "no spurious re-partition");
         assert_eq!(state.folded_pairs(), pairs);
-        assert_eq!(state.prune_stats(), stats, "no degenerate prune-rate sample");
         assert_eq!(state.consumed(), 80);
     }
 
@@ -1349,64 +798,37 @@ mod tests {
     fn eviction_matches_cold_fold_at_every_window_position() {
         let (train_x, train_y, test_x, test_y) = toy_task(180);
         let view = train_x.view();
-        for backend in [EvalBackend::Exhaustive, EvalBackend::clustered(3), EvalBackend::quantized(3)] {
-            // slack 0 drains buffers on almost every eviction (the re-scan
-            // path); larger slacks absorb evictions in the buffer.
-            for slack in [0usize, 2, 6] {
-                let mut state =
-                    IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 3)
-                        .with_backend(backend)
-                        .with_eviction(slack);
-                let mut consumed = 0;
-                while consumed < 180 {
-                    let end = (consumed + 30).min(180);
-                    state.append(view.slice_rows(consumed, end), &train_y[consumed..end]);
-                    consumed = end;
-                    if state.window_len() > 60 {
-                        let report = state.evict_oldest(30);
-                        assert_eq!(report.rows_evicted, 30);
-                    }
-                    let start = state.window_start();
-                    let cold = cold_window_table(view, &test_x, Metric::SquaredEuclidean, 3, start, consumed);
-                    assert_eq!(
-                        state.table(),
-                        cold,
-                        "backend {} slack {slack} window [{start}, {consumed})",
-                        backend.name()
-                    );
-                    let cold_err = cold.one_nn_error(&train_y[..consumed], &test_y);
-                    assert_eq!(state.error().to_bits(), cold_err.to_bits());
-                    let cold_k3 = cold.knn_error(3, &train_y[..consumed], &test_y, 2);
-                    assert_eq!(state.knn_error(3, 2).to_bits(), cold_k3.to_bits());
+        // slack 0 drains buffers on almost every eviction (the re-scan
+        // path); larger slacks absorb evictions in the buffer.
+        for slack in [0usize, 2, 6] {
+            let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 3)
+                .with_eviction(slack);
+            let mut consumed = 0;
+            while consumed < 180 {
+                let end = (consumed + 30).min(180);
+                state.append(view.slice_rows(consumed, end), &train_y[consumed..end]);
+                consumed = end;
+                if state.window_len() > 60 {
+                    let report = state.evict_oldest(30);
+                    assert_eq!(report.rows_evicted, 30);
                 }
-                assert!(state.window_start() > 0, "the window must actually have slid");
+                let start = state.window_start();
+                let cold = cold_window_table(view, &test_x, Metric::SquaredEuclidean, 3, start, consumed);
+                assert_eq!(state.table(), cold, "slack {slack} window [{start}, {consumed})");
+                let cold_err = cold.one_nn_error(&train_y[..consumed], &test_y);
+                assert_eq!(state.error().to_bits(), cold_err.to_bits());
+                let cold_k3 = cold.knn_error(3, &train_y[..consumed], &test_y, 2);
+                assert_eq!(state.knn_error(3, 2).to_bits(), cold_k3.to_bits());
             }
+            assert!(state.window_start() > 0, "the window must actually have slid");
+            // Drain the rest: an empty window predicts nothing, and evicting
+            // from it is a no-op.
+            state.evict_oldest(state.window_len());
+            assert_eq!(state.window_len(), 0);
+            assert_eq!(state.error(), 1.0);
+            assert_eq!(state.table().k(), 0);
+            assert_eq!(state.evict_oldest(10), EvictReport::default());
         }
-    }
-
-    #[test]
-    fn eviction_shrinks_the_window_index_residency() {
-        let (train_x, train_y, test_x, test_y) = toy_task(180);
-        let mut state = IncrementalTopK::new(test_x, test_y, Metric::SquaredEuclidean, 3)
-            .with_backend(EvalBackend::quantized(3))
-            .with_eviction(2);
-        state.append(train_x.view(), &train_y);
-        let before = state.window_index_bytes().expect("first append partitions the window");
-        assert!(before.train_rows > 0 && before.quantized_codes > 0);
-        state.evict_oldest(90);
-        let after = state.window_index_bytes().expect("index survives a partial eviction");
-        assert!(after.train_rows < before.train_rows, "cluster buffers must shrink");
-        assert!(after.quantized_codes < before.quantized_codes, "shadow codes must shrink");
-        assert!(after.quantized_meta < before.quantized_meta, "shadow metadata must shrink");
-        // Drain the rest: the emptied index is dropped entirely.
-        state.evict_oldest(90);
-        assert!(state.window_index_bytes().is_none());
-        assert_eq!(state.window_len(), 0);
-        assert_eq!(state.error(), 1.0, "an empty window predicts nothing");
-        assert_eq!(state.table().k(), 0);
-        // The stream continues past a fully drained window.
-        let report = state.evict_oldest(10);
-        assert_eq!(report, EvictReport::default());
     }
 
     #[test]

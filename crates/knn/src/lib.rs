@@ -31,9 +31,9 @@
 //!   skips most distance evaluations on clustered embedding spaces while
 //!   staying bit-identical to the exhaustive engine, surfaced as the
 //!   [`clustered::EvalBackend`] enum
-//!   (`Exhaustive` | `Clustered { nlist, quantize }`, auto-selected only
-//!   when enough queries amortise the k-means build) behind the same
-//!   `NeighborTable` handshake —
+//!   (`Exhaustive` | `Clustered { nlist, quantize }`, auto-selected for
+//!   one-shot tables only when enough queries amortise the k-means build)
+//!   behind the same `NeighborTable` handshake —
 //!   cosine dissimilarity has no triangle inequality, so cosine consumers
 //!   transparently fall back to the exhaustive kernel. Its bound-ordered
 //!   cluster visit loop, f32 tile scan and int8 two-phase scan are one
@@ -67,12 +67,9 @@
 //!   the paper's "0.2 ms for 10 K test / 50 K train samples" real-time
 //!   feedback), and the estimator pipeline (its [`engine::NeighborTable`]
 //!   snapshot is bit-identical to a cold [`engine::EvalEngine::topk`] at
-//!   every point). With a clustered backend, appended rows are assigned to
-//!   the existing centroids (and encoded against the frozen int8 affine
-//!   when quantized) and the partition is rebuilt only when the
-//!   re-partition policy fires ([`incremental::RepartitionPolicy`]: a
-//!   bench-tuned growth factor [`incremental::REPARTITION_GROWTH`], or a
-//!   pruning-rate trigger).
+//!   every point). Every append and every drained-buffer re-scan folds
+//!   through the exhaustive engine: one batch, or a handful of re-scanned
+//!   queries, is too small to pay for a k-means build.
 
 pub(crate) mod bounds;
 pub mod brute;
@@ -87,7 +84,7 @@ pub mod sharded;
 pub use brute::BruteForceIndex;
 pub use clustered::{ClusteredIndex, EvalBackend, PruneStats, ResidentBytes};
 pub use engine::{EvalEngine, NearestHit, NeighborTable, TopKScratch, TopKState};
-pub use incremental::{EvictReport, IncrementalTopK, RepartitionPolicy};
+pub use incremental::{EvictReport, IncrementalTopK};
 pub use kernel::MetricKernel;
 pub use metric::Metric;
 pub use quantized::AffineQuantizer;

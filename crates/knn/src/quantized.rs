@@ -20,8 +20,8 @@
 //! scale `0` and code `0` — the offset carries the column exactly, so such
 //! a dimension contributes *zero* reconstruction error. Codes are computed
 //! in f64 (`round((x − o) / s)`, clamped), so encoding is deterministic and
-//! clamping handles rows outside the fitted range (the incremental append
-//! path quantizes new rows against a frozen affine).
+//! a row outside the fitted range still encodes (with a larger
+//! reconstruction radius).
 //!
 //! ## The integer inner loop
 //!
@@ -112,9 +112,9 @@ fn inflate_radius(r: f64) -> f32 {
 }
 
 /// The per-dimension affine map `x ≈ scales ∘ codes + offsets` shared by
-/// every row of one quantized shadow. Fit once per partition; the
-/// incremental append path encodes new batches against a *frozen* quantizer
-/// and re-fits only when the partition itself is rebuilt.
+/// every row of one quantized shadow. Fit once per index; the shard-paged
+/// index encodes every shard against the one quantizer fitted over its
+/// whole source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AffineQuantizer {
     /// Per-dimension scale `s_j = (max_j − min_j) / 254` (`0` for constant
@@ -272,38 +272,6 @@ impl QuantizedShadow {
     /// Number of encoded rows.
     pub fn rows(&self) -> usize {
         self.code_norms.len()
-    }
-
-    /// Drops every row whose `keep` flag is false, compacting the int8 scan
-    /// copy and the per-row bound metadata in place — the shadow half of
-    /// [`crate::ClusteredIndex::evict_rows`]. `max_code_norm` (a global upper
-    /// bound baked into every query margin) is kept as-is: it stays a valid
-    /// bound for the surviving subset, so correctness is unaffected and only
-    /// a sliver of pruning power is ceded until the next re-partition
-    /// re-encodes the window. [`QuantizedShadow::code_bytes`] /
-    /// [`QuantizedShadow::meta_bytes`] shrink accordingly.
-    ///
-    /// # Panics
-    /// Panics if `keep.len()` differs from [`QuantizedShadow::rows`].
-    pub fn retain_rows(&mut self, keep: &[bool]) {
-        assert_eq!(keep.len(), self.rows(), "keep mask must cover every encoded row");
-        let cols = self.cols;
-        let mut kept = 0usize;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                if kept != i {
-                    self.codes.copy_within(i * cols..(i + 1) * cols, kept * cols);
-                    self.code_norms[kept] = self.code_norms[i];
-                    self.code_abs[kept] = self.code_abs[i];
-                    self.recon_err[kept] = self.recon_err[i];
-                }
-                kept += 1;
-            }
-        }
-        self.codes.truncate(kept * cols);
-        self.code_norms.truncate(kept);
-        self.code_abs.truncate(kept);
-        self.recon_err.truncate(kept);
     }
 
     /// The stored reconstruction radius of row `i` (an upper bound on

@@ -1,13 +1,12 @@
 //! Property-based pin of the sliding-window contract: an eviction-enabled
 //! [`IncrementalTopK`] driven by arbitrary interleaved appends and oldest-row
 //! evictions is **bit-identical** to a cold fold over the surviving window at
-//! every window position — across metrics, `k ∈ {1, 3, 10}`, exhaustive /
-//! clustered / quantized backends, admission-buffer slacks (slack 0 forces
-//! the buffer-drain re-scan path on almost every slide), and with relabels
-//! interleaved between slides.
+//! every window position — across metrics, `k ∈ {1, 3, 10}`, admission-buffer
+//! slacks (slack 0 forces the buffer-drain re-scan path on almost every
+//! slide), and with relabels interleaved between slides.
 
 use proptest::prelude::*;
-use snoopy_knn::{EvalBackend, EvalEngine, IncrementalTopK, Metric, MetricKernel, NeighborTable, TopKState};
+use snoopy_knn::{EvalEngine, IncrementalTopK, Metric, MetricKernel, NeighborTable, TopKState};
 use snoopy_linalg::{DatasetView, Matrix};
 use snoopy_testutil::{cloud, cloud_with_ties};
 
@@ -35,14 +34,13 @@ proptest! {
 
     /// Slide a window by interleaved appends and evictions: the table, the
     /// 1NN error, and the k-vote error equal a cold fold over the surviving
-    /// window at every position, for every metric × k × backend × slack.
+    /// window at every position, for every metric × k × slack.
     #[test]
     fn sliding_window_equals_cold_fold(
         seed in 0u64..400,
         batch in 1usize..16,
         evict in 1usize..12,
         slack in 0usize..5,
-        nlist in 1usize..8,
     ) {
         let n = 72;
         // Duplicated rows so distance ties cross window boundaries — the
@@ -51,52 +49,40 @@ proptest! {
         let (test_x, test_y) = cloud(seed ^ 0x51de, 9, 5, 3);
         for metric in Metric::all() {
             for k in [1usize, 3, 10] {
-                for backend in [
-                    EvalBackend::Exhaustive,
-                    EvalBackend::clustered(nlist),
-                    EvalBackend::quantized(nlist),
-                ] {
-                    let mut state =
-                        IncrementalTopK::new(test_x.clone(), test_y.clone(), metric, k)
-                            .with_backend(backend)
-                            .with_eviction(slack);
-                    let mut consumed = 0usize;
-                    while consumed < n {
-                        let end = (consumed + batch).min(n);
-                        state.append(
-                            train_x.view().slice_rows(consumed, end),
-                            &train_y[consumed..end],
-                        );
-                        consumed = end;
-                        // Keep at least k live rows so every query stays at
-                        // full width.
-                        if state.window_len() > k + evict {
-                            state.evict_oldest(evict);
-                        }
-                        let start = state.window_start();
-                        let cold =
-                            cold_window_table(train_x.view(), &test_x, metric, k, start, consumed);
-                        prop_assert_eq!(
-                            &state.table(),
-                            &cold,
-                            "metric {} k {} backend {} slack {} window [{}, {})",
-                            metric.name(), k, backend.name(), slack, start, consumed
-                        );
-                        let cold_err = cold.one_nn_error(&train_y, &test_y);
-                        prop_assert_eq!(
-                            state.error().to_bits(),
-                            cold_err.to_bits(),
-                            "1NN bits at window [{}, {})", start, consumed
-                        );
-                        let cold_k = cold.knn_error(k, &train_y, &test_y, 3);
-                        prop_assert_eq!(
-                            state.knn_error(k, 3).to_bits(),
-                            cold_k.to_bits(),
-                            "k-vote bits at window [{}, {})", start, consumed
-                        );
+                let mut state =
+                    IncrementalTopK::new(test_x.clone(), test_y.clone(), metric, k).with_eviction(slack);
+                let mut consumed = 0usize;
+                while consumed < n {
+                    let end = (consumed + batch).min(n);
+                    state.append(train_x.view().slice_rows(consumed, end), &train_y[consumed..end]);
+                    consumed = end;
+                    // Keep at least k live rows so every query stays at full
+                    // width.
+                    if state.window_len() > k + evict {
+                        state.evict_oldest(evict);
                     }
-                    prop_assert!(state.window_start() > 0, "the window must actually slide");
+                    let start = state.window_start();
+                    let cold = cold_window_table(train_x.view(), &test_x, metric, k, start, consumed);
+                    prop_assert_eq!(
+                        &state.table(),
+                        &cold,
+                        "metric {} k {} slack {} window [{}, {})",
+                        metric.name(), k, slack, start, consumed
+                    );
+                    let cold_err = cold.one_nn_error(&train_y, &test_y);
+                    prop_assert_eq!(
+                        state.error().to_bits(),
+                        cold_err.to_bits(),
+                        "1NN bits at window [{}, {})", start, consumed
+                    );
+                    let cold_k = cold.knn_error(k, &train_y, &test_y, 3);
+                    prop_assert_eq!(
+                        state.knn_error(k, 3).to_bits(),
+                        cold_k.to_bits(),
+                        "k-vote bits at window [{}, {})", start, consumed
+                    );
                 }
+                prop_assert!(state.window_start() > 0, "the window must actually slide");
             }
         }
     }
@@ -110,20 +96,13 @@ proptest! {
         seed in 0u64..400,
         batch in 2usize..14,
         edits in prop::collection::vec((0usize..64, 0u32..3), 1..16),
-        backend_pick in 0usize..3,
     ) {
         let n = 64;
         let k = 3;
         let (train_x, mut train_y) = cloud(seed, n, 4, 3);
         let (test_x, mut test_y) = cloud(seed ^ 0xdead, 9, 4, 3);
-        let backend = match backend_pick {
-            0 => EvalBackend::Exhaustive,
-            1 => EvalBackend::clustered(4),
-            _ => EvalBackend::quantized(4),
-        };
-        let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, k)
-            .with_backend(backend)
-            .with_eviction(0);
+        let mut state =
+            IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, k).with_eviction(0);
         let engine_drained = {
             let mut drained = 0usize;
             let mut consumed = 0usize;
@@ -156,10 +135,7 @@ proptest! {
                 let cold = cold_window_table(
                     train_x.view(), &test_x, Metric::SquaredEuclidean, k, start, consumed,
                 );
-                prop_assert_eq!(
-                    &state.table(), &cold,
-                    "backend {} window [{}, {})", backend.name(), start, consumed
-                );
+                prop_assert_eq!(&state.table(), &cold, "window [{}, {})", start, consumed);
                 let cold_err = cold.one_nn_error(&train_y, &test_y);
                 prop_assert_eq!(
                     state.error().to_bits(), cold_err.to_bits(),

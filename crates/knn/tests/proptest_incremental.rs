@@ -1,25 +1,24 @@
 //! Property-based pin of the incremental top-k successor state's central
 //! guarantee: an [`IncrementalTopK`] grown by arbitrary appends is
 //! **bit-identical** to a cold [`EvalEngine::topk`] build over the consumed
-//! prefix — across metrics, `k ∈ {1, 3, 10, len}`, batch shapes, clustered
-//! vs exhaustive backends, and with relabels interleaved between appends
-//! (relabels touch no features, so they must never perturb the table).
+//! prefix — across metrics, `k ∈ {1, 3, 10, len}`, batch shapes, and with
+//! relabels interleaved between appends (relabels touch no features, so
+//! they must never perturb the table).
 
 use proptest::prelude::*;
-use snoopy_knn::{EvalBackend, EvalEngine, IncrementalTopK, Metric};
+use snoopy_knn::{EvalEngine, IncrementalTopK, Metric};
 use snoopy_testutil::{cloud, cloud_with_ties};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Appended-then-queried state == cold `EvalEngine::topk`, bit for bit,
-    /// at every batch boundary, for both backends.
+    /// at every batch boundary.
     #[test]
     fn appended_state_equals_cold_topk(
         seed in 0u64..400,
         n in 4usize..60,
         batch in 1usize..25,
-        nlist in 1usize..10,
     ) {
         // Duplicated rows so distance ties actually occur — the tie-break is
         // part of the contract.
@@ -28,22 +27,19 @@ proptest! {
         let engine = EvalEngine::parallel();
         for metric in Metric::all() {
             for k in [1usize, 3, 10, n] {
-                for backend in [EvalBackend::Exhaustive, EvalBackend::clustered(nlist), EvalBackend::quantized(nlist)] {
-                    let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), metric, k)
-                        .with_backend(backend);
-                    let mut consumed = 0;
-                    while consumed < n {
-                        let end = (consumed + batch).min(n);
-                        state.append(train_x.view().slice_rows(consumed, end), &train_y[consumed..end]);
-                        consumed = end;
-                        let cold = engine.topk(train_x.view().prefix(consumed), test_x.view(), metric, k);
-                        prop_assert_eq!(
-                            &state.table(),
-                            &cold,
-                            "metric {} k {} backend {} prefix {}",
-                            metric.name(), k, backend.name(), consumed
-                        );
-                    }
+                let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), metric, k);
+                let mut consumed = 0;
+                while consumed < n {
+                    let end = (consumed + batch).min(n);
+                    state.append(train_x.view().slice_rows(consumed, end), &train_y[consumed..end]);
+                    consumed = end;
+                    let cold = engine.topk(train_x.view().prefix(consumed), test_x.view(), metric, k);
+                    prop_assert_eq!(
+                        &state.table(),
+                        &cold,
+                        "metric {} k {} prefix {}",
+                        metric.name(), k, consumed
+                    );
                 }
             }
         }
@@ -57,15 +53,11 @@ proptest! {
         seed in 0u64..400,
         batch in 1usize..20,
         edits in prop::collection::vec((0usize..48, 0u32..3), 1..20),
-        backend_pick in 0usize..2,
     ) {
         let n = 48;
         let (train_x, mut train_y) = cloud(seed, n, 4, 3);
         let (test_x, mut test_y) = cloud(seed ^ 0xfeed, 11, 4, 3);
-        let backend =
-            if backend_pick == 1 { EvalBackend::clustered(4) } else { EvalBackend::Exhaustive };
-        let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 3)
-            .with_backend(backend);
+        let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 3);
         let engine = EvalEngine::parallel();
         let mut consumed = 0;
         let mut edit_iter = edits.into_iter();

@@ -1,13 +1,12 @@
 //! Pool-determinism proptests: the persistent work-stealing pool behind the
 //! evaluation engine changes *where* chunks run, never *what* they compute.
 //! Every consumer — cold top-k, leave-one-out, the clustered index, the
-//! incremental successor state (exhaustive and clustered/quantized
-//! backends), and the caller-owned-scratch serving variants — must return
-//! bit-identical results at every pool worker count.
+//! incremental successor state, and the caller-owned-scratch serving
+//! variants — must return bit-identical results at every pool worker count.
 
 use proptest::prelude::*;
 use snoopy_knn::engine::{knn_reference, knn_reference_loo, EvalEngine};
-use snoopy_knn::{BruteForceIndex, ClusteredIndex, EvalBackend, IncrementalTopK, Metric, TopKScratch};
+use snoopy_knn::{BruteForceIndex, ClusteredIndex, IncrementalTopK, Metric, TopKScratch};
 use snoopy_linalg::LabeledView;
 use snoopy_pool::ThreadPool;
 use snoopy_testutil::{cloud, cloud_with_ties};
@@ -57,9 +56,8 @@ proptest! {
         }
     }
 
-    /// The clustered index and the incremental state — under both append
-    /// backends, quantized included — match the exhaustive serial answers at
-    /// every pool worker count.
+    /// The clustered index and the incremental state match the exhaustive
+    /// serial answers at every pool worker count.
     #[test]
     fn clustered_and_incremental_are_worker_count_invariant(
         seed in 0u64..400,
@@ -81,24 +79,13 @@ proptest! {
                         &index.topk(test_x.view(), k), &reference,
                         "clustered k {} nlist {} workers {}", k, nlist, workers
                     );
-                    for backend in [
-                        EvalBackend::Exhaustive,
-                        EvalBackend::Clustered { nlist, quantize: false },
-                        EvalBackend::Clustered { nlist, quantize: true },
-                    ] {
-                        let mut state = IncrementalTopK::new(
-                            test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, k,
-                        ).with_backend(backend);
-                        let train = LabeledView::new(&train_x, &train_y).with_classes(3);
-                        for chunk in train.batches(batch) {
-                            state.append(chunk.features(), chunk.labels());
-                        }
-                        prop_assert_eq!(
-                            &state.table(), &reference,
-                            "incremental k {} backend {:?} workers {}", k, backend, workers
-                        );
-                        prop_assert_eq!(state.error().to_bits(), full_error.to_bits());
+                    let mut state =
+                        IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, k);
+                    for chunk in train.batches(batch) {
+                        state.append(chunk.features(), chunk.labels());
                     }
+                    prop_assert_eq!(&state.table(), &reference, "incremental k {} workers {}", k, workers);
+                    prop_assert_eq!(state.error().to_bits(), full_error.to_bits());
                     Ok(())
                 })?;
             }

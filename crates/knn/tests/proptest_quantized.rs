@@ -5,12 +5,11 @@
 //! inputs where an approximate bound is easiest to get wrong — constant
 //! columns (zero scale), mixed extreme magnitudes across dimensions,
 //! subnormal coordinates, duplicated rows at distance zero, and the
-//! self-excluding leave-one-out mode — for k ∈ {1, 3, 10, len} and through
-//! the incremental append path's frozen-affine encoding.
+//! self-excluding leave-one-out mode — for k ∈ {1, 3, 10, len}.
 
 use proptest::prelude::*;
 use snoopy_knn::engine::{knn_reference, knn_reference_loo};
-use snoopy_knn::{ClusteredIndex, EvalBackend, EvalEngine, IncrementalTopK, Metric, RepartitionPolicy};
+use snoopy_knn::{ClusteredIndex, EvalEngine, Metric};
 use snoopy_linalg::Matrix;
 use snoopy_testutil::{cloud, cloud_with_ties};
 
@@ -94,36 +93,6 @@ proptest! {
                     prop_assert!(got.neighbors(q).iter().all(|h| h.index != q));
                 }
             }
-        }
-    }
-
-    /// The incremental append path with a quantized backend: batches after
-    /// the first are encoded against the frozen affine of the last partition
-    /// (out-of-distribution rows clamp), re-fit only at growth re-partitions
-    /// — and every prefix stays bit-identical to a cold exhaustive build.
-    #[test]
-    fn quantized_incremental_appends_equal_cold_reference(
-        seed in 0u64..300,
-        batch in 1usize..40,
-        nlist in 1usize..12,
-        shape in 0u64..65536,
-        growth in 1usize..3,
-    ) {
-        let (raw_train, train_y) = cloud_with_ties(seed, 70, 4, 3);
-        let (raw_test, test_y) = cloud(seed ^ 0x5eed, 11, 4, 3);
-        let train_x = apply_columns(&raw_train, shape, 1);
-        let test_x = apply_columns(&raw_test, shape, 1);
-        let mut state = IncrementalTopK::new(test_x.clone(), test_y, Metric::SquaredEuclidean, 4)
-            .with_backend(EvalBackend::quantized(nlist))
-            .with_repartition_policy(RepartitionPolicy::Growth(growth as f64));
-        let mut consumed = 0;
-        let view = train_x.view();
-        for chunk in view.batches(batch) {
-            let len = chunk.rows();
-            state.append(chunk, &train_y[consumed..consumed + len]);
-            consumed += len;
-            let cold = knn_reference(view.slice_rows(0, consumed), test_x.view(), Metric::SquaredEuclidean, 4);
-            prop_assert_eq!(state.table(), cold, "prefix {} shape {:#x}", consumed, shape);
         }
     }
 }

@@ -1,20 +1,20 @@
-//! Lloyd's k-means coarse partitioner and per-cluster row-partition buffers.
+//! Lloyd's k-means coarse partitioner.
 //!
 //! This is the *indexing* substrate of the clustered nearest-neighbour path
 //! in `snoopy-knn`: [`lloyd_kmeans`] learns a small set of centroids over a
-//! [`DatasetView`] and [`partition_rows`] regroups the rows into
-//! cluster-contiguous buffers (each remembering the original row index), so a
-//! pruned query can scan one cluster as a plain row-contiguous window.
+//! [`DatasetView`] and assigns every row to one of them; the index then
+//! regroups the rows into cluster-contiguous buffers, so a pruned query can
+//! scan one cluster as a plain row-contiguous window.
 //!
 //! Correctness of the exact pruned search does **not** depend on the quality
 //! of the clustering — any total assignment of rows to centroids yields valid
 //! triangle-inequality bounds — so the implementation favours determinism and
-//! simplicity: seeded initial centroids drawn with the crate's own
-//! [`rng`](crate::rng) helpers, assignment ties resolved to the lowest
-//! cluster index, centroid means accumulated in `f64`, and a fixed iteration
-//! cap. Only the assignment step (the `O(n · k · d)` hot loop) is
-//! chunk-parallel; everything else is serial and byte-for-byte reproducible
-//! for a given seed.
+//! simplicity: seeded initial centroids drawn with the crate's own [`rng`]
+//! helpers, assignment ties resolved to the lowest cluster index, centroid
+//! means accumulated in `f64`, and a fixed iteration cap. Only the
+//! assignment step (the `O(n · k · d)` hot loop) is chunk-parallel;
+//! everything else is serial and byte-for-byte reproducible for a given
+//! seed.
 
 use crate::view::DatasetView;
 use crate::{rng, Matrix};
@@ -107,26 +107,6 @@ fn assign_rows(data: DatasetView<'_>, centroids: &Matrix, threads: usize, out: &
     changed.iter().sum()
 }
 
-/// One-shot nearest-centroid assignment of `data`'s rows against a fixed
-/// centroid set (ties to the lowest centroid index, chunk-parallel over
-/// `threads` workers) — the append path of the incremental clustered index
-/// folds new rows into an *existing* partition with this instead of
-/// re-running Lloyd's per batch. Any total assignment yields valid
-/// triangle-inequality bounds, so assigning against stale centroids only
-/// costs pruning power, never correctness.
-///
-/// # Panics
-/// Panics if `centroids` is empty or the dimensionalities disagree.
-pub fn assign_to_centroids(data: DatasetView<'_>, centroids: &Matrix, threads: usize) -> Vec<usize> {
-    assert!(centroids.rows() > 0, "cannot assign rows to an empty centroid set");
-    assert_eq!(data.cols(), centroids.cols(), "row/centroid dimensionality mismatch");
-    let mut out = vec![usize::MAX; data.rows()];
-    if !out.is_empty() {
-        assign_rows(data, centroids, threads, &mut out);
-    }
-    out
-}
-
 /// Assigns rows `[start, start + out.len())`; ties resolve to the lowest
 /// cluster index (strict `<` keeps the first minimum).
 fn assign_chunk(data: DatasetView<'_>, centroids: &Matrix, start: usize, out: &mut [usize]) -> usize {
@@ -148,101 +128,6 @@ fn assign_chunk(data: DatasetView<'_>, centroids: &Matrix, start: usize, out: &m
         }
     }
     changed
-}
-
-/// Rows regrouped into group-contiguous buffers.
-///
-/// Group `g` occupies rows `offsets[g]..offsets[g + 1]` of `data`;
-/// `original[r]` is the input row index that regrouped row `r` was copied
-/// from. Within a group, rows keep ascending original order, so a scan over a
-/// group visits original indices in increasing order.
-#[derive(Debug, Clone)]
-pub struct RowPartition {
-    /// The regrouped feature rows (same shape as the input).
-    pub data: Matrix,
-    /// `groups + 1` prefix offsets into `data`'s rows.
-    pub offsets: Vec<usize>,
-    /// Regrouped row → original row index.
-    pub original: Vec<usize>,
-}
-
-impl RowPartition {
-    /// Number of groups.
-    pub fn groups(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of rows in group `g`.
-    pub fn group_len(&self, g: usize) -> usize {
-        self.offsets[g + 1] - self.offsets[g]
-    }
-
-    /// Drops every regrouped row whose `keep` flag is false, compacting the
-    /// row buffer, the original-index map, and the group offsets in place —
-    /// the partition bookkeeping behind sliding-window eviction. Groups may
-    /// become empty but are kept (callers needing dense groups compact
-    /// separately); rows keep their order, so ascending original order within
-    /// a group is preserved. Returns the number of rows removed.
-    ///
-    /// # Panics
-    /// Panics if `keep.len()` differs from the regrouped row count.
-    pub fn retain_rows(&mut self, keep: &[bool]) -> usize {
-        assert_eq!(keep.len(), self.original.len(), "one keep flag per regrouped row required");
-        let groups = self.groups();
-        let cols = self.data.cols();
-        let flat = self.data.data_mut();
-        let mut new_offsets = Vec::with_capacity(groups + 1);
-        new_offsets.push(0usize);
-        let mut kept = 0usize;
-        for g in 0..groups {
-            #[allow(clippy::needless_range_loop)] // r indexes keep, original, and the flat buffer alike
-            for r in self.offsets[g]..self.offsets[g + 1] {
-                if keep[r] {
-                    if kept != r {
-                        flat.copy_within(r * cols..(r + 1) * cols, kept * cols);
-                        self.original[kept] = self.original[r];
-                    }
-                    kept += 1;
-                }
-            }
-            new_offsets.push(kept);
-        }
-        let removed = self.original.len() - kept;
-        self.original.truncate(kept);
-        self.data.truncate_rows(kept);
-        self.offsets = new_offsets;
-        removed
-    }
-}
-
-/// Regroups `data`'s rows by `assignments` into `groups` contiguous buffers
-/// (a stable counting sort by group id — a gather, necessarily a copy).
-///
-/// # Panics
-/// Panics if `assignments` disagrees with the row count or contains an id
-/// `>= groups`.
-pub fn partition_rows(data: DatasetView<'_>, assignments: &[usize], groups: usize) -> RowPartition {
-    assert_eq!(data.rows(), assignments.len(), "one assignment per row required");
-    let mut counts = vec![0usize; groups];
-    for &a in assignments {
-        assert!(a < groups, "assignment {a} out of range for {groups} groups");
-        counts[a] += 1;
-    }
-    let mut offsets = Vec::with_capacity(groups + 1);
-    offsets.push(0usize);
-    for &c in &counts {
-        offsets.push(offsets.last().expect("non-empty") + c);
-    }
-    let mut cursor = offsets[..groups].to_vec();
-    let mut original = vec![0usize; data.rows()];
-    let mut out = Matrix::zeros(data.rows(), data.cols());
-    for (i, &a) in assignments.iter().enumerate() {
-        let pos = cursor[a];
-        cursor[a] += 1;
-        original[pos] = i;
-        out.row_mut(pos).copy_from_slice(data.row(i));
-    }
-    RowPartition { data: out, offsets, original }
 }
 
 #[cfg(test)]
@@ -295,37 +180,6 @@ mod tests {
         assert!(km.assignments.iter().all(|&a| a < 5));
         // All rows tie to every centroid: the lowest cluster index wins.
         assert!(km.assignments.iter().all(|&a| a == km.assignments[0]));
-    }
-
-    #[test]
-    fn partition_is_a_permutation_with_ascending_order_within_groups() {
-        let data = blobs(97, 4, 3, 5);
-        let km = lloyd_kmeans(data.view(), 3, 20, 9, 2);
-        let part = partition_rows(data.view(), &km.assignments, km.centroids.rows());
-        assert_eq!(part.groups(), 3);
-        assert_eq!(*part.offsets.last().unwrap(), 97);
-        let mut seen: Vec<usize> = part.original.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..97).collect::<Vec<_>>(), "partition must be a permutation");
-        for g in 0..part.groups() {
-            let group = &part.original[part.offsets[g]..part.offsets[g + 1]];
-            assert!(group.windows(2).all(|w| w[0] < w[1]), "group {g} must keep ascending original order");
-            for (r, &orig) in group.iter().enumerate() {
-                assert_eq!(
-                    part.data.row(part.offsets[g] + r),
-                    data.row(orig),
-                    "rows must be copied verbatim"
-                );
-                assert_eq!(km.assignments[orig], g);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn partition_rejects_out_of_range_assignment() {
-        let data = Matrix::zeros(3, 2);
-        let _ = partition_rows(data.view(), &[0, 2, 1], 2);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   checksum) and an mmap-backed [`disk::DiskDataset`] /
 //!   [`disk::DiskLabels`] pair whose windows are indistinguishable from
 //!   in-memory matrices downstream,
-//! * Lloyd's k-means with deterministic seeding and cluster-contiguous
-//!   row-partition buffers ([`kmeans`]) — the coarse-partition substrate of
-//!   the exact pruned nearest-neighbour index in `snoopy-knn`,
+//! * Lloyd's k-means with deterministic seeding ([`kmeans`]) — the
+//!   coarse-partition substrate of the exact pruned nearest-neighbour index
+//!   in `snoopy-knn`,
 //! * a symmetric eigen-solver ([`eigen`]): Householder tridiagonalisation
 //!   followed by implicit-shift QL (Golub & Van Loan §8.3, EISPACK
 //!   `tred2`/`tql2`), in `f64` working precision; the cyclic Jacobi method
@@ -54,7 +54,7 @@ pub mod stats;
 pub mod view;
 
 pub use disk::{DiskDataset, DiskDatasetError, DiskLabels};
-pub use kmeans::{lloyd_kmeans, partition_rows, KMeans, RowPartition};
+pub use kmeans::{lloyd_kmeans, KMeans};
 pub use matrix::Matrix;
 pub use pca::Pca;
 pub use projection::{RandomProjection, Standardizer};

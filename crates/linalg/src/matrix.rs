@@ -63,18 +63,6 @@ impl Matrix {
         Self { rows: rows.len(), cols, data }
     }
 
-    /// Shrinks the matrix to its first `rows` rows in place, keeping the
-    /// buffer's allocation — the row-eviction primitive behind
-    /// partition-buffer compaction.
-    ///
-    /// # Panics
-    /// Panics if `rows` exceeds the current row count.
-    pub fn truncate_rows(&mut self, rows: usize) {
-        assert!(rows <= self.rows, "cannot truncate {} rows to {rows}", self.rows);
-        self.data.truncate(rows * self.cols);
-        self.rows = rows;
-    }
-
     /// Identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);

@@ -85,9 +85,9 @@ fn parse_args() -> Result<Args, String> {
                 args.noise = if value == "clean" {
                     NoiseModel::Clean
                 } else if let Some(rho) = value.strip_prefix("uniform:") {
-                    NoiseModel::Uniform(rho.parse().map_err(|_| format!("invalid noise level {rho}"))?)
+                    NoiseModel::Uniform(parse_noise_level(rho)?)
                 } else if let Some(rho) = value.strip_prefix("pairwise:") {
-                    NoiseModel::Pairwise(rho.parse().map_err(|_| format!("invalid noise level {rho}"))?)
+                    NoiseModel::Pairwise(parse_noise_level(rho)?)
                 } else {
                     return Err(format!("unknown noise model {value}"));
                 };
@@ -97,6 +97,15 @@ fn parse_args() -> Result<Args, String> {
         i += 2;
     }
     Ok(args)
+}
+
+/// A flip probability in `[0, 1]` (NaN rejected).
+fn parse_noise_level(rho: &str) -> Result<f64, String> {
+    match rho.parse::<f64>() {
+        Ok(level) if (0.0..=1.0).contains(&level) => Ok(level),
+        Ok(level) => Err(format!("noise level must be in [0, 1], got {level}")),
+        Err(_) => Err(format!("invalid noise level {rho}")),
+    }
 }
 
 fn load_task(args: &Args) -> Result<TaskDataset, String> {
@@ -109,24 +118,30 @@ fn load_task(args: &Args) -> Result<TaskDataset, String> {
     Ok(registry::load_with_noise(&args.dataset, args.scale, &args.noise, args.seed))
 }
 
+/// Prints `error: message` (when there is one) and the usage text; the
+/// process then exits with code 1.
+fn fail(message: &str) -> ExitCode {
+    if !message.is_empty() {
+        eprintln!("error: {message}\n");
+    }
+    print_usage();
+    ExitCode::FAILURE
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
-        Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}\n");
-            }
-            print_usage();
-            return ExitCode::FAILURE;
-        }
+        Err(message) => return fail(&message),
     };
+    // Reject a bad configuration before the task load and zoo fit pay for it.
+    let config =
+        SnoopyConfig::with_target(args.target).strategy(args.strategy).batch_fraction(args.batch_fraction);
+    if let Err(e) = config.validate() {
+        return fail(&e.to_string());
+    }
     let task = match load_task(&args) {
         Ok(task) => task,
-        Err(message) => {
-            eprintln!("error: {message}\n");
-            print_usage();
-            return ExitCode::FAILURE;
-        }
+        Err(message) => return fail(&message),
     };
 
     println!(
@@ -143,8 +158,6 @@ fn main() -> ExitCode {
     }
 
     let zoo = zoo_for_task(&task, args.seed);
-    let config =
-        SnoopyConfig::with_target(args.target).strategy(args.strategy).batch_fraction(args.batch_fraction);
     let report = FeasibilityStudy::new(config).run(&task, &zoo);
 
     println!("\n=== Snoopy verdict ===");
