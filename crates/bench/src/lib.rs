@@ -7,28 +7,39 @@
 //! Each `exp_*` binary in `src/bin/` prints the rows/series of one table or
 //! figure as a markdown-ish table on stdout and writes the same data as CSV
 //! under `results/`. Binaries accept `--scale tiny|small|standard` (default
-//! `small`) so that the full suite can be reproduced quickly on a laptop or
-//! at a larger scale overnight; see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured comparisons.
+//! `small`; any other value is an error) so that the full suite can be
+//! reproduced quickly on a laptop or at a larger scale overnight; see
+//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
+//! paper-vs-measured comparisons.
 
 use snoopy_data::registry::SizeScale;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Parses `--scale` from the command line (default: `small`).
+/// Parses `--scale tiny|small|standard` from the command line (default:
+/// `small`). An unknown or missing value prints `error: …` and exits with
+/// code 1, rather than running a different sweep than the one asked for.
 pub fn scale_from_args() -> SizeScale {
-    let args: Vec<String> = std::env::args().collect();
-    for window in args.windows(2) {
-        if window[0] == "--scale" {
-            return match window[1].as_str() {
-                "tiny" => SizeScale::Tiny,
-                "standard" => SizeScale::Standard,
-                _ => SizeScale::Small,
-            };
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_scale(&args).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(1);
+    })
+}
+
+/// The value of the first `--scale` in `args`, or `small` without one.
+fn parse_scale(args: &[String]) -> Result<SizeScale, String> {
+    let Some(at) = args.iter().position(|a| a == "--scale") else {
+        return Ok(SizeScale::Small);
+    };
+    match args.get(at + 1).map(String::as_str) {
+        Some("tiny") => Ok(SizeScale::Tiny),
+        Some("small") => Ok(SizeScale::Small),
+        Some("standard") => Ok(SizeScale::Standard),
+        Some(other) => Err(format!("unknown --scale value {other:?} (expected tiny, small or standard)")),
+        None => Err("--scale needs a value (tiny, small or standard)".to_string()),
     }
-    SizeScale::Small
 }
 
 /// Median seconds per run of `f` over `reps` runs.

@@ -187,11 +187,11 @@ impl SupervisedProjection {
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
         let c = columns.len();
         let gram = (0..c * c).map(|ab| dot(&columns[ab / c], &columns[ab % c])).collect();
-        let eig = symmetric_eigen_f64(c, gram);
+        let eig = symmetric_eigen_f64(c, gram, k);
 
         let floor = 1e-12 * eig.values.first().copied().unwrap_or(0.0);
         let mut projection = Matrix::zeros(d, k);
-        for (col, (&lambda, u)) in eig.values.iter().zip(eig.vectors.rows_iter()).take(k).enumerate() {
+        for (col, (&lambda, u)) in eig.values.iter().zip(eig.vectors.rows_iter()).enumerate() {
             if lambda <= floor {
                 break;
             }
@@ -313,8 +313,8 @@ mod tests {
                     *s += weight * diff[rc / d] * diff[rc % d];
                 }
             }
-            let eig = symmetric_eigen_f64(d, scatter);
             let k = sup.output_dim();
+            let eig = symmetric_eigen_f64(d, scatter, k);
             let top: Vec<Vec<f64>> =
                 (0..k).map(|i| eig.vectors.row(i).iter().map(|&v| v as f64).collect()).collect();
             let nca: Vec<Vec<f64>> =

@@ -1,38 +1,70 @@
-//! Symmetric eigendecomposition: Householder tridiagonalisation followed by
-//! the implicit-shift QL algorithm (Golub & Van Loan §8.3; EISPACK
-//! `tred2`/`tql2`).
+//! The `k` leading eigen-pairs of a symmetric matrix, at a cost that grows
+//! with `k`: Householder tridiagonalisation, eigenvalues by implicit-shift
+//! QL, and inverse iteration for the wanted eigenvectors only — the route of
+//! LAPACK `dsyevx` (`dsytrd`, `dsterf`, `dstein`, `dormtr`).
 //!
-//! PCA and the NCA-style supervised projection in `snoopy-embeddings` need
-//! every eigen-pair of small symmetric matrices — covariance matrices as wide
-//! as the feature dimension, and class-mean Gram matrices as wide as the
-//! number of classes. Householder reflections reduce the matrix to
-//! tridiagonal form in `4n³/3` flops and accumulate into an orthogonal
-//! basis; QL sweeps with an implicit shift then deflate the tridiagonal
-//! matrix one eigenvalue at a time, converging cubically (one or two sweeps
-//! per eigenvalue in practice). That keeps the workspace free of LAPACK
-//! bindings at a small fraction of a cyclic Jacobi solve's cost.
+//! PCA and the NCA-style supervised projection in `snoopy-embeddings` keep
+//! the leading directions of small symmetric matrices: covariance matrices
+//! as wide as the feature dimension, and class-mean Gram matrices as wide as
+//! the number of classes. For an `n × n` input and `k` wanted pairs:
 //!
-//! The reflectors are accumulated into the *transpose* of the textbook
-//! eigenvector matrix, which is legal because the input is symmetric: every
-//! inner loop then walks a contiguous row, and the eigenvectors come out as
-//! rows, the layout [`SymmetricEigen`] returns. One `n × n` `f64` work
-//! matrix is all the solver allocates besides its output.
+//! 1. Householder reflections reduce the matrix to a tridiagonal `T = QᵀAQ`
+//!    in `4n³/3` flops (EISPACK `tred2`). `Q` is never formed: reflector `i`
+//!    stays in row `i` of the work matrix, where the reduction leaves it.
+//! 2. Implicit-shift QL sweeps deflate `T` one eigenvalue at a time,
+//!    converging cubically (EISPACK `tql2` without its eigenvector
+//!    rotations): `O(n²)` flops for all `n` eigenvalues, of which the `k`
+//!    largest are kept.
+//! 3. Inverse iteration (`dstein`) finds the eigenvector of `T` for each
+//!    kept eigenvalue `λ`: one `O(n)` LU factorisation of `T − λI` with
+//!    partial pivoting, then `O(n)` solves from a start vector drawn from a
+//!    seed derived from the pair's index, until the iterate has grown enough
+//!    to certify `λ`, plus two more solves.
+//! 4. Each vector `y` maps back to `x = Q·y` through the stored reflectors,
+//!    `O(n²)` flops per vector.
+//!
+//! Eigenvector work is `O(k·n²)`. Forming `Q` and rotating it through every
+//! QL sweep, which a full decomposition needs, costs several `n³` flops more
+//! (Golub & Van Loan put the full symmetric QR at about `9n³`).
+//!
+//! **Clusters.** Consecutive eigenvalues that lie within `10⁻³·‖T‖₁` of each
+//! other form a cluster (LAPACK's rule). After every solve, a vector is
+//! re-orthogonalised (modified Gram–Schmidt) against the earlier vectors of
+//! its cluster, and a shift equal to its predecessor's is moved down by
+//! `10ε|λ|` so that the factorisations differ. Vectors of different clusters
+//! come out orthogonal to working precision on their own, because their
+//! eigenvalues are more than `10⁻³·‖T‖₁` apart.
+//!
+//! **Determinism.** Vector `j` depends only on `λ₀ … λⱼ` and vectors
+//! `0 … j−1`, so the rows of a width-`k` solve are the first `k` rows of any
+//! wider solve, bit for bit. The eigenvalues come from the same QL iteration
+//! on the same tridiagonal matrix for every `k`. An eigenvector's sign is
+//! whatever the iteration produces; there is no sign convention.
+//!
+//! **Guards.** Inverse iteration runs on `T / ‖T‖₁`, and pivots below `ε`
+//! are raised to it, so an exact eigenvalue still gives a finite solve. The
+//! zero matrix (`‖T‖₁ = 0`) returns the standard basis instead of dividing
+//! 0 by 0, and an iterate that collapses to zero, or overflows, after
+//! re-orthogonalisation restarts from the next start vector.
 //!
 //! The cyclic Jacobi method survives as the test oracle
 //! (`tests/proptest_eigen.rs`): eigenvalues, residuals, orthonormality and
-//! well-separated eigenvectors are checked against it on random, repeated-
-//! eigenvalue, rank-deficient, diagonal, zero and wide-magnitude matrices.
+//! well-separated eigenvectors are checked against it at every `k` on
+//! random, repeated-eigenvalue, rank-deficient, diagonal, zero and
+//! wide-magnitude matrices.
 
 use crate::matrix::Matrix;
+use crate::rng;
+use rand::Rng;
 
-/// Result of a symmetric eigendecomposition: eigenvalues in descending order
-/// and the matching eigenvectors as rows of `vectors` (`vectors.row(i)` is the
-/// unit eigenvector for `values[i]`).
+/// The leading pairs of a symmetric eigendecomposition: the `k` largest
+/// eigenvalues in descending order and the matching unit eigenvectors as the
+/// rows of `vectors` (`vectors.row(i)` belongs to `values[i]`).
 #[derive(Debug, Clone)]
 pub struct SymmetricEigen {
-    /// Eigenvalues sorted in descending order.
+    /// The `k` largest eigenvalues, in descending order.
     pub values: Vec<f64>,
-    /// Eigenvectors, one per row, aligned with `values`.
+    /// `k × n` eigenvectors, one per row, aligned with `values`.
     pub vectors: Matrix,
 }
 
@@ -40,15 +72,28 @@ pub struct SymmetricEigen {
 /// LAPACK `dsteqr` (and EISPACK `tql2`).
 const MAX_QL_ITERATIONS: usize = 30;
 
-/// Computes all eigen-pairs of a symmetric matrix, in `f64` working
-/// precision.
+/// Inverse-iteration solves per eigenvector before the iterate is accepted
+/// as it stands (`dstein`'s `MAXITS`).
+const MAX_SOLVES: usize = 5;
+
+/// Solves run after the iterate first passes the growth test (`dstein`'s
+/// `EXTRA`).
+const EXTRA_SOLVES: usize = 2;
+
+/// Consecutive eigenvalues within this fraction of `‖T‖₁` of each other
+/// share a cluster (`dstein`'s `ORTOL`).
+const CLUSTER_GAP: f64 = 1e-3;
+
+/// Computes the `k` leading eigen-pairs (`k` clamped to the matrix width) of
+/// a symmetric matrix, in `f64` working precision.
 ///
 /// # Panics
-/// Panics if the matrix is not square, if an entry is NaN or infinite, or if
-/// an eigenvalue fails to converge within 30 QL iterations.
-pub fn symmetric_eigen(matrix: &Matrix) -> SymmetricEigen {
+/// Panics if the matrix is not square, if an entry is NaN or infinite, if an
+/// eigenvalue fails to converge within 30 QL iterations, or if inverse
+/// iteration keeps collapsing on an eigenvector.
+pub fn symmetric_eigen(matrix: &Matrix, k: usize) -> SymmetricEigen {
     assert_eq!(matrix.rows(), matrix.cols(), "eigendecomposition requires a square matrix");
-    symmetric_eigen_f64(matrix.rows(), matrix.data().iter().map(|&v| f64::from(v)).collect())
+    symmetric_eigen_f64(matrix.rows(), matrix.data().iter().map(|&v| f64::from(v)).collect(), k)
 }
 
 /// [`symmetric_eigen`] on a row-major symmetric `n × n` matrix already held in
@@ -57,41 +102,42 @@ pub fn symmetric_eigen(matrix: &Matrix) -> SymmetricEigen {
 /// from a weak one.
 ///
 /// # Panics
-/// Panics if `entries.len() != n * n`, if an entry is NaN or infinite, or if
-/// an eigenvalue fails to converge within 30 QL iterations.
-pub fn symmetric_eigen_f64(n: usize, mut entries: Vec<f64>) -> SymmetricEigen {
+/// Panics if `entries.len() != n * n`, if an entry is NaN or infinite, if an
+/// eigenvalue fails to converge within 30 QL iterations, or if inverse
+/// iteration keeps collapsing on an eigenvector.
+pub fn symmetric_eigen_f64(n: usize, mut entries: Vec<f64>, k: usize) -> SymmetricEigen {
     assert_eq!(entries.len(), n * n, "eigendecomposition requires a square matrix");
     // Non-finite entries would never pass QL's deflation test.
     assert!(
         entries.iter().all(|v| v.is_finite()),
         "eigendecomposition requires finite entries (found NaN or infinity)"
     );
-    let mut d = vec![0.0f64; n];
-    let mut e = vec![0.0f64; n];
-    if n > 0 {
-        tred2(n, &mut entries, &mut d, &mut e);
-        tql2(n, &mut entries, &mut d, &mut e);
+    let k = k.min(n);
+    if n == 0 {
+        return SymmetricEigen { values: Vec::new(), vectors: Matrix::zeros(0, 0) };
     }
+    let mut diag = vec![0.0f64; n];
+    let mut off = vec![0.0f64; n];
+    let scales = tred2(n, &mut entries, &mut diag, &mut off);
+    let mut values = diag.clone();
+    tql2(&mut values, &mut off.clone());
+    values.sort_by(|x, y| y.total_cmp(x));
+    values.truncate(k);
 
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&x, &y| d[y].total_cmp(&d[x]));
-    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (row, &i) in order.iter().enumerate() {
-        for (out, &v) in vectors.row_mut(row).iter_mut().zip(&entries[i * n..(i + 1) * n]) {
-            *out = v as f32;
-        }
-    }
-    SymmetricEigen { values, vectors }
+    let vectors = tridiagonal_eigenvectors(&diag, &off[..n - 1], &values);
+    SymmetricEigen { values, vectors: back_transform(n, &entries, &scales, &vectors) }
 }
 
-/// Householder reduction of the symmetric matrix in `w` to tridiagonal form
-/// (diagonal `d`, subdiagonal `e[1..]`), leaving the accumulated orthogonal
-/// transformation in `w` with its basis vectors as rows.
+/// Householder reduction of the symmetric matrix in `w` to tridiagonal form:
+/// diagonal `d`, and `e[i]` coupling `i` with `i + 1` (`e[n − 1] = 0`).
 ///
-/// This is EISPACK `tred2` with the eigenvector matrix `V` stored transposed:
-/// the textbook `V[a][b]` lives at `w[b * n + a]`.
-fn tred2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
+/// This is EISPACK `tred2` without the accumulation of `Q`, with its matrix
+/// stored transposed (the textbook `V[a][b]` lives at `w[b * n + a]`). The
+/// reduction leaves reflector `P_i = I − u·uᵀ / h_i`, which acts on
+/// coordinates `0..i`, with `u` in `w[i * n..i * n + i]`; the returned vector
+/// holds `h_i` at index `i` (`h_i = 0` marks a skipped step, `P_i = I`), and
+/// `T = QᵀAQ` with `Q = P_{n−1}·…·P_1`.
+fn tred2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Vec<f64> {
     for (j, dj) in d.iter_mut().enumerate() {
         *dj = w[j * n + n - 1];
     }
@@ -153,45 +199,22 @@ fn tred2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
         d[i] = h;
     }
 
-    // Accumulate the transformations.
-    for i in 0..n - 1 {
-        w[i * n + n - 1] = w[i * n + i];
-        w[i * n + i] = 1.0;
-        let (head, tail) = w.split_at_mut((i + 1) * n);
-        let u = &mut tail[..=i];
-        let h = d[i + 1];
-        if h != 0.0 {
-            for (dk, &uk) in d[..=i].iter_mut().zip(u.iter()) {
-                *dk = uk / h;
-            }
-            for j in 0..=i {
-                let row = &mut head[j * n..=j * n + i];
-                let g: f64 = u.iter().zip(row.iter()).map(|(&a, &b)| a * b).sum();
-                for (v, &dk) in row.iter_mut().zip(&d[..=i]) {
-                    *v -= g * dk;
-                }
-            }
-        }
-        u.fill(0.0);
-    }
+    let scales = d.to_vec();
     for (j, dj) in d.iter_mut().enumerate() {
-        *dj = w[j * n + n - 1];
-        w[j * n + n - 1] = 0.0;
+        *dj = w[j * n + j];
     }
-    w[n * n - 1] = 1.0;
-    e[0] = 0.0;
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+    scales
 }
 
-/// Implicit-shift QL on the tridiagonal matrix `(d, e)` left by [`tred2`],
-/// rotating the rows of `w` along. On return `d` holds the (unsorted)
-/// eigenvalues and row `i` of `w` the eigenvector of `d[i]`.
+/// Implicit-shift QL on the tridiagonal matrix `(d, e)` left by [`tred2`].
+/// On return `d` holds the (unsorted) eigenvalues; `e` is destroyed.
 ///
 /// # Panics
 /// Panics if an eigenvalue needs more than [`MAX_QL_ITERATIONS`] sweeps.
-fn tql2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
-    e.copy_within(1.., 0);
-    e[n - 1] = 0.0;
-
+fn tql2(d: &mut [f64], e: &mut [f64]) {
+    let n = d.len();
     let mut f = 0.0f64;
     let mut tst1 = 0.0f64;
     let eps = f64::EPSILON;
@@ -241,13 +264,6 @@ fn tql2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
                     c = p / r;
                     p = c * d[i] - s * g;
                     d[i + 1] = h + s * (c * g + s * d[i]);
-                    // Accumulate the rotation into eigenvector rows i and i + 1.
-                    let (head, tail) = w.split_at_mut((i + 1) * n);
-                    for (vi, vi1) in head[i * n..].iter_mut().zip(&mut tail[..n]) {
-                        let h = *vi1;
-                        *vi1 = s * *vi + c * h;
-                        *vi = c * *vi - s * h;
-                    }
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
                 e[l] = s * p;
@@ -262,6 +278,221 @@ fn tql2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
     }
 }
 
+/// `T − σI = P·L·U` for the tridiagonal `T` (diagonal `diag`, off-diagonal
+/// `off`), by Gaussian elimination with partial pivoting (LAPACK `dlagtf`).
+/// `U` has the diagonal `u0` and two superdiagonals `u1`, `u2`; row swaps are
+/// flagged in `swapped`, multipliers kept in `l`. Pivots smaller than `tol`
+/// are raised to `±tol`, so solves stay finite when `σ` is an eigenvalue.
+struct ShiftedLu {
+    u0: Vec<f64>,
+    u1: Vec<f64>,
+    u2: Vec<f64>,
+    l: Vec<f64>,
+    swapped: Vec<bool>,
+}
+
+impl ShiftedLu {
+    fn factor(diag: &[f64], off: &[f64], shift: f64, tol: f64) -> Self {
+        let n = diag.len();
+        let mut u0: Vec<f64> = diag.iter().map(|&v| v - shift).collect();
+        let mut u1 = off.to_vec();
+        let mut u2 = vec![0.0f64; n.saturating_sub(2)];
+        let mut l = vec![0.0f64; n - 1];
+        let mut swapped = vec![false; n - 1];
+        for i in 0..n - 1 {
+            let below = off[i];
+            if below.abs() <= u0[i].abs() {
+                if u0[i] != 0.0 {
+                    l[i] = below / u0[i];
+                    u0[i + 1] -= l[i] * u1[i];
+                }
+            } else {
+                // Swap rows i and i + 1, then eliminate the old row i.
+                l[i] = u0[i] / below;
+                swapped[i] = true;
+                u0[i] = below;
+                let next = u0[i + 1];
+                u0[i + 1] = u1[i] - l[i] * next;
+                if i + 2 < n {
+                    u2[i] = u1[i + 1];
+                    u1[i + 1] = -l[i] * u2[i];
+                }
+                u1[i] = next;
+            }
+        }
+        for p in &mut u0 {
+            if p.abs() < tol {
+                *p = if *p < 0.0 { -tol } else { tol };
+            }
+        }
+        Self { u0, u1, u2, l, swapped }
+    }
+
+    /// The last pivot of `U`, which is small when the shift is accurate.
+    fn last_pivot(&self) -> f64 {
+        self.u0[self.u0.len() - 1]
+    }
+
+    /// Overwrites `y` with `(T − σI)⁻¹·y`.
+    fn solve(&self, y: &mut [f64]) {
+        let n = y.len();
+        for i in 0..n - 1 {
+            if self.swapped[i] {
+                y.swap(i, i + 1);
+            }
+            y[i + 1] -= self.l[i] * y[i];
+        }
+        for i in (0..n).rev() {
+            let mut v = y[i];
+            if i + 1 < n {
+                v -= self.u1[i] * y[i + 1];
+            }
+            if i + 2 < n {
+                v -= self.u2[i] * y[i + 2];
+            }
+            y[i] = v / self.u0[i];
+        }
+    }
+}
+
+/// Fills `y` with draw `draw` of the start vector for eigenvector `index`:
+/// uniform in `[−1, 1)`, from a seed fixed by the two numbers alone.
+fn start_vector(index: usize, draw: usize, y: &mut [f64]) {
+    let mut r = rng::seeded(0x5eed_e16e_0000_0000 ^ ((index as u64) << 8) ^ draw as u64);
+    for v in y {
+        *v = r.gen_range(-1.0..1.0);
+    }
+}
+
+/// Unit eigenvectors (`values.len() × n`, row-major) of the symmetric
+/// tridiagonal matrix with diagonal `diag` and off-diagonal `off`, one per
+/// entry of `values`, which must be eigenvalues of it in descending order.
+///
+/// # Panics
+/// Panics if an iterate collapses to zero (or overflows) on more than
+/// [`MAX_SOLVES`] fresh start vectors in a row.
+fn tridiagonal_eigenvectors(diag: &[f64], off: &[f64], values: &[f64]) -> Vec<f64> {
+    let n = diag.len();
+    let mut vectors = vec![0.0f64; values.len() * n];
+    let norm = (0..n)
+        .map(|i| {
+            diag[i].abs()
+                + off.get(i).map_or(0.0, |v| v.abs())
+                + i.checked_sub(1).map_or(0.0, |p| off[p].abs())
+        })
+        .fold(0.0f64, f64::max);
+    if norm == 0.0 {
+        // T = 0: every vector is an eigenvector. Take the standard basis,
+        // which also keeps the iteration below from dividing 0 by 0.
+        for (j, y) in vectors.chunks_exact_mut(n).enumerate() {
+            y[j] = 1.0;
+        }
+        return vectors;
+    }
+    // Iterate on T / ‖T‖₁, whose eigenvectors are T's: every tolerance is
+    // then relative, and no solve can overflow for lack of scale.
+    let diag: Vec<f64> = diag.iter().map(|v| v / norm).collect();
+    let off: Vec<f64> = off.iter().map(|v| v / norm).collect();
+    let growth_target = (0.1 / n as f64).sqrt();
+    let mut cluster_start = 0;
+    let mut previous_shift = 0.0f64;
+    for (j, &value) in values.iter().enumerate() {
+        let mut shift = value / norm;
+        if j > 0 {
+            // Separate a repeated eigenvalue's shifts so that the solves differ.
+            let min_step = 10.0 * f64::EPSILON * shift.abs();
+            if previous_shift - shift < min_step {
+                shift = previous_shift - min_step;
+            }
+            if previous_shift - shift > CLUSTER_GAP {
+                cluster_start = j;
+            }
+        }
+        previous_shift = shift;
+        let lu = ShiftedLu::factor(&diag, &off, shift, f64::EPSILON);
+        let (earlier, rest) = vectors.split_at_mut(j * n);
+        let cluster = &earlier[cluster_start * n..];
+        let y = &mut rest[..n];
+
+        let mut draw = 0;
+        start_vector(j, draw, y);
+        let (mut solves, mut passes) = (0, 0);
+        while solves < MAX_SOLVES && passes <= EXTRA_SOLVES {
+            // Scale the right-hand side so that an accurate shift yields an
+            // iterate of norm ≥ growth_target (dstein's stopping test).
+            let scale = n as f64 * lu.last_pivot().abs() / max_abs(y);
+            y.iter_mut().for_each(|v| *v *= scale);
+            lu.solve(y);
+            for v in cluster.chunks_exact(n) {
+                let overlap: f64 = y.iter().zip(v).map(|(a, b)| a * b).sum();
+                y.iter_mut().zip(v).for_each(|(a, &b)| *a -= overlap * b);
+            }
+            let size = max_abs(y);
+            if !(size > 0.0 && size.is_finite()) {
+                // The iterate held nothing outside the cluster's earlier
+                // vectors, or overflowed: start over from a fresh draw.
+                draw += 1;
+                assert!(draw <= MAX_SOLVES, "inverse iteration collapsed on eigenvector {j} of {n}");
+                start_vector(j, draw, y);
+                continue;
+            }
+            solves += 1;
+            if size >= growth_target {
+                passes += 1;
+            }
+        }
+        let length = y.iter().map(|v| v * v).sum::<f64>().sqrt();
+        y.iter_mut().for_each(|v| *v /= length);
+    }
+    vectors
+}
+
+/// The largest magnitude in `v`, or NaN if `v` holds a NaN.
+fn max_abs(v: &[f64]) -> f64 {
+    v.iter().fold(0.0f64, |m, &x| if x.is_nan() || m.is_nan() { f64::NAN } else { m.max(x.abs()) })
+}
+
+/// Maps eigenvectors `y` of `T` (the rows of `vectors`, `k × n`) to
+/// eigenvectors `x = Q·y` of the reduced matrix, returned as the rows of a
+/// `k × n` matrix: applies the reflectors [`tred2`] left in `w`, `P_1` first.
+///
+/// The vectors are updated in a coordinate-major copy (row `t` holds
+/// coordinate `t` of every vector), so each reflector's `k` dot products
+/// run side by side in the inner loop rather than as `k` serial chains.
+fn back_transform(n: usize, w: &[f64], scales: &[f64], vectors: &[f64]) -> Matrix {
+    let k = vectors.len() / n;
+    if k == 0 {
+        return Matrix::zeros(0, n);
+    }
+    let mut y = vec![0.0f64; n * k];
+    for (v, row) in vectors.chunks_exact(n).enumerate() {
+        for (t, &x) in row.iter().enumerate() {
+            y[t * k + v] = x;
+        }
+    }
+    let mut g = vec![0.0f64; k];
+    for i in 1..n {
+        let h = scales[i];
+        if h == 0.0 {
+            continue;
+        }
+        let u = &w[i * n..i * n + i];
+        g.fill(0.0);
+        for (&ut, yt) in u.iter().zip(y.chunks_exact(k)) {
+            for (gv, &x) in g.iter_mut().zip(yt) {
+                *gv += ut * x;
+            }
+        }
+        g.iter_mut().for_each(|gv| *gv /= h);
+        for (&ut, yt) in u.iter().zip(y.chunks_exact_mut(k)) {
+            for (x, &gv) in yt.iter_mut().zip(&g) {
+                *x -= gv * ut;
+            }
+        }
+    }
+    Matrix::from_fn(k, n, |v, t| y[t * k + v] as f32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,7 +504,7 @@ mod tests {
     #[test]
     fn diagonal_matrix_eigenvalues_are_sorted_diagonal() {
         let m = Matrix::from_vec(3, 3, vec![2.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 1.0]);
-        let eig = symmetric_eigen(&m);
+        let eig = symmetric_eigen(&m, m.rows());
         assert!(approx(eig.values[0], 5.0, 1e-9));
         assert!(approx(eig.values[1], 2.0, 1e-9));
         assert!(approx(eig.values[2], 1.0, 1e-9));
@@ -283,7 +514,7 @@ mod tests {
     fn known_2x2_eigenpairs() {
         // [[2, 1], [1, 2]] has eigenvalues 3 and 1 with vectors (1,1)/sqrt2, (1,-1)/sqrt2.
         let m = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]);
-        let eig = symmetric_eigen(&m);
+        let eig = symmetric_eigen(&m, m.rows());
         assert!(approx(eig.values[0], 3.0, 1e-9));
         assert!(approx(eig.values[1], 1.0, 1e-9));
         let v0 = eig.vectors.row(0);
@@ -302,7 +533,7 @@ mod tests {
                 0.0, 0.1, 0.3, 1.0,
             ],
         );
-        let eig = symmetric_eigen(&m);
+        let eig = symmetric_eigen(&m, m.rows());
         for i in 0..4 {
             for j in 0..4 {
                 let dot = Matrix::row_dot(eig.vectors.row(i), eig.vectors.row(j)) as f64;
@@ -315,7 +546,7 @@ mod tests {
     #[test]
     fn reconstruction_matches_original() {
         let m = Matrix::from_vec(3, 3, vec![2.0, 0.4, 0.1, 0.4, 1.5, 0.2, 0.1, 0.2, 1.0]);
-        let eig = symmetric_eigen(&m);
+        let eig = symmetric_eigen(&m, m.rows());
         // Reconstruct A = sum_i lambda_i v_i v_i^T.
         let mut recon = Matrix::zeros(3, 3);
         for (i, &lambda) in eig.values.iter().enumerate() {
@@ -337,7 +568,7 @@ mod tests {
     #[test]
     fn trace_is_preserved() {
         let m = Matrix::from_vec(3, 3, vec![3.0, 1.0, 0.0, 1.0, 2.0, 0.5, 0.0, 0.5, 1.0]);
-        let eig = symmetric_eigen(&m);
+        let eig = symmetric_eigen(&m, m.rows());
         let trace: f64 = (0..3).map(|i| m.get(i, i) as f64).sum();
         let sum: f64 = eig.values.iter().sum();
         assert!(approx(trace, sum, 1e-6));
@@ -345,32 +576,32 @@ mod tests {
 
     #[test]
     fn empty_and_scalar_matrices() {
-        let eig = symmetric_eigen(&Matrix::zeros(0, 0));
+        let eig = symmetric_eigen(&Matrix::zeros(0, 0), 3);
         assert!(eig.values.is_empty());
         assert_eq!(eig.vectors.rows(), 0);
-        let eig = symmetric_eigen(&Matrix::from_vec(1, 1, vec![-2.5]));
+        let eig = symmetric_eigen(&Matrix::from_vec(1, 1, vec![-2.5]), 1);
         assert_eq!(eig.values, vec![-2.5]);
-        assert_eq!(eig.vectors.data(), &[1.0]);
+        assert_eq!(eig.vectors.data()[0].abs(), 1.0);
     }
 
     #[test]
     #[should_panic(expected = "square")]
     fn rejects_non_square() {
         let m = Matrix::zeros(2, 3);
-        symmetric_eigen(&m);
+        symmetric_eigen(&m, m.rows());
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn rejects_nan_input() {
         let m = Matrix::from_vec(3, 3, vec![1.0, f32::NAN, 0.0, f32::NAN, 2.0, 0.0, 0.0, 0.0, 3.0]);
-        symmetric_eigen(&m);
+        symmetric_eigen(&m, m.rows());
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn rejects_infinite_input() {
         let m = Matrix::from_vec(3, 3, vec![1.0, 0.5, 0.0, 0.5, f32::INFINITY, 0.0, 0.0, 0.0, 3.0]);
-        symmetric_eigen(&m);
+        symmetric_eigen(&m, m.rows());
     }
 }

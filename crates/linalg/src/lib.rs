@@ -8,8 +8,8 @@
 //! [`disk`] — without unsafe code:
 //!
 //! * a row-major [`Matrix`] of `f32` features with the usual constructors,
-//!   slicing, and matrix operations (`matmul`, `transpose`, covariance,
-//!   row/column statistics),
+//!   slicing, and matrix operations (`matmul`, `transpose`, a covariance
+//!   that skips the zeros of sparse columns, row/column statistics),
 //! * the register-blocked dot-product microkernel ([`kernel`]): fixed-order
 //!   multi-lane accumulation plus a row-tile driver whose results are
 //!   bit-identical to the scalar path for every tile shape — the compute
@@ -25,10 +25,11 @@
 //! * Lloyd's k-means with deterministic seeding ([`kmeans`]) — the
 //!   coarse-partition substrate of the exact pruned nearest-neighbour index
 //!   in `snoopy-knn`,
-//! * a symmetric eigen-solver ([`eigen`]): Householder tridiagonalisation
-//!   followed by implicit-shift QL (Golub & Van Loan §8.3, EISPACK
-//!   `tred2`/`tql2`), in `f64` working precision; the cyclic Jacobi method
-//!   it replaced is kept only as the test oracle in `tests/proptest_eigen.rs`,
+//! * a symmetric eigen-solver for the `k` leading pairs ([`eigen`]):
+//!   Householder tridiagonalisation, implicit-shift QL eigenvalues, and
+//!   inverse iteration for the wanted eigenvectors only (the LAPACK
+//!   `dsyevx` route), in `f64` working precision; the cyclic Jacobi method
+//!   is kept as the test oracle in `tests/proptest_eigen.rs`,
 //! * principal component analysis ([`pca::Pca`], one eigenbasis per task,
 //!   truncated for each width), feature standardisation
 //!   ([`projection::Standardizer`]) and Gaussian random projections

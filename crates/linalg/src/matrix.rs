@@ -202,24 +202,68 @@ impl Matrix {
     }
 
     /// Sample covariance matrix (`d × d`, `f64` accumulation, stored as `f32`).
+    ///
+    /// Sums the second moment of the shifted entries `x − c` over each row's
+    /// non-zero ones, then subtracts `n·(μ − c)(μ − c)ᵀ` once. The shift `c_j`
+    /// is column `j`'s mean if the column is non-zero in more than half of the
+    /// rows, and 0 otherwise:
+    /// * dense columns are centred as in the two-pass formula, and an
+    ///   all-dense matrix gets its arithmetic bit for bit: the skipped terms
+    ///   are zeros and the correction is exactly 0;
+    /// * sparse columns, such as term frequencies, keep their zeros, so a row
+    ///   costs the square of its non-zero count rather than `d²`. Such a
+    ///   column has `|μ| ≤ σ`, so subtracting its mean afterwards cannot
+    ///   cancel catastrophically.
     pub fn covariance(&self) -> Matrix {
-        let d = self.cols;
+        let (n, d) = (self.rows, self.cols);
         let means = self.column_means();
-        let mut cov = vec![0.0f64; d * d];
+        let mut nonzero = vec![0usize; d];
         for row in self.rows_iter() {
-            for i in 0..d {
-                let di = row[i] as f64 - means[i];
-                for j in i..d {
-                    let dj = row[j] as f64 - means[j];
-                    cov[i * d + j] += di * dj;
+            for (count, &x) in nonzero.iter_mut().zip(row) {
+                *count += usize::from(x != 0.0);
+            }
+        }
+        let shift: Vec<f64> = means
+            .iter()
+            .zip(&nonzero)
+            .map(|(&mean, &count)| if 2 * count > n { mean } else { 0.0 })
+            .collect();
+
+        let mut moment = vec![0.0f64; d * d];
+        let mut shifted = vec![0.0f64; d];
+        let mut support: Vec<usize> = Vec::with_capacity(d);
+        for row in self.rows_iter() {
+            support.clear();
+            for (j, ((y, &x), &c)) in shifted.iter_mut().zip(row).zip(&shift).enumerate() {
+                *y = x as f64 - c;
+                if *y != 0.0 {
+                    support.push(j);
+                }
+            }
+            if 2 * support.len() > d {
+                // A dense row: contiguous updates vectorise, and the zero
+                // products they add change no sum.
+                for (i, &yi) in shifted.iter().enumerate() {
+                    for (m, &yj) in moment[i * d + i..(i + 1) * d].iter_mut().zip(&shifted[i..]) {
+                        *m += yi * yj;
+                    }
+                }
+            } else {
+                for (a, &i) in support.iter().enumerate() {
+                    let (yi, out) = (shifted[i], &mut moment[i * d..(i + 1) * d]);
+                    for &j in &support[a..] {
+                        out[j] += yi * shifted[j];
+                    }
                 }
             }
         }
-        let denom = (self.rows.max(2) - 1) as f64;
+
+        let offset: Vec<f64> = means.iter().zip(&shift).map(|(mean, c)| mean - c).collect();
+        let denom = (n.max(2) - 1) as f64;
         let mut out = Matrix::zeros(d, d);
         for i in 0..d {
             for j in i..d {
-                let v = (cov[i * d + j] / denom) as f32;
+                let v = ((moment[i * d + j] - n as f64 * offset[i] * offset[j]) / denom) as f32;
                 out.set(i, j, v);
                 out.set(j, i, v);
             }

@@ -4,10 +4,17 @@
 //! of the paper). PCA here is the classic covariance-eigendecomposition
 //! variant: fit on the training split, then apply to train and test alike.
 //!
-//! All widths of one task share one basis: the eigendecomposition orders the
-//! principal directions by variance, so a width-`k` fit is exactly the first
-//! `k` components of any wider fit. Fit once at the widest width and take the
-//! narrower ones with [`Pca::truncated`].
+//! A fit pays for the `k` components it returns. [`Matrix::covariance`]
+//! skips the zeros of sparse columns (term frequencies are a few per cent
+//! non-zero), and [`symmetric_eigen`] computes only the `k` leading
+//! eigenvectors, at `O(k·d²)` on top of the `O(d³)` tridiagonal reduction.
+//!
+//! All widths of one task share one basis: the solver's `j`-th eigenvector
+//! does not depend on how many are asked for, so a width-`k` fit is exactly
+//! the first `k` components of any wider fit. Fit once at the widest width
+//! and take the narrower ones with [`Pca::truncated`]. A component's sign is
+//! arbitrary; flipping it negates that output coordinate exactly and leaves
+//! every distance between projected rows unchanged.
 
 use crate::eigen::symmetric_eigen;
 use crate::matrix::Matrix;
@@ -40,17 +47,10 @@ impl Pca {
                 explained_variance: vec![0.0; k],
             };
         }
-        let mean_f64 = data.column_means();
-        let mean: Vec<f32> = mean_f64.iter().map(|&m| m as f32).collect();
-        let cov = data.covariance();
-        let eig = symmetric_eigen(&cov);
-        let mut components = Matrix::zeros(k, d);
-        let mut explained = Vec::with_capacity(k);
-        for i in 0..k {
-            components.row_mut(i).copy_from_slice(eig.vectors.row(i));
-            explained.push(eig.values[i].max(0.0));
-        }
-        Self { mean, components, explained_variance: explained }
+        let mean = data.column_means().iter().map(|&m| m as f32).collect();
+        let eig = symmetric_eigen(&data.covariance(), k);
+        let explained_variance = eig.values.iter().map(|v| v.max(0.0)).collect();
+        Self { mean, components: eig.vectors, explained_variance }
     }
 
     /// The leading `k` components of this fit (`k` clamped to
@@ -89,23 +89,23 @@ impl Pca {
     /// Projects each row of `data` onto the principal subspace, producing an
     /// `n × k` matrix. Accepts owned matrices (`&Matrix`) and zero-copy
     /// [`DatasetView`]s alike.
+    ///
+    /// Output `c` of a row is the `f32` sum of `(x_j − μ_j)·v_cj` in feature
+    /// order. The loop runs feature-major over a transposed copy of the
+    /// components, so one centred feature updates all `k` outputs at once
+    /// instead of each output waiting on its own serial sum.
     pub fn transform<'a>(&self, data: impl Into<DatasetView<'a>>) -> Matrix {
         let data = data.into();
-        let n = data.rows();
-        let d = self.mean.len();
-        assert_eq!(data.cols(), d, "PCA transform dimension mismatch");
-        let k = self.components.rows();
-        let mut out = Matrix::zeros(n, k);
-        for r in 0..n {
-            let row = data.row(r);
+        assert_eq!(data.cols(), self.mean.len(), "PCA transform dimension mismatch");
+        let weights = self.components.transpose();
+        let mut out = Matrix::zeros(data.rows(), self.components.rows());
+        for r in 0..data.rows() {
             let out_row = out.row_mut(r);
-            for (c, out_val) in out_row.iter_mut().enumerate() {
-                let comp = self.components.row(c);
-                let mut acc = 0.0f32;
-                for j in 0..d {
-                    acc += (row[j] - self.mean[j]) * comp[j];
+            for ((&x, &mean), w) in data.row(r).iter().zip(&self.mean).zip(weights.rows_iter()) {
+                let centred = x - mean;
+                for (o, &v) in out_row.iter_mut().zip(w) {
+                    *o += centred * v;
                 }
-                *out_val = acc;
             }
         }
         out

@@ -1,11 +1,13 @@
-//! Property tests of the Householder + implicit-QL eigensolver against the
-//! cyclic Jacobi method, kept here as the reference implementation.
+//! Property tests of the leading-`k` eigensolver (Householder reduction, QL
+//! eigenvalues, inverse-iteration eigenvectors) against the cyclic Jacobi
+//! method, kept here as the reference implementation.
 //!
 //! Jacobi is slow (several `O(n³)` sweeps) but simple enough to trust: every
 //! rotation annihilates one off-diagonal entry, and the eigenvalues are read
 //! off the converged diagonal. The cases cover random symmetric matrices,
 //! repeated eigenvalues, rank-deficient `M·Mᵀ`, diagonal and all-zero
-//! matrices, and entries spanning `1e-6` to `1e6`, for `n ∈ 0..=48`.
+//! matrices, and entries spanning `1e-6` to `1e6`, for `n ∈ 0..=48`, each
+//! case asking for a drawn number of leading pairs `k ∈ 0..=n`.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -175,20 +177,25 @@ fn dot(a: &[f32], b: &[f32]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum()
 }
 
+/// `n ∈ 0..=48` and a number of wanted pairs `k ∈ 0..=n`.
+fn width_and_k() -> impl Strategy<Value = (usize, usize)> {
+    (0usize..=48, 0usize..=48).prop_map(|(n, k)| (n, k % (n + 1)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
-    fn ql_matches_the_jacobi_oracle(kind in 0usize..7, n in 0usize..=48, seed in 0u64..u64::MAX) {
+    fn ql_matches_the_jacobi_oracle(kind in 0usize..7, (n, k) in width_and_k(), seed in 0u64..u64::MAX) {
         let a = test_matrix(kind, n, seed);
-        let eig = symmetric_eigen(&a);
+        let eig = symmetric_eigen(&a, k);
         let reference = oracle(&a);
-        prop_assert_eq!(eig.values.len(), n);
-        prop_assert_eq!((eig.vectors.rows(), eig.vectors.cols()), (n, n));
+        prop_assert_eq!(eig.values.len(), k);
+        prop_assert_eq!((eig.vectors.rows(), eig.vectors.cols()), (k, n));
         let max_abs = reference.values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
 
         // Descending eigenvalues, each within 1e-9·max|λ| of Jacobi's.
-        for i in 0..n {
+        for i in 0..k {
             if i > 0 {
                 prop_assert!(eig.values[i - 1] >= eig.values[i], "kind {kind} n {n}: not descending at {i}");
             }
@@ -196,7 +203,7 @@ proptest! {
             prop_assert!(err <= 1e-9 * max_abs, "kind {kind} n {n}: λ{i} off by {err:e} (max|λ| {max_abs:e})");
         }
 
-        for i in 0..n {
+        for i in 0..k {
             let v = eig.vectors.row(i);
             // Residual ‖Av − λv‖ ≤ 1e-5·max|λ|.
             let residual = (0..n)
@@ -210,15 +217,29 @@ proptest! {
                 let got = dot(v, eig.vectors.row(j));
                 prop_assert!((got - expected).abs() <= 1e-5, "kind {kind} n {n}: ⟨v{i}, v{j}⟩ = {got}");
             }
-            // Jacobi's eigenvector wherever the eigenvalue is well separated.
+            // Jacobi's eigenvector wherever the eigenvalue is well separated
+            // from the whole spectrum.
             let gap = (0..n)
                 .filter(|&j| j != i)
-                .map(|j| (eig.values[i] - eig.values[j]).abs())
+                .map(|j| (reference.values[i] - reference.values[j]).abs())
                 .fold(f64::INFINITY, f64::min);
             if gap > 1e-3 * max_abs {
                 let cosine = dot(v, reference.vectors.row(i)).abs();
                 prop_assert!(cosine >= 1.0 - 1e-5, "kind {kind} n {n}: |⟨v{i}, v_jacobi⟩| = {cosine}");
             }
+        }
+
+        // A narrower solve is the leading rows of a wider one, bit for bit.
+        for j in [0, k / 2, k.saturating_sub(1)] {
+            let narrow = symmetric_eigen(&a, j);
+            let value_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let vector_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(value_bits(&narrow.values), value_bits(&eig.values[..j]), "kind {} n {} k {}: λ prefix {}", kind, n, k, j);
+            prop_assert_eq!(
+                vector_bits(narrow.vectors.data()),
+                vector_bits(&eig.vectors.data()[..j * n]),
+                "kind {} n {} k {}: vector prefix {}", kind, n, k, j
+            );
         }
     }
 }

@@ -11,13 +11,16 @@
 //! The binary exists so that the system can be exercised end to end without
 //! writing any Rust; library users should prefer [`snoopy::prelude`].
 
+use snoopy::data::noise::cifar_n_variants;
 use snoopy::data::registry::{self, SizeScale};
 use snoopy::prelude::*;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 struct Args {
     dataset: String,
-    noise: NoiseModel,
+    /// `--noise`, if given; CIFAR-N variants bring their own noise instead.
+    noise: Option<NoiseModel>,
     target: f64,
     scale: SizeScale,
     strategy: SelectionStrategy,
@@ -32,7 +35,8 @@ fn print_usage() {
          \x20             [--batch-fraction F] [--seed N]\n\
          \n\
          datasets: mnist cifar10 cifar100 imdb sst2 yelp, or a CIFAR-N variant\n\
-         ({})",
+         ({}),\n\
+         which carries its own class-dependent noise and takes no --noise",
         registry::cifar_n_names().join(" ")
     );
 }
@@ -40,7 +44,7 @@ fn print_usage() {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         dataset: "cifar10".to_string(),
-        noise: NoiseModel::Clean,
+        noise: None,
         target: 0.9,
         scale: SizeScale::Small,
         strategy: SelectionStrategy::SuccessiveHalvingTangent,
@@ -82,7 +86,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--noise" => {
-                args.noise = if value == "clean" {
+                args.noise = Some(if value == "clean" {
                     NoiseModel::Clean
                 } else if let Some(rho) = value.strip_prefix("uniform:") {
                     NoiseModel::Uniform(parse_noise_level(rho)?)
@@ -90,7 +94,7 @@ fn parse_args() -> Result<Args, String> {
                     NoiseModel::Pairwise(parse_noise_level(rho)?)
                 } else {
                     return Err(format!("unknown noise model {value}"));
-                };
+                });
             }
             other => return Err(format!("unknown flag {other}")),
         }
@@ -108,14 +112,26 @@ fn parse_noise_level(rho: &str) -> Result<f64, String> {
     }
 }
 
-fn load_task(args: &Args) -> Result<TaskDataset, String> {
-    if registry::cifar_n_names().iter().any(|n| n == &args.dataset) {
-        return Ok(registry::load_cifar_n(&args.dataset, args.scale, args.seed));
+/// Loads the task with the noise model its labels carry: a CIFAR-N variant's
+/// own class-dependent matrix, else `--noise` (default clean). `--noise` with
+/// a CIFAR-N variant is an error, raised before anything loads: the
+/// variant's loader would ignore it.
+fn load_task(args: &Args) -> Result<(TaskDataset, NoiseModel), String> {
+    if let Some(variant) = cifar_n_variants().into_iter().find(|v| v.name == args.dataset) {
+        if args.noise.is_some() {
+            return Err(format!(
+                "--noise does not apply to {}: a CIFAR-N variant carries its own class-dependent noise",
+                variant.name
+            ));
+        }
+        let task = registry::load_cifar_n(&variant.name, args.scale, args.seed);
+        return Ok((task, NoiseModel::ClassDependent(variant.matrix)));
     }
     if registry::spec_by_name(&args.dataset).is_none() {
         return Err(format!("unknown dataset {}", args.dataset));
     }
-    Ok(registry::load_with_noise(&args.dataset, args.scale, &args.noise, args.seed))
+    let noise = args.noise.clone().unwrap_or(NoiseModel::Clean);
+    Ok((registry::load_with_noise(&args.dataset, args.scale, &noise, args.seed), noise))
 }
 
 /// Prints `error: message` (when there is one) and the usage text; the
@@ -139,36 +155,56 @@ fn main() -> ExitCode {
     if let Err(e) = config.validate() {
         return fail(&e.to_string());
     }
-    let task = match load_task(&args) {
-        Ok(task) => task,
+    let (task, noise) = match load_task(&args) {
+        Ok(loaded) => loaded,
         Err(message) => return fail(&message),
     };
+    match run(&args, config, &noise, &task, &mut io::stdout().lock()) {
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`snoopy … | head`): nothing left to report to.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write the report: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
-    println!(
+/// Runs the study and writes the report to `out`, stopping at the first
+/// failed write.
+fn run(
+    args: &Args,
+    config: SnoopyConfig,
+    noise: &NoiseModel,
+    task: &TaskDataset,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    writeln!(
+        out,
         "dataset            : {} ({} classes, {} train / {} test)",
         task.name,
         task.num_classes,
         task.train.len(),
         task.test.len()
-    );
-    println!("noise model        : {}", args.noise.describe());
-    println!("observed noise rate: {:.3}", task.observed_noise_rate());
+    )?;
+    writeln!(out, "noise model        : {}", noise.describe())?;
+    writeln!(out, "observed noise rate: {:.3}", task.observed_noise_rate())?;
     if let Some(ber) = task.meta.true_ber {
-        println!("replica clean BER  : {ber:.4}");
+        writeln!(out, "replica clean BER  : {ber:.4}")?;
     }
 
-    let zoo = zoo_for_task(&task, args.seed);
-    let report = FeasibilityStudy::new(config).run(&task, &zoo);
+    let zoo = zoo_for_task(task, args.seed);
+    let report = FeasibilityStudy::new(config).run(task, &zoo);
 
-    println!("\n=== Snoopy verdict ===");
-    println!("target accuracy    : {:.3}", args.target);
-    println!("decision           : {}", report.decision.name());
-    println!("BER estimate       : {:.4}", report.ber_estimate);
-    println!("projected accuracy : {:.4}", report.projected_accuracy);
-    println!("gap to target      : {:+.4}", report.gap);
-    println!("best transformation: {}", report.best_transformation);
-    println!("simulated GPU cost : {:.1} s", report.simulated_cost_seconds);
-    println!("wall clock         : {:.2} s", report.wall_clock_seconds);
-    println!("\n--- additional guidance (Section IV-C) ---\n{}", report.guidance.render());
-    ExitCode::SUCCESS
+    writeln!(out, "\n=== Snoopy verdict ===")?;
+    writeln!(out, "target accuracy    : {:.3}", args.target)?;
+    writeln!(out, "decision           : {}", report.decision.name())?;
+    writeln!(out, "BER estimate       : {:.4}", report.ber_estimate)?;
+    writeln!(out, "projected accuracy : {:.4}", report.projected_accuracy)?;
+    writeln!(out, "gap to target      : {:+.4}", report.gap)?;
+    writeln!(out, "best transformation: {}", report.best_transformation)?;
+    writeln!(out, "simulated GPU cost : {:.1} s", report.simulated_cost_seconds)?;
+    writeln!(out, "wall clock         : {:.2} s", report.wall_clock_seconds)?;
+    writeln!(out, "\n--- additional guidance (Section IV-C) ---\n{}", report.guidance.render())?;
+    out.flush()
 }

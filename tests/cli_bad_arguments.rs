@@ -1,6 +1,6 @@
-//! The `snoopy` binary rejects out-of-range arguments with an `error:` line
-//! and the usage text, exiting with code 1 — never with a panic backtrace,
-//! and before any dataset is loaded.
+//! The `snoopy` binary rejects out-of-range or conflicting arguments with an
+//! `error:` line and the usage text, exiting with code 1 — never with a panic
+//! backtrace, and before any dataset is loaded.
 
 use std::process::Command;
 
@@ -11,6 +11,7 @@ fn out_of_range_arguments_print_an_error_instead_of_panicking() {
         &["--target", "nan"],
         &["--batch-fraction", "0"],
         &["--noise", "uniform:1.5"],
+        &["--dataset", "cifar10-aggre", "--noise", "uniform:0.3"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_snoopy")).args(args).output().expect("run snoopy");
         let stderr = String::from_utf8_lossy(&out.stderr);
