@@ -3,11 +3,10 @@
 //! the leave-one-out error (parallel self-excluding kernel vs a
 //! forced-serial engine), the single-core scalar-vs-tiled kernel comparison
 //! (the PR-3 per-pair scalar scan against the tile-blocked `MetricKernel`
-//! path, per metric, across an n × d grid), the exhaustive-vs-clustered
-//! backend comparison (wall-clock, pruning rates, index build time) on a
-//! clustered synthetic workload, the plain-vs-quantized clustered scan
-//! (int8 two-phase scan against the exact f32 scan on the same partition,
-//! plus resident-bytes accounting for the scan copy), the incremental
+//! path, per metric, across an n × d grid), the plain-vs-quantized pruned
+//! scan (int8 two-phase scan against the exact f32 scan of a warm
+//! `ShardedIndex` with an unbounded budget, same partition, plus
+//! resident-bytes accounting for the scan copy), the incremental
 //! successor-state comparison (per-round append fold vs full table rebuild,
 //! plus the relabel refresh latency), the sliding-window eviction comparison
 //! (per-slide append+evict on an eviction-enabled state vs a cold rebuild of
@@ -28,9 +27,8 @@
 //! perf-trajectory anchor — run it before and after touching the engine.
 //!
 //! Every section asserts bit-exact parity before timing anything, the
-//! clustered section additionally asserts a non-zero pruning rate, the
-//! quantized section asserts a ≥ 2× speedup over the plain clustered scan
-//! at n ≥ 10 000 plus the exact 4× code-vs-f32 byte ratio, and the
+//! quantized section asserts a ≥ 2× speedup over the plain f32 scan at
+//! n ≥ 10 000 plus the exact 4× code-vs-f32 byte ratio, and the
 //! incremental section asserts a ≥ 2× round-over-round speedup of the
 //! append fold over the rebuild at n ≥ 10 000, and the eviction section
 //! asserts a ≥ 2× per-slide speedup of append+evict over the cold window
@@ -44,7 +42,7 @@
 
 use snoopy_bench::time_median;
 use snoopy_knn::engine::{knn_reference, nearest_reference, EvalEngine, NeighborTable, TopKState};
-use snoopy_knn::{BruteForceIndex, ClusteredIndex, EvalBackend, IncrementalTopK, Metric, MetricKernel};
+use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric, MetricKernel, ShardedIndex};
 use snoopy_linalg::{rng, DatasetView, LabeledView, Matrix};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -55,8 +53,7 @@ fn make_data(n: usize, d: usize, seed: u64) -> Matrix {
 }
 
 /// Clustered synthetic features (the shared fixture builder): `n` rows drawn
-/// round-robin from `centers` well-separated Gaussian blobs — the workload
-/// shape the clustered backend is built for.
+/// round-robin from `centers` well-separated Gaussian blobs.
 fn make_blobs(n: usize, d: usize, centers: usize, seed: u64) -> Matrix {
     snoopy_testutil::blob_cloud(seed, n, d, centers, 4.0, 0.15)
 }
@@ -102,23 +99,12 @@ struct LooCase {
     parallel_s: f64,
 }
 
-struct ClusteredCase {
-    train_n: usize,
-    nlist: usize,
-    k: usize,
-    build_s: f64,
-    exhaustive_qps: f64,
-    clustered_qps: f64,
-    cluster_prune_rate: f64,
-    row_prune_rate: f64,
-}
-
 struct QuantizedCase {
     train_n: usize,
     nlist: usize,
     k: usize,
     quantize_s: f64,
-    clustered_qps: f64,
+    plain_qps: f64,
     quantized_qps: f64,
     rerank_rate: f64,
     f32_bytes: usize,
@@ -304,7 +290,7 @@ fn scoped_spawn_topk(
 }
 
 fn main() {
-    let scale = snoopy_bench::scale_from_args();
+    let (scale, []) = snoopy_bench::parse_args([]);
     let (sizes, queries, dim, reps): (&[usize], usize, usize, usize) = match scale {
         snoopy_data::registry::SizeScale::Tiny => (&[500, 1_000], 100, 32, 5),
         snoopy_data::registry::SizeScale::Standard => (&[2_000, 8_000, 32_000], 500, 64, 7),
@@ -489,81 +475,14 @@ fn main() {
         }
     }
 
-    // Exhaustive vs clustered backend on a clustered synthetic workload:
-    // parity is asserted bit for bit, the pruning rate must be non-zero
-    // (otherwise the pruned path silently regressed to an exhaustive scan),
-    // and both query paths are timed with the same parallel engine. The
-    // k-means build is timed separately — it is a one-off cost amortised
-    // over every query batch that reuses the index.
-    let (clustered_sizes, clustered_queries): (&[usize], usize) = match scale {
-        snoopy_data::registry::SizeScale::Tiny => (&[2_000], 150),
-        snoopy_data::registry::SizeScale::Standard => (&[10_000, 32_000], 500),
-        _ => (&[10_000, 16_000], 400),
-    };
-    let blob_dim = 32;
-    let blob_centers = 64;
-    let k = 10;
-    let mut clustered_cases = Vec::new();
-    for (i, &n) in clustered_sizes.iter().enumerate() {
-        let train_x = make_blobs(n, blob_dim, blob_centers, 40 + i as u64);
-        let query_x = make_blobs(clustered_queries, blob_dim, blob_centers, 80 + i as u64);
-        let nlist = EvalBackend::default_nlist(n);
-        let engine = EvalEngine::parallel();
-
-        let build_start = Instant::now();
-        let index =
-            ClusteredIndex::build_with_engine(train_x.view(), Metric::SquaredEuclidean, nlist, engine);
-        let build_s = build_start.elapsed().as_secs_f64();
-
-        let (table, stats) = index.topk_with_stats(query_x.view(), k);
-        assert_eq!(
-            table,
-            engine.topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, k),
-            "clustered backend must be bit-identical to the exhaustive engine"
-        );
-        assert!(
-            stats.cluster_prune_rate() > 0.0,
-            "clustered backend pruned nothing (rate {}) — the pruned path regressed to exhaustive",
-            stats.cluster_prune_rate()
-        );
-
-        let t_exhaustive = time_median(reps, || {
-            std::hint::black_box(engine.topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, k));
-        });
-        let t_clustered = time_median(reps, || {
-            std::hint::black_box(index.topk(query_x.view(), k));
-        });
-        let case = ClusteredCase {
-            train_n: n,
-            nlist,
-            k,
-            build_s,
-            exhaustive_qps: clustered_queries as f64 / t_exhaustive,
-            clustered_qps: clustered_queries as f64 / t_clustered,
-            cluster_prune_rate: stats.cluster_prune_rate(),
-            row_prune_rate: stats.row_prune_rate(),
-        };
-        println!(
-            "n={:>6} d={} top-{:<2} clustered(nlist={:>3}) exhaustive {:>10.0} q/s   clustered {:>10.0} q/s   speedup {:.2}x   prune {:.1}% clusters / {:.1}% rows   build {:.3}s",
-            case.train_n,
-            blob_dim,
-            k,
-            nlist,
-            case.exhaustive_qps,
-            case.clustered_qps,
-            case.clustered_qps / case.exhaustive_qps,
-            100.0 * case.cluster_prune_rate,
-            100.0 * case.row_prune_rate,
-            build_s,
-        );
-        clustered_cases.push(case);
-    }
-
-    // Int8 two-phase scan vs the unquantized clustered scan, same partition:
-    // loose, high-dimensional blobs (within-fraction 1.2 of the center
-    // spread, d = 128) put the workload in the regime the quantized shadow
-    // exists for — bound-based pruning decays toward a full scan and row
-    // traffic dominates, so streaming one byte per dimension through the
+    // Int8 two-phase scan vs the unquantized f32 scan of the pruned index,
+    // same partition: both are warm `ShardedIndex`es with an unbounded
+    // budget (one untimed query faults every shard it visits in, and
+    // nothing is evicted after), so the timed runs scan resident shards on
+    // one thread. Loose, high-dimensional blobs (within-fraction 1.2 of the
+    // center spread, d = 128) put the workload in the regime the quantized
+    // shadow exists for — bound-based pruning decays toward a full scan and
+    // row traffic dominates, so streaming one byte per dimension through the
     // integer dot tile beats streaming four. Parity is asserted bit for bit
     // against the exhaustive engine, the re-rank rate must be < 1 (the int8
     // bound actually excludes rows), the int8 scan copy must measure exactly
@@ -582,28 +501,35 @@ fn main() {
         let train_x = snoopy_testutil::blob_cloud(140 + i as u64, n, quant_dim, quant_centers, 4.0, 1.2);
         let query_x =
             snoopy_testutil::blob_cloud(180 + i as u64, quant_queries, quant_dim, quant_centers, 4.0, 1.2);
-        let nlist = EvalBackend::default_nlist(n);
+        // ⌈√n⌉ clusters: the centroid scan and the in-cluster scans cost
+        // about the same.
+        let nlist = (n as f64).sqrt().ceil() as usize;
         let engine = EvalEngine::parallel();
-        let plain =
-            ClusteredIndex::build_with_engine(train_x.view(), Metric::SquaredEuclidean, nlist, engine);
+        let build = || ShardedIndex::build(train_x.view(), Metric::SquaredEuclidean, nlist, usize::MAX);
+        let mut plain = build();
+        let unquantized = build();
+        // The affine fit only: shards encode when the warm-up query faults
+        // them in.
         let quantize_start = Instant::now();
-        let quantized = plain.clone().quantize();
+        let mut quantized = unquantized.quantize();
         let quantize_s = quantize_start.elapsed().as_secs_f64();
         assert!(quantized.is_quantized(), "sane blob data must accept the int8 shadow");
 
-        let (table, stats) = quantized.topk_with_stats(query_x.view(), quant_k);
+        let exhaustive = engine.topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, quant_k);
         assert_eq!(
-            table,
-            engine.topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, quant_k),
-            "quantized scan must be bit-identical to the exhaustive engine"
+            plain.topk(query_x.view(), quant_k),
+            exhaustive,
+            "plain pruned scan must be bit-identical to the exhaustive engine"
         );
+        let (table, stats) = quantized.topk_with_stats(query_x.view(), quant_k);
+        assert_eq!(table, exhaustive, "quantized scan must be bit-identical to the exhaustive engine");
         assert!(stats.rows_quantized > 0, "quantized index never took the int8 phase: {stats:?}");
         let rerank_rate = stats.rerank_rate();
         assert!(
             rerank_rate < 1.0,
             "int8 bound re-ranked every phase-1 row (rate {rerank_rate}) — the widened bound prunes nothing"
         );
-        let rb = quantized.resident_bytes();
+        let rb = quantized.resident_bytes().resident;
         assert_eq!(rb.quantized_codes * 4, rb.train_rows, "int8 scan copy must be exactly 4x smaller");
 
         let t_plain = time_median(reps, || {
@@ -615,7 +541,7 @@ fn main() {
         if n >= 10_000 {
             assert!(
                 t_plain / t_quant >= 2.0,
-                "quantized scan must beat the unquantized clustered scan >= 2x at n = {n} \
+                "quantized scan must beat the unquantized pruned scan >= 2x at n = {n} \
                  (got {:.2}x) — the two-phase scan regressed below its headline contract",
                 t_plain / t_quant
             );
@@ -625,7 +551,7 @@ fn main() {
             nlist,
             k: quant_k,
             quantize_s,
-            clustered_qps: quant_queries as f64 / t_plain,
+            plain_qps: quant_queries as f64 / t_plain,
             quantized_qps: quant_queries as f64 / t_quant,
             rerank_rate,
             f32_bytes: rb.train_rows,
@@ -633,12 +559,12 @@ fn main() {
             meta_bytes: rb.quantized_meta,
         };
         println!(
-            "n={:>6} d={quant_dim} top-{quant_k} quantized(nlist={:>3}) clustered {:>8.0} q/s   int8 two-phase {:>8.0} q/s   speedup {:.2}x   rerank {:.1}%   codes {:.1} MiB vs f32 {:.1} MiB   quantize {:.3}s",
+            "n={:>6} d={quant_dim} top-{quant_k} quantized(nlist={:>3}) f32 {:>8.0} q/s   int8 two-phase {:>8.0} q/s   speedup {:.2}x   rerank {:.1}%   codes {:.1} MiB vs f32 {:.1} MiB   quantize {:.3}s",
             case.train_n,
             nlist,
-            case.clustered_qps,
+            case.plain_qps,
             case.quantized_qps,
-            case.quantized_qps / case.clustered_qps,
+            case.quantized_qps / case.plain_qps,
             100.0 * rerank_rate,
             case.code_bytes as f64 / (1024.0 * 1024.0),
             case.f32_bytes as f64 / (1024.0 * 1024.0),
@@ -1097,8 +1023,7 @@ fn main() {
         let train_x = full.features().slice_rows(0, train_rows);
         let eval_x = full.features().slice_rows(train_rows, n);
         let kq = 8usize;
-        let mut index =
-            snoopy_knn::ShardedIndex::build(train_x, Metric::SquaredEuclidean, cfg.nlist, budget_bytes);
+        let mut index = ShardedIndex::build(train_x, Metric::SquaredEuclidean, cfg.nlist, budget_bytes);
         index.set_prefetch_depth(0);
         let serial_table = index.topk(eval_x, kq); // warm-up + reference
         let t_serial_q = time_median(3, || {
@@ -1179,7 +1104,7 @@ fn main() {
     // Per-section provenance: say what each section's speedup compares and
     // whether that comparison depends on the thread count. A blanket
     // "single-core numbers are noise" note would be wrong for most of the
-    // file — kernel/clustered/quantized/incremental/eviction sections
+    // file — kernel/quantized/incremental/eviction sections
     // compare two single-threaded code paths and are valid on any host; only
     // the serial-vs-parallel sections degenerate when threads == 1.
     let _ = writeln!(json, "  \"section_meta\": {{");
@@ -1196,10 +1121,8 @@ fn main() {
     let _ = writeln!(
         json,
         "{}",
-        thread_free("clustered_cases", "exhaustive scan vs triangle-pruned clustered index")
+        thread_free("quantized_cases", "f32 scan vs int8 two-phase scan of a warm unbounded ShardedIndex")
     );
-    let _ =
-        writeln!(json, "{}", thread_free("quantized_cases", "plain clustered scan vs int8 two-phase scan"));
     let _ = writeln!(json, "{}", thread_free("incremental_cases", "incremental append vs cold rebuild"));
     let _ = writeln!(
         json,
@@ -1285,37 +1208,19 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"clustered_cases\": [");
-    for (i, c) in clustered_cases.iter().enumerate() {
-        let comma = if i + 1 < clustered_cases.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"train_n\": {}, \"dim\": {blob_dim}, \"centers\": {blob_centers}, \"nlist\": {}, \"k\": {}, \"metric\": \"sq-euclidean\", \"build_s\": {:.6}, \"exhaustive_qps\": {:.1}, \"clustered_qps\": {:.1}, \"speedup\": {:.3}, \"cluster_prune_rate\": {:.4}, \"row_prune_rate\": {:.4}}}{comma}",
-            c.train_n,
-            c.nlist,
-            c.k,
-            c.build_s,
-            c.exhaustive_qps,
-            c.clustered_qps,
-            c.clustered_qps / c.exhaustive_qps,
-            c.cluster_prune_rate,
-            c.row_prune_rate,
-        );
-    }
-    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"quantized_cases\": [");
     for (i, c) in quantized_cases.iter().enumerate() {
         let comma = if i + 1 < quantized_cases.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"train_n\": {}, \"dim\": {quant_dim}, \"centers\": {quant_centers}, \"nlist\": {}, \"k\": {}, \"metric\": \"sq-euclidean\", \"quantize_s\": {:.6}, \"clustered_qps\": {:.1}, \"quantized_qps\": {:.1}, \"speedup\": {:.3}, \"rerank_rate\": {:.4}, \"f32_bytes\": {}, \"code_bytes\": {}, \"meta_bytes\": {}}}{comma}",
+            "    {{\"train_n\": {}, \"dim\": {quant_dim}, \"centers\": {quant_centers}, \"nlist\": {}, \"k\": {}, \"metric\": \"sq-euclidean\", \"quantize_s\": {:.6}, \"plain_qps\": {:.1}, \"quantized_qps\": {:.1}, \"speedup\": {:.3}, \"rerank_rate\": {:.4}, \"f32_bytes\": {}, \"code_bytes\": {}, \"meta_bytes\": {}}}{comma}",
             c.train_n,
             c.nlist,
             c.k,
             c.quantize_s,
-            c.clustered_qps,
+            c.plain_qps,
             c.quantized_qps,
-            c.quantized_qps / c.clustered_qps,
+            c.quantized_qps / c.plain_qps,
             c.rerank_rate,
             c.f32_bytes,
             c.code_bytes,

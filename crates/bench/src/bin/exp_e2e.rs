@@ -7,15 +7,14 @@
 //! seconds) is then priced under all three cost scenarios, exactly as the
 //! paper prices the same interaction under different label-cost regimes.
 
-use snoopy_bench::{f4, scale_from_args, string_arg, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_data::noise::NoiseModel;
 use snoopy_data::registry::load_with_noise;
 use snoopy_e2e::{simulate, SimulationConfig, UserStrategy};
 use snoopy_models::{CostScenario, LabelCost, MachineCost};
 
 fn main() {
-    let scale = scale_from_args();
-    let datasets = string_arg("datasets", "cifar10,sst2,cifar100");
+    let (scale, [datasets]) = parse_args([("datasets", "cifar10,sst2,cifar100")]);
     let mut table = ResultsTable::new(
         "fig9_10_e2e_use_case",
         &[

@@ -5,14 +5,14 @@
 //! III-A anticipates.
 
 use snoopy_bandit::SelectionStrategy;
-use snoopy_bench::{f4, scale_from_args, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_core::{FeasibilityStudy, SnoopyConfig};
 use snoopy_data::feature_noise::{apply_feature_noise, FeatureNoise};
 use snoopy_data::registry::load_clean;
 use snoopy_embeddings::zoo_for_task;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, []) = parse_args([]);
     let mut table = ResultsTable::new(
         "ext_feature_noise",
         &["dataset", "corruption", "ber_estimate", "projected_accuracy", "decision_for_90pct_target"],

@@ -3,15 +3,14 @@
 //! inference cost and wall-clock time needed to produce the estimate.
 
 use snoopy_bandit::SelectionStrategy;
-use snoopy_bench::{f4, scale_from_args, string_arg, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_core::{FeasibilityStudy, SnoopyConfig};
 use snoopy_data::noise::NoiseModel;
 use snoopy_data::registry::load_with_noise;
 use snoopy_embeddings::{zoo_for_task, Transformation};
 
 fn main() {
-    let scale = scale_from_args();
-    let datasets = string_arg("datasets", "cifar10,cifar100");
+    let (scale, [datasets]) = parse_args([("datasets", "cifar10,cifar100")]);
     let mut table = ResultsTable::new(
         "fig12_selection_strategies",
         &["dataset", "batch_fraction", "strategy", "ber_estimate", "simulated_seconds", "wall_clock_seconds"],

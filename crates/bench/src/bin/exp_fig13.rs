@@ -4,7 +4,7 @@
 //! answers the k-prefix majority-vote error — both are asserted equal to a
 //! cold rebuild before anything is timed.
 
-use snoopy_bench::{scale_from_args, ResultsTable};
+use snoopy_bench::{parse_args, ResultsTable};
 use snoopy_data::cleaning::clean_fraction;
 use snoopy_data::noise::NoiseModel;
 use snoopy_data::registry::{load_with_noise, table1_specs};
@@ -18,7 +18,7 @@ use std::time::Instant;
 const TABLE_K: usize = 3;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, []) = parse_args([]);
     let mut table = ResultsTable::new(
         "fig13_incremental_execution",
         &["dataset", "train", "test", "from_scratch_ms", "incremental_ms", "speedup"],

@@ -2,14 +2,14 @@
 //! δ_f, asymptotic tightness Δ_f and Δ_id, finite-sample gap γ_{f,n}) and the
 //! Condition 8 margin, evaluated on a task with known Bayes error.
 
-use snoopy_bench::{f4, scale_from_args, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_core::theory::{condition8_summary, regime_quantities};
 use snoopy_data::noise::NoiseModel;
 use snoopy_data::registry::load_with_noise;
 use snoopy_embeddings::zoo_for_task;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, []) = parse_args([]);
     let task = load_with_noise("cifar10", scale, &NoiseModel::Clean, 55);
     let zoo = zoo_for_task(&task, 55);
     let fractions = [0.25f64, 0.5, 1.0];

@@ -3,7 +3,7 @@
 //! training set, (b) estimate versus training-set size without noise — for
 //! every Table I dataset.
 
-use snoopy_bench::{f4, scale_from_args, string_arg, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_data::noise::{ber_after_uniform_noise, NoiseModel};
 use snoopy_data::registry::{load_clean, load_with_noise, table1_specs};
 use snoopy_embeddings::zoo_for_task;
@@ -11,8 +11,7 @@ use snoopy_estimators::cover_hart_lower_bound;
 use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric};
 
 fn main() {
-    let scale = scale_from_args();
-    let only = string_arg("datasets", "all");
+    let (scale, [only]) = parse_args([("datasets", "all")]);
     let embeddings_of_interest = ["raw", "pca64", "efficientnet-b7", "xlnet", "use-large", "nnlm-en-50"];
 
     let mut noise_table = ResultsTable::new(

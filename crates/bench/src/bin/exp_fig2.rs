@@ -2,7 +2,7 @@
 //! estimate under increasing uniform label noise, for raw features and the
 //! best transformation, versus a downscaled logistic-regression proxy.
 
-use snoopy_bench::{f4, scale_from_args, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_data::noise::{ber_after_uniform_noise, NoiseModel};
 use snoopy_data::registry::{apply_noise, load_clean};
 use snoopy_embeddings::zoo_for_task;
@@ -11,7 +11,7 @@ use snoopy_knn::{BruteForceIndex, Metric};
 use snoopy_models::logreg::grid_search_error;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, []) = parse_args([]);
     let base = load_clean("cifar10", scale, 2);
     let clean_ber = base.meta.true_ber.unwrap();
     let zoo = zoo_for_task(&base, 2);

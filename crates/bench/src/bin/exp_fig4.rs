@@ -5,7 +5,7 @@
 //! included as its own column.
 
 use snoopy_bandit::SelectionStrategy;
-use snoopy_bench::{f1, f4, scale_from_args, string_arg, ResultsTable};
+use snoopy_bench::{f1, f4, parse_args, ResultsTable};
 use snoopy_core::{FeasibilityStudy, SnoopyConfig};
 use snoopy_data::noise::{ber_after_uniform_noise, NoiseModel};
 use snoopy_data::registry::{load_with_noise, table1_specs};
@@ -14,8 +14,7 @@ use snoopy_models::logreg::{grid_search_error, LOGREG_GRID_SIZE};
 use snoopy_models::{AutoMlConfig, AutoMlSearch, FineTuneBaseline};
 
 fn main() {
-    let scale = scale_from_args();
-    let only = string_arg("datasets", "all");
+    let (scale, [only]) = parse_args([("datasets", "all")]);
     let mut table = ResultsTable::new(
         "fig4_estimations_vs_time_synthetic_noise",
         &["dataset", "noise", "method", "error_estimate", "simulated_seconds", "expected_noisy_sota"],

@@ -3,7 +3,7 @@
 //! approximation.
 
 use snoopy_bandit::SelectionStrategy;
-use snoopy_bench::{f1, f4, scale_from_args, ResultsTable};
+use snoopy_bench::{f1, f4, parse_args, ResultsTable};
 use snoopy_core::{FeasibilityStudy, SnoopyConfig};
 use snoopy_data::noise::{ber_approx_class_dependent, ber_bounds_class_dependent, cifar_n_variants};
 use snoopy_data::registry::load_cifar_n;
@@ -12,7 +12,7 @@ use snoopy_models::logreg::{grid_search_error, LOGREG_GRID_SIZE};
 use snoopy_models::FineTuneBaseline;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, []) = parse_args([]);
     let mut table = ResultsTable::new(
         "fig5_estimations_vs_time_cifar_n",
         &[

@@ -2,14 +2,14 @@
 //! taking the minimum over the zoo (IMDB and SST-2 analogues).
 
 use snoopy_bandit::SelectionStrategy;
-use snoopy_bench::{f4, scale_from_args, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_core::{FeasibilityStudy, SnoopyConfig};
 use snoopy_data::noise::NoiseModel;
 use snoopy_data::registry::load_with_noise;
 use snoopy_embeddings::zoo_for_task;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, []) = parse_args([]);
     let mut table = ResultsTable::new(
         "fig6_single_transformation_impact",
         &["dataset", "transformation", "ber_estimate", "gap_to_minimum", "gap_to_sota"],

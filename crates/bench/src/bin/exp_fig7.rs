@@ -2,7 +2,7 @@
 //! with 20 % / 40 % uniform noise, two target accuracies each, plus the
 //! Eq. 10 extrapolation of additional samples needed.
 
-use snoopy_bench::{f4, scale_from_args, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_data::noise::NoiseModel;
 use snoopy_data::registry::load_with_noise;
 use snoopy_embeddings::zoo_for_task;
@@ -10,7 +10,7 @@ use snoopy_estimators::{cover_hart_lower_bound, LogLinearFit};
 use snoopy_knn::{IncrementalTopK, Metric};
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, []) = parse_args([]);
     let mut curve_table = ResultsTable::new(
         "fig7_convergence_cifar100",
         &["noise", "train_samples", "one_nn_error", "ch_estimate"],

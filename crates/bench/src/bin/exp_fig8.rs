@@ -2,7 +2,7 @@
 //! fraction of the samples and extrapolated to the full dataset (CIFAR-100
 //! analogue, low label noise).
 
-use snoopy_bench::{f4, scale_from_args, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_data::noise::NoiseModel;
 use snoopy_data::registry::load_with_noise;
 use snoopy_embeddings::zoo_for_task;
@@ -10,7 +10,7 @@ use snoopy_estimators::{cover_hart_lower_bound, LogLinearFit};
 use snoopy_knn::{IncrementalTopK, Metric};
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, []) = parse_args([]);
     let task = load_with_noise("cifar100", scale, &NoiseModel::Uniform(0.2), 13);
     let zoo = zoo_for_task(&task, 13);
     let embedding = zoo.iter().find(|t| t.name() == "efficientnet-b5").expect("zoo has efficientnet-b5");

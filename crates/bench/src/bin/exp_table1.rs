@@ -1,11 +1,11 @@
 //! Table I: dataset statistics and SOTA errors, plus the calibrated Bayes
 //! error of each generated replica.
 
-use snoopy_bench::{f4, scale_from_args, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_data::registry::table1_specs;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, []) = parse_args([]);
     let mut table = ResultsTable::new(
         "table1_datasets",
         &[

@@ -1,45 +1,74 @@
 //! # snoopy-bench
 //!
 //! The experiment harness regenerating every table and figure of the paper's
-//! evaluation section, plus the JSON perf snapshots (`bench_knn_json`,
-//! `bench_auto_backend`).
+//! evaluation section, plus the JSON perf snapshot (`bench_knn_json`).
 //!
 //! Each `exp_*` binary in `src/bin/` prints the rows/series of one table or
 //! figure as a markdown-ish table on stdout and writes the same data as CSV
 //! under `results/`. Binaries accept `--scale tiny|small|standard` (default
 //! `small`; any other value is an error) so that the full suite can be
-//! reproduced quickly on a laptop or at a larger scale overnight; see
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
-//! paper-vs-measured comparisons.
+//! reproduced quickly on a laptop or at a larger scale overnight, plus the
+//! few flags each one declares to [`parse_args`]; an unknown flag is an
+//! error too. See `DESIGN.md` for the experiment index and `EXPERIMENTS.md`
+//! for recorded paper-vs-measured comparisons.
 
 use snoopy_data::registry::SizeScale;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Parses `--scale tiny|small|standard` from the command line (default:
-/// `small`). An unknown or missing value prints `error: …` and exits with
-/// code 1, rather than running a different sweep than the one asked for.
-pub fn scale_from_args() -> SizeScale {
+/// Parses this binary's command line: `--scale tiny|small|standard`
+/// (default `small`) and one `--<name> <value>` flag per `(name, default)`
+/// entry of `flags`. Returns the scale and the flag values, in `flags`
+/// order. An unknown flag, a flag without its value, or an unknown scale
+/// prints `error: …` and exits with code 1, rather than running a different
+/// sweep than the one asked for.
+pub fn parse_args<const N: usize>(flags: [(&str, &str); N]) -> (SizeScale, [String; N]) {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_scale(&args).unwrap_or_else(|message| {
+    parse(&args, &flags).unwrap_or_else(|message| {
         eprintln!("error: {message}");
         std::process::exit(1);
     })
 }
 
-/// The value of the first `--scale` in `args`, or `small` without one.
-fn parse_scale(args: &[String]) -> Result<SizeScale, String> {
-    let Some(at) = args.iter().position(|a| a == "--scale") else {
-        return Ok(SizeScale::Small);
-    };
-    match args.get(at + 1).map(String::as_str) {
-        Some("tiny") => Ok(SizeScale::Tiny),
-        Some("small") => Ok(SizeScale::Small),
-        Some("standard") => Ok(SizeScale::Standard),
-        Some(other) => Err(format!("unknown --scale value {other:?} (expected tiny, small or standard)")),
-        None => Err("--scale needs a value (tiny, small or standard)".to_string()),
+/// [`parse_args`] over an explicit argument list.
+fn parse<const N: usize>(
+    args: &[String],
+    flags: &[(&str, &str); N],
+) -> Result<(SizeScale, [String; N]), String> {
+    let mut scale = SizeScale::Small;
+    let mut values = flags.map(|(_, default)| default.to_string());
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let name = arg.strip_prefix("--").unwrap_or("");
+        let slot = flags.iter().position(|&(flag, _)| flag == name);
+        if name != "scale" && slot.is_none() {
+            let accepted: Vec<String> = std::iter::once("scale")
+                .chain(flags.iter().map(|&(f, _)| f))
+                .map(|f| format!("--{f}"))
+                .collect();
+            return Err(format!("unknown argument {arg:?} (accepted: {})", accepted.join(", ")));
+        }
+        let Some(value) = args.next() else {
+            return Err(format!("{arg} needs a value"));
+        };
+        match slot {
+            Some(i) => values[i] = value.clone(),
+            None => {
+                scale = match value.as_str() {
+                    "tiny" => SizeScale::Tiny,
+                    "small" => SizeScale::Small,
+                    "standard" => SizeScale::Standard,
+                    other => {
+                        return Err(format!(
+                            "unknown --scale value {other:?} (expected tiny, small or standard)"
+                        ))
+                    }
+                }
+            }
+        }
     }
+    Ok((scale, values))
 }
 
 /// Median seconds per run of `f` over `reps` runs.
@@ -52,18 +81,6 @@ pub fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
     }
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
-}
-
-/// Parses a `--<name> <value>` string argument.
-pub fn string_arg(name: &str, default: &str) -> String {
-    let flag = format!("--{name}");
-    let args: Vec<String> = std::env::args().collect();
-    for window in args.windows(2) {
-        if window[0] == flag {
-            return window[1].clone();
-        }
-    }
-    default.to_string()
 }
 
 /// A small CSV + stdout results writer.
@@ -189,6 +206,29 @@ mod tests {
     fn row_width_is_checked() {
         let mut t = ResultsTable::new("bad", &["a", "b"]);
         t.push(vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn parse_reads_scale_and_declared_flags_and_refuses_the_rest() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let flags = [("datasets", "a,b")];
+        assert_eq!(parse(&args(&[]), &flags), Ok((SizeScale::Small, ["a,b".to_string()])));
+        assert_eq!(
+            parse(&args(&["--datasets", "c", "--scale", "tiny"]), &flags),
+            Ok((SizeScale::Tiny, ["c".to_string()]))
+        );
+        for bad in [
+            &["--scael", "tiny"][..],
+            &["--datasets"],
+            &["--scale"],
+            &["--scale", "Tiny"],
+            &["tiny"],
+            &["scale", "tiny"],
+            &["--strategy", "x"],
+        ] {
+            assert!(parse(&args(bad), &flags).is_err(), "{bad:?} must be refused");
+        }
+        assert!(parse(&args(&["--datasets", "x"]), &[]).is_err(), "undeclared flag");
     }
 
     #[test]

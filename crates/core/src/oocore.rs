@@ -100,7 +100,8 @@ pub struct OutOfCoreReport {
 /// [`snoopy_linalg::disk::DiskDatasetError::ChecksumMismatch`] (wrapped in
 /// [`DiskPairError::Dataset`]) before any result is returned. A dataset
 /// with fewer than two rows (no train/eval split exists) is
-/// [`DiskPairError::TooFewRows`].
+/// [`DiskPairError::TooFewRows`], and one without feature columns is
+/// [`DiskPairError::NoFeatures`].
 pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError> {
     let dataset = Arc::new(open_splittable(dir)?);
     // Integrity off the fault path: re-hashing faults every page in, so it
@@ -149,16 +150,12 @@ pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreRe
 }
 
 /// The fully-resident reference for [`run_oocore_study`]: same split, same
-/// estimators, but the shared table comes from the in-memory engine. Exists
+/// estimators, but the shared table comes from one exhaustive scan of the
+/// in-memory engine ([`snoopy_estimators::shared_neighbor_table`]). Exists
 /// so parity tests and benches state "paged == resident" in one call, and
-/// fails the same way on a dataset too small to split.
-///
-/// The table goes through [`snoopy_estimators::shared_neighbor_table`], so
-/// [`snoopy_knn::EvalBackend::auto_for`] picks its backend: at the usual
-/// out-of-core shapes (a few hundred eval rows) that is the exhaustive
-/// engine, since so few queries cannot amortise a k-means build. "Paged ==
-/// resident" then compares the paged cluster scan against an independent
-/// code path rather than against a second cluster scan.
+/// fails the same way on a dataset too small to split or without feature
+/// columns. "Paged == resident" compares the pruned, paged cluster scan
+/// against an independent code path.
 pub fn run_resident_reference(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError> {
     let dataset = open_splittable(dir)?;
     let full = dataset.view();
@@ -192,12 +189,16 @@ pub fn run_resident_reference(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOf
     })
 }
 
-/// Opens the dataset at `dir`, refusing one with fewer than two rows: a
-/// study holds out at least one eval row and trains on at least one.
+/// Opens the dataset at `dir`, refusing one with fewer than two rows (a
+/// study holds out at least one eval row and trains on at least one) or
+/// with no feature columns (no distance between rows means anything).
 fn open_splittable(dir: &Path) -> Result<DiskLabeledDataset, DiskPairError> {
     let dataset = DiskLabeledDataset::open(dir)?;
     if dataset.len() < 2 {
         return Err(DiskPairError::TooFewRows { rows: dataset.len() });
+    }
+    if dataset.dim() == 0 {
+        return Err(DiskPairError::NoFeatures);
     }
     Ok(dataset)
 }
@@ -306,12 +307,17 @@ mod tests {
     #[test]
     fn datasets_too_small_to_split_are_a_typed_error() {
         type Study = fn(&Path, &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError>;
-        for rows in [0usize, 1] {
+        for (rows, cols) in [(0usize, 4usize), (1, 4), (10, 0)] {
             let dir = TempDir::new("oocore_too_few");
-            write_dataset(dir.path(), 3, rows, 4);
+            write_dataset(dir.path(), 3, rows, cols);
             for study in [run_oocore_study as Study, run_resident_reference] {
-                let err = study(dir.path(), &OutOfCoreConfig::default()).expect_err("no split exists");
-                assert!(matches!(err, DiskPairError::TooFewRows { rows: r } if r == rows), "{err:?}");
+                let err = study(dir.path(), &OutOfCoreConfig::default()).expect_err("no study exists");
+                if cols == 0 {
+                    assert!(matches!(err, DiskPairError::NoFeatures), "{err:?}");
+                    assert!(err.to_string().contains("0 feature columns"), "{err}");
+                } else {
+                    assert!(matches!(err, DiskPairError::TooFewRows { rows: r } if r == rows), "{err:?}");
+                }
             }
         }
     }

@@ -38,6 +38,9 @@ pub enum DiskPairError {
         /// Rows in the dataset.
         rows: usize,
     },
+    /// The dataset is valid but its rows have no feature columns, so no
+    /// distance between them means anything.
+    NoFeatures,
 }
 
 impl fmt::Display for DiskPairError {
@@ -50,6 +53,9 @@ impl fmt::Display for DiskPairError {
             DiskPairError::TooFewRows { rows } => {
                 write!(f, "a train/eval split needs at least 2 rows, the dataset has {rows}")
             }
+            DiskPairError::NoFeatures => {
+                write!(f, "the dataset has 0 feature columns, a study needs at least 1")
+            }
         }
     }
 }
@@ -58,7 +64,9 @@ impl std::error::Error for DiskPairError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DiskPairError::Dataset(e) => Some(e),
-            DiskPairError::RowMismatch { .. } | DiskPairError::TooFewRows { .. } => None,
+            DiskPairError::RowMismatch { .. }
+            | DiskPairError::TooFewRows { .. }
+            | DiskPairError::NoFeatures => None,
         }
     }
 }

@@ -32,16 +32,11 @@
 //! through the same engine kernels (blocked Prim relaxations and per-class
 //! Gaussian kernel accumulation, respectively).
 //!
-//! Table construction is backend-dispatched ([`EvalBackend`]): a split
-//! with enough eval queries to amortise a k-means build is answered by the
-//! exact-pruned clustered index in `snoopy-knn` (k-means coarse partition +
-//! triangle-inequality pruning), everything else by the exhaustive engine —
-//! the resulting tables are bit-identical, so every estimate is too.
-//! [`shared_neighbor_table`] and [`estimate_all`] auto-select by the
-//! build-amortisation rule of [`EvalBackend::auto_for`] (clustering from
-//! about `4 · 16 · √n` queries on `n` training rows, ~11.9k at n = 32k;
-//! below that the exhaustive engine measured faster); the `_with_backend`
-//! variants force a path.
+//! Every one-shot table ([`shared_neighbor_table`], [`estimate_all`]) is
+//! one exhaustive [`EvalEngine::topk`] scan. The out-of-core study builds
+//! its table through the pruned, shard-paged index in `snoopy-knn` instead
+//! and hands it to [`estimate_all_with_table`]; that table is bit-identical
+//! to the exhaustive one, so every estimate is too.
 //!
 //! All estimators receive a training view and a held-out evaluation view;
 //! estimators that conceptually use a single sample (GHP, KDE fitted on
@@ -60,7 +55,7 @@ pub mod kde;
 /// feasibility study, and the experiment binaries.
 pub use snoopy_linalg::LabeledView;
 
-pub use snoopy_knn::{EvalBackend, EvalEngine, IncrementalTopK, Metric, NeighborTable};
+pub use snoopy_knn::{EvalEngine, IncrementalTopK, Metric, NeighborTable};
 
 /// A Bayes-error estimator.
 pub trait BerEstimator: Send + Sync {
@@ -102,32 +97,15 @@ pub fn shared_table_k(estimators: &[Box<dyn BerEstimator>]) -> usize {
 }
 
 /// Computes the shared squared-Euclidean neighbour table: the `k_max` nearest
-/// training rows of every eval row, by the parallel engine. Neighbours depend
-/// only on features, so one table serves every relabelling of the same
-/// (transformation, split) pair. The evaluation backend is auto-selected by
-/// the build-amortisation rule ([`EvalBackend::auto_for`]): the
-/// exact-pruned clustered index only when the eval rows are numerous enough
-/// to pay for its k-means build, the exhaustive kernel otherwise — the
-/// table is bit-identical either way.
+/// training rows of every eval row, by one exhaustive scan of the parallel
+/// engine. Neighbours depend only on features, so one table serves every
+/// relabelling of the same (transformation, split) pair.
 pub fn shared_neighbor_table(
     train: snoopy_linalg::DatasetView<'_>,
     eval: snoopy_linalg::DatasetView<'_>,
     k_max: usize,
 ) -> NeighborTable {
-    let backend = EvalBackend::auto_for(train.rows(), eval.rows(), Metric::SquaredEuclidean);
-    shared_neighbor_table_with_backend(train, eval, k_max, backend)
-}
-
-/// [`shared_neighbor_table`] with an explicit [`EvalBackend`] (e.g. to force
-/// the clustered path in a parity test, or the exhaustive path in a timing
-/// baseline).
-pub fn shared_neighbor_table_with_backend(
-    train: snoopy_linalg::DatasetView<'_>,
-    eval: snoopy_linalg::DatasetView<'_>,
-    k_max: usize,
-    backend: EvalBackend,
-) -> NeighborTable {
-    EvalEngine::parallel().topk_with_backend(train, eval, Metric::SquaredEuclidean, k_max, backend)
+    EvalEngine::parallel().topk(train, eval, Metric::SquaredEuclidean, k_max)
 }
 
 /// Evaluates every estimator against one precomputed shared table: table
@@ -196,26 +174,11 @@ pub fn estimate_all(
     eval: &LabeledView<'_>,
     num_classes: usize,
 ) -> Vec<f64> {
-    let backend = EvalBackend::auto_for(train.len(), eval.len(), Metric::SquaredEuclidean);
-    estimate_all_with_backend(estimators, train, eval, num_classes, backend)
-}
-
-/// [`estimate_all`] with an explicit [`EvalBackend`] for the shared table:
-/// both backends produce bit-identical tables, so every estimate is
-/// identical too — the backend only decides how much scan work the table
-/// construction skips.
-pub fn estimate_all_with_backend(
-    estimators: &[Box<dyn BerEstimator>],
-    train: &LabeledView<'_>,
-    eval: &LabeledView<'_>,
-    num_classes: usize,
-    backend: EvalBackend,
-) -> Vec<f64> {
     let k_max = shared_table_k(estimators);
     if k_max == 0 || train.is_empty() || eval.is_empty() {
         return estimators.iter().map(|e| e.estimate(train, eval, num_classes)).collect();
     }
-    let table = shared_neighbor_table_with_backend(train.features(), eval.features(), k_max, backend);
+    let table = shared_neighbor_table(train.features(), eval.features(), k_max);
     estimate_all_with_table(estimators, &table, train, eval, num_classes)
 }
 

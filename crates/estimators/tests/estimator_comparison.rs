@@ -5,9 +5,8 @@
 use proptest::prelude::*;
 use snoopy_data::noise::{ber_after_uniform_noise, TransitionMatrix};
 use snoopy_estimators::{
-    cover_hart_lower_bound, default_estimators, estimate_all, estimate_all_with_backend,
-    estimate_all_with_state, estimate_all_with_table, shared_neighbor_table,
-    shared_neighbor_table_with_backend, shared_table_k, BerEstimator, EvalBackend, IncrementalTopK,
+    cover_hart_lower_bound, default_estimators, estimate_all, estimate_all_with_state,
+    estimate_all_with_table, shared_neighbor_table, shared_table_k, BerEstimator, IncrementalTopK,
     KnnPosteriorEstimator, LabeledView, Metric, OneNnEstimator,
 };
 use snoopy_linalg::{rng, Matrix};
@@ -144,32 +143,6 @@ fn growing_state_estimates_equal_cold_estimates_at_every_round() {
                 );
             }
         }
-    }
-}
-
-/// The clustered backend must be invisible to every estimator: tables and
-/// estimates are bit-identical to the exhaustive path.
-#[test]
-fn clustered_backend_tables_and_estimates_are_bit_identical() {
-    let task = make_task(3, 2.0, 41, 500, 120);
-    let train = LabeledView::new(&task.train_x, &task.train_y);
-    let test = LabeledView::new(&task.test_x, &task.test_y);
-    let estimators = default_estimators();
-    let k_max = shared_table_k(&estimators);
-    let exhaustive =
-        shared_neighbor_table_with_backend(train.features(), test.features(), k_max, EvalBackend::Exhaustive);
-    let clustered = shared_neighbor_table_with_backend(
-        train.features(),
-        test.features(),
-        k_max,
-        EvalBackend::clustered(16),
-    );
-    assert_eq!(exhaustive, clustered, "shared tables must match bit for bit");
-    let a = estimate_all_with_backend(&estimators, &train, &test, task.num_classes, EvalBackend::Exhaustive);
-    let b =
-        estimate_all_with_backend(&estimators, &train, &test, task.num_classes, EvalBackend::clustered(16));
-    for ((est, &x), &y) in estimators.iter().zip(&a).zip(&b) {
-        assert_eq!(x.to_bits(), y.to_bits(), "{}: exhaustive {x} vs clustered {y}", est.name());
     }
 }
 

@@ -1,37 +1,170 @@
-//! The one cluster-scan core of the two exact pruned indexes.
+//! The cluster-scan core of the exact pruned index.
 //!
-//! The fully-resident [`crate::clustered::ClusteredIndex`] and the
-//! shard-paged [`crate::sharded::ShardedIndex`] hold the same compacted
-//! k-means [`Partition`] and answer queries through its one bound-ordered
-//! visit loop ([`Partition::update_topk`]): order the clusters by their
+//! [`crate::sharded::ShardedIndex`] holds a compacted k-means [`Partition`]
+//! and answers queries through its one bound-ordered visit loop
+//! ([`Partition::update_topk`]): order the clusters by their
 //! triangle-inequality lower bound, visit them until a bound can no longer
-//! beat the k-th admitted distance, and scan each visited [`ClusterSlice`]
-//! of a [`ScanRows`] row store through the one f32 tile scan or the one
-//! int8 two-phase scan. The indexes differ only in how a visited cluster's
-//! rows are obtained ([`ClusterSource`]): the resident index borrows them
-//! from its regrouped buffer, the paged index commits a prefetched shard or
-//! faults one in.
+//! beat the k-th admitted distance, obtain each visited cluster's rows from
+//! the shard pager (a prefetched shard is committed, any other faulted in),
+//! and scan the [`ClusterSlice`] through the one f32 tile scan or the one
+//! int8 two-phase scan. Every prune decision goes through [`PruneBounds`].
 //!
-//! Every prune decision goes through [`PruneBounds`]. Both indexes compare
-//! `f64` Euclidean lower bounds against the `f32` distances the tile kernel
-//! admits; the inflation/deflation terms that make that comparison sound
-//! (relative slack for the f64 geometry, an absolute kernel-error margin
-//! for the norm-trick cancellation, the subnormal guard, the Euclidean `τ²`
-//! inflation) are derived in the [`crate::clustered`] module docs.
+//! ## Exactness argument
+//!
+//! Let `e(a, b)` be the true Euclidean distance. For a query `q`, a cluster
+//! centroid `c` with radius `r_c = max_{x ∈ c} e(x, c)`, and a member row
+//! `x`, the triangle inequality gives two lower bounds:
+//!
+//! * **cluster bound** — `e(q, x) ≥ max(0, e(q, c) − r_c)`,
+//! * **per-row bound** — `e(q, x) ≥ |e(q, c) − e(x, c)|`.
+//!
+//! [`Metric::SquaredEuclidean`] and [`Metric::Euclidean`] are monotone
+//! remappings of `e` (squaring, identity), so a bound `b` on `e` remaps to a
+//! bound `b²` (resp. `b`) on the stored distance, and a candidate can only be
+//! admitted if its remapped distance is lexicographically `< (τ, i)` where
+//! `τ` is the current k-th admitted distance. A cluster or row is skipped
+//! **only** when its remapped bound strictly exceeds `τ`; on equality it is
+//! still scanned, because an equal-distance row with a lower global index
+//! must still be admitted (the crate-wide `(distance, index)` tie-break).
+//!
+//! Floating point: the engine computes distances in `f32` through the
+//! tile-blocked [`MetricKernel`] — the norm trick
+//! `‖q − x‖² = ‖q‖² + ‖x‖² − 2⟨q, x⟩` — while the index computes all
+//! centroid geometry (`e(q, c)`, `e(x, c)`, `r_c`) in `f64`, where it is
+//! accurate to ~`2⁻⁵⁰`. The norm trick's rounding error is *absolute*, not
+//! relative: cancellation between the norm and dot terms can make the
+//! computed `f32` squared distance smaller than the true one by up to
+//! `~(d + 11)·ε_f32·(‖q‖ + ‖x‖)²` (it is clamped at zero, which only raises
+//! it). Every prune comparison therefore runs in **squared-distance space**
+//! and requires
+//!
+//! ```text
+//! lb² · (1 − (2d + 32)·ε)  −  coeff·ε·(‖q‖ + max_row_norm)²  >  τ² + guard
+//! ```
+//!
+//! where `lb` is the `f64` Euclidean lower bound, the relative slack covers
+//! the `f64` geometry, the absolute term (`coeff = 2(d + 16)`, a global
+//! `max_row_norm` so the cluster scan order's early exit stays monotone in
+//! `lb`) covers the kernel's cancellation error, `τ²` is the squared current
+//! k-th admitted distance (inflated by `8ε` for Euclidean consumers to cover
+//! the square root's rounding), and `guard` is the smallest normal `f32`,
+//! covering subnormal underflow (a squared distance below the normal `f32`
+//! range can round to exactly `0.0` while the `f64` bound stays positive) —
+//! in particular a threshold of `0` (a perfect hit already admitted)
+//! disables pruning outright. The slack and guards sacrifice a vanishing
+//! amount of pruning power and never correctness; the proptests in
+//! `proptest_clustered.rs` pin the bit-for-bit parity across metrics, `k`,
+//! duplicate rows, and degenerate shapes, and the subnormal-underflow
+//! regression test pins the guard.
+//!
+//! Inside a visited cluster, rows are evaluated with the engine's own tile
+//! kernel ([`MetricKernel::tile_with`]) whenever a whole tile survives the
+//! per-row bound (the common case), falling back to the bit-identical
+//! per-pair path when a tile is broken by a pruned or self-excluded row —
+//! distance values never depend on which path computed them.
+//!
+//! ## Two-phase int8 scan (the quantized shadow)
+//!
+//! After the tile kernels, a visited row's cost is dominated by *memory
+//! traffic*: 4 bytes/dim of f32. [`crate::sharded::ShardedIndex::quantize`]
+//! freezes one [`AffineQuantizer`] and every shard then carries a
+//! [`QuantizedShadow`] — a per-dimension affine int8 copy of its rows
+//! (`x ≈ s ∘ X + o`, codes in `[−127, 127]`) — and visited clusters scan in
+//! two phases:
+//!
+//! 1. **Approximate phase** — an *integer* dot tile
+//!    ([`snoopy_linalg::kernel::dot_q8_row_tile`], `i16 × i8 → i32`, exact
+//!    and associative, hence trivially deterministic and free to
+//!    autovectorize into widening multiply-adds) computes `â ≈ ‖q − x̂‖²`
+//!    against each row's *reconstruction point* `x̂ = fl(s ∘ X) + o` from
+//!    **one byte per dimension**: with `u = fl(q − o)` and `w = fl(u ∘ s)`,
+//!    the query side is re-quantized onto one query-level scale `g`
+//!    (`v = round(w / g)`, `|v| ≤ 8191`) and the norm trick gives
+//!    `â = (‖u‖² + ‖y‖²) − 2g·⟨v, X⟩` finished in f64 from exact inputs,
+//!    where `y = fl(s ∘ X)` and `‖y‖²` is precomputed per row.
+//! 2. **Exact re-rank** — rows the widened bound below cannot exclude go
+//!    through the *exact* f32 [`MetricKernel::pair_with`] and are offered
+//!    into the same [`TopKState`], interleaved per tile so every admission
+//!    tightens τ for the very next tile. Only the exact kernel's values are
+//!    ever admitted, so the final table is bit-identical to the exhaustive
+//!    engine — phase 1 only decides *which* rows get the exact treatment.
+//!
+//! **Widened bound derivation.** The shadow stores, per row, an upper bound
+//! `r_i ≥ e(x_i, x̂_i)` on the reconstruction distance (computed exactly in
+//! f64 at encode time — clamping included — and rounded *up* into f32). The
+//! triangle inequality gives `e(q, x_i) ≥ e(q, x̂_i) − r_i`. The computed
+//! `â` approximates `e(q, x̂_i)²` with two separately-accounted error
+//! sources:
+//!
+//! * **Float roundings** — forming `u`, `w`, and `y` (~5ε of products) plus
+//!   the two fixed-order f32 norm accumulations; the integer dot and the
+//!   f64 finishing contribute nothing at f32 scale. The inventory totals
+//!   below `(d + 16)·ε_f32·(‖u‖ + M)²` where `M ≥ max_i ‖y_i‖` is one
+//!   index-wide code-norm bound taken from the quantizer; the quantized
+//!   query budgets `margin = 2(d + 32)·ε_f32·(‖u‖ + M)²` — double it.
+//!   Because `M` belongs to the frozen quantizer rather than to a shard,
+//!   each query is prepared once, whichever shards it visits.
+//! * **Query quantization** — replacing `w` by `g·v` perturbs the dot term
+//!   by `|2 Σ_j (w_j − g v_j) X_{ij}| ≤ 1.02·g·Σ_j |X_{ij}|` (half a step
+//!   plus division-rounding slack per code). This is *exact per row*: the
+//!   shadow stores `A_i = Σ_j |X_{ij}|` and the scan subtracts
+//!   `qslack·A_i`, `qslack = 1.02·g`, instead of smearing a worst-case
+//!   term over every row.
+//!
+//! Hence
+//!
+//! ```text
+//! e(q, x̂_i)² ≥ â − margin − qslack·A_i
+//! e(q, x_i)  ≥ √(max(0, â − margin − qslack·A_i)) − r_i
+//! ```
+//!
+//! is a valid Euclidean lower bound, fed through *the same* slack + guard
+//! comparison as the centroid bounds. To avoid a per-row square root the
+//! scan precomputes (lazily, only when τ changes) the threshold
+//! `T = √((τ² + guard + err) / slack)` — the `prunes` inequality solved for
+//! the bound — and tests `â − margin − qslack·A_i > (T + r_i)²`, which is
+//! exactly equivalent for non-negative operands. A row is skipped **only**
+//! when the widened, slack-deflated bound strictly clears τ, so a
+//! quantization error can only cost a wasted exact evaluation, never a
+//! missed neighbour. The margin model is absolute, so it additionally
+//! requires that no f32 intermediate overflows and that the integer dot
+//! stays inside i32: a code-norm bound above `snoopy-knn::quantized`'s
+//! `MAX_SAFE_NORM = 10¹⁸` or a width above `MAX_QUANTIZED_DIMS = 2000`
+//! refuses the quantizer for the whole index, and a query norm above the
+//! cap refuses the int8 phase for that query; both fall back to the exact
+//! scan — see the overflow-guard notes in [`crate::quantized`].
+//!
+//! In quantized mode the f64 per-row centroid bound is *replaced* by the
+//! int8 bound inside visited clusters (reading the 8-byte `row_center`
+//! entries would defeat the 1-byte/dim traffic goal); the cluster-level
+//! bound and visit order are unchanged. [`PruneStats`] separates the two
+//! phases: `rows_quantized` counts phase-1 approximate evaluations,
+//! `rows_scanned` keeps its meaning of *exact* kernel evaluations (= the
+//! re-rank count), and [`PruneStats::rerank_rate`] reports how tight the
+//! int8 bound is in practice.
+//!
+//! [`Metric::Cosine`] is *not* a metric (no triangle inequality on the
+//! dissimilarity), so the index refuses it and cosine consumers use the
+//! exhaustive [`crate::engine::EvalEngine`].
 
 use std::ops::Range;
 
-use crate::clustered::{PruneStats, ResidentBytes};
-use crate::engine::TopKState;
+use crate::engine::{TopKState, DEFAULT_TILE_ROWS};
 use crate::kernel::MetricKernel;
 use crate::metric::Metric;
 use crate::quantized::{AffineQuantizer, QuantizedQuery, QuantizedShadow};
+use crate::sharded::Pager;
 use snoopy_linalg::{DatasetView, Matrix};
 
 /// Iteration cap for the k-means run of every index build: Lloyd's converges
 /// fast on the coarse partitions used here, and a stale assignment only
 /// costs pruning power, never correctness.
 pub(crate) const KMEANS_MAX_ITERS: usize = 16;
+
+/// Deterministic seed for the index's internal k-means run. Clustering
+/// quality only affects speed, never results, so a fixed seed keeps index
+/// builds reproducible without threading a seed through every call site.
+pub const KMEANS_SEED: u64 = 0x5e3d_c0de;
 
 /// `‖a − b‖₂` accumulated in `f64` — the bound-side geometry is computed at
 /// double precision so only the `f32` kernel side needs slack.
@@ -54,6 +187,96 @@ pub(crate) fn norm_f64(a: &[f32]) -> f64 {
 #[inline]
 fn kth_distance(state: &TopKState) -> Option<f32> {
     (state.hits().len() == state.k()).then(|| state.hits().last().expect("full state").distance)
+}
+
+/// Pruning counters accumulated by the pruned query paths.
+///
+/// `clusters_total` / `rows_total` count the work the exhaustive engine
+/// would have done (per query); `clusters_visited` counts clusters whose
+/// rows were looked at, `rows_scanned` counts *exact* distance evaluations
+/// (on a quantized index: the phase-2 re-ranks), `rows_pruned` counts rows
+/// skipped by a per-row bound inside visited clusters, and `rows_quantized`
+/// counts phase-1 int8 approximate evaluations (zero on an unquantized
+/// index). Rows in never-visited clusters appear in none of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PruneStats {
+    /// Queries answered.
+    pub queries: usize,
+    /// Clusters whose rows were scanned (summed over queries).
+    pub clusters_visited: usize,
+    /// Clusters times queries — the exhaustive cluster-visit count.
+    pub clusters_total: usize,
+    /// Exact query–row distance evaluations actually performed (phase 2 on
+    /// a quantized index).
+    pub rows_scanned: usize,
+    /// Rows skipped by a per-row bound inside visited clusters.
+    pub rows_pruned: usize,
+    /// Training rows times queries — the exhaustive distance count.
+    pub rows_total: usize,
+    /// Phase-1 int8 approximate evaluations (candidate tests) on a
+    /// quantized index; 0 on the f32 path.
+    pub rows_quantized: usize,
+}
+
+impl PruneStats {
+    /// Fraction of cluster visits skipped: `1 − visited / total` (0 when no
+    /// query ran).
+    pub fn cluster_prune_rate(&self) -> f64 {
+        if self.clusters_total == 0 {
+            0.0
+        } else {
+            1.0 - self.clusters_visited as f64 / self.clusters_total as f64
+        }
+    }
+
+    /// Fraction of pairwise distances never evaluated exactly:
+    /// `1 − scanned / total` (0 when no query ran).
+    pub fn row_prune_rate(&self) -> f64 {
+        if self.rows_total == 0 {
+            0.0
+        } else {
+            1.0 - self.rows_scanned as f64 / self.rows_total as f64
+        }
+    }
+
+    /// How loose the int8 bound was: the fraction of phase-1 approximate
+    /// evaluations that still needed an exact re-rank,
+    /// `rows_scanned / rows_quantized` (0 when nothing was quantized —
+    /// callers asserting tightness should check `rows_quantized > 0`).
+    pub fn rerank_rate(&self) -> f64 {
+        if self.rows_quantized == 0 {
+            0.0
+        } else {
+            self.rows_scanned as f64 / self.rows_quantized as f64
+        }
+    }
+}
+
+/// Heap footprint of the pruned index, bucketed by role — the `resident`
+/// part of [`crate::sharded::PagedResidentBytes`], so the shadow's
+/// footprint claims are measured, not asserted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResidentBytes {
+    /// The gathered f32 training rows (what an unquantized scan streams).
+    pub train_rows: usize,
+    /// The int8 codes (what a quantized phase-1 scan streams per row) —
+    /// exactly `train_rows / 4` when quantized, 0 otherwise.
+    pub quantized_codes: usize,
+    /// Quantized per-row book-keeping: code norms, code sums, reconstruction
+    /// radii, and the affine parameters.
+    pub quantized_meta: usize,
+    /// Centroid rows plus per-cluster radii and offsets.
+    pub centroids: usize,
+    /// Per-row index metadata: centroid distances, original-row ids, and
+    /// the kernel's norm cache.
+    pub row_meta: usize,
+}
+
+impl ResidentBytes {
+    /// Sum over all buckets.
+    pub fn total(&self) -> usize {
+        self.train_rows + self.quantized_codes + self.quantized_meta + self.centroids + self.row_meta
+    }
 }
 
 /// The per-index prune-comparison constants: metric, dimension-derived
@@ -96,10 +319,10 @@ impl PruneBounds {
     }
 
     /// The current stored threshold mapped into squared-distance space with
-    /// the safety inflation of the [`crate::clustered`] module docs: the
-    /// stored distance itself for squared-Euclidean consumers,
-    /// `τ²·(1 + 8ε)` for Euclidean ones (covering the square root's
-    /// rounding). `∞` (state not yet full) maps to `∞` and never prunes.
+    /// the safety inflation of the [module docs](self): the stored distance
+    /// itself for squared-Euclidean consumers, `τ²·(1 + 8ε)` for Euclidean
+    /// ones (covering the square root's rounding). `∞` (state not yet full)
+    /// maps to `∞` and never prunes.
     #[inline]
     pub fn tau_sq(&self, tau: f32) -> f64 {
         let t = tau as f64;
@@ -131,7 +354,7 @@ impl PruneBounds {
 
     /// The [`PruneBounds::prunes`] inequality solved for the bound: a
     /// non-negative Euclidean lower bound prunes iff it strictly exceeds
-    /// `√((τ² + guard + err) / slack)`. The quantized scans cache this per
+    /// `√((τ² + guard + err) / slack)`. The quantized scan caches this per
     /// τ value so the per-row test `â − margin > (T + r_i)²` needs no
     /// square root (`τ = ∞`, state not yet full, maps to `∞` and never
     /// prunes).
@@ -141,9 +364,9 @@ impl PruneBounds {
     }
 }
 
-/// The compacted k-means partition both exact pruned indexes keep resident:
-/// the non-empty clusters' centroids and radii, their member ids, and the
-/// prune constants.
+/// The compacted k-means partition the pruned index keeps resident: the
+/// non-empty clusters' centroids and radii, their member ids, and the prune
+/// constants.
 #[derive(Debug, Clone)]
 pub(crate) struct Partition {
     /// `nlist × d` centroids (empty clusters dropped).
@@ -161,19 +384,12 @@ impl Partition {
     /// Partitions `source` by `assignments` against `centroids`: drops the
     /// empty clusters, groups the member ids cluster-contiguously (ascending
     /// within a cluster), and takes the radii and the global largest member
-    /// norm in one pass over the source. `row_center`, when given, receives
-    /// every member's `e(x, c)` in member order.
+    /// norm in one pass over the source.
     ///
     /// # Panics
     /// Panics on an assignment count mismatch or an assignment out of
     /// `centroids`' range.
-    pub fn new(
-        source: DatasetView<'_>,
-        metric: Metric,
-        centroids: &Matrix,
-        assignments: &[usize],
-        mut row_center: Option<&mut Vec<f64>>,
-    ) -> Self {
+    pub fn new(source: DatasetView<'_>, metric: Metric, centroids: &Matrix, assignments: &[usize]) -> Self {
         assert_eq!(assignments.len(), source.rows(), "one assignment per training row required");
         let k = centroids.rows();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
@@ -191,12 +407,8 @@ impl Partition {
             let mut radius = 0.0f64;
             for &row in &groups[c] {
                 let x = source.row(row);
-                let d = euclid_f64(x, cent);
-                radius = radius.max(d);
+                radius = radius.max(euclid_f64(x, cent));
                 max_norm = max_norm.max(norm_f64(x));
-                if let Some(rc) = row_center.as_deref_mut() {
-                    rc.push(d);
-                }
             }
             members.extend_from_slice(&groups[c]);
             offsets.push(members.len());
@@ -233,32 +445,34 @@ impl Partition {
             + self.offsets.len() * size_of::<usize>()
     }
 
-    /// The bound-ordered visit loop both indexes' `update_topk` run: folds
-    /// every cluster `src` hands out into the running top-k state of each
-    /// query row. Per query it orders the clusters by ascending lower bound,
-    /// visits them until the first one whose bound can no longer beat the
-    /// k-th admitted distance, and scans each visited slice — through the
-    /// int8 two-phase scan when it carries a shadow the query fits, the f32
-    /// tile scan otherwise — in tiles of at most `tile_rows` rows. Admitted
-    /// indices are member ids plus `offset`; `exclude_self = Some(base)`
-    /// declares query row `i` to be global training row `base + i` and skips
-    /// that one pair (leave-one-out).
+    /// The bound-ordered visit loop: folds every cluster the `pager` hands
+    /// out into the running top-k state of each query row. Per query it
+    /// orders the clusters by ascending lower bound, visits them until the
+    /// first one whose bound can no longer beat the k-th admitted distance,
+    /// and scans each visited slice — through the int8 two-phase scan when
+    /// the index is quantized and the query fits the overflow guard, the
+    /// f32 tile scan otherwise. Admitted indices are member ids plus
+    /// `offset`; `exclude_self = Some(base)` declares query row `i` to be
+    /// global training row `base + i` and skips that one pair
+    /// (leave-one-out).
     pub fn update_topk(
         &self,
-        src: &mut impl ClusterSource,
+        pager: &mut Pager<'_>,
         queries: DatasetView<'_>,
         offset: usize,
         states: &mut [TopKState],
         exclude_self: Option<usize>,
-        tile_rows: usize,
     ) -> PruneStats {
         let mut stats = PruneStats::default();
-        // Scratch reused across queries; a tile never spans two clusters, and
-        // the int8 buffers are sized on the first quantized visit.
+        // Scratch reused across queries; a tile never spans two clusters.
         let largest = (0..self.num_clusters()).map(|c| self.cluster(c).len()).max().unwrap_or(0);
-        let mut tile = vec![0.0f32; tile_rows.min(largest.max(1))];
+        let tile_len = DEFAULT_TILE_ROWS.min(largest.max(1));
+        let mut tile = vec![0.0f32; tile_len];
+        let quantizer = pager.quantizer();
+        let int8_len = if quantizer.is_some() { tile_len } else { 0 };
+        let (mut qtile, mut keep) = (vec![0i32; int8_len], vec![false; int8_len]);
+        let (mut wbuf, mut vbuf) = (Vec::new(), Vec::new());
         let mut order = Vec::with_capacity(self.num_clusters());
-        let (mut qtile, mut keep, mut wbuf, mut vbuf) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let kernel = MetricKernel::new(self.metric());
         for (qi, (q, state)) in queries.rows_iter().zip(states).enumerate() {
             order.clear();
@@ -270,6 +484,11 @@ impl Partition {
             stats.queries += 1;
             stats.clusters_total += self.num_clusters();
             stats.rows_total += self.members.len();
+            // One int8 context per query: the margin rests on the frozen
+            // quantizer's index-wide code-norm bound, so it holds for every
+            // shard. `None`: unquantized, or the query's norm trips the
+            // overflow guard, and the query scans exactly.
+            let int8 = quantizer.and_then(|qz| qz.prepare_query(q, &mut wbuf, &mut vbuf));
             let cx = QueryCtx {
                 bounds: &self.bounds,
                 q,
@@ -278,14 +497,6 @@ impl Partition {
                 offset,
                 skip: exclude_self.map_or(usize::MAX, |b| b + qi),
             };
-            // The int8 context is prepared against the visited slice's own
-            // shadow (its margin depends on that shadow's max code norm) and
-            // reused while slices share it: the resident slices share one,
-            // every shard has its own. Identity by address is sound within a
-            // query, which visits a cluster at most once while the paged
-            // cache keeps each cluster's shard in its own slot. `None`: the
-            // query's norm trips the overflow guard, and it scans exactly.
-            let mut prepared: (*const QuantizedShadow, Option<QuantizedQuery>) = (std::ptr::null(), None);
             for (pos, &(lb, dqc, _)) in order.iter().enumerate() {
                 let tau_sq = kth_distance(state).map(|tau| self.bounds.tau_sq(tau));
                 // Clusters are ordered by ascending bound and τ only shrinks,
@@ -294,40 +505,17 @@ impl Partition {
                     break;
                 }
                 stats.clusters_visited += 1;
-                let slice = src.obtain(&order, pos, tau_sq, cx.err);
-                let int8 = slice.rows.shadow.as_ref().and_then(|sh| {
-                    if !std::ptr::eq(sh, prepared.0) {
-                        prepared = (sh, sh.prepare_query(q, &mut wbuf, &mut vbuf));
+                let slice = pager.obtain(&order, pos, tau_sq, cx.err);
+                match (&int8, &slice.rows.shadow) {
+                    (Some(qq), Some(sh)) => {
+                        slice.scan_int8(&cx, sh, qq, &vbuf, state, &mut qtile, &mut keep, &mut stats)
                     }
-                    prepared.1.map(|qq| (sh, qq))
-                });
-                match int8 {
-                    Some((sh, qq)) => {
-                        qtile.resize(tile.len(), 0);
-                        keep.resize(tile.len(), false);
-                        slice.scan_int8(&cx, sh, &qq, &vbuf, state, &mut qtile, &mut keep, &mut stats);
-                    }
-                    None => slice.scan_f32(&cx, dqc, state, &mut tile, &mut stats),
+                    _ => slice.scan_f32(&cx, dqc, state, &mut tile, &mut stats),
                 }
             }
         }
         stats
     }
-}
-
-/// How the visit loop obtains the rows of a visited cluster.
-pub(crate) trait ClusterSource {
-    /// The slice of cluster `order[pos].2`, called once per visit after the
-    /// τ prune check passed: `tau_sq` is that check's squared threshold
-    /// (`None` while the query's state is not full) and `err` the query's
-    /// kernel-error margin.
-    fn obtain(
-        &mut self,
-        order: &[(f64, f64, usize)],
-        pos: usize,
-        tau_sq: Option<f64>,
-        err: f64,
-    ) -> ClusterSlice<'_>;
 }
 
 /// The per-query constants every cluster scan of one query shares.
@@ -352,22 +540,23 @@ pub(crate) struct ScanRows {
     pub row_center: Vec<f64>,
     /// The tile kernel with `data` bound as its train side.
     pub kernel: MetricKernel,
-    /// The int8 shadow of `data` (`None` when unquantized, or when the
-    /// overflow guard rejected the rows — scans then stay exact-only).
+    /// The int8 shadow of `data` (`None` when the index is unquantized).
     pub shadow: Option<QuantizedShadow>,
 }
 
 impl ScanRows {
-    /// `data` with `metric`'s kernel bound to it, unquantized.
-    pub fn new(metric: Metric, data: Matrix, row_center: Vec<f64>) -> Self {
+    /// `data` with `metric`'s kernel bound to it, encoded against
+    /// `quantizer` when the index is quantized.
+    pub fn new(
+        metric: Metric,
+        data: Matrix,
+        row_center: Vec<f64>,
+        quantizer: Option<&AffineQuantizer>,
+    ) -> Self {
         let mut kernel = MetricKernel::new(metric);
         kernel.bind_train(data.view());
-        ScanRows { data, row_center, kernel, shadow: None }
-    }
-
-    /// Attaches the int8 shadow of the rows against `quantizer`.
-    pub fn quantize(&mut self, quantizer: AffineQuantizer) {
-        self.shadow = QuantizedShadow::build(self.data.view(), quantizer);
+        let shadow = quantizer.map(|q| QuantizedShadow::build(data.view(), q));
+        ScanRows { data, row_center, kernel, shadow }
     }
 
     /// Adds the heap footprint of the rows, the shadow, the centroid
@@ -381,11 +570,10 @@ impl ScanRows {
     }
 }
 
-/// One visited cluster as the scans read it: rows
-/// `start..start + ids.len()` of `rows`, whose original row ids are `ids`.
+/// One visited cluster as the scans read it: every row of `rows` (a shard),
+/// whose original row ids are `ids`.
 pub(crate) struct ClusterSlice<'s> {
     pub rows: &'s ScanRows,
-    pub start: usize,
     pub ids: &'s [usize],
 }
 
@@ -403,9 +591,9 @@ impl ClusterSlice<'_> {
         stats: &mut PruneStats,
     ) {
         let (data, kernel) = (self.rows.data.view(), &self.rows.kernel);
-        let centers = &self.rows.row_center[self.start..self.start + self.ids.len()];
+        let centers = &self.rows.row_center;
         for (t, (ids, centers)) in self.ids.chunks(tile.len()).zip(centers.chunks(tile.len())).enumerate() {
-            let (r, len) = (self.start + t * tile.len(), ids.len());
+            let (r, len) = (t * tile.len(), ids.len());
             // Pre-pass: is the whole tile admissible as one kernel call?
             // (The tile-start τ is stale after mid-tile admissions, but a
             // stale — larger — τ only keeps rows a fresh one might prune, so
@@ -468,7 +656,7 @@ impl ClusterSlice<'_> {
         let mut cached_threshold = f64::INFINITY;
         let (data, kernel) = (self.rows.data.view(), &self.rows.kernel);
         for (t, ids) in self.ids.chunks(qtile.len()).enumerate() {
-            let (r, len) = (self.start + t * qtile.len(), ids.len());
+            let (r, len) = (t * qtile.len(), ids.len());
             let dots = &mut qtile[..len];
             shadow.approx_dot_tile(v, r, dots);
             stats.rows_quantized += len;

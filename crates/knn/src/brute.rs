@@ -3,10 +3,7 @@
 //! batch queries, kNN classifier error, and the leave-one-out error — routes
 //! through the shared [`EvalEngine`] top-k kernel and its [`NeighborTable`]
 //! results, so tie handling (lowest global index wins on equal distances)
-//! and floating-point behaviour are identical across all of them. Selecting
-//! [`EvalBackend::Clustered`] via [`BruteForceIndex::with_backend`] swaps
-//! the scan for the exact-pruned [`ClusteredIndex`] — same handshake, same
-//! bits, less work.
+//! and floating-point behaviour are identical across all of them.
 //!
 //! With at most a few tens of thousands of samples per task replica and
 //! moderate embedding dimensions, exact brute force in `O(n · d)` per query is
@@ -16,7 +13,6 @@
 //! once at construction, so batch queries pay one query-side norm pass and
 //! nothing per query.
 
-use crate::clustered::{ClusteredIndex, EvalBackend};
 use crate::engine::{EvalEngine, NearestHit, NeighborTable, TopKState};
 use crate::kernel::MetricKernel;
 use crate::metric::Metric;
@@ -35,11 +31,6 @@ pub struct BruteForceIndex<'a> {
     /// present). Computed once — scanning labels per query is a hot-path tax.
     vote_classes: usize,
     engine: EvalEngine,
-    backend: EvalBackend,
-    /// Built once by [`BruteForceIndex::with_backend`] when the backend
-    /// resolves to clustering; all query paths then route through it
-    /// (results stay bit-identical to the exhaustive engine).
-    clustered: Option<ClusteredIndex>,
 }
 
 /// One retrieved neighbour.
@@ -71,48 +62,13 @@ impl<'a> BruteForceIndex<'a> {
         let mut kernel = MetricKernel::new(metric);
         kernel.bind_train(view.features());
         let vote_classes = view.num_classes().max(view.observed_classes());
-        Self {
-            view,
-            kernel,
-            vote_classes,
-            engine: EvalEngine::parallel(),
-            backend: EvalBackend::Exhaustive,
-            clustered: None,
-        }
+        Self { view, kernel, vote_classes, engine: EvalEngine::parallel() }
     }
 
     /// Replaces the evaluation engine (e.g. to force a serial reference run).
-    /// A clustered backend, if selected, inherits the new engine's shape.
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;
-        if let Some(ci) = self.clustered.as_mut() {
-            ci.set_engine(engine);
-        }
         self
-    }
-
-    /// Selects the evaluation backend. `Clustered` builds the coarse
-    /// partition once, here; every subsequent query path (tables, batch
-    /// queries, kNN error, leave-one-out) routes through the pruned index
-    /// and returns bit-identical results to the exhaustive engine. Falls
-    /// back to exhaustive for cosine (no triangle inequality).
-    pub fn with_backend(mut self, backend: EvalBackend) -> Self {
-        self.backend = backend;
-        self.clustered = backend.resolve(self.len(), self.metric()).map(|(nlist, quantize)| {
-            let index =
-                ClusteredIndex::build_with_engine(self.view.features(), self.metric(), nlist, self.engine);
-            if quantize {
-                index.quantize()
-            } else {
-                index
-            }
-        });
-        self
-    }
-
-    /// The backend selected at construction (`Exhaustive` by default).
-    pub fn backend(&self) -> EvalBackend {
-        self.backend
     }
 
     /// Number of indexed samples.
@@ -155,9 +111,6 @@ impl<'a> BruteForceIndex<'a> {
     pub fn neighbor_table<'q>(&self, queries: impl Into<DatasetView<'q>>, k: usize) -> NeighborTable {
         let queries = queries.into();
         let k = k.min(self.len()).max(1);
-        if let Some(ci) = &self.clustered {
-            return ci.topk(queries, k);
-        }
         let mut kernel = self.kernel.clone();
         kernel.bind_queries(queries);
         if k == 1 {
@@ -239,9 +192,6 @@ impl<'a> BruteForceIndex<'a> {
     /// self-excluding engine pass ([`EvalEngine::topk_loo`]),
     /// `O(n² / threads)`.
     pub fn leave_one_out_table(&self, k: usize) -> NeighborTable {
-        if let Some(ci) = &self.clustered {
-            return ci.topk_loo(self.view.features(), k);
-        }
         self.engine.topk_loo(self.view.features(), self.metric(), k)
     }
 
@@ -381,32 +331,6 @@ mod tests {
         let (x, y) = clustered_data(5);
         let index = BruteForceIndex::new(&x, &y, 2, Metric::SquaredEuclidean);
         assert_eq!(index.one_nn_error(&Matrix::zeros(0, 2), &[]), 0.0);
-    }
-
-    #[test]
-    fn clustered_backend_matches_exhaustive_on_every_query_path() {
-        let (x, y) = clustered_data(60);
-        let queries = Matrix::from_rows(&[vec![1.0, 1.0], vec![9.0, 9.0], vec![4.9, 5.1], vec![0.0, 0.2]]);
-        for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
-            let exhaustive = BruteForceIndex::new(&x, &y, 2, metric);
-            let clustered = BruteForceIndex::new(&x, &y, 2, metric)
-                .with_backend(crate::clustered::EvalBackend::clustered(4));
-            assert!(clustered.clustered.is_some());
-            for k in [1usize, 3, 10] {
-                assert_eq!(clustered.neighbor_table(&queries, k), exhaustive.neighbor_table(&queries, k));
-                assert_eq!(clustered.leave_one_out_table(k), exhaustive.leave_one_out_table(k));
-            }
-            assert_eq!(clustered.leave_one_out_error().to_bits(), exhaustive.leave_one_out_error().to_bits());
-            assert_eq!(clustered.query_knn(&[0.3, 0.1], 5), exhaustive.query_knn(&[0.3, 0.1], 5));
-        }
-        // Cosine resolves back to the exhaustive engine.
-        let cosine = BruteForceIndex::new(&x, &y, 2, Metric::Cosine)
-            .with_backend(crate::clustered::EvalBackend::clustered(4));
-        assert!(cosine.clustered.is_none());
-        assert_eq!(
-            cosine.neighbor_table(&queries, 3),
-            BruteForceIndex::new(&x, &y, 2, Metric::Cosine).neighbor_table(&queries, 3)
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! Before this layer existed, the squared-Euclidean / Euclidean / cosine
 //! expressions were copy-pasted between [`Metric::distance`], the engine's
-//! two scan loops, and the clustered index, and cosine consumers threaded
+//! two scan loops, and the pruned cluster index, and cosine consumers threaded
 //! `Option<&[f32]>` norm slices through every call (with `expect` panics
 //! when a caller forgot). Now:
 //!
@@ -248,7 +248,7 @@ impl MetricKernel {
 
     /// Single-pair path against bound training row `t` (the tile's scalar
     /// sibling — same bits). Used where a consumer must interleave distance
-    /// evaluations with per-row control flow (the clustered index's per-row
+    /// evaluations with per-row control flow (the pruned index's per-row
     /// bound checks).
     #[inline]
     pub fn pair_with(&self, q: &[f32], qv: f32, train: DatasetView<'_>, t: usize) -> f32 {

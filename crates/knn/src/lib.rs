@@ -26,39 +26,31 @@
 //!   every smaller `k` by prefix, which is how the estimator-comparison
 //!   pipeline shares a single neighbour computation across all kNN-family
 //!   Bayes-error estimators,
-//! * the exact-pruned clustered index ([`clustered::ClusteredIndex`]): a
-//!   Lloyd's k-means coarse partition plus triangle-inequality pruning that
-//!   skips most distance evaluations on clustered embedding spaces while
-//!   staying bit-identical to the exhaustive engine, surfaced as the
-//!   [`clustered::EvalBackend`] enum
-//!   (`Exhaustive` | `Clustered { nlist, quantize }`, auto-selected for
-//!   one-shot tables only when enough queries amortise the k-means build)
-//!   behind the same `NeighborTable` handshake —
-//!   cosine dissimilarity has no triangle inequality, so cosine consumers
-//!   transparently fall back to the exhaustive kernel. Its bound-ordered
-//!   cluster visit loop, f32 tile scan and int8 two-phase scan are one
-//!   crate-internal cluster-scan core, shared with the shard-paged index
-//!   below,
+//! * the exact pruned index ([`sharded::ShardedIndex`]): a Lloyd's k-means
+//!   coarse partition plus triangle-inequality pruning that skips most
+//!   distance evaluations on clustered embedding spaces while staying
+//!   bit-identical to the exhaustive engine, over a borrowed — typically
+//!   mmap-backed ([`snoopy_linalg::disk::DiskDataset`]) — source view. Each
+//!   cluster materialises as an independently loadable/evictable shard
+//!   under an LRU byte budget ([`sharded::PagingStats`],
+//!   [`sharded::PagedResidentBytes`]; `usize::MAX` keeps every visited
+//!   shard resident); the triangle-inequality prune order doubles as the
+//!   paging order, so rejected clusters are never faulted in, and a
+//!   configurable prefetch pipeline overlaps upcoming shard
+//!   materialisation with the current scan on `snoopy-pool` workers.
+//!   Cosine dissimilarity has no triangle inequality, so cosine consumers
+//!   use the exhaustive engine. The bound-ordered cluster visit loop, the
+//!   f32 tile scan and the int8 two-phase scan are one crate-internal
+//!   cluster-scan core,
 //! * the per-dimension affine int8 shadow ([`quantized::QuantizedShadow`],
-//!   `quantize: true`): visited clusters scan approximately at **one byte
-//!   per dimension** through a fixed-order int8 dot tile, a
-//!   quantization-error-widened bound selects the candidate superset, and
-//!   only survivors are re-ranked through the exact f32 kernel — a ~4×
-//!   smaller scan copy with the identical `NeighborTable`,
-//! * the shard-paged out-of-core index ([`sharded::ShardedIndex`]): the
-//!   same partition and the same cluster-scan core over a borrowed —
-//!   typically mmap-backed ([`snoopy_linalg::disk::DiskDataset`]) — source
-//!   view, but each cluster materialises as an independently
-//!   loadable/evictable shard under an LRU byte budget
-//!   ([`sharded::PagingStats`], [`sharded::PagedResidentBytes`]); the
-//!   triangle-inequality prune order doubles as the paging order, so
-//!   rejected clusters are never faulted in, a configurable prefetch
-//!   pipeline overlaps upcoming shard materialisation with the current scan
-//!   on `snoopy-pool` workers, and results stay bit-identical to the
-//!   resident paths at every prefetch depth and worker count,
+//!   [`sharded::ShardedIndex::quantize`]): visited clusters scan
+//!   approximately at **one byte per dimension** through a fixed-order int8
+//!   dot tile, a quantization-error-widened bound selects the candidate
+//!   superset, and only survivors are re-ranked through the exact f32
+//!   kernel — a ~4× smaller scan copy with the identical `NeighborTable`,
 //! * an exact brute-force index ([`brute::BruteForceIndex`]) whose k-NN
 //!   queries, batch evaluation, and leave-one-out error all route through
-//!   the engine (or the clustered index, per backend),
+//!   the engine,
 //! * the *incremental top-k successor state*
 //!   ([`incremental::IncrementalTopK`]) — the one append/relabel-able kNN
 //!   state behind the successive-halving bandit (each arm pull **appends** a
@@ -73,7 +65,6 @@
 
 pub(crate) mod bounds;
 pub mod brute;
-pub mod clustered;
 pub mod engine;
 pub mod incremental;
 pub mod kernel;
@@ -81,8 +72,8 @@ pub mod metric;
 pub mod quantized;
 pub mod sharded;
 
+pub use bounds::{PruneStats, ResidentBytes, KMEANS_SEED};
 pub use brute::BruteForceIndex;
-pub use clustered::{ClusteredIndex, EvalBackend, PruneStats, ResidentBytes};
 pub use engine::{EvalEngine, NearestHit, NeighborTable, TopKScratch, TopKState};
 pub use incremental::{EvictReport, IncrementalTopK};
 pub use kernel::MetricKernel;

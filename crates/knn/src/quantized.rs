@@ -1,16 +1,17 @@
 //! Per-dimension affine int8 quantization: the shadow copy behind the
-//! clustered index's two-phase (approximate-then-exact) scan.
+//! pruned index's two-phase (approximate-then-exact) scan.
 //!
-//! A [`QuantizedShadow`] stores every indexed row `x` as int8 codes `X`
-//! under a per-dimension affine map `x ≈ s ∘ X + o` (scale `s_j ≥ 0`,
+//! A [`QuantizedShadow`] stores every row `x` of one shard as int8 codes
+//! `X` under a per-dimension affine map `x ≈ s ∘ X + o` (scale `s_j ≥ 0`,
 //! offset `o_j`, codes in `[−127, 127]`). Phase 1 of a scan evaluates an
 //! *approximate* squared Euclidean distance from one byte per dimension;
 //! phase 2 re-ranks the rows that survive a provably-safe widened prune
 //! bound through the exact f32 kernel. The derivation of that bound — why
 //! the approximation plus a per-row reconstruction radius can never prune a
-//! true neighbour — lives in the [`crate::clustered`] module docs; this
-//! module owns the encoding, the per-row error book-keeping, and the
-//! overflow guards that keep the error model sound on extreme inputs.
+//! true neighbour — lives in the module docs of the crate-internal `bounds`
+//! module (the cluster-scan core); this module owns the encoding, the
+//! per-row error book-keeping, and the overflow guards that keep the error
+//! model sound on extreme inputs.
 //!
 //! ## Encoding
 //!
@@ -21,7 +22,8 @@
 //! a dimension contributes *zero* reconstruction error. Codes are computed
 //! in f64 (`round((x − o) / s)`, clamped), so encoding is deterministic and
 //! a row outside the fitted range still encodes (with a larger
-//! reconstruction radius).
+//! reconstruction radius). The shard-paged index fits one quantizer over
+//! its whole source and encodes every shard against it.
 //!
 //! ## The integer inner loop
 //!
@@ -58,11 +60,14 @@
 //!   and inflated by one part in 10⁶ before the f32 store so the stored
 //!   value never rounds below the true radius (clamped rows far outside
 //!   the fitted range simply get a large radius — wide bounds, never wrong
-//!   ones),
-//! * `max_code_norm = max_i ‖y_i‖` in f64 — the `‖x‖` stand-in of the
-//!   kernel-error margin.
+//!   ones).
 //!
-//! The floating-point margin `2(d + 32)·ε_f32·(‖u‖ + M)²` then only has to
+//! The `‖x‖` stand-in of the kernel-error margin is one bound for the
+//! whole index, kept by the quantizer: `M = 127.5·‖s‖` (in f64). Every
+//! code has `|X_j| ≤ 127` and `|fl32(s_j · X_j)| ≤ 127·s_j·(1 + ε)`, so
+//! `M ≥ ‖y_i‖` for every row any shard can hold, and a query prepared once
+//! ([`AffineQuantizer::prepare_query`]) is valid against every shard. The
+//! floating-point margin `2(d + 32)·ε_f32·(‖u‖ + M)²` then only has to
 //! cover the f32 roundings of `u = fl(q − o)`, `w = fl(u ∘ s)`, and the two
 //! fixed-order norm accumulations (`nu`, `‖y‖²`) — each an `O(d·ε)`
 //! absolute term bounded by the span — plus the handful of f64 finishing
@@ -74,14 +79,14 @@
 //! The margin is *absolute*, which silently requires that no f32
 //! intermediate overflows. Every float intermediate is bounded by
 //! `2(‖u‖ + M)²` (partial norm sums via Cauchy–Schwarz, per-element
-//! products because some row attains each dimension's extreme code), so
-//! capping both norms at [`MAX_SAFE_NORM`] `= 10¹⁸` keeps everything below
-//! `~10³⁷`, comfortably inside f32 range. The integer accumulator has its
-//! own budget: `|v| ≤ 8191`, `|X| ≤ 127` keep the i32 sum exact up to 2064
-//! dimensions, enforced as [`MAX_QUANTIZED_DIMS`] `= 2000` at build time.
-//! [`QuantizedShadow::build`] returns `None` when the data side violates
-//! either cap (the index then scans exactly, as if unquantized) and
-//! [`QuantizedShadow::prepare_query`] returns `None` when the query side
+//! products because `M` bounds every code row), so capping both norms at
+//! [`MAX_SAFE_NORM`] `= 10¹⁸` keeps everything below `~10³⁷`, comfortably
+//! inside f32 range. The integer accumulator has its own budget:
+//! `|v| ≤ 8191`, `|X| ≤ 127` keep the i32 sum exact up to 2064 dimensions,
+//! enforced as [`MAX_QUANTIZED_DIMS`] `= 2000`. [`AffineQuantizer::fit`]
+//! returns `None` when the data side violates either cap (the index then
+//! scans exactly, as if unquantized) and
+//! [`AffineQuantizer::prepare_query`] returns `None` when the query side
 //! does (that one query scans exactly). Exactness never depends on the
 //! shadow — it only skips work.
 
@@ -112,9 +117,9 @@ fn inflate_radius(r: f64) -> f32 {
 }
 
 /// The per-dimension affine map `x ≈ scales ∘ codes + offsets` shared by
-/// every row of one quantized shadow. Fit once per index; the shard-paged
-/// index encodes every shard against the one quantizer fitted over its
-/// whole source.
+/// every row of one index, plus the index-wide code-norm bound the int8
+/// margin rests on. Fit once per index; the shard-paged index encodes every
+/// shard against the one quantizer fitted over its whole source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AffineQuantizer {
     /// Per-dimension scale `s_j = (max_j − min_j) / 254` (`0` for constant
@@ -122,14 +127,23 @@ pub struct AffineQuantizer {
     scales: Vec<f32>,
     /// Per-dimension offset `o_j`: the midpoint of the observed range.
     offsets: Vec<f32>,
+    /// `M = 127.5·‖s‖` in f64: at or above every code row's `‖y‖`, the
+    /// data-side factor of the margin (see the [module docs](self)).
+    code_norm_bound: f64,
 }
 
 impl AffineQuantizer {
     /// Fits the per-dimension range map over `rows`. Min/max run in f64 so
     /// midpoints and ranges of extreme f32 values cannot overflow; NaN
-    /// entries are ignored (and encode to code `0`).
-    pub fn fit(rows: DatasetView<'_>) -> Self {
+    /// entries are ignored (and encode to code `0`). Returns `None` when the
+    /// data violates an overflow guard (code-norm bound `>`
+    /// [`MAX_SAFE_NORM`], or more than [`MAX_QUANTIZED_DIMS`] dimensions) —
+    /// callers then simply scan exactly.
+    pub fn fit(rows: DatasetView<'_>) -> Option<Self> {
         let d = rows.cols();
+        if d > MAX_QUANTIZED_DIMS {
+            return None;
+        }
         let mut lo = vec![f64::INFINITY; d];
         let mut hi = vec![f64::NEG_INFINITY; d];
         for row in rows.rows_iter() {
@@ -154,7 +168,13 @@ impl AffineQuantizer {
                 scales.push(0.0);
             }
         }
-        Self { scales, offsets }
+        let code_norm_bound = 127.5 * scales.iter().map(|&s| s as f64 * s as f64).sum::<f64>().sqrt();
+        // Negated so a NaN bound also refuses the shadow.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(code_norm_bound <= MAX_SAFE_NORM) {
+            return None;
+        }
+        Some(Self { scales, offsets, code_norm_bound })
     }
 
     /// Dimensionality the quantizer was fitted for.
@@ -166,6 +186,41 @@ impl AffineQuantizer {
     pub fn param_bytes(&self) -> usize {
         (self.scales.len() + self.offsets.len()) * size_of::<f32>()
     }
+
+    /// Per-query preamble: forms `u = fl32(q − o)` then `w = fl32(u ∘ s)`
+    /// in `w` (one buffer — `u` is overwritten once its norms are taken),
+    /// quantizes `w` onto the single query scale `g` as i16 codes in `v`,
+    /// and returns the query context, valid against every shadow encoded
+    /// with this quantizer. `None` when `‖u‖ >` [`MAX_SAFE_NORM`] (or is
+    /// NaN) and the quantized bound must not be trusted for this query.
+    pub fn prepare_query(&self, q: &[f32], w: &mut Vec<f32>, v: &mut Vec<i16>) -> Option<QuantizedQuery> {
+        w.clear();
+        w.extend(q.iter().zip(&self.offsets).map(|(&x, &o)| x - o));
+        let nu = simd::norm_sq(w);
+        let un = w.iter().map(|&u| u as f64 * u as f64).sum::<f64>().sqrt();
+        #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN norm must also refuse the shadow
+        if !(un <= MAX_SAFE_NORM) {
+            return None;
+        }
+        let mut wmax = 0.0f32;
+        for (wj, &s) in w.iter_mut().zip(&self.scales) {
+            *wj *= s;
+            wmax = wmax.max(wj.abs());
+        }
+        // `w` is finite here (`|u_j| ≤ 10¹⁸`, `s_j·127 ≤ M ≤ 10¹⁸`), so
+        // `g > 0` always admits `|w_j / g| ≤ 8191(1 + 2ε)` — the clamp only
+        // shaves division rounding, which the 1.02 slack coefficient
+        // absorbs. The `max` with the smallest normal keeps a subnormal
+        // `wmax` from collapsing `g` to zero while `w` is still nonzero.
+        let g = (wmax / QCODE_MAX as f32).max(f32::MIN_POSITIVE) as f64;
+        v.clear();
+        v.extend(w.iter().map(|&wj| (wj as f64 / g).round().clamp(-QCODE_MAX, QCODE_MAX) as i16));
+        // The margin coefficient `2(d + 32)·ε_f32` covers the inventory of
+        // the module docs.
+        let span = un + self.code_norm_bound;
+        let margin = 2.0 * (self.cols() as f64 + 32.0) * f32::EPSILON as f64 * span * span;
+        Some(QuantizedQuery { nu, margin, g2: 2.0 * g, qslack: 1.02 * g })
+    }
 }
 
 /// One query's precomputed quantized-scan context (the i16 query codes live
@@ -175,7 +230,8 @@ pub struct QuantizedQuery {
     /// `‖u‖²` in the kernel's fixed lane order, `u = fl32(q − o)`.
     pub nu: f32,
     /// The float-rounding margin of the approximate squared distance:
-    /// `2(d + 32)·ε_f32·(‖u‖ + max_code_norm)²` in f64.
+    /// `2(d + 32)·ε_f32·(‖u‖ + M)²` in f64, `M` the quantizer's code-norm
+    /// bound.
     pub margin: f64,
     /// `2g`: the dot-term factor of the f64 finishing expression.
     pub g2: f64,
@@ -184,13 +240,12 @@ pub struct QuantizedQuery {
     pub qslack: f64,
 }
 
-/// The int8 shadow of one cluster-contiguous row buffer: codes plus the
-/// per-row book-keeping that makes the approximate distance a checkable
-/// lower-bound source. Built by [`QuantizedShadow::build`]; consumed by the
-/// clustered index's quantized scan.
+/// The int8 shadow of one shard's row buffer: codes plus the per-row
+/// book-keeping that makes the approximate distance a checkable lower-bound
+/// source. Built by [`QuantizedShadow::build`]; consumed by the pruned
+/// index's quantized scan.
 #[derive(Debug, Clone)]
 pub struct QuantizedShadow {
-    quantizer: AffineQuantizer,
     /// Row-major int8 codes, same row order as the f32 buffer shadowed.
     codes: Vec<i8>,
     cols: usize,
@@ -201,37 +256,24 @@ pub struct QuantizedShadow {
     code_abs: Vec<f32>,
     /// Per row: an upper bound on `‖x_i − x̂_i‖` (f32, rounded up).
     recon_err: Vec<f32>,
-    /// `max_i ‖y_i‖` in f64 — the data-side factor of the margin.
-    max_code_norm: f64,
-    /// `2(d + 32)·ε_f32` — the margin coefficient (see the [module
-    /// docs](self) for the inventory it covers).
-    margin_coeff: f64,
 }
 
 impl QuantizedShadow {
-    /// Encodes every row of `data` under `quantizer`. Returns `None` when
-    /// the data violates an overflow guard (`max ‖y‖ >` [`MAX_SAFE_NORM`],
-    /// a non-finite code norm, or more than [`MAX_QUANTIZED_DIMS`]
-    /// dimensions) — callers then simply scan exactly.
+    /// Encodes every row of `data` under `quantizer`.
     ///
     /// # Panics
     /// Panics if `quantizer` was fitted for a different dimensionality.
-    pub fn build(data: DatasetView<'_>, quantizer: AffineQuantizer) -> Option<Self> {
+    pub fn build(data: DatasetView<'_>, quantizer: &AffineQuantizer) -> Self {
         assert_eq!(quantizer.cols(), data.cols(), "quantizer/data dimensionality mismatch");
         let (rows, cols) = (data.rows(), data.cols());
-        if cols > MAX_QUANTIZED_DIMS {
-            return None;
-        }
         let mut codes = vec![0i8; rows * cols];
         let mut code_norms = Vec::with_capacity(rows);
         let mut code_abs = Vec::with_capacity(rows);
         let mut recon_err = Vec::with_capacity(rows);
-        let mut max_code_norm = 0.0f64;
         let mut y = vec![0.0f32; cols];
         for (i, row) in data.rows_iter().enumerate() {
             let out = &mut codes[i * cols..(i + 1) * cols];
             let mut r2 = 0.0f64;
-            let mut n2 = 0.0f64;
             let mut abs = 0i32;
             for j in 0..cols {
                 let (s, o) = (quantizer.scales[j], quantizer.offsets[j]);
@@ -246,27 +288,12 @@ impl QuantizedShadow {
                 y[j] = yj;
                 let e = row[j] as f64 - (yj as f64 + o as f64);
                 r2 += e * e;
-                n2 += yj as f64 * yj as f64;
             }
             code_norms.push(simd::norm_sq(&y));
             code_abs.push(abs as f32);
             recon_err.push(inflate_radius(r2.sqrt()));
-            max_code_norm = max_code_norm.max(n2.sqrt());
         }
-        let sane = max_code_norm <= MAX_SAFE_NORM && code_norms.iter().all(|v| v.is_finite());
-        sane.then(|| {
-            let d = cols as f64;
-            Self {
-                quantizer,
-                codes,
-                cols,
-                code_norms,
-                code_abs,
-                recon_err,
-                max_code_norm,
-                margin_coeff: 2.0 * (d + 32.0) * f32::EPSILON as f64,
-            }
-        })
+        Self { codes, cols, code_norms, code_abs, recon_err }
     }
 
     /// Number of encoded rows.
@@ -300,45 +327,11 @@ impl QuantizedShadow {
         self.codes.len() * size_of::<i8>()
     }
 
-    /// Bytes of the per-row bound book-keeping (code norms, code abs sums,
-    /// reconstruction radii) plus the affine parameters.
+    /// Bytes of the per-row bound book-keeping: code norms, code abs sums
+    /// and reconstruction radii (the affine parameters belong to the
+    /// index's one quantizer).
     pub fn meta_bytes(&self) -> usize {
-        self.code_norms.len() * size_of::<f32>()
-            + self.code_abs.len() * size_of::<f32>()
-            + self.recon_err.len() * size_of::<f32>()
-            + self.quantizer.param_bytes()
-    }
-
-    /// Per-query preamble: forms `u = fl32(q − o)` then `w = fl32(u ∘ s)`
-    /// in `w` (one buffer — `u` is overwritten once its norms are taken),
-    /// quantizes `w` onto the single query scale `g` as i16 codes in `v`,
-    /// and returns the query context. `None` when `‖u‖ >` [`MAX_SAFE_NORM`]
-    /// (or is NaN) and the quantized bound must not be trusted for this
-    /// query.
-    pub fn prepare_query(&self, q: &[f32], w: &mut Vec<f32>, v: &mut Vec<i16>) -> Option<QuantizedQuery> {
-        w.clear();
-        w.extend(q.iter().zip(&self.quantizer.offsets).map(|(&x, &o)| x - o));
-        let nu = simd::norm_sq(w);
-        let un = w.iter().map(|&u| u as f64 * u as f64).sum::<f64>().sqrt();
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN norm must also refuse the shadow
-        if !(un <= MAX_SAFE_NORM) {
-            return None;
-        }
-        let mut wmax = 0.0f32;
-        for (wj, &s) in w.iter_mut().zip(&self.quantizer.scales) {
-            *wj *= s;
-            wmax = wmax.max(wj.abs());
-        }
-        // `w` is finite here (`|u_j| ≤ 10¹⁸`, `s_j·127 ≤ max ‖y‖ ≤ 10¹⁸`),
-        // so `g > 0` always admits `|w_j / g| ≤ 8191(1 + 2ε)` — the clamp
-        // only shaves division rounding, which the 1.02 slack coefficient
-        // absorbs. The `max` with the smallest normal keeps a subnormal
-        // `wmax` from collapsing `g` to zero while `w` is still nonzero.
-        let g = (wmax / QCODE_MAX as f32).max(f32::MIN_POSITIVE) as f64;
-        v.clear();
-        v.extend(w.iter().map(|&wj| (wj as f64 / g).round().clamp(-QCODE_MAX, QCODE_MAX) as i16));
-        let span = un + self.max_code_norm;
-        Some(QuantizedQuery { nu, margin: self.margin_coeff * span * span, g2: 2.0 * g, qslack: 1.02 * g })
+        (self.code_norms.len() + self.code_abs.len() + self.recon_err.len()) * size_of::<f32>()
     }
 
     /// Phase-1 tile: fills `out[j]` with the exact integer dot
@@ -395,8 +388,8 @@ mod tests {
     #[test]
     fn fit_maps_range_onto_symmetric_codes_and_reconstructs_within_half_step() {
         let data = wavy(40, 7, 0.2);
-        let q = AffineQuantizer::fit(data.view());
-        let sh = QuantizedShadow::build(data.view(), q.clone()).expect("sane data quantizes");
+        let q = AffineQuantizer::fit(data.view()).expect("sane data quantizes");
+        let sh = QuantizedShadow::build(data.view(), &q);
         assert_eq!(sh.rows(), 40);
         for (i, row) in data.view().rows_iter().enumerate() {
             #[allow(clippy::needless_range_loop)] // j indexes codes, scales, offsets, and row alike
@@ -422,13 +415,13 @@ mod tests {
     #[test]
     fn constant_columns_get_zero_scale_and_zero_error() {
         let data = Matrix::from_fn(10, 3, |r, c| if c == 1 { 4.25 } else { r as f32 * 0.3 });
-        let q = AffineQuantizer::fit(data.view());
+        let q = AffineQuantizer::fit(data.view()).expect("sane");
         assert_eq!(q.scales[1], 0.0);
         assert_eq!(q.offsets[1], 4.25);
-        let sh = QuantizedShadow::build(data.view(), q).expect("sane");
+        let sh = QuantizedShadow::build(data.view(), &q);
         // A constant column adds nothing to any reconstruction radius.
         let lone = Matrix::from_fn(10, 1, |_, _| 4.25);
-        let sh1 = QuantizedShadow::build(lone.view(), AffineQuantizer::fit(lone.view())).expect("sane");
+        let sh1 = QuantizedShadow::build(lone.view(), &AffineQuantizer::fit(lone.view()).expect("sane"));
         for i in 0..10 {
             assert_eq!(sh1.recon_err(i), 0.0, "constant column reconstructs exactly");
             assert!(sh.codes[i * 3 + 1] == 0);
@@ -439,18 +432,18 @@ mod tests {
     fn approx_distance_matches_reference_within_margin_and_qslack() {
         let data = wavy(33, 16, 0.0);
         let queries = wavy(5, 16, 1.3);
-        let sh = QuantizedShadow::build(data.view(), AffineQuantizer::fit(data.view())).expect("sane");
+        let qz = AffineQuantizer::fit(data.view()).expect("sane");
+        let sh = QuantizedShadow::build(data.view(), &qz);
         let (mut w, mut v) = (Vec::new(), Vec::new());
         for qi in 0..queries.rows() {
-            let qq = sh.prepare_query(queries.row(qi), &mut w, &mut v).expect("sane query");
+            let qq = qz.prepare_query(queries.row(qi), &mut w, &mut v).expect("sane query");
             let mut dots = vec![0i32; 33];
             sh.approx_dot_tile(&v, 0, &mut dots);
             for (i, _) in data.view().rows_iter().enumerate() {
                 // True squared distance to the reconstruction point in f64.
                 let true_sq: f64 = (0..16)
                     .map(|j| {
-                        let xhat = (sh.quantizer.scales[j] * sh.codes[i * 16 + j] as f32) as f64
-                            + sh.quantizer.offsets[j] as f64;
+                        let xhat = (qz.scales[j] * sh.codes[i * 16 + j] as f32) as f64 + qz.offsets[j] as f64;
                         (queries.row(qi)[j] as f64 - xhat).powi(2)
                     })
                     .sum();
@@ -466,34 +459,39 @@ mod tests {
 
     #[test]
     fn overflow_guards_reject_extreme_data_queries_and_wide_dims() {
-        // Data whose code norms would exceed the safe cap: build must bail.
+        // Data whose code norms could exceed the safe cap: the fit must bail.
         let huge = Matrix::from_fn(4, 8, |r, c| if (r + c) % 2 == 0 { 3.0e37 } else { -3.0e37 });
-        assert!(QuantizedShadow::build(huge.view(), AffineQuantizer::fit(huge.view())).is_none());
+        assert!(AffineQuantizer::fit(huge.view()).is_none());
         // Sane data, extreme query: prepare_query must bail for that query.
         let data = wavy(12, 8, 0.0);
-        let sh = QuantizedShadow::build(data.view(), AffineQuantizer::fit(data.view())).expect("sane");
+        let qz = AffineQuantizer::fit(data.view()).expect("sane");
         let (mut w, mut v) = (Vec::new(), Vec::new());
         let extreme = vec![3.0e37f32; 8];
-        assert!(sh.prepare_query(&extreme, &mut w, &mut v).is_none());
+        assert!(qz.prepare_query(&extreme, &mut w, &mut v).is_none());
         let fine = vec![0.5f32; 8];
-        assert!(sh.prepare_query(&fine, &mut w, &mut v).is_some());
-        // Past the i32 accumulator budget: build must bail on width alone.
+        assert!(qz.prepare_query(&fine, &mut w, &mut v).is_some());
+        // Past the i32 accumulator budget: the fit must bail on width alone.
         let wide = Matrix::from_fn(2, MAX_QUANTIZED_DIMS + 1, |r, c| (r + c) as f32);
-        assert!(QuantizedShadow::build(wide.view(), AffineQuantizer::fit(wide.view())).is_none());
+        assert!(AffineQuantizer::fit(wide.view()).is_none());
+        // The code-norm bound covers every encoded row.
+        let sh = QuantizedShadow::build(data.view(), &qz);
+        for i in 0..sh.rows() {
+            assert!((sh.code_norm(i) as f64).sqrt() <= qz.code_norm_bound, "row {i}");
+        }
     }
 
     #[test]
     fn query_codes_stay_inside_the_i16_budget() {
         let data = wavy(20, 9, 0.4);
-        let sh = QuantizedShadow::build(data.view(), AffineQuantizer::fit(data.view())).expect("sane");
+        let qz = AffineQuantizer::fit(data.view()).expect("sane");
         let (mut w, mut v) = (Vec::new(), Vec::new());
         for scale in [1.0e-30f32, 1.0, 1.0e12] {
             let q: Vec<f32> = (0..9).map(|j| (j as f32 - 4.0) * scale).collect();
-            sh.prepare_query(&q, &mut w, &mut v).expect("sane query");
+            qz.prepare_query(&q, &mut w, &mut v).expect("sane query");
             assert!(v.iter().all(|&c| (c as f64).abs() <= QCODE_MAX), "scale {scale}: {v:?}");
             // The chosen g must reconstruct w within the documented slack.
             let g = {
-                let qq = sh.prepare_query(&q, &mut w, &mut v).unwrap();
+                let qq = qz.prepare_query(&q, &mut w, &mut v).unwrap();
                 qq.g2 * 0.5
             };
             for (&wj, &vj) in w.iter().zip(&v) {
@@ -501,8 +499,8 @@ mod tests {
             }
         }
         // All-zero w (query at the offsets): codes all zero, zero slack term.
-        let at_offsets: Vec<f32> = sh.quantizer.offsets.clone();
-        sh.prepare_query(&at_offsets, &mut w, &mut v).expect("sane query");
+        let at_offsets: Vec<f32> = qz.offsets.clone();
+        qz.prepare_query(&at_offsets, &mut w, &mut v).expect("sane query");
         assert!(v.iter().all(|&c| c == 0));
     }
 
@@ -511,7 +509,7 @@ mod tests {
         let mut rows = vec![vec![1.5f32, -2.0, 0.25]; 6];
         rows.push(vec![3.0, 1.0, -1.0]);
         let data = Matrix::from_rows(&rows);
-        let sh = QuantizedShadow::build(data.view(), AffineQuantizer::fit(data.view())).expect("sane");
+        let sh = QuantizedShadow::build(data.view(), &AffineQuantizer::fit(data.view()).expect("sane"));
         for i in 1..6 {
             assert_eq!(sh.codes[i * 3..(i + 1) * 3], sh.codes[..3]);
             assert_eq!(sh.recon_err(i).to_bits(), sh.recon_err(0).to_bits());
@@ -523,8 +521,8 @@ mod tests {
     #[test]
     fn subnormal_data_quantizes_without_panicking_and_bounds_stay_valid() {
         let data = Matrix::from_rows(&[vec![2.2e-23f32, 0.0], vec![-1.8e-23, 0.0], vec![1.0e-40, 0.0]]);
-        let q = AffineQuantizer::fit(data.view());
-        let sh = QuantizedShadow::build(data.view(), q).expect("subnormals are sane");
+        let q = AffineQuantizer::fit(data.view()).expect("subnormals are sane");
+        let sh = QuantizedShadow::build(data.view(), &q);
         for i in 0..3 {
             assert!(sh.recon_err(i).is_finite());
         }

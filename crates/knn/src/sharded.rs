@@ -1,30 +1,39 @@
-//! Shard-paged exact clustered scans over out-of-core datasets.
+//! The exact pruned index: a k-means coarse partition plus
+//! triangle-inequality pruning, with each cluster paged in as a shard.
 //!
-//! The fully-resident [`ClusteredIndex`](crate::clustered::ClusteredIndex)
-//! copies every training row into a cluster-contiguous buffer at build time
-//! — fine when the dataset fits in RAM, a non-starter for the
-//! millions-of-rows datasets the mmap-backed
-//! [`snoopy_linalg::disk::DiskDataset`] makes addressable.
-//! [`ShardedIndex`] keeps the *same* k-means partition and runs the *same*
-//! cluster-scan core (the crate-internal `bounds` module: one bound-ordered
-//! visit loop, one f32 tile scan, one int8 two-phase scan), but
-//! materialises each cluster as an independent **shard** — the gathered
-//! f32 member rows, their per-row centroid distances, the kernel norm
-//! cache, and (when quantized) the int8 shadow — that loads and evicts on
-//! demand under a configurable resident byte budget. The only paged part
-//! is how the visit loop obtains a cluster: it tops the prefetch pipeline
-//! up, then commits the cluster's staged shard or faults it in.
+//! The exhaustive [`EvalEngine`](crate::engine::EvalEngine) visits every
+//! training row per query. On clustered embedding spaces most of that work
+//! provably cannot change the answer: once a query holds `k` candidates,
+//! whole clusters whose *lower bound* on any member's distance exceeds the
+//! current k-th admitted distance can be skipped without looking at a
+//! single row. [`ShardedIndex`] implements that path while keeping results
+//! **bit-identical** to the exhaustive engine, over a borrowed source view:
+//! an mmap-backed [`snoopy_linalg::disk::DiskDataset`] window for datasets
+//! that do not fit in memory, or an in-memory view with
+//! `budget_bytes = usize::MAX`. It keeps the partition resident and runs
+//! the crate's one cluster-scan core (the crate-internal `bounds` module:
+//! one bound-ordered visit loop, one f32 tile scan, one int8 two-phase
+//! scan, and the derivation of every bound they test), but materialises
+//! each cluster as an independent **shard** — the gathered f32 member rows,
+//! their per-row centroid distances, the kernel norm cache, and (when
+//! quantized) the int8 shadow — that loads and evicts on demand under a
+//! configurable resident byte budget. The visit loop obtains a cluster from
+//! the pager: it tops the prefetch pipeline up, then commits the cluster's
+//! staged shard or faults it in.
+//!
+//! Every query path reports [`PruneStats`] — clusters visited vs total and
+//! rows scanned vs pruned — and [`PagingStats`] counts the shard traffic.
 //!
 //! ## Paging order *is* prune order
 //!
 //! A query sorts clusters by ascending triangle-inequality lower bound and
-//! visits them in that order, exactly like the resident index. A shard is
-//! faulted in **only when its cluster is actually visited**, so the bound
-//! doubles as the paging schedule: clusters the bound rejects are never
-//! read off disk at all, and the first unbeatable cluster ends the query
-//! before any further I/O. The cost model is therefore the resident index's
-//! prune rate translated into bytes — `PruneStats::cluster_prune_rate`
-//! bounds the fraction of the dataset a query can fault.
+//! visits them in that order. A shard is faulted in **only when its cluster
+//! is actually visited**, so the bound doubles as the paging schedule:
+//! clusters the bound rejects are never read off disk at all, and the first
+//! unbeatable cluster ends the query before any further I/O. The cost model
+//! is therefore the prune rate translated into bytes —
+//! [`PruneStats::cluster_prune_rate`] bounds the fraction of the dataset a
+//! query can fault.
 //!
 //! ## Residency contract
 //!
@@ -40,14 +49,16 @@
 //!
 //! ## Exactness
 //!
-//! Results are **bit-identical** to the resident index and the exhaustive
-//! engine: member order within a shard ascends by original row index (the
-//! same regrouping the resident index copies), every admitted distance
+//! Results are **bit-identical** to the exhaustive engine: member order
+//! within a shard ascends by original row index, every admitted distance
 //! comes from the same [`MetricKernel`] expressions (which depend only on
-//! the pair of rows, never on which buffer holds them), and every scan and
-//! prune decision is the shared core's. Evicting and re-faulting a shard
-//! recomputes identical bytes — gathers and per-row geometry are
-//! deterministic functions of the source view.
+//! the pair of rows, never on which buffer holds them), and every prune
+//! decision is sound by the bounds of the scan core. Evicting and
+//! re-faulting a shard recomputes identical bytes — gathers, per-row
+//! geometry and int8 codes are deterministic functions of the source view
+//! and the frozen quantizer — and the int8 margin rests on the quantizer's
+//! index-wide code-norm bound, so the budget and the prefetch depth change
+//! time, never work: tables and [`PruneStats`] are equal at every budget.
 //!
 //! ## Pipelined prefetch
 //!
@@ -76,12 +87,12 @@
 //!
 //! [`MetricKernel`]: crate::kernel::MetricKernel
 
-use crate::bounds::{euclid_f64, ClusterSlice, ClusterSource, Partition, ScanRows, KMEANS_MAX_ITERS};
-use crate::clustered::{ResidentBytes, KMEANS_SEED};
-use crate::engine::{num_threads, NeighborTable, TopKState, DEFAULT_TILE_ROWS};
+use crate::bounds::{
+    euclid_f64, ClusterSlice, Partition, PruneStats, ResidentBytes, ScanRows, KMEANS_MAX_ITERS, KMEANS_SEED,
+};
+use crate::engine::{num_threads, NeighborTable, TopKState};
 use crate::metric::Metric;
 use crate::quantized::AffineQuantizer;
-use crate::PruneStats;
 use snoopy_linalg::kmeans::lloyd_kmeans;
 use snoopy_linalg::DatasetView;
 
@@ -114,9 +125,10 @@ pub struct PagingStats {
 /// shard cache — what [`ShardedIndex::resident_bytes`] reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagedResidentBytes {
-    /// Currently-resident footprint, bucketed like the resident index
-    /// (`train_rows`/`quantized_*` cover resident shards only; `centroids`
-    /// and `row_meta` cover the always-resident index metadata).
+    /// Currently-resident footprint, bucketed by role (`train_rows`,
+    /// `quantized_codes` and the per-row part of `quantized_meta` cover
+    /// resident shards only; `centroids`, `row_meta`'s member ids and the
+    /// affine parameters cover the always-resident index metadata).
     pub resident: ResidentBytes,
     /// The configured shard-cache budget in bytes.
     pub budget: usize,
@@ -166,10 +178,7 @@ impl<'p> ShardLoader<'p> {
         let data = self.source.select_rows(self.ids(c));
         let centroid = self.part.centroids.row(c);
         let row_center = data.rows_iter().map(|r| euclid_f64(r, centroid)).collect();
-        let mut rows = ScanRows::new(self.part.metric(), data, row_center);
-        if let Some(quantizer) = self.quantizer {
-            rows.quantize(quantizer.clone());
-        }
+        let rows = ScanRows::new(self.part.metric(), data, row_center, self.quantizer);
         let mut rb = ResidentBytes::default();
         rows.add_bytes(&mut rb);
         Shard { bytes: rb.total(), rows, last_use: 0 }
@@ -511,17 +520,27 @@ impl ShardCache {
     }
 }
 
-/// The paged [`ClusterSource`]: at each visit it tops the prefetch pipeline
-/// up with that visit's τ, then commits the cluster's staged shard or
-/// faults it in.
-struct Pager<'p> {
+/// How the visit loop obtains the rows of a visited cluster: at each visit
+/// it tops the prefetch pipeline up with that visit's τ, then commits the
+/// cluster's staged shard or faults it in.
+pub(crate) struct Pager<'p> {
     loader: ShardLoader<'p>,
     cache: &'p mut ShardCache,
     pf: Prefetcher,
 }
 
-impl ClusterSource for Pager<'_> {
-    fn obtain(
+impl<'p> Pager<'p> {
+    /// The frozen quantizer every shard encodes against (`None` when the
+    /// index is unquantized).
+    pub fn quantizer(&self) -> Option<&'p AffineQuantizer> {
+        self.loader.quantizer
+    }
+
+    /// The shard of cluster `order[pos].2`, called once per visit after the
+    /// τ prune check passed: `tau_sq` is that check's squared threshold
+    /// (`None` while the query's state is not full) and `err` the query's
+    /// kernel-error margin.
+    pub fn obtain(
         &mut self,
         order: &[(f64, f64, usize)],
         pos: usize,
@@ -539,13 +558,13 @@ impl ClusterSource for Pager<'_> {
         self.pf.top_up(self.cache, &loader, order, pos, tau_sq, err);
         let staged = self.pf.take(self.cache, c);
         let shard = self.cache.obtain(c, staged, || loader.load(c));
-        ClusterSlice { rows: &shard.rows, start: 0, ids: loader.ids(c) }
+        ClusterSlice { rows: &shard.rows, ids: loader.ids(c) }
     }
 }
 
-/// The shard-paged exact clustered index over a borrowed (typically
-/// mmap-backed) source view. See the [module docs](self) for the paging and
-/// exactness contracts.
+/// The shard-paged exact pruned index over a borrowed source view (an
+/// mmap-backed window, or an in-memory view with an unbounded budget). See
+/// the [module docs](self) for the paging and exactness contracts.
 pub struct ShardedIndex<'a> {
     /// The source rows — on the out-of-core path, a window over a
     /// memory-mapped [`snoopy_linalg::disk::DiskDataset`].
@@ -554,7 +573,8 @@ pub struct ShardedIndex<'a> {
     part: Partition,
     /// The frozen affine fitted over the *whole* source at
     /// [`ShardedIndex::quantize`] time — every shard encodes against it, so
-    /// eviction and re-faulting cannot change any code.
+    /// eviction and re-faulting cannot change any code, and its code-norm
+    /// bound serves every shard's int8 margin.
     quantizer: Option<AffineQuantizer>,
     cache: ShardCache,
 }
@@ -571,12 +591,12 @@ impl<'a> ShardedIndex<'a> {
     /// Panics for [`Metric::Cosine`] (not triangle-prunable) or an empty
     /// `source`.
     pub fn build(source: DatasetView<'a>, metric: Metric, nlist: usize, budget_bytes: usize) -> Self {
-        assert!(crate::EvalBackend::prunable(metric), "cosine dissimilarity is not triangle-prunable");
+        assert!(metric != Metric::Cosine, "cosine dissimilarity is not triangle-prunable");
         assert!(!source.is_empty(), "cannot build a sharded index over an empty dataset");
         let km = lloyd_kmeans(source, nlist, KMEANS_MAX_ITERS, KMEANS_SEED, num_threads());
         // Per-row centroid distances are shard metadata — recomputed at
         // fault, not stored.
-        let part = Partition::new(source, metric, &km.centroids, &km.assignments, None);
+        let part = Partition::new(source, metric, &km.centroids, &km.assignments);
         let cache = ShardCache::new(part.num_clusters(), budget_bytes);
         ShardedIndex { source, part, quantizer: None, cache }
     }
@@ -585,15 +605,17 @@ impl<'a> ShardedIndex<'a> {
     /// source (one streaming pass) and freezes it, so every shard —
     /// including ones re-faulted after eviction — encodes identically.
     /// Resident shards are dropped and re-materialise with shadows on next
-    /// visit. Results stay bit-identical (the shadow only selects re-rank
+    /// visit; visited clusters then run the two-phase int8-then-exact scan.
+    /// Results stay bit-identical (the shadow only selects re-rank
     /// candidates); data past the overflow guard simply scans exact.
     pub fn quantize(mut self) -> Self {
-        self.quantizer = Some(AffineQuantizer::fit(self.source));
+        self.quantizer = AffineQuantizer::fit(self.source);
         self.cache.clear();
         self
     }
 
-    /// Whether a frozen quantizer is attached.
+    /// Whether a frozen quantizer is attached (false when the overflow
+    /// guard refused the data).
     pub fn is_quantized(&self) -> bool {
         self.quantizer.is_some()
     }
@@ -671,9 +693,14 @@ impl<'a> ShardedIndex<'a> {
         }
     }
 
-    /// Folds the indexed source rows into the running top-k state of every
-    /// query row — the paged counterpart of `ClusteredIndex::update_topk`,
-    /// same streamable fold semantics. The scan itself runs on this thread;
+    /// Folds the indexed source rows (global indices = source row index plus
+    /// `offset`) into the running top-k state of every query row — the
+    /// pruned counterpart of
+    /// [`EvalEngine::update_topk`](crate::engine::EvalEngine::update_topk), with the same
+    /// streamable fold semantics: pre-seeded states tighten the pruning
+    /// threshold from the first cluster. `exclude_self = Some(base)`
+    /// declares query row `i` to be global training row `base + i` and skips
+    /// that one pair (leave-one-out). The scan itself runs on this thread;
     /// with a non-zero [`ShardedIndex::set_prefetch_depth`] upcoming shards
     /// materialise concurrently on pool workers (see the
     /// [module docs](self)).
@@ -695,7 +722,7 @@ impl<'a> ShardedIndex<'a> {
             pf: Prefetcher::new(part.num_clusters(), cache.prefetch_depth),
             cache,
         };
-        let stats = part.update_topk(&mut pager, queries, offset, states, exclude_self, DEFAULT_TILE_ROWS);
+        let stats = part.update_topk(&mut pager, queries, offset, states, exclude_self);
         // Resolve every outstanding speculative load before returning —
         // the soundness condition of `PrefetchJob`'s pointer erasure.
         pager.pf.drain(pager.cache);
@@ -703,8 +730,8 @@ impl<'a> ShardedIndex<'a> {
     }
 
     /// Top-k neighbour table for every query, from a cold start —
-    /// bit-identical to `EvalEngine::topk` and `ClusteredIndex::topk` on
-    /// the same data.
+    /// bit-identical to [`EvalEngine::topk`](crate::engine::EvalEngine::topk) on the
+    /// same data.
     pub fn topk(&mut self, queries: DatasetView<'_>, k: usize) -> NeighborTable {
         self.topk_with_stats(queries, k).0
     }
@@ -719,7 +746,7 @@ impl<'a> ShardedIndex<'a> {
 
     /// Leave-one-out top-k table of the indexed data against itself (row
     /// `i` of `data` must be row `i` of the source view) — bit-identical to
-    /// `EvalEngine::topk_loo`.
+    /// [`EvalEngine::topk_loo`](crate::engine::EvalEngine::topk_loo).
     pub fn topk_loo(&mut self, data: DatasetView<'_>, k: usize) -> NeighborTable {
         self.topk_loo_with_stats(data, k).0
     }
@@ -736,7 +763,6 @@ impl<'a> ShardedIndex<'a> {
 mod tests {
     use super::*;
     use crate::engine::{knn_reference, knn_reference_loo};
-    use crate::ClusteredIndex;
     use snoopy_linalg::Matrix;
 
     fn blobs(n: usize, d: usize, centers: usize, seed: u64) -> Matrix {
@@ -756,53 +782,6 @@ mod tests {
                 assert_eq!(got, knn_reference(train.view(), queries.view(), metric, k), "k {k}");
             }
             assert!(index.paging_stats().shards_evicted >= 2, "{:?}", index.paging_stats());
-        }
-    }
-
-    #[test]
-    fn sharded_matches_resident_clustered_bit_for_bit() {
-        let train = blobs(500, 6, 10, 11);
-        let queries = blobs(40, 6, 10, 12);
-        let resident = ClusteredIndex::build(train.view(), Metric::SquaredEuclidean, 10);
-        let mut paged = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 10, 2 * 6 * 4 * 500 / 10);
-        assert_eq!(paged.topk(queries.view(), 5), resident.topk(queries.view(), 5));
-        assert_eq!(paged.topk_loo(train.view(), 3), resident.topk_loo(train.view(), 3));
-        // Both indexes run one visit loop over one partition, so they do the
-        // same pruning work under eviction at every prefetch depth. With
-        // shadows only the per-shard margins differ: the visits and phase-1
-        // rows match, the re-rank count may not.
-        let budget = 2 * 6 * 4 * 500 / 10;
-        for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
-            let resident = ClusteredIndex::build(train.view(), metric, 10);
-            let resident_q = resident.clone().quantize();
-            for depth in [0usize, 2] {
-                let mut paged =
-                    ShardedIndex::build(train.view(), metric, 10, budget).with_prefetch_depth(depth);
-                assert_eq!(
-                    paged.topk_with_stats(queries.view(), 5),
-                    resident.topk_with_stats(queries.view(), 5)
-                );
-                assert_eq!(
-                    paged.topk_loo_with_stats(train.view(), 3),
-                    resident.topk_loo_with_stats(train.view(), 3)
-                );
-                assert!(paged.paging_stats().shards_evicted > 0, "{:?}", paged.paging_stats());
-                let mut paged_q = paged.quantize();
-                for (got, want) in [
-                    (
-                        paged_q.topk_with_stats(queries.view(), 5),
-                        resident_q.topk_with_stats(queries.view(), 5),
-                    ),
-                    (
-                        paged_q.topk_loo_with_stats(train.view(), 3),
-                        resident_q.topk_loo_with_stats(train.view(), 3),
-                    ),
-                ] {
-                    assert_eq!(got.0, want.0, "depth {depth}");
-                    assert_eq!(got.1.clusters_visited, want.1.clusters_visited, "depth {depth}");
-                    assert_eq!(got.1.rows_quantized, want.1.rows_quantized, "depth {depth}");
-                }
-            }
         }
     }
 
@@ -956,5 +935,151 @@ mod tests {
         assert_eq!(table, knn_reference(train.view(), queries.view(), Metric::SquaredEuclidean, 5));
         let mut loo = ShardedIndex::build(train.view(), Metric::Euclidean, 10, budget).with_prefetch_depth(3);
         assert_eq!(loo.topk_loo(train.view(), 4), knn_reference_loo(train.view(), Metric::Euclidean, 4));
+    }
+
+    #[test]
+    fn pruning_actually_happens_on_separated_blobs() {
+        let train = blobs(600, 6, 12, 3);
+        let queries = blobs(40, 6, 12, 4);
+        let mut index = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 12, usize::MAX);
+        let (table, stats) = index.topk_with_stats(queries.view(), 5);
+        assert_eq!(table, knn_reference(train.view(), queries.view(), Metric::SquaredEuclidean, 5));
+        assert!(stats.clusters_visited < stats.clusters_total, "{stats:?}");
+        assert!(stats.cluster_prune_rate() > 0.5, "rate {} ({stats:?})", stats.cluster_prune_rate());
+        assert!(stats.rows_scanned + stats.rows_pruned <= stats.rows_total);
+        assert_eq!(stats.queries, 40);
+    }
+
+    #[test]
+    fn degenerate_shapes_nlist_exceeding_n_single_cluster_duplicates() {
+        // n < nlist: every row may become its own cluster.
+        let tiny = blobs(5, 4, 2, 9);
+        let q = blobs(7, 4, 2, 10);
+        for nlist in [1usize, 5, 64] {
+            let mut index = ShardedIndex::build(tiny.view(), Metric::SquaredEuclidean, nlist, usize::MAX);
+            assert!(index.num_clusters() <= 5);
+            assert_eq!(
+                index.topk(q.view(), 3),
+                knn_reference(tiny.view(), q.view(), Metric::SquaredEuclidean, 3)
+            );
+        }
+        // All-identical rows: ties must resolve to the lowest original index.
+        let dup = Matrix::from_fn(30, 4, |_, _| 2.5);
+        let mut index = ShardedIndex::build(dup.view(), Metric::Euclidean, 4, usize::MAX);
+        let table = index.topk(q.view().slice_rows(0, 3), 6);
+        for qi in 0..3 {
+            let idx: Vec<usize> = table.neighbors(qi).iter().map(|h| h.index).collect();
+            assert_eq!(idx, vec![0, 1, 2, 3, 4, 5]);
+        }
+    }
+
+    #[test]
+    fn subnormal_underflow_does_not_prune_zero_distance_ties() {
+        // Both rows are within ~2e-23 of the query, so their f32 squared
+        // distances (≈ 3e-46, 5e-46) round to exactly 0.0 — the exhaustive
+        // kernel admits the LOWEST index by the (distance, index) tie-break.
+        // Their pairwise squared distance (1.6e-45) stays a non-zero
+        // subnormal, so k-means keeps them in separate clusters, and the
+        // query visits index 1's cluster first (smaller centroid distance)
+        // before admitting τ = 0. The f64 bound to index 0's cluster stays
+        // positive, so a purely relative slack would prune the
+        // lower-index-bearing cluster; the absolute guard must keep it
+        // scanned.
+        let train = Matrix::from_rows(&[vec![2.2e-23f32, 0.0], vec![-1.8e-23, 0.0]]);
+        let queries = Matrix::from_rows(&[vec![0.0f32, 0.0]]);
+        for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
+            let reference = knn_reference(train.view(), queries.view(), metric, 1);
+            assert_eq!(reference.first(0).expect("one hit").index, 0, "reference ties to index 0");
+            let mut index = ShardedIndex::build(train.view(), metric, 2, usize::MAX);
+            assert_eq!(index.num_clusters(), 2);
+            assert_eq!(index.topk(queries.view(), 1), reference, "metric {}", metric.name());
+        }
+    }
+
+    #[test]
+    fn quantized_subnormal_underflow_does_not_prune_zero_distance_ties() {
+        // The quantized twin of the subnormal guard test: the int8 bound's
+        // threshold path must also keep τ = 0 from pruning the lower-index
+        // tie (the guard makes T ≥ √(guard) > any subnormal bound).
+        let train = Matrix::from_rows(&[vec![2.2e-23f32, 0.0], vec![-1.8e-23, 0.0]]);
+        let queries = Matrix::from_rows(&[vec![0.0f32, 0.0]]);
+        for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
+            let reference = knn_reference(train.view(), queries.view(), metric, 1);
+            let mut index = ShardedIndex::build(train.view(), metric, 2, usize::MAX).quantize();
+            assert!(index.is_quantized());
+            assert_eq!(index.num_clusters(), 2);
+            assert_eq!(index.topk(queries.view(), 1), reference, "metric {}", metric.name());
+        }
+    }
+
+    #[test]
+    fn quantized_scan_reranks_a_strict_subset_and_reports_phase_counters() {
+        let train = blobs(800, 16, 12, 51);
+        let queries = blobs(50, 16, 12, 52);
+        let mut plain = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 12, usize::MAX);
+        let mut quantized =
+            ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 12, usize::MAX).quantize();
+        let (table_p, stats_p) = plain.topk_with_stats(queries.view(), 5);
+        let (table_q, stats_q) = quantized.topk_with_stats(queries.view(), 5);
+        assert_eq!(table_p, table_q);
+        assert_eq!(stats_p.rows_quantized, 0, "f32 path never counts phase 1");
+        assert_eq!(stats_p.rerank_rate(), 0.0);
+        assert!(stats_q.rows_quantized > 0, "{stats_q:?}");
+        assert!(stats_q.rows_scanned < stats_q.rows_quantized, "int8 bound must prune: {stats_q:?}");
+        assert!(stats_q.rerank_rate() < 1.0, "{stats_q:?}");
+        assert!(
+            stats_q.rows_scanned + stats_q.rows_pruned + stats_q.queries >= stats_q.rows_quantized,
+            "every phase-1 row is re-ranked, pruned, or the self-skip: {stats_q:?}"
+        );
+    }
+
+    #[test]
+    fn quantized_resident_bytes_measures_the_4x_scan_copy() {
+        // Leave-one-out visits every row's own cluster, and an unbounded
+        // budget keeps every faulted shard resident.
+        let train = blobs(300, 32, 6, 61);
+        let mut plain = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 6, usize::MAX);
+        plain.topk_loo(train.view(), 1);
+        let rb_plain = plain.resident_bytes().resident;
+        assert_eq!(rb_plain.train_rows, 300 * 32 * 4);
+        assert_eq!(rb_plain.quantized_codes, 0);
+        assert_eq!(rb_plain.quantized_meta, 0);
+        let mut quantized = plain.quantize();
+        quantized.topk_loo(train.view(), 1);
+        let rb = quantized.resident_bytes().resident;
+        assert_eq!(rb.train_rows, 300 * 32 * 4);
+        assert_eq!(rb.quantized_codes * 4, rb.train_rows, "codes are exactly 4x smaller");
+        // code norms + abs sums + radii (3 f32/row) + affine params (2 f32/dim).
+        assert_eq!(rb.quantized_meta, 300 * 12 + 32 * 8);
+        assert!(rb.total() > rb_plain.total());
+        assert!(rb.centroids > 0 && rb.row_meta > 0);
+    }
+
+    #[test]
+    fn quantized_extreme_magnitudes_fall_back_and_stay_exact() {
+        // Data past the shadow's overflow guard (row norms ≈ √8·10¹⁸ >
+        // MAX_SAFE_NORM) but still well inside the f32-finite regime the
+        // exact kernel's error model requires: quantize() must refuse the
+        // shadow and the scan must stay exact.
+        let huge = Matrix::from_fn(40, 8, |r, c| if (r + c) % 2 == 0 { 1.0e18 } else { -1.0e18 });
+        let mut index = ShardedIndex::build(huge.view(), Metric::SquaredEuclidean, 4, usize::MAX).quantize();
+        assert!(!index.is_quantized(), "overflow guard must reject the shadow");
+        let q = Matrix::from_fn(5, 8, |r, c| ((r * 8 + c) as f32).sin() * 1.0e18);
+        assert_eq!(
+            index.topk(q.view(), 3),
+            knn_reference(huge.view(), q.view(), Metric::SquaredEuclidean, 3)
+        );
+        // Sane data, extreme query rows: those queries alone fall back
+        // (`prepare_query` refuses norms past the guard, per query).
+        let train = blobs(200, 8, 4, 71);
+        let mut index = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 4, usize::MAX).quantize();
+        assert!(index.is_quantized());
+        let mut rows: Vec<Vec<f32>> = (0..4).map(|r| q.row(r).to_vec()).collect();
+        rows.push(vec![2.0e18; 8]);
+        let mixed = Matrix::from_rows(&rows);
+        assert_eq!(
+            index.topk(mixed.view(), 3),
+            knn_reference(train.view(), mixed.view(), Metric::SquaredEuclidean, 3)
+        );
     }
 }

@@ -269,7 +269,7 @@ fn topk_tie_break_is_invariant_across_block_sizes_and_thread_counts() {
 /// across every tile size — degenerate (1), lane-straddling (3, 9), the
 /// register block and its neighbours (4, 5), non-divisors of the block size,
 /// and tiles larger than the training set — for every metric and for the
-/// exhaustive, clustered, and streamed consumers.
+/// exhaustive and streamed consumers.
 #[test]
 fn tile_sweep_is_bit_identical_across_every_consumer() {
     let (train_x, train_y) = cloud(97, 143, 11, 3);
@@ -289,19 +289,11 @@ fn tile_sweep_is_bit_identical_across_every_consumer() {
             }
         }
     }
-    // Clustered and streamed consumers under the same sweep.
-    let reference = knn_reference(train_x.view(), test_x.view(), Metric::SquaredEuclidean, 5);
+    // The streamed consumer under the same sweep.
     let full_error =
         BruteForceIndex::from_view(train, Metric::SquaredEuclidean).one_nn_error(&test_x, &test_y);
     for tile_rows in [1usize, 5, 33, 200] {
         let engine = EvalEngine::with_threads(2).with_tile_rows(tile_rows);
-        let index = snoopy_knn::ClusteredIndex::build_with_engine(
-            train_x.view(),
-            Metric::SquaredEuclidean,
-            9,
-            engine,
-        );
-        assert_eq!(index.topk(test_x.view(), 5), reference, "clustered tile {tile_rows}");
         let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 1)
             .with_engine(engine);
         for batch in LabeledView::new(&train_x, &train_y).batches(29) {

@@ -1,13 +1,13 @@
 //! Property-based pin of the out-of-core contract: a dataset written to the
 //! versioned disk format and reopened as an mmap-backed view is
 //! **bit-identical** to the in-memory matrix through every consumer — the
-//! exhaustive engine, the clustered and quantized indexes, the
-//! [`IncrementalTopK`] append/evict paths, and the shard-paged
-//! [`ShardedIndex`] under budgets small enough to force eviction
-//! mid-query. Backing must be invisible: same bytes in, same bits out.
+//! exhaustive engine, the [`IncrementalTopK`] append/evict paths, and the
+//! pruned [`ShardedIndex`], plain and quantized, under budgets small enough
+//! to force eviction mid-query. Backing must be invisible: same bytes in,
+//! same bits out.
 
 use proptest::prelude::*;
-use snoopy_knn::{ClusteredIndex, EvalBackend, EvalEngine, IncrementalTopK, Metric, ShardedIndex};
+use snoopy_knn::{EvalEngine, IncrementalTopK, Metric, ShardedIndex};
 use snoopy_linalg::disk::{DiskDataset, DiskLabels};
 use snoopy_testutil::{cloud_with_ties, TempDir};
 
@@ -15,9 +15,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Disk-backed train/query views equal the in-memory ones bit for bit
-    /// through the exhaustive, clustered, and quantized paths, plus the
-    /// sharded index under an eviction-forcing budget — which also does the
-    /// resident index's pruning work, visit for visit.
+    /// through the exhaustive engine and the pruned index: the index over
+    /// the mapped view under an eviction-forcing budget returns the
+    /// exhaustive table, and does the same pruning work — every
+    /// [`snoopy_knn::PruneStats`] counter, plain or quantized — as an
+    /// unbounded index over the in-memory matrix.
     #[test]
     fn disk_views_match_memory_through_every_backend(
         seed in 0u64..500,
@@ -39,56 +41,20 @@ proptest! {
 
         let engine = EvalEngine::parallel();
         for metric in Metric::all() {
-            for backend in [
-                EvalBackend::Exhaustive,
-                EvalBackend::clustered(nlist),
-                EvalBackend::quantized(nlist),
-            ] {
-                let memory = engine.topk_with_backend(train.view(), queries.view(), metric, k, backend);
-                let disk = engine.topk_with_backend(
-                    disk_train.view(),
-                    disk_queries.view(),
-                    metric,
-                    k,
-                    backend,
-                );
-                prop_assert_eq!(&disk, &memory, "metric {} backend {}", metric.name(), backend.name());
-            }
+            let memory = engine.topk(train.view(), queries.view(), metric, k);
+            let disk = engine.topk(disk_train.view(), disk_queries.view(), metric, k);
+            prop_assert_eq!(&disk, &memory, "metric {}", metric.name());
         }
 
-        // The shard-paged index over the mapped view, with a budget of
-        // roughly two shards so most queries evict mid-flight.
+        // The pruned index over the mapped view, with a budget of roughly
+        // two shards so most queries evict mid-flight, against an unbounded
+        // one over the in-memory matrix, at prefetch depths 0 and 2.
         let shard_bytes = (n / nlist).max(1) * d * 4;
         for quantize in [false, true] {
             for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
-                let reference = engine.topk_with_backend(
-                    train.view(), queries.view(), metric, k, EvalBackend::clustered(nlist),
-                );
-                let mut sharded =
-                    ShardedIndex::build(disk_train.view(), metric, nlist, 2 * shard_bytes);
-                if quantize {
-                    sharded = sharded.quantize();
-                }
-                prop_assert_eq!(
-                    &sharded.topk(disk_queries.view(), k),
-                    &reference,
-                    "sharded metric {} quantize {}", metric.name(), quantize
-                );
-                let rb = sharded.resident_bytes();
-                prop_assert!(
-                    rb.peak <= rb.budget + rb.max_shard,
-                    "peak {} budget {} max_shard {}", rb.peak, rb.budget, rb.max_shard
-                );
-                let loo_ref = engine.topk_loo_with_backend(
-                    train.view(), metric, k, EvalBackend::clustered(nlist),
-                );
-                prop_assert_eq!(&sharded.topk_loo(disk_train.view(), k), &loo_ref);
-
-                // Same pruning work as the resident index over the same
-                // partition, at prefetch depths 0 and 2. Per-shard shadows
-                // carry their own margins, so quantized runs pin only the
-                // cluster visits and the phase-1 rows.
-                let mut resident = ClusteredIndex::build(train.view(), metric, nlist);
+                let reference = engine.topk(train.view(), queries.view(), metric, k);
+                let loo_ref = engine.topk_loo(train.view(), metric, k);
+                let mut resident = ShardedIndex::build(train.view(), metric, nlist, usize::MAX);
                 if quantize {
                     resident = resident.quantize();
                 }
@@ -98,24 +64,29 @@ proptest! {
                     if quantize {
                         paged = paged.quantize();
                     }
-                    for (got, want) in [
+                    let cases = [
                         (
                             paged.topk_with_stats(disk_queries.view(), k),
                             resident.topk_with_stats(queries.view(), k),
+                            &reference,
                         ),
                         (
                             paged.topk_loo_with_stats(disk_train.view(), k),
                             resident.topk_loo_with_stats(train.view(), k),
+                            &loo_ref,
                         ),
-                    ] {
-                        prop_assert_eq!(&got.0, &want.0, "metric {} depth {}", metric.name(), depth);
-                        if quantize {
-                            prop_assert_eq!(got.1.clusters_visited, want.1.clusters_visited);
-                            prop_assert_eq!(got.1.rows_quantized, want.1.rows_quantized);
-                        } else {
-                            prop_assert_eq!(got.1, want.1, "metric {} depth {}", metric.name(), depth);
-                        }
+                    ];
+                    for (got, want, reference) in cases {
+                        let at = format!("metric {} quantize {} depth {}", metric.name(), quantize, depth);
+                        prop_assert_eq!(&got.0, reference, "{}", at);
+                        prop_assert_eq!(&got.0, &want.0, "{}", at);
+                        prop_assert_eq!(got.1, want.1, "{}", at);
                     }
+                    let rb = paged.resident_bytes();
+                    prop_assert!(
+                        rb.peak <= rb.budget + (1 + depth) * rb.max_shard,
+                        "peak {} budget {} max_shard {}", rb.peak, rb.budget, rb.max_shard
+                    );
                 }
             }
         }

@@ -1,12 +1,13 @@
 //! Pool-determinism proptests: the persistent work-stealing pool behind the
 //! evaluation engine changes *where* chunks run, never *what* they compute.
-//! Every consumer — cold top-k, leave-one-out, the clustered index, the
-//! incremental successor state, and the caller-owned-scratch serving
-//! variants — must return bit-identical results at every pool worker count.
+//! Every consumer — cold top-k, leave-one-out, the pruned index (whose
+//! k-means build and shard prefetch run on the pool), the incremental
+//! successor state, and the caller-owned-scratch serving variants — must
+//! return bit-identical results at every pool worker count.
 
 use proptest::prelude::*;
 use snoopy_knn::engine::{knn_reference, knn_reference_loo, EvalEngine};
-use snoopy_knn::{BruteForceIndex, ClusteredIndex, IncrementalTopK, Metric, TopKScratch};
+use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric, ShardedIndex, TopKScratch};
 use snoopy_linalg::LabeledView;
 use snoopy_pool::ThreadPool;
 use snoopy_testutil::{cloud, cloud_with_ties};
@@ -56,8 +57,9 @@ proptest! {
         }
     }
 
-    /// The clustered index and the incremental state match the exhaustive
-    /// serial answers at every pool worker count.
+    /// The pruned index (paging under a two-shard budget with prefetch) and
+    /// the incremental state match the exhaustive serial answers at every
+    /// pool worker count.
     #[test]
     fn clustered_and_incremental_are_worker_count_invariant(
         seed in 0u64..400,
@@ -74,10 +76,13 @@ proptest! {
             for workers in WORKERS {
                 let pool = ThreadPool::new(workers);
                 pool.install(|| {
-                    let index = ClusteredIndex::build(train_x.view(), Metric::SquaredEuclidean, nlist);
+                    let budget = 2 * train_x.rows().div_ceil(nlist) * train_x.cols() * size_of::<f32>();
+                    let mut index =
+                        ShardedIndex::build(train_x.view(), Metric::SquaredEuclidean, nlist, budget)
+                            .with_prefetch_depth(2);
                     prop_assert_eq!(
                         &index.topk(test_x.view(), k), &reference,
-                        "clustered k {} nlist {} workers {}", k, nlist, workers
+                        "pruned k {} nlist {} workers {}", k, nlist, workers
                     );
                     let mut state =
                         IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, k);

@@ -1,20 +1,35 @@
 //! Property tests pinning the exactness guarantee of the int8
-//! scalar-quantized two-phase scan: the quantized clustered index must stay
+//! scalar-quantized two-phase scan: the quantized [`ShardedIndex`] must stay
 //! **bit-identical** to the serial sort-based reference (and hence to the
-//! exhaustive engine and the unquantized clustered index) on exactly the
-//! inputs where an approximate bound is easiest to get wrong — constant
-//! columns (zero scale), mixed extreme magnitudes across dimensions,
-//! subnormal coordinates, duplicated rows at distance zero, and the
-//! self-excluding leave-one-out mode — for k ∈ {1, 3, 10, len}.
+//! exhaustive engine and the unquantized index) on exactly the inputs where
+//! an approximate bound is easiest to get wrong — constant columns (zero
+//! scale), mixed extreme magnitudes across dimensions, subnormal
+//! coordinates, duplicated rows at distance zero, and the self-excluding
+//! leave-one-out mode — for k ∈ {1, 3, 10, len}, at an unbounded budget and
+//! at a two-shard budget (every re-faulted shard re-encodes against the one
+//! frozen quantizer).
 
 use proptest::prelude::*;
 use snoopy_knn::engine::{knn_reference, knn_reference_loo};
-use snoopy_knn::{ClusteredIndex, EvalEngine, Metric};
-use snoopy_linalg::Matrix;
+use snoopy_knn::{Metric, ShardedIndex};
+use snoopy_linalg::{DatasetView, Matrix};
 use snoopy_testutil::{cloud, cloud_with_ties};
 
 fn prunable_metrics() -> [Metric; 2] {
     [Metric::SquaredEuclidean, Metric::Euclidean]
+}
+
+/// The unbounded budget and a budget of about two shards' f32 rows.
+fn budgets(data: DatasetView<'_>, nlist: usize) -> [usize; 2] {
+    let shard_rows = data.rows().div_ceil(nlist.clamp(1, data.rows().max(1)));
+    [usize::MAX, 2 * shard_rows * data.cols() * size_of::<f32>()]
+}
+
+/// A quantized index over `data` (the quantizer must accept it).
+fn quantized(data: DatasetView<'_>, metric: Metric, nlist: usize, budget: usize) -> ShardedIndex<'_> {
+    let index = ShardedIndex::build(data, metric, nlist, budget).quantize();
+    assert!(index.is_quantized(), "sane data must accept the int8 shadow");
+    index
 }
 
 /// A deterministic per-dimension magnitude profile: dimension `j` of shape
@@ -55,20 +70,23 @@ proptest! {
         nlist in 1usize..32,
         shape in 0u64..65536,
         const_cols in 0usize..3,
-        threads in 1usize..8,
+        depth in 0usize..3,
     ) {
         let (raw_train, _) = cloud_with_ties(seed, n, 5, 3);
         let (raw_test, _) = cloud(seed ^ 0x77, 13, 5, 3);
         let train_x = apply_columns(&raw_train, shape, const_cols);
         let test_x = apply_columns(&raw_test, shape, const_cols);
-        let engine = EvalEngine::with_threads(threads);
         for metric in prunable_metrics() {
-            let index =
-                ClusteredIndex::build_with_engine(train_x.view(), metric, nlist, engine).quantize();
-            for k in [1usize, 3, 10, n] {
-                let got = index.topk(test_x.view(), k);
-                let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
-                prop_assert_eq!(got, reference, "metric {} k {} shape {:#x}", metric.name(), k, shape);
+            for budget in budgets(train_x.view(), nlist) {
+                let mut index = quantized(train_x.view(), metric, nlist, budget).with_prefetch_depth(depth);
+                for k in [1usize, 3, 10, n] {
+                    let got = index.topk(test_x.view(), k);
+                    let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
+                    prop_assert_eq!(
+                        got, reference,
+                        "metric {} k {} shape {:#x} budget {}", metric.name(), k, shape, budget
+                    );
+                }
             }
         }
     }
@@ -85,12 +103,14 @@ proptest! {
         let (raw, _) = cloud_with_ties(seed, n, 4, 3);
         let data = apply_columns(&raw, shape, 1);
         for metric in prunable_metrics() {
-            let index = ClusteredIndex::build(data.view(), metric, nlist).quantize();
-            for k in [1usize, 3, 10, n] {
-                let got = index.topk_loo(data.view(), k);
-                prop_assert_eq!(&got, &knn_reference_loo(data.view(), metric, k));
-                for q in 0..got.num_queries() {
-                    prop_assert!(got.neighbors(q).iter().all(|h| h.index != q));
+            for budget in budgets(data.view(), nlist) {
+                let mut index = quantized(data.view(), metric, nlist, budget);
+                for k in [1usize, 3, 10, n] {
+                    let got = index.topk_loo(data.view(), k);
+                    prop_assert_eq!(&got, &knn_reference_loo(data.view(), metric, k));
+                    for q in 0..got.num_queries() {
+                        prop_assert!(got.neighbors(q).iter().all(|h| h.index != q));
+                    }
                 }
             }
         }
@@ -99,15 +119,15 @@ proptest! {
 
 /// Deterministic edge shapes the ranges cannot hit exactly: an all-constant
 /// dataset (every scale zero, every code zero, approximate distance exactly
-/// `‖q − o‖²`), an all-subnormal dataset, and single-row / k = len extremes.
+/// `‖q − o‖²`), an all-subnormal dataset (at a zero budget, so every visit
+/// re-encodes its shard), and single-row / k = len extremes.
 #[test]
 fn degenerate_constant_and_subnormal_datasets() {
     for metric in prunable_metrics() {
         // Every row identical: all columns constant, all radii zero.
         let flat = Matrix::from_fn(20, 4, |_, _| 3.5);
         let (queries, _) = cloud(9, 7, 4, 2);
-        let index = ClusteredIndex::build(flat.view(), metric, 4).quantize();
-        assert!(index.is_quantized());
+        let mut index = quantized(flat.view(), metric, 4, usize::MAX);
         assert_eq!(
             index.topk(queries.view(), 20),
             knn_reference(flat.view(), queries.view(), metric, 20),
@@ -118,7 +138,7 @@ fn degenerate_constant_and_subnormal_datasets() {
         // Entirely subnormal coordinates: every squared distance underflows
         // to zero and the lexicographic tie-break decides everything.
         let tiny = Matrix::from_fn(12, 3, |r, c| ((r + c) as f32 - 6.0) * 1.0e-41);
-        let index = ClusteredIndex::build(tiny.view(), metric, 3).quantize();
+        let mut index = quantized(tiny.view(), metric, 3, 0);
         assert_eq!(
             index.topk_loo(tiny.view(), 5),
             knn_reference_loo(tiny.view(), metric, 5),
@@ -128,7 +148,7 @@ fn degenerate_constant_and_subnormal_datasets() {
 
         // One row, k = len = 1.
         let one = Matrix::from_fn(1, 4, |_, c| c as f32);
-        let index = ClusteredIndex::build(one.view(), metric, 8).quantize();
+        let mut index = quantized(one.view(), metric, 8, usize::MAX);
         assert_eq!(
             index.topk(queries.view().slice_rows(0, 3), 1),
             knn_reference(one.view(), queries.view().slice_rows(0, 3), metric, 1)

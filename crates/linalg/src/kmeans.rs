@@ -1,10 +1,10 @@
 //! Lloyd's k-means coarse partitioner.
 //!
-//! This is the *indexing* substrate of the clustered nearest-neighbour path
+//! This is the *indexing* substrate of the pruned nearest-neighbour index
 //! in `snoopy-knn`: [`lloyd_kmeans`] learns a small set of centroids over a
 //! [`DatasetView`] and assigns every row to one of them; the index then
-//! regroups the rows into cluster-contiguous buffers, so a pruned query can
-//! scan one cluster as a plain row-contiguous window.
+//! gathers each cluster's rows into its own shard buffer, so a pruned query
+//! can scan one cluster as a plain row-contiguous window.
 //!
 //! Correctness of the exact pruned search does **not** depend on the quality
 //! of the clustering — any total assignment of rows to centroids yields valid

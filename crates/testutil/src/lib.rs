@@ -79,7 +79,7 @@ pub fn cloud_with_ties(seed: u64, n: usize, d: usize, classes: u32) -> (Matrix, 
 
 /// Clustered synthetic features: `n` rows drawn round-robin from `centers`
 /// Gaussian blobs (centres ~ N(0, spread²), within-blob std `within`). This
-/// is the shape the exact-pruned clustered index thrives on; use it to
+/// is the shape the exact pruned index thrives on; use it to
 /// exercise (and assert) non-trivial pruning rates.
 pub fn blob_cloud(seed: u64, n: usize, d: usize, centers: usize, spread: f64, within: f64) -> Matrix {
     let mut r = rng::seeded(seed);
