@@ -1,6 +1,6 @@
-//! Emits `BENCH_knn.json`: queries/second of the kNN kernels — 1NN serial vs
-//! chunk-parallel, top-k (k = 1 vs k = 10) parallel vs the serial reference,
-//! the leave-one-out error (parallel self-excluding kernel vs a
+//! Emits `BENCH_knn.json`: queries/second of the kNN kernels — top-k
+//! (k = 1 and k = 10) chunk-parallel vs a one-thread engine, the
+//! leave-one-out error (parallel self-excluding kernel vs a
 //! forced-serial engine), the single-core scalar-vs-tiled kernel comparison
 //! (the PR-3 per-pair scalar scan against the tile-blocked `MetricKernel`
 //! path, per metric, across an n × d grid), the plain-vs-quantized pruned
@@ -41,7 +41,7 @@
 //! ```
 
 use snoopy_bench::time_median;
-use snoopy_knn::engine::{knn_reference, nearest_reference, EvalEngine, NeighborTable, TopKState};
+use snoopy_knn::engine::{knn_reference, EvalEngine, NeighborTable, TopKState};
 use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric, MetricKernel, ShardedIndex};
 use snoopy_linalg::{rng, DatasetView, LabeledView, Matrix};
 use std::fmt::Write as _;
@@ -76,14 +76,6 @@ fn cold_window_table(
     let mut states = vec![TopKState::new(k); queries.rows()];
     engine.update_topk(queries, &kernel, window, start, &mut states, None);
     NeighborTable::from_states(&states)
-}
-
-struct Case {
-    train_n: usize,
-    dim: usize,
-    metric: Metric,
-    serial_qps: f64,
-    parallel_qps: f64,
 }
 
 struct TopKCase {
@@ -299,46 +291,10 @@ fn main() {
 
     let threads = EvalEngine::parallel().threads();
     let query_x = make_data(queries, dim, 1);
-    let mut cases = Vec::new();
     let mut topk_cases = Vec::new();
     let mut loo_cases = Vec::new();
     for (i, &n) in sizes.iter().enumerate() {
         let train_x = make_data(n, dim, 2 + i as u64);
-        for metric in [Metric::SquaredEuclidean, Metric::Cosine] {
-            let serial = EvalEngine::serial();
-            let parallel = EvalEngine::parallel();
-            // Confirm parity before timing anything.
-            assert_eq!(
-                parallel.nearest(train_x.view(), query_x.view(), metric),
-                nearest_reference(train_x.view(), query_x.view(), metric),
-                "parallel engine must be bit-identical to the serial reference"
-            );
-            let t_serial = time_median(reps, || {
-                std::hint::black_box(serial.nearest(train_x.view(), query_x.view(), metric));
-            });
-            let t_parallel = time_median(reps, || {
-                std::hint::black_box(parallel.nearest(train_x.view(), query_x.view(), metric));
-            });
-            let case = Case {
-                train_n: n,
-                dim,
-                metric,
-                serial_qps: queries as f64 / t_serial,
-                parallel_qps: queries as f64 / t_parallel,
-            };
-            println!(
-                "n={:>6} d={} {:<13} serial {:>10.0} q/s   parallel({} threads) {:>10.0} q/s   speedup {:.2}x",
-                case.train_n,
-                case.dim,
-                metric.name(),
-                case.serial_qps,
-                threads,
-                case.parallel_qps,
-                case.parallel_qps / case.serial_qps,
-            );
-            cases.push(case);
-        }
-
         // Top-k kernel, squared Euclidean (the estimator pipeline's metric):
         // parity is asserted against the sort-based ground truth, but the
         // timed serial baseline is the same kernel on a one-thread engine —
@@ -783,11 +739,10 @@ fn main() {
     // every engine call paid before the pool) and once through the
     // persistent pool (a queue push per chunk). Workloads are small on
     // purpose — that is where per-call overhead dominates and where the
-    // bandit's per-round pulls and GHP's shrinking Prim frontiers actually
-    // live. The scratch row is the pool path through `topk_with`: the
-    // caller-owned kernel caches, per-query states, and output table make
-    // the steady-state loop allocation-free. All three paths are asserted
-    // bit-identical before timing.
+    // bandit's per-round pulls actually live. The scratch row is the pool
+    // path through `topk_with`: the caller-owned kernel caches, per-query
+    // states, and output table make the steady-state loop allocation-free.
+    // All three paths are asserted bit-identical before timing.
     let pool_k = 10;
     let pool_reps = 30;
     let mut pool_cases = Vec::new();
@@ -1114,8 +1069,11 @@ fn main() {
     let thread_free = |name: &str, compares: &str| {
         format!("    \"{name}\": {{\"compares\": \"{compares}\", \"thread_dependent\": false}},")
     };
-    let _ = writeln!(json, "{}", thread_dep("cases", "serial vs parallel full-scan labeling"));
-    let _ = writeln!(json, "{}", thread_dep("topk_cases", "serial vs parallel top-k extraction"));
+    let _ = writeln!(
+        json,
+        "{}",
+        thread_dep("topk_cases", "serial vs parallel top-k extraction; k = 1 is the 1NN scan")
+    );
     let _ = writeln!(json, "{}", thread_dep("leave_one_out", "serial vs parallel LOO error"));
     let _ = writeln!(json, "{}", thread_free("kernel_cases", "scalar vs tile-blocked distance kernel"));
     let _ = writeln!(
@@ -1150,21 +1108,6 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  \"queries\": {queries},");
-    let _ = writeln!(json, "  \"cases\": [");
-    for (i, c) in cases.iter().enumerate() {
-        let comma = if i + 1 < cases.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"train_n\": {}, \"dim\": {}, \"metric\": \"{}\", \"serial_qps\": {:.1}, \"parallel_qps\": {:.1}, \"speedup\": {:.3}}}{comma}",
-            c.train_n,
-            c.dim,
-            c.metric.name(),
-            c.serial_qps,
-            c.parallel_qps,
-            c.parallel_qps / c.serial_qps,
-        );
-    }
-    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"topk_cases\": [");
     for (i, c) in topk_cases.iter().enumerate() {
         let comma = if i + 1 < topk_cases.len() { "," } else { "" };

@@ -7,7 +7,7 @@
 //! seconds) is then priced under all three cost scenarios, exactly as the
 //! paper prices the same interaction under different label-cost regimes.
 
-use snoopy_bench::{f4, parse_args, ResultsTable};
+use snoopy_bench::{datasets_arg, f4, parse_args, ResultsTable};
 use snoopy_data::noise::NoiseModel;
 use snoopy_data::registry::load_with_noise;
 use snoopy_e2e::{simulate, SimulationConfig, UserStrategy};
@@ -15,6 +15,7 @@ use snoopy_models::{CostScenario, LabelCost, MachineCost};
 
 fn main() {
     let (scale, [datasets]) = parse_args([("datasets", "cifar10,sst2,cifar100")]);
+    let datasets = datasets_arg(&datasets, false);
     let mut table = ResultsTable::new(
         "fig9_10_e2e_use_case",
         &[
@@ -36,7 +37,7 @@ fn main() {
     let scenarios =
         [(LabelCost::Free, "free"), (LabelCost::Cheap, "cheap"), (LabelCost::Expensive, "expensive")];
 
-    for name in datasets.split(',') {
+    for name in datasets.iter().map(|spec| spec.name) {
         // Noise / target pairs mirroring Figure 9: 40% noise with a modest
         // target and 20% noise with an ambitious one.
         for &(rho, target) in &[(0.4f64, 0.60f64), (0.2, 0.80)] {

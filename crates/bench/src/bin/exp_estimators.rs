@@ -10,7 +10,7 @@
 //! rebuild), and within a round every label-noise level re-reads the same
 //! state snapshot — neighbours depend only on features.
 
-use snoopy_bench::{f4, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_data::gaussian::{GaussianMixture, GaussianMixtureSpec};
 use snoopy_data::noise::{ber_after_uniform_noise, TransitionMatrix};
 use snoopy_estimators::{
@@ -20,6 +20,8 @@ use snoopy_linalg::projection::random_orthonormal_map;
 use snoopy_linalg::{rng, Matrix};
 
 fn main() {
+    // Fixed-size synthetic sweep: `--scale` is accepted and has no effect.
+    let (_, []) = parse_args([]);
     let num_classes = 5;
     let mixture = GaussianMixture::from_spec(&GaussianMixtureSpec {
         num_classes,

@@ -3,13 +3,16 @@
 //! accuracy on 19 tasks with 1 000 training samples each.
 
 use snoopy_bandit::SelectionStrategy;
-use snoopy_bench::{f4, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_core::{FeasibilityStudy, SnoopyConfig};
 use snoopy_data::registry::vtab_suite;
 use snoopy_embeddings::zoo_for_task;
 use snoopy_models::FineTuneBaseline;
 
 fn main() {
+    // The VTAB-like suite has a fixed size: `--scale` is accepted and has no
+    // effect.
+    let (_, []) = parse_args([]);
     let mut table = ResultsTable::new(
         "fig11_vtab_generalisation",
         &["task", "classes", "true_ber", "snoopy_projected_accuracy", "finetune_accuracy", "difference"],

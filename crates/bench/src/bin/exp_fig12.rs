@@ -3,7 +3,7 @@
 //! inference cost and wall-clock time needed to produce the estimate.
 
 use snoopy_bandit::SelectionStrategy;
-use snoopy_bench::{f4, parse_args, ResultsTable};
+use snoopy_bench::{datasets_arg, f4, parse_args, ResultsTable};
 use snoopy_core::{FeasibilityStudy, SnoopyConfig};
 use snoopy_data::noise::NoiseModel;
 use snoopy_data::registry::load_with_noise;
@@ -11,11 +11,12 @@ use snoopy_embeddings::{zoo_for_task, Transformation};
 
 fn main() {
     let (scale, [datasets]) = parse_args([("datasets", "cifar10,cifar100")]);
+    let datasets = datasets_arg(&datasets, false);
     let mut table = ResultsTable::new(
         "fig12_selection_strategies",
         &["dataset", "batch_fraction", "strategy", "ber_estimate", "simulated_seconds", "wall_clock_seconds"],
     );
-    for name in datasets.split(',') {
+    for name in datasets.iter().map(|spec| spec.name) {
         let task = load_with_noise(name, scale, &NoiseModel::Clean, 21);
         let zoo = zoo_for_task(&task, 21);
         for &batch_fraction in &[0.01f64, 0.02, 0.05] {

@@ -3,15 +3,16 @@
 //! training set, (b) estimate versus training-set size without noise — for
 //! every Table I dataset.
 
-use snoopy_bench::{f4, parse_args, ResultsTable};
+use snoopy_bench::{datasets_arg, f4, parse_args, ResultsTable};
 use snoopy_data::noise::{ber_after_uniform_noise, NoiseModel};
-use snoopy_data::registry::{load_clean, load_with_noise, table1_specs};
+use snoopy_data::registry::{load_clean, load_with_noise};
 use snoopy_embeddings::zoo_for_task;
 use snoopy_estimators::cover_hart_lower_bound;
 use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric};
 
 fn main() {
-    let (scale, [only]) = parse_args([("datasets", "all")]);
+    let (scale, [datasets]) = parse_args([("datasets", "all")]);
+    let datasets = datasets_arg(&datasets, true);
     let embeddings_of_interest = ["raw", "pca64", "efficientnet-b7", "xlnet", "use-large", "nnlm-en-50"];
 
     let mut noise_table = ResultsTable::new(
@@ -23,10 +24,7 @@ fn main() {
         &["dataset", "embedding", "train_samples", "one_nn_error", "ch_estimate"],
     );
 
-    for spec in table1_specs() {
-        if only != "all" && !only.split(',').any(|d| d == spec.name) {
-            continue;
-        }
+    for spec in datasets {
         let clean = load_clean(spec.name, scale, 99);
         let clean_ber = clean.meta.true_ber.unwrap();
         let zoo = zoo_for_task(&clean, 99);

@@ -5,25 +5,23 @@
 //! included as its own column.
 
 use snoopy_bandit::SelectionStrategy;
-use snoopy_bench::{f1, f4, parse_args, ResultsTable};
+use snoopy_bench::{datasets_arg, f1, f4, parse_args, ResultsTable};
 use snoopy_core::{FeasibilityStudy, SnoopyConfig};
 use snoopy_data::noise::{ber_after_uniform_noise, NoiseModel};
-use snoopy_data::registry::{load_with_noise, table1_specs};
+use snoopy_data::registry::load_with_noise;
 use snoopy_embeddings::zoo_for_task;
 use snoopy_models::logreg::{grid_search_error, LOGREG_GRID_SIZE};
 use snoopy_models::{AutoMlConfig, AutoMlSearch, FineTuneBaseline};
 
 fn main() {
-    let (scale, [only]) = parse_args([("datasets", "all")]);
+    let (scale, [datasets]) = parse_args([("datasets", "all")]);
+    let datasets = datasets_arg(&datasets, true);
     let mut table = ResultsTable::new(
         "fig4_estimations_vs_time_synthetic_noise",
         &["dataset", "noise", "method", "error_estimate", "simulated_seconds", "expected_noisy_sota"],
     );
 
-    for spec in table1_specs() {
-        if only != "all" && !only.split(',').any(|d| d == spec.name) {
-            continue;
-        }
+    for spec in datasets {
         for &rho in &[0.0f64, 0.2, 0.4] {
             let task = load_with_noise(spec.name, scale, &NoiseModel::Uniform(rho), 100);
             let expected = ber_after_uniform_noise(spec.sota_error, rho, spec.num_classes);

@@ -1,9 +1,11 @@
 //! Table II: statistics of the CIFAR-N transition-matrix replicas.
 
-use snoopy_bench::{f4, ResultsTable};
+use snoopy_bench::{f4, parse_args, ResultsTable};
 use snoopy_data::noise::cifar_n_variants;
 
 fn main() {
+    // Transition-matrix statistics: `--scale` is accepted and has no effect.
+    let (_, []) = parse_args([]);
     let mut table = ResultsTable::new(
         "table2_cifar_n",
         &[

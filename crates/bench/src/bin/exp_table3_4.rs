@@ -1,10 +1,12 @@
 //! Tables III and IV: the vision and NLP transformation registries with
 //! nominal widths, simulated widths, and the inference cost model.
 
-use snoopy_bench::ResultsTable;
+use snoopy_bench::{parse_args, ResultsTable};
 use snoopy_embeddings::registry::{nlp_entries, simulated_dim, vision_entries};
 
 fn main() {
+    // Registry listings: `--scale` is accepted and has no effect.
+    let (_, []) = parse_args([]);
     for (name, entries) in [("table3_vision_zoo", vision_entries()), ("table4_nlp_zoo", nlp_entries())] {
         let mut table = ResultsTable::new(
             name,

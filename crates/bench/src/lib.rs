@@ -9,10 +9,11 @@
 //! `small`; any other value is an error) so that the full suite can be
 //! reproduced quickly on a laptop or at a larger scale overnight, plus the
 //! few flags each one declares to [`parse_args`]; an unknown flag is an
-//! error too. See `DESIGN.md` for the experiment index and `EXPERIMENTS.md`
-//! for recorded paper-vs-measured comparisons.
+//! error too, and so is an unknown name in a `--datasets` list
+//! ([`datasets_arg`]). See `DESIGN.md` for the experiment index and
+//! `EXPERIMENTS.md` for recorded paper-vs-measured comparisons.
 
-use snoopy_data::registry::SizeScale;
+use snoopy_data::registry::{spec_by_name, table1_specs, DatasetSpec, SizeScale};
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -69,6 +70,33 @@ fn parse<const N: usize>(
         }
     }
     Ok((scale, values))
+}
+
+/// Resolves a `--datasets` value: comma-separated Table I names, or `all`
+/// (every Table I dataset) where `accept_all` is set. An unknown name prints
+/// `error: unknown dataset "…"` with the known names and exits with code 1,
+/// before any sweep runs or any CSV is written.
+pub fn datasets_arg(list: &str, accept_all: bool) -> Vec<DatasetSpec> {
+    resolve_datasets(list, accept_all).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(1);
+    })
+}
+
+/// [`datasets_arg`] without the exit.
+fn resolve_datasets(list: &str, accept_all: bool) -> Result<Vec<DatasetSpec>, String> {
+    if accept_all && list == "all" {
+        return Ok(table1_specs());
+    }
+    list.split(',')
+        .map(|name| {
+            spec_by_name(name).ok_or_else(|| {
+                let known: Vec<&str> = table1_specs().iter().map(|s| s.name).collect();
+                let all = if accept_all { "; or all on its own" } else { "" };
+                format!("unknown dataset {name:?} (known: {}{all})", known.join(", "))
+            })
+        })
+        .collect()
 }
 
 /// Median seconds per run of `f` over `reps` runs.
@@ -229,6 +257,19 @@ mod tests {
             assert!(parse(&args(bad), &flags).is_err(), "{bad:?} must be refused");
         }
         assert!(parse(&args(&["--datasets", "x"]), &[]).is_err(), "undeclared flag");
+    }
+
+    #[test]
+    fn dataset_lists_resolve_known_names_only() {
+        let names = |list: &str, all: bool| {
+            resolve_datasets(list, all).map(|specs| specs.iter().map(|s| s.name).collect::<Vec<_>>())
+        };
+        assert_eq!(names("sst2,mnist", false), Ok(vec!["sst2", "mnist"]));
+        assert_eq!(names("all", true).map(|n| n.len()), Ok(table1_specs().len()));
+        for (bad, all) in [("cifar1O", true), ("cifar10,", true), ("all", false), ("", false)] {
+            let err = names(bad, all).expect_err(bad);
+            assert!(err.starts_with("unknown dataset") && err.contains("cifar10"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -16,20 +16,17 @@
 //! pairwise contributions, which the global MST cross-count does implicitly.
 //! The estimator reports the lower end of the sandwich, making it directly
 //! comparable with the other lower-bound-style estimators in this crate.
+//!
+//! The MST comes from Prim's algorithm run directly on the metric kernel of
+//! `snoopy-knn`, not through the evaluation engine: each round is one
+//! distance tile of the newest tree vertex against the out-of-tree frontier,
+//! fused with the pick of the next vertex. A round is at most one
+//! `max_points`-row tile (2,000 by default), too little work to split
+//! across the pool, so the loop runs on the calling thread.
 
 use crate::{BerEstimator, LabeledView};
-use snoopy_knn::{EvalEngine, Metric, MetricKernel, NearestHit};
+use snoopy_knn::{Metric, MetricKernel, NearestHit};
 use snoopy_linalg::{DatasetView, Matrix};
-
-/// Remaining relaxation work (`frontier points × dims`) above which a Prim
-/// round fans out across the persistent pool; below it a single-threaded
-/// engine skips the chunk hand-off. Submitting to the pool is a queue push
-/// plus a condvar wake (sub-microsecond), not a thread spawn, so the cutoff
-/// sits far lower than the old per-round `std::thread::scope` threshold —
-/// it only needs to cover the push/wake and the cache cost of splitting a
-/// tiny frontier. Re-evaluated every round, because the frontier shrinks as
-/// the tree grows.
-const PARALLEL_RELAXATION_MIN_WORK: usize = 1 << 14;
 
 /// GHP/MST-based BER estimator.
 #[derive(Debug, Clone)]
@@ -55,24 +52,22 @@ impl GhpEstimator {
     /// Counts cross-label edges in the Euclidean MST of the pooled sample and
     /// returns `(cross_edges, total_points)`.
     ///
-    /// Prim's algorithm, with each round's distance relaxations expressed as
-    /// one engine update: the out-of-tree frontier is kept row-contiguous
-    /// (swap-remove compaction) so the queries are exactly the remaining
-    /// points — the same `~n²/2` total distance evaluations as the textbook
-    /// serial loop — and the newly added vertex is a one-row training batch
-    /// at its global offset, so the engine's strict-`<` fold leaves every
-    /// frontier point's `(best distance, parent)` pair exactly as the serial
-    /// relaxation would. Vertex selection breaks distance ties on the lowest
-    /// global index, making the tree (and the cross count) independent of
-    /// thread count and compaction order.
+    /// Prim's algorithm over a row-contiguous out-of-tree frontier
+    /// (swap-remove compaction), bound as the train side of one
+    /// [`MetricKernel`]: each round is a single
+    /// [`tile_with`](MetricKernel::tile_with) call of the newest tree vertex
+    /// against the whole frontier — the same `~n²/2` distance evaluations as
+    /// the textbook serial loop — fused with the pick of the next vertex.
+    /// A frontier point's `(best distance, parent)` pair is replaced only on
+    /// a strictly smaller `(distance, parent index)` ([`NearestHit::beats`]),
+    /// and the pick breaks distance ties on the lowest global index, so the
+    /// tree (and the cross count) does not depend on the compaction order.
     pub fn cross_edge_count(features: &Matrix, labels: &[u32]) -> (usize, usize) {
         let n = labels.len();
         if n < 2 {
             return (0, n);
         }
         let d = features.cols();
-        let parallel = EvalEngine::parallel();
-        let serial = EvalEngine::serial();
         let view = features.view();
 
         // Contiguous out-of-tree frontier: row `p` of `frontier` is point
@@ -83,29 +78,33 @@ impl GhpEstimator {
         }
         let mut ids: Vec<usize> = (1..n).collect();
         let mut best = vec![NearestHit::NONE; n - 1];
+        let mut dist = vec![0.0f32; n - 1];
         let mut m = n - 1;
 
-        // One kernel for the whole Prim run: the frontier's query-side norm
-        // cache is computed once and then mirrors the swap-remove compaction
-        // (O(1) per round instead of an O(m·d) re-bind); each new tree
-        // vertex is a one-row train binding.
+        // The frontier's train-side norm cache is computed once and then
+        // mirrors the swap-remove compaction (O(1) per round instead of an
+        // O(m·d) re-bind).
         let mut kernel = MetricKernel::new(Metric::SquaredEuclidean);
-        kernel.bind_queries(DatasetView::from_raw(&frontier, m, d));
-        let engine_for = |work: usize| if work >= PARALLEL_RELAXATION_MIN_WORK { parallel } else { serial };
-        kernel.bind_train(view.slice_rows(0, 1));
-        engine_for(m * d).update_nearest(
-            DatasetView::from_raw(&frontier, m, d),
-            &kernel,
-            view.slice_rows(0, 1),
-            0,
-            &mut best,
-        );
+        kernel.bind_train(DatasetView::from_raw(&frontier, m, d));
+        let mut next = 0usize;
         let mut cross = 0usize;
         while m > 0 {
-            // Pick the closest frontier vertex; distance ties resolve to the
-            // lowest global index (the serial scan's first-minimum rule).
+            // Relax the frontier through the newest tree vertex and pick the
+            // closest frontier vertex in the same pass; distance ties
+            // resolve to the lowest global index.
+            let q = view.row(next);
+            kernel.tile_with(
+                q,
+                kernel.query_value(q),
+                DatasetView::from_raw(&frontier, m, d),
+                0,
+                &mut dist[..m],
+            );
             let mut pos = usize::MAX;
             for p in 0..m {
+                if NearestHit::beats(dist[p], next, best[p]) {
+                    best[p] = NearestHit { distance: dist[p], index: next };
+                }
                 if best[p].distance < f32::INFINITY
                     && (pos == usize::MAX
                         || best[p].distance < best[pos].distance
@@ -117,32 +116,21 @@ impl GhpEstimator {
             if pos == usize::MAX {
                 break;
             }
-            let next = ids[pos];
+            next = ids[pos];
             if labels[next] != labels[best[pos].index] {
                 cross += 1;
             }
             // Swap-remove the new tree vertex from the frontier; the
-            // kernel's query cache compacts in lockstep.
+            // kernel's train cache compacts in lockstep.
             m -= 1;
-            ids.swap(pos, m);
-            best.swap(pos, m);
+            ids.swap_remove(pos);
+            best.swap_remove(pos);
             if pos != m {
                 let (head, tail) = frontier.split_at_mut(m * d);
                 head[pos * d..(pos + 1) * d].copy_from_slice(&tail[..d]);
             }
             frontier.truncate(m * d);
-            ids.truncate(m);
-            best.truncate(m);
-            kernel.queries_swap_remove(pos);
-            // Relax the remaining frontier through the new vertex.
-            kernel.bind_train(view.slice_rows(next, next + 1));
-            engine_for(m * d).update_nearest(
-                DatasetView::from_raw(&frontier, m, d),
-                &kernel,
-                view.slice_rows(next, next + 1),
-                next,
-                &mut best,
-            );
+            kernel.train_swap_remove(pos);
         }
         (cross, n)
     }

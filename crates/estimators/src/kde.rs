@@ -6,10 +6,11 @@
 //! estimates and the empirical class priors, and the Bayes error is the
 //! average of `1 − max_y p̂(y|x)` over the evaluation points. The per-class
 //! kernel sums — the estimator's `O(train × eval)` hot loop — run through
-//! the engine's blocked, chunk-parallel
-//! [`class_kernel_log_sums`](snoopy_knn::EvalEngine::class_kernel_log_sums)
-//! accumulation (an online log-sum-exp per (eval point, class)) instead of a
-//! serial per-query scan. KDE suffers badly from the curse of
+//! the engine's one scan loop, the same blocked, chunk-parallel walk that
+//! builds neighbour tables
+//! ([`class_kernel_log_sums`](snoopy_knn::EvalEngine::class_kernel_log_sums)),
+//! with an online log-sum-exp per (eval point, class) that adds each eval
+//! point's training rows in ascending order. KDE suffers badly from the curse of
 //! dimensionality — which is precisely why the paper (and FeeBee) find the
 //! 1NN estimator over trained embeddings preferable — but it remains the
 //! canonical density-estimation baseline.

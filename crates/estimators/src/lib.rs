@@ -12,8 +12,9 @@
 //!
 //! ## The `NeighborTable` handshake
 //!
-//! No estimator performs its own per-query distance scans: every distance is
-//! computed by the blocked, chunk-parallel [`EvalEngine`] in `snoopy-knn`.
+//! No estimator carries its own distance code: every distance comes from the
+//! metric kernel of `snoopy-knn`, and every per-query scan from its blocked,
+//! chunk-parallel [`EvalEngine`].
 //! The kNN-family estimators consume a query-major [`NeighborTable`] —
 //! Cover–Hart reads each eval point's first hit, Devijver's posterior
 //! plug-in reads a `k`-prefix, and kNN-extrapolation reads the final rung of
@@ -28,9 +29,10 @@
 //! training prefix grows round over round and merely re-snapshotted per
 //! round *and* per label-noise level, since neighbours depend only on
 //! features.
-//! GHP and KDE do not rank neighbours, but their dense distance work routes
-//! through the same engine kernels (blocked Prim relaxations and per-class
-//! Gaussian kernel accumulation, respectively).
+//! GHP and KDE do not rank neighbours. KDE's per-class Gaussian kernel sums
+//! run through the engine's one scan loop, the walk that builds the tables;
+//! GHP's Prim rounds call the metric kernel directly, one distance tile of
+//! the newest tree vertex against the out-of-tree frontier per round.
 //!
 //! Every one-shot table ([`shared_neighbor_table`], [`estimate_all`]) is
 //! one exhaustive [`EvalEngine::topk`] scan. The out-of-core study builds

@@ -3,15 +3,17 @@
 //! evolution at least qualitatively (the FeeBee evaluation protocol).
 
 use proptest::prelude::*;
+use snoopy_data::gaussian::{GaussianMixture, GaussianMixtureSpec};
 use snoopy_data::noise::{ber_after_uniform_noise, TransitionMatrix};
 use snoopy_estimators::{
     cover_hart_lower_bound, default_estimators, estimate_all, estimate_all_with_state,
-    estimate_all_with_table, shared_neighbor_table, shared_table_k, BerEstimator, IncrementalTopK,
-    KnnPosteriorEstimator, LabeledView, Metric, OneNnEstimator,
+    estimate_all_with_table, shared_neighbor_table, shared_table_k, BerEstimator, GhpEstimator,
+    IncrementalTopK, KnnPosteriorEstimator, LabeledView, Metric, OneNnEstimator,
 };
 use snoopy_linalg::{rng, Matrix};
-// Shared fixture: the Gaussian-mixture task with a Monte-Carlo true BER.
-use snoopy_testutil::gaussian_task as make_task;
+// Shared fixtures: the Gaussian-mixture task with a Monte-Carlo true BER,
+// and a point cloud whose duplicated rows make distance ties.
+use snoopy_testutil::{cloud_with_ties, gaussian_task as make_task};
 
 #[test]
 fn all_estimators_are_close_on_a_moderate_task() {
@@ -204,6 +206,71 @@ fn degenerate_k_exceeding_train_size_through_shared_table() {
         assert!((0.0..=1.0).contains(&value), "{}: estimate {value} out of range", est.name());
         let individual = est.estimate(&train, &test, task.num_classes);
         assert!((value - individual).abs() < 1e-12, "{}: table/individual mismatch", est.name());
+    }
+}
+
+/// The exact bits every default estimator reports, and the GHP cross-edge
+/// count over the training split, on a tie-heavy cloud (3 classes, d = 3,
+/// every 7th row a duplicate) and a d = 16 Gaussian mixture (4 classes).
+/// GHP's Prim loop and KDE's kernel sums keep their own summation and
+/// tie-break order; any change to either moves these bits.
+#[test]
+fn default_estimates_and_ghp_cross_counts_are_pinned_bit_for_bit() {
+    let (tie_x, tie_y) = cloud_with_ties(301, 420, 3, 3);
+    let (tie_eval_x, tie_eval_y) = cloud_with_ties(302, 140, 3, 3);
+    let mixture = GaussianMixture::from_spec(&GaussianMixtureSpec {
+        num_classes: 4,
+        latent_dim: 16,
+        class_sep: 0.35,
+        within_std: 1.0,
+        seed: 303,
+    });
+    let mut r = rng::seeded(304);
+    let (mix_x, mix_y) = mixture.sample(700, &mut r);
+    let (mix_eval_x, mix_eval_y) = mixture.sample(200, &mut r);
+    // Estimates in `default_estimators()` order: 1nn-cover-hart,
+    // knn-posterior, ghp-mst, kde-plugin, knn-extrapolation.
+    let cases = [
+        (
+            "ties",
+            (&tie_x, &tie_y, &tie_eval_x, &tie_eval_y, 3),
+            [
+                0x3fddeae54f7c6dd1u64,
+                0x3fdf2d593bfa2605,
+                0x3fd4a0ea0ea0ea0f,
+                0x3fe139e1a7a31ee5,
+                0x3fdea39fdf47747b,
+            ],
+            (276, 420),
+        ),
+        (
+            "mixture",
+            (&mix_x, &mix_y, &mix_eval_x, &mix_eval_y, 4),
+            [
+                0x3fd2abe87177cf2a,
+                0x3fdbd70a3d70a3d6,
+                0x3fd0b60b60b60b61,
+                0x3fd17a0bbed566b5,
+                0x3fd1807f0d570258,
+            ],
+            (381, 700),
+        ),
+    ];
+    let estimators = default_estimators();
+    for (name, (train_x, train_y, eval_x, eval_y, classes), bits, cross) in cases {
+        let train = LabeledView::new(train_x, train_y);
+        let eval = LabeledView::new(eval_x, eval_y);
+        let values = estimate_all(&estimators, &train, &eval, classes);
+        for ((est, value), expected) in estimators.iter().zip(&values).zip(bits) {
+            assert_eq!(
+                value.to_bits(),
+                expected,
+                "{name} {}: {value} != {}",
+                est.name(),
+                f64::from_bits(expected)
+            );
+        }
+        assert_eq!(GhpEstimator::cross_edge_count(train_x, train_y), cross, "{name} cross edges");
     }
 }
 

@@ -97,31 +97,19 @@ impl<'a> BruteForceIndex<'a> {
     }
 
     fn hit_to_neighbor(&self, hit: NearestHit) -> Neighbor {
-        if hit.index == usize::MAX {
-            Neighbor { index: 0, distance: f32::INFINITY, label: 0 }
-        } else {
-            Neighbor { index: hit.index, distance: hit.distance, label: self.view.label(hit.index) }
-        }
+        Neighbor { index: hit.index, distance: hit.distance, label: self.view.label(hit.index) }
     }
 
     /// Top-`k` neighbour table for every row of `queries`, computed by the
     /// blocked chunk-parallel engine with the index's precomputed norm
-    /// scratch. `k` is clamped to `[1, len]`; `k = 1` uses the flat
-    /// one-slot-per-query layout (no per-query state allocation).
+    /// scratch. `k` is clamped to `[1, len]`.
     pub fn neighbor_table<'q>(&self, queries: impl Into<DatasetView<'q>>, k: usize) -> NeighborTable {
         let queries = queries.into();
-        let k = k.min(self.len()).max(1);
         let mut kernel = self.kernel.clone();
         kernel.bind_queries(queries);
-        if k == 1 {
-            let mut best = vec![NearestHit::NONE; queries.rows()];
-            self.engine.update_nearest(queries, &kernel, self.view.features(), 0, &mut best);
-            NeighborTable::from_nearest(best)
-        } else {
-            let mut states = vec![TopKState::new(k); queries.rows()];
-            self.engine.update_topk(queries, &kernel, self.view.features(), 0, &mut states, None);
-            NeighborTable::from_states(&states)
-        }
+        let mut states = vec![TopKState::new(k.min(self.len())); queries.rows()];
+        self.engine.update_topk(queries, &kernel, self.view.features(), 0, &mut states, None);
+        NeighborTable::from_states(&states)
     }
 
     /// Finds the single nearest neighbour of `query`.

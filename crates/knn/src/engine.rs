@@ -2,8 +2,12 @@
 //! scan over zero-copy [`DatasetView`]s, generalised from 1NN to top-k.
 //!
 //! Every estimator evaluation, bandit-arm pull, and experiment binary funnels
-//! through the same inner loop — "for each query, find the nearest training
-//! row(s)". This module implements that loop once, with three properties the
+//! through the same inner loop — "for each query, visit every training
+//! row". This module implements that loop once (the private `walk`), and its
+//! two entry points differ only in what each query does with its distances:
+//! [`EvalEngine::update_topk`] offers them to the query's [`TopKState`], and
+//! [`EvalEngine::class_kernel_log_sums`] folds them into the query's
+//! per-class online log-sum-exps (KDE). The loop has three properties the
 //! rest of the workspace relies on:
 //!
 //! 1. **Chunk parallelism.** Queries are split into contiguous chunks, one
@@ -12,9 +16,9 @@
 //! 2. **Row blocking + tiling.** Each worker walks the training rows in
 //!    blocks of [`EvalEngine::block_rows`] rows so a block stays
 //!    cache-resident while every query of the chunk scans it, and inside a
-//!    block each query's distances are computed a *tile*
-//!    ([`EvalEngine::tile_rows`] rows) at a time by the register-blocked
-//!    [`MetricKernel`] — whole tiles are then admitted into the per-query
+//!    block the queries go in pairs through the register-blocked
+//!    [`MetricKernel`], one *tile* ([`EvalEngine::tile_rows`] rows) of
+//!    distances at a time — whole tiles are then handed to the per-query
 //!    state.
 //! 3. **Typed norm caches.** The [`MetricKernel`] owns the per-row norm
 //!    caches of both scan sides (squared norms for the Euclidean family's
@@ -23,15 +27,14 @@
 //!
 //! The engine is *bit-identical* to the naive serial loop: every pairwise
 //! distance is computed by the kernel layer's single set of expressions
-//! (which [`Metric::distance`] also evaluates), and candidate admission is
-//! ordered by the lexicographic key `(distance, global index)` — so ties
-//! always resolve to the lowest training index regardless of thread count,
-//! block size, tile size, or batch boundaries. The k=1 path
-//! ([`EvalEngine::update_nearest`]) keeps its flat one-slot-per-query
-//! layout; the general path maintains one bounded [`TopKState`] per query
-//! and snapshots into a query-major [`NeighborTable`]. The integration test
-//! `parallel_engine.rs` pins the parity against [`nearest_reference`] /
-//! [`knn_reference`] down.
+//! (which [`Metric::distance`] also evaluates), each query sees its training
+//! rows in ascending order, and candidate admission is ordered by the
+//! lexicographic key `(distance, global index)` — so ties always resolve to
+//! the lowest training index regardless of thread count, block size, tile
+//! size, or batch boundaries. Every table, `k = 1` included, keeps one
+//! bounded [`TopKState`] per query and snapshots into a query-major
+//! [`NeighborTable`]. The integration test `parallel_engine.rs` pins the
+//! parity against [`nearest_reference`] / [`knn_reference`] down.
 
 use crate::kernel::MetricKernel;
 use crate::metric::Metric;
@@ -56,7 +59,7 @@ impl NearestHit {
     /// the whole crate: equal distances resolve to the lowest global training
     /// index.
     #[inline]
-    pub(crate) fn beats(distance: f32, index: usize, other: NearestHit) -> bool {
+    pub fn beats(distance: f32, index: usize, other: NearestHit) -> bool {
         distance < other.distance || (distance == other.distance && index < other.index)
     }
 }
@@ -66,9 +69,8 @@ impl NearestHit {
 ///
 /// Admission uses the same lexicographic key, which makes the final contents
 /// independent of the order in which candidates arrive — the foundation of
-/// the engine's "parallel == serial, bit for bit" guarantee for k > 1. With
-/// `k == 1` the state degenerates to a single slot updated by one comparison,
-/// i.e. exactly the [`NearestHit`] layout of the 1NN path.
+/// the engine's "parallel == serial, bit for bit" guarantee. With `k == 1`
+/// the state degenerates to a single slot overwritten in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopKState {
     k: usize,
@@ -228,28 +230,6 @@ impl NeighborTable {
         }
         self.per_query = per_query;
         self.num_queries = states.len();
-    }
-
-    /// Wraps the flat k=1 layout (one [`NearestHit`] per query) as a table.
-    /// Unfilled slots (`NearestHit::NONE`, possible only when no training row
-    /// was ever offered) yield an empty table.
-    ///
-    /// # Panics
-    /// Panics if only some slots are unfilled.
-    pub fn from_nearest(nearest: Vec<NearestHit>) -> Self {
-        let num_queries = nearest.len();
-        if nearest.first().is_none_or(|h| h.index == usize::MAX) {
-            assert!(
-                nearest.iter().all(|h| h.index == usize::MAX),
-                "partially-filled nearest slots cannot form a table"
-            );
-            return Self { per_query: 0, num_queries, hits: Vec::new() };
-        }
-        assert!(
-            nearest.iter().all(|h| h.index != usize::MAX),
-            "partially-filled nearest slots cannot form a table"
-        );
-        Self { per_query: 1, num_queries, hits: nearest }
     }
 
     /// Number of queries.
@@ -423,138 +403,74 @@ impl EvalEngine {
         self.tile_rows
     }
 
-    /// Shape checks shared by the two fold entry points: the kernel's bound
-    /// caches must correspond to exactly the views being scanned.
-    fn check_binding(kernel: &MetricKernel, queries: DatasetView<'_>, train: DatasetView<'_>) {
-        assert_eq!(queries.cols(), train.cols(), "query/train dimensionality mismatch");
-        assert_eq!(kernel.queries_bound(), queries.rows(), "kernel query cache not bound to these queries");
-        assert_eq!(kernel.train_bound(), train.rows(), "kernel train cache not bound to this train batch");
-    }
-
-    /// Folds the training rows of `train` (global indices starting at
-    /// `offset`) into the running nearest state `best` of every query row.
-    ///
-    /// `kernel` must be bound to exactly these views
-    /// ([`MetricKernel::bind_queries`] / [`MetricKernel::bind_train`]); the
-    /// typed caches replace the old per-metric `Option<&[f32]>` norm
-    /// plumbing, so no metric can observe a missing norm.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatches, `best.len() != queries.rows()`, or a
-    /// kernel whose caches are not bound to these views.
-    pub fn update_nearest(
+    /// The engine's one scan loop. `sinks` holds one equal run of sinks per
+    /// query row; `sink(run, q, t0, tile)` receives query `q`'s run and the
+    /// distances from query `q` to the bound training rows
+    /// `t0..t0 + tile.len()`. Queries are split into contiguous chunks across
+    /// the pool; each chunk walks the training rows block by block and,
+    /// inside a block, takes its queries in pairs through the 2 × 4 register
+    /// block (an odd trailing query alone), one tile at a time. Each query
+    /// therefore sees its training rows in ascending order, whatever the
+    /// thread count, block or tile size.
+    fn walk<S: Send>(
         &self,
         queries: DatasetView<'_>,
         kernel: &MetricKernel,
         train: DatasetView<'_>,
-        offset: usize,
-        best: &mut [NearestHit],
+        sinks: &mut [S],
+        sink: impl Fn(&mut [S], usize, usize, &[f32]) + Sync,
     ) {
-        Self::check_binding(kernel, queries, train);
-        assert_eq!(best.len(), queries.rows(), "one nearest slot per query required");
-        if queries.rows() == 0 || train.rows() == 0 {
+        let n = queries.rows();
+        if n == 0 || train.rows() == 0 {
             return;
         }
-        let n = queries.rows();
+        let stride = sinks.len() / n;
+        let scan = |start: usize, sinks: &mut [S]| {
+            let tile_len = self.tile_rows.min(train.rows());
+            let (mut tile_a, mut tile_b) = (vec![0.0f32; tile_len], vec![0.0f32; tile_len]);
+            for b0 in (0..train.rows()).step_by(self.block_rows) {
+                let bend = (b0 + self.block_rows).min(train.rows());
+                for (pair, runs) in sinks.chunks_mut(2 * stride).enumerate() {
+                    let qa = start + 2 * pair;
+                    let (run_a, run_b) = runs.split_at_mut(stride);
+                    let paired = !run_b.is_empty();
+                    for t0 in (b0..bend).step_by(self.tile_rows) {
+                        let len = self.tile_rows.min(bend - t0);
+                        let (a, b) = (&mut tile_a[..len], &mut tile_b[..len]);
+                        if paired {
+                            let qb = qa + 1;
+                            let (qva, qvb) = (kernel.query_cached(qa), kernel.query_cached(qb));
+                            kernel.tile2_with(queries.row(qa), qva, queries.row(qb), qvb, train, t0, a, b);
+                            sink(run_a, qa, t0, a);
+                            sink(run_b, qb, t0, b);
+                        } else {
+                            kernel.tile_with(queries.row(qa), kernel.query_cached(qa), train, t0, a);
+                            sink(run_a, qa, t0, a);
+                        }
+                    }
+                }
+            }
+        };
         let threads = self.threads.min(n);
         if threads <= 1 {
-            self.scan_chunk(queries, 0, kernel, train, offset, best);
-            return;
+            return scan(0, sinks);
         }
         let chunk = n.div_ceil(threads);
+        let scan = &scan;
         snoopy_pool::scope(|scope| {
-            for (t, slot) in best.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                scope.spawn(move || {
-                    self.scan_chunk(queries, start, kernel, train, offset, slot);
-                });
+            for (t, part) in sinks.chunks_mut(chunk * stride).enumerate() {
+                scope.spawn(move || scan(t * chunk, part));
             }
         });
     }
 
-    /// Scans all training blocks for the queries `[start, start + best.len())`,
-    /// one distance tile at a time — queries in pairs through the 2 × 4
-    /// register block, with a single-query pass for an odd trailing query.
-    fn scan_chunk(
-        &self,
-        queries: DatasetView<'_>,
-        start: usize,
-        kernel: &MetricKernel,
-        train: DatasetView<'_>,
-        offset: usize,
-        best: &mut [NearestHit],
-    ) {
-        let tile_len = self.tile_rows.min(train.rows().max(1));
-        let mut tile_a = vec![0.0f32; tile_len];
-        let mut tile_b = vec![0.0f32; tile_len];
-        let n_train = train.rows();
-        let mut b0 = 0;
-        while b0 < n_train {
-            let bend = (b0 + self.block_rows).min(n_train);
-            let mut qi = 0;
-            while qi < best.len() {
-                let q = queries.row(start + qi);
-                let qv = kernel.query_cached(start + qi);
-                let paired = qi + 1 < best.len();
-                let mut t0 = b0;
-                while t0 < bend {
-                    let len = self.tile_rows.min(bend - t0);
-                    if paired {
-                        kernel.tile2_with(
-                            q,
-                            qv,
-                            queries.row(start + qi + 1),
-                            kernel.query_cached(start + qi + 1),
-                            train,
-                            t0,
-                            &mut tile_a[..len],
-                            &mut tile_b[..len],
-                        );
-                    } else {
-                        kernel.tile_with(q, qv, train, t0, &mut tile_a[..len]);
-                    }
-                    for (slot_off, tile) in [(0usize, &tile_a), (1, &tile_b)] {
-                        if slot_off == 1 && !paired {
-                            break;
-                        }
-                        let slot = &mut best[qi + slot_off];
-                        for (j, &d) in tile[..len].iter().enumerate() {
-                            let index = offset + t0 + j;
-                            if NearestHit::beats(d, index, *slot) {
-                                *slot = NearestHit { distance: d, index };
-                            }
-                        }
-                    }
-                    t0 += len;
-                }
-                qi += if paired { 2 } else { 1 };
-            }
-            b0 = bend;
-        }
-    }
-
-    /// Nearest training row for every query, from a cold start: binds a
-    /// fresh [`MetricKernel`] internally (one norm pass per side, nothing
-    /// per query).
-    pub fn nearest(
-        &self,
-        train: DatasetView<'_>,
-        queries: DatasetView<'_>,
-        metric: Metric,
-    ) -> Vec<NearestHit> {
-        let mut best = vec![NearestHit::NONE; queries.rows()];
-        let kernel = MetricKernel::bound(metric, queries, train);
-        self.update_nearest(queries, &kernel, train, 0, &mut best);
-        best
-    }
-
     /// Folds the training rows of `train` (global indices starting at
-    /// `offset`) into the running top-k state of every query row — the k-ary
-    /// generalisation of [`EvalEngine::update_nearest`], streamable batch by
-    /// batch exactly the same way.
+    /// `offset`) into the running top-k state of every query row, streamable
+    /// batch by batch.
     ///
-    /// `kernel` must be bound to exactly these views. `exclude_self =
-    /// Some(base)` declares that query row `i` *is* the training row with
+    /// `kernel` must be bound to exactly these views
+    /// ([`MetricKernel::bind_queries`] / [`MetricKernel::bind_train`]).
+    /// `exclude_self = Some(base)` declares that query row `i` *is* the training row with
     /// global index `base + i` and skips that one pair — the leave-one-out
     /// configuration.
     ///
@@ -570,97 +486,24 @@ impl EvalEngine {
         states: &mut [TopKState],
         exclude_self: Option<usize>,
     ) {
-        Self::check_binding(kernel, queries, train);
+        assert_eq!(queries.cols(), train.cols(), "query/train dimensionality mismatch");
+        assert_eq!(kernel.queries_bound(), queries.rows(), "kernel query cache not bound to these queries");
+        assert_eq!(kernel.train_bound(), train.rows(), "kernel train cache not bound to this train batch");
         assert_eq!(states.len(), queries.rows(), "one top-k state per query required");
-        if queries.rows() == 0 || train.rows() == 0 {
-            return;
-        }
-        let n = queries.rows();
-        let threads = self.threads.min(n);
-        if threads <= 1 {
-            self.scan_chunk_topk(queries, 0, kernel, train, offset, states, exclude_self);
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        snoopy_pool::scope(|scope| {
-            for (t, slot) in states.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                scope.spawn(move || {
-                    self.scan_chunk_topk(queries, start, kernel, train, offset, slot, exclude_self);
-                });
+        self.walk(queries, kernel, train, states, |state, q, t0, tile| {
+            let skip = exclude_self.map_or(usize::MAX, |base| base + q);
+            for (j, &d) in tile.iter().enumerate() {
+                let global = offset + t0 + j;
+                if global != skip {
+                    state[0].offer(d, global);
+                }
             }
         });
     }
 
-    /// Scans all training blocks into the top-k states of queries
-    /// `[start, start + states.len())`, one distance tile at a time —
-    /// queries in pairs through the 2 × 4 register block, with a
-    /// single-query pass for an odd trailing query.
-    #[allow(clippy::too_many_arguments)] // the scan's full per-chunk context
-    fn scan_chunk_topk(
-        &self,
-        queries: DatasetView<'_>,
-        start: usize,
-        kernel: &MetricKernel,
-        train: DatasetView<'_>,
-        offset: usize,
-        states: &mut [TopKState],
-        exclude_self: Option<usize>,
-    ) {
-        let tile_len = self.tile_rows.min(train.rows().max(1));
-        let mut tile_a = vec![0.0f32; tile_len];
-        let mut tile_b = vec![0.0f32; tile_len];
-        let n_train = train.rows();
-        let mut b0 = 0;
-        while b0 < n_train {
-            let bend = (b0 + self.block_rows).min(n_train);
-            let mut qi = 0;
-            while qi < states.len() {
-                let q = queries.row(start + qi);
-                let qv = kernel.query_cached(start + qi);
-                let paired = qi + 1 < states.len();
-                let mut t0 = b0;
-                while t0 < bend {
-                    let len = self.tile_rows.min(bend - t0);
-                    if paired {
-                        kernel.tile2_with(
-                            q,
-                            qv,
-                            queries.row(start + qi + 1),
-                            kernel.query_cached(start + qi + 1),
-                            train,
-                            t0,
-                            &mut tile_a[..len],
-                            &mut tile_b[..len],
-                        );
-                    } else {
-                        kernel.tile_with(q, qv, train, t0, &mut tile_a[..len]);
-                    }
-                    for (state_off, tile) in [(0usize, &tile_a), (1, &tile_b)] {
-                        if state_off == 1 && !paired {
-                            break;
-                        }
-                        let state = &mut states[qi + state_off];
-                        let skip = exclude_self.map(|b| b + start + qi + state_off).unwrap_or(usize::MAX);
-                        for (j, &d) in tile[..len].iter().enumerate() {
-                            let global = offset + t0 + j;
-                            if global == skip {
-                                continue;
-                            }
-                            state.offer(d, global);
-                        }
-                    }
-                    t0 += len;
-                }
-                qi += if paired { 2 } else { 1 };
-            }
-            b0 = bend;
-        }
-    }
-
-    /// Top-k neighbour table for every query, from a cold start. `k = 1`
-    /// specialises to the flat [`EvalEngine::nearest`] layout (no per-query
-    /// state allocation); the norm caches are bound internally either way.
+    /// Top-k neighbour table for every query, from a cold start; the norm
+    /// caches are bound internally (one norm pass per side, nothing per
+    /// query).
     pub fn topk(
         &self,
         train: DatasetView<'_>,
@@ -668,12 +511,8 @@ impl EvalEngine {
         metric: Metric,
         k: usize,
     ) -> NeighborTable {
-        let k = k.max(1);
-        if k == 1 {
-            return NeighborTable::from_nearest(self.nearest(train, queries, metric));
-        }
         let kernel = MetricKernel::bound(metric, queries, train);
-        let mut states = vec![TopKState::new(k); queries.rows()];
+        let mut states = vec![TopKState::new(k.max(1)); queries.rows()];
         self.update_topk(queries, &kernel, train, 0, &mut states, None);
         NeighborTable::from_states(&states)
     }
@@ -734,11 +573,12 @@ impl EvalEngine {
     /// out[q·C + c] = log Σ_{j : labels[j] = c} exp(−‖q − x_j‖² · inv_two_h2)
     /// ```
     ///
-    /// accumulated with an online log-sum-exp ([`OnlineLse`]) so the blocked
-    /// kernel never materialises the per-point log-kernels. Classes with no
-    /// training rows yield `-∞`. Training rows are visited in ascending index
-    /// order per query, so results do not depend on thread count or block
-    /// size.
+    /// accumulated with an online log-sum-exp ([`OnlineLse`]) per (query,
+    /// class) in the same scan loop as [`EvalEngine::update_topk`], so the
+    /// per-point log-kernels are never materialised. Classes with no
+    /// training rows yield `-∞`. Training rows are visited in ascending
+    /// index order per query, so results do not depend on thread count,
+    /// block or tile size.
     ///
     /// # Panics
     /// Panics on dimension or label-count mismatches, or a label
@@ -753,75 +593,14 @@ impl EvalEngine {
     ) -> Vec<f64> {
         assert_eq!(queries.cols(), train.cols(), "query/train dimensionality mismatch");
         assert_eq!(train.rows(), train_labels.len(), "train feature/label mismatch");
-        let n = queries.rows();
-        let c = num_classes.max(1);
-        let mut acc = vec![OnlineLse::EMPTY; n * c];
-        if n > 0 && train.rows() > 0 {
-            let kernel = MetricKernel::bound(Metric::SquaredEuclidean, queries, train);
-            let threads = self.threads.min(n);
-            if threads <= 1 {
-                self.kernel_chunk(queries, 0, &kernel, train, train_labels, c, inv_two_h2, &mut acc);
-            } else {
-                let chunk = n.div_ceil(threads);
-                let kernel = &kernel;
-                snoopy_pool::scope(|scope| {
-                    for (t, slot) in acc.chunks_mut(chunk * c).enumerate() {
-                        let start = t * chunk;
-                        scope.spawn(move || {
-                            self.kernel_chunk(
-                                queries,
-                                start,
-                                kernel,
-                                train,
-                                train_labels,
-                                c,
-                                inv_two_h2,
-                                slot,
-                            );
-                        });
-                    }
-                });
+        let mut acc = vec![OnlineLse::EMPTY; queries.rows() * num_classes.max(1)];
+        let kernel = MetricKernel::bound(Metric::SquaredEuclidean, queries, train);
+        self.walk(queries, &kernel, train, &mut acc, |sums, _, t0, tile| {
+            for (j, &d) in tile.iter().enumerate() {
+                sums[train_labels[t0 + j] as usize].add(-(d as f64) * inv_two_h2);
             }
-        }
+        });
         acc.iter().map(OnlineLse::value).collect()
-    }
-
-    /// Accumulates all training blocks into the per-class kernel sums of
-    /// queries `[start, start + acc.len() / classes)`, one distance tile at
-    /// a time.
-    #[allow(clippy::too_many_arguments)] // the kernel's full context, passed by value/slice
-    fn kernel_chunk(
-        &self,
-        queries: DatasetView<'_>,
-        start: usize,
-        kernel: &MetricKernel,
-        train: DatasetView<'_>,
-        train_labels: &[u32],
-        classes: usize,
-        inv_two_h2: f64,
-        acc: &mut [OnlineLse],
-    ) {
-        let mut tile = vec![0.0f32; self.tile_rows.min(train.rows().max(1))];
-        let n_train = train.rows();
-        let mut b0 = 0;
-        while b0 < n_train {
-            let bend = (b0 + self.block_rows).min(n_train);
-            for (qi, states) in acc.chunks_mut(classes).enumerate() {
-                let q = queries.row(start + qi);
-                let qv = kernel.query_cached(start + qi);
-                let mut t0 = b0;
-                while t0 < bend {
-                    let len = self.tile_rows.min(bend - t0);
-                    let out = &mut tile[..len];
-                    kernel.tile_with(q, qv, train, t0, out);
-                    for (j, &d) in out.iter().enumerate() {
-                        states[train_labels[t0 + j] as usize].add(-(d as f64) * inv_two_h2);
-                    }
-                    t0 += len;
-                }
-            }
-            b0 = bend;
-        }
     }
 }
 
@@ -947,6 +726,11 @@ mod tests {
         Matrix::from_fn(n, d, |r, c| ((r * d + c) as f32 * 0.37 + phase).sin() * 3.0)
     }
 
+    /// The first hit of every query of a `k = 1` table, in query order.
+    fn first_hits(table: &NeighborTable) -> Vec<NearestHit> {
+        (0..table.num_queries()).filter_map(|q| table.first(q)).collect()
+    }
+
     #[test]
     fn engine_matches_reference_for_all_metrics() {
         let train = wavy(137, 9, 0.0);
@@ -958,39 +742,20 @@ mod tests {
                 EvalEngine::parallel(),
                 EvalEngine::with_threads(3).with_block_rows(16),
             ] {
-                let got = engine.nearest(train.view(), queries.view(), metric);
-                assert_eq!(got, reference, "metric {} engine {engine:?}", metric.name());
+                let got = engine.topk(train.view(), queries.view(), metric, 1);
+                assert_eq!(first_hits(&got), reference, "metric {} engine {engine:?}", metric.name());
             }
         }
-    }
-
-    #[test]
-    fn streaming_updates_accumulate_to_the_full_answer() {
-        let train = wavy(100, 5, 0.0);
-        let queries = wavy(23, 5, 2.1);
-        let engine = EvalEngine::with_threads(2).with_block_rows(8);
-        let metric = Metric::SquaredEuclidean;
-        let mut kernel = crate::kernel::MetricKernel::new(metric);
-        kernel.bind_queries(queries.view());
-        let mut best = vec![NearestHit::NONE; queries.rows()];
-        let mut consumed = 0;
-        for batch in train.view().batches(33) {
-            kernel.bind_train(batch);
-            engine.update_nearest(queries.view(), &kernel, batch, consumed, &mut best);
-            consumed += batch.rows();
-        }
-        assert_eq!(best, nearest_reference(train.view(), queries.view(), metric));
     }
 
     #[test]
     fn empty_inputs_are_no_ops() {
         let train = wavy(10, 4, 0.0);
         let empty = Matrix::zeros(0, 4);
-        let mut best: Vec<NearestHit> = vec![];
         let kernel = crate::kernel::MetricKernel::bound(Metric::SquaredEuclidean, empty.view(), train.view());
-        EvalEngine::parallel().update_nearest(empty.view(), &kernel, train.view(), 0, &mut best);
-        let hits = EvalEngine::parallel().nearest(empty.view(), wavy(3, 4, 0.5).view(), Metric::Euclidean);
-        assert!(hits.iter().all(|h| *h == NearestHit::NONE));
+        EvalEngine::parallel().update_topk(empty.view(), &kernel, train.view(), 0, &mut [], None);
+        let table = EvalEngine::parallel().topk(empty.view(), wavy(3, 4, 0.5).view(), Metric::Euclidean, 1);
+        assert_eq!((table.num_queries(), table.k()), (3, 0));
     }
 
     #[test]
@@ -1018,17 +783,20 @@ mod tests {
         let queries = wavy(21, 5, 2.4);
         let engine = EvalEngine::with_threads(2).with_block_rows(8);
         for metric in [Metric::SquaredEuclidean, Metric::Cosine] {
-            let mut kernel = crate::kernel::MetricKernel::new(metric);
-            kernel.bind_queries(queries.view());
-            let mut states = vec![TopKState::new(4); queries.rows()];
-            let mut consumed = 0;
-            for batch in train.view().batches(26) {
-                kernel.bind_train(batch);
-                engine.update_topk(queries.view(), &kernel, batch, consumed, &mut states, None);
-                consumed += batch.rows();
+            for k in [1usize, 4] {
+                let mut kernel = crate::kernel::MetricKernel::new(metric);
+                kernel.bind_queries(queries.view());
+                let mut states = vec![TopKState::new(k); queries.rows()];
+                let mut consumed = 0;
+                for batch in train.view().batches(26) {
+                    kernel.bind_train(batch);
+                    engine.update_topk(queries.view(), &kernel, batch, consumed, &mut states, None);
+                    consumed += batch.rows();
+                }
+                let table = NeighborTable::from_states(&states);
+                let reference = knn_reference(train.view(), queries.view(), metric, k);
+                assert_eq!(table, reference, "{} k {k}", metric.name());
             }
-            let table = NeighborTable::from_states(&states);
-            assert_eq!(table, knn_reference(train.view(), queries.view(), metric, 4), "{}", metric.name());
         }
     }
 
@@ -1133,10 +901,10 @@ mod tests {
     fn dimension_mismatch_panics() {
         let train = wavy(4, 3, 0.0);
         let queries = wavy(4, 5, 0.0);
-        let mut best = vec![NearestHit::NONE; 4];
+        let mut states = vec![TopKState::new(1); 4];
         let kernel =
             crate::kernel::MetricKernel::bound(Metric::SquaredEuclidean, queries.view(), train.view());
-        EvalEngine::serial().update_nearest(queries.view(), &kernel, train.view(), 0, &mut best);
+        EvalEngine::serial().update_topk(queries.view(), &kernel, train.view(), 0, &mut states, None);
     }
 
     #[test]
@@ -1144,11 +912,11 @@ mod tests {
     fn stale_kernel_binding_panics() {
         let train = wavy(6, 3, 0.0);
         let queries = wavy(4, 3, 0.0);
-        let mut best = vec![NearestHit::NONE; 4];
+        let mut states = vec![TopKState::new(1); 4];
         // Kernel bound to a *prefix* of the training batch: a loud error,
         // not a silent wrong answer.
         let kernel =
             crate::kernel::MetricKernel::bound(Metric::Cosine, queries.view(), train.view().slice_rows(0, 3));
-        EvalEngine::serial().update_nearest(queries.view(), &kernel, train.view(), 0, &mut best);
+        EvalEngine::serial().update_topk(queries.view(), &kernel, train.view(), 0, &mut states, None);
     }
 }

@@ -92,8 +92,9 @@ pub fn pair_distance(metric: Metric, a: &[f32], b: &[f32]) -> f32 {
 /// given, so a stale cache is a loud shape error instead of a silent wrong
 /// answer. Long-lived consumers keep their kernel across calls (the
 /// incremental top-k state re-binds only the train side per appended batch;
-/// GHP's Prim loop mirrors its frontier compaction into the query cache via
-/// [`MetricKernel::queries_swap_remove`]).
+/// GHP's Prim loop binds its out-of-tree frontier as the train side and
+/// mirrors the frontier's compaction into that cache via
+/// [`MetricKernel::train_swap_remove`]).
 #[derive(Debug, Clone)]
 pub struct MetricKernel {
     metric: Metric,
@@ -150,12 +151,12 @@ impl MetricKernel {
         self.train_cache.len()
     }
 
-    /// Mirrors a swap-remove compaction of the bound query set: the last
-    /// query's cached value moves into slot `pos` and the cache shrinks by
-    /// one — O(1), used by consumers whose query set shrinks in place (the
-    /// MST frontier) instead of re-binding `O(n·d)` every round.
-    pub fn queries_swap_remove(&mut self, pos: usize) {
-        self.query_cache.swap_remove(pos);
+    /// Mirrors a swap-remove compaction of the bound training rows: the last
+    /// row's cached value moves into slot `pos` and the cache shrinks by
+    /// one — O(1), used by consumers whose training side shrinks in place
+    /// (the MST frontier) instead of re-binding `O(n·d)` every round.
+    pub fn train_swap_remove(&mut self, pos: usize) {
+        self.train_cache.swap_remove(pos);
     }
 
     /// The cached value of bound query `i`.
@@ -335,12 +336,19 @@ mod tests {
 
     #[test]
     fn swap_remove_mirrors_vec_semantics() {
-        let queries = wavy(5, 6, 0.0);
+        let train = wavy(5, 6, 0.0);
         let mut kernel = MetricKernel::new(Metric::SquaredEuclidean);
-        kernel.bind_queries(queries.view());
-        let last = kernel.query_cached(4);
-        kernel.queries_swap_remove(1);
-        assert_eq!(kernel.queries_bound(), 4);
-        assert_eq!(kernel.query_cached(1).to_bits(), last.to_bits());
+        kernel.bind_train(train.view());
+        kernel.train_swap_remove(1);
+        assert_eq!(kernel.train_bound(), 4);
+        // Slot 1 now holds row 4's cached value: distances against the
+        // compacted rows equal those against the rows themselves.
+        let compacted = Matrix::from_rows(&[0, 4, 2, 3].map(|r| train.row(r).to_vec()));
+        let q = train.row(0);
+        let mut out = [0.0f32; 4];
+        kernel.tile_with(q, kernel.query_value(q), compacted.view(), 0, &mut out);
+        for (j, &got) in out.iter().enumerate() {
+            assert_eq!(got.to_bits(), pair_distance(Metric::SquaredEuclidean, q, compacted.row(j)).to_bits());
+        }
     }
 }

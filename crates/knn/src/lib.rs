@@ -17,10 +17,11 @@
 //!   a distance depends only on the pair of rows — never on tile size,
 //!   block size, thread count, or which consumer computed it,
 //! * the blocked, chunk-parallel top-k evaluation engine
-//!   ([`engine::EvalEngine`]) whose results are bit-identical to the serial
-//!   references [`engine::nearest_reference`] / [`engine::knn_reference`]
-//!   for every metric, thread count, block size, tile size, and
-//!   batch-streamed ingestion order,
+//!   ([`engine::EvalEngine`]): one scan loop builds every neighbour table,
+//!   `k = 1` included, and KDE's per-class kernel sums, bit-identical to the
+//!   serial references [`engine::nearest_reference`] /
+//!   [`engine::knn_reference`] for every metric, thread count, block size,
+//!   tile size, and batch-streamed ingestion order,
 //! * the query-major [`engine::NeighborTable`] — the one neighbour handshake
 //!   every distance consumer speaks. A table computed once at `k_max` answers
 //!   every smaller `k` by prefix, which is how the estimator-comparison

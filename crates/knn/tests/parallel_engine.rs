@@ -1,18 +1,24 @@
 //! Integration tests pinning down the central guarantee of the evaluation
-//! engine: the blocked, chunk-parallel paths — 1NN *and* top-k — return
+//! engine: its one blocked, chunk-parallel scan loop returns
 //! **bit-identical** results to the plain serial reference loops, for every
-//! metric, every engine shape, batch-streamed ingestion, and through every
-//! consumer (index queries, batch evaluation, leave-one-out, and the
-//! incremental top-k state).
+//! metric, every `k` (the 1NN table is the `k = 1` top-k table), every
+//! engine shape, batch-streamed ingestion, and through every consumer
+//! (index queries, batch evaluation, leave-one-out, the incremental top-k
+//! state, and KDE's per-class kernel sums).
 
 use snoopy_knn::engine::{
-    knn_reference, knn_reference_loo, nearest_reference, EvalEngine, NeighborTable, TopKState,
+    knn_reference, knn_reference_loo, nearest_reference, EvalEngine, NearestHit, NeighborTable, TopKState,
 };
 use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric};
 use snoopy_linalg::{LabeledView, Matrix};
 // Shared fixture (duplicated rows so distance ties actually occur —
 // tie-breaking is part of the bit-identical contract).
 use snoopy_testutil::cloud_with_ties as cloud;
+
+/// The first hit of every query of a `k = 1` table, in query order.
+fn first_hits(table: &NeighborTable) -> Vec<NearestHit> {
+    (0..table.num_queries()).filter_map(|q| table.first(q)).collect()
+}
 
 #[test]
 fn engine_is_bit_identical_to_serial_reference_for_all_metrics_and_shapes() {
@@ -23,8 +29,13 @@ fn engine_is_bit_identical_to_serial_reference_for_all_metrics_and_shapes() {
         for threads in [1usize, 2, 3, 8] {
             for block_rows in [1usize, 7, 64, 1024] {
                 let engine = EvalEngine::with_threads(threads).with_block_rows(block_rows);
-                let got = engine.nearest(train_x.view(), test_x.view(), metric);
-                assert_eq!(got, reference, "metric {} threads {threads} block {block_rows}", metric.name());
+                let got = engine.topk(train_x.view(), test_x.view(), metric, 1);
+                assert_eq!(
+                    first_hits(&got),
+                    reference,
+                    "metric {} threads {threads} block {block_rows}",
+                    metric.name()
+                );
             }
         }
     }
@@ -269,7 +280,7 @@ fn topk_tie_break_is_invariant_across_block_sizes_and_thread_counts() {
 /// across every tile size — degenerate (1), lane-straddling (3, 9), the
 /// register block and its neighbours (4, 5), non-divisors of the block size,
 /// and tiles larger than the training set — for every metric and for the
-/// exhaustive and streamed consumers.
+/// exhaustive and streamed consumers and KDE's per-class kernel sums.
 #[test]
 fn tile_sweep_is_bit_identical_across_every_consumer() {
     let (train_x, train_y) = cloud(97, 143, 11, 3);
@@ -301,6 +312,18 @@ fn tile_sweep_is_bit_identical_across_every_consumer() {
         }
         assert_eq!(state.error().to_bits(), full_error.to_bits(), "incremental tile {tile_rows}");
     }
+    // KDE's class sums under the same sweep, at two thread counts.
+    let class_sums = |engine: EvalEngine| -> Vec<u64> {
+        let sums = engine.class_kernel_log_sums(test_x.view(), train_x.view(), &train_y, 3, 0.05);
+        sums.iter().map(|v| v.to_bits()).collect()
+    };
+    let reference = class_sums(EvalEngine::serial());
+    for tile_rows in [1usize, 3, 4, 5, 9, 33, 64, 200] {
+        for threads in [1usize, 3] {
+            let engine = EvalEngine::with_threads(threads).with_tile_rows(tile_rows);
+            assert_eq!(class_sums(engine), reference, "class sums tile {tile_rows} threads {threads}");
+        }
+    }
 }
 
 #[test]
@@ -313,7 +336,8 @@ fn leading_duplicates_resolve_to_the_lowest_train_index() {
     for metric in Metric::all() {
         for threads in [1usize, 4] {
             let engine = EvalEngine::with_threads(threads).with_block_rows(8);
-            let hits = engine.nearest(train_x.view(), test_x.view(), metric);
+            let hits = first_hits(&engine.topk(train_x.view(), test_x.view(), metric, 1));
+            assert_eq!(hits.len(), test_x.rows());
             assert!(hits.iter().all(|h| h.index == 0), "metric {} threads {threads}", metric.name());
         }
         let index = BruteForceIndex::new(&train_x, &train_y, 2, metric);

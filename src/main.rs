@@ -28,8 +28,8 @@ struct Args {
     seed: u64,
 }
 
-fn print_usage() {
-    eprintln!(
+fn usage() -> String {
+    format!(
         "usage: snoopy [--dataset NAME] [--noise clean|uniform:RHO|pairwise:RHO] [--target ACC]\n\
          \x20             [--scale tiny|small|standard] [--strategy sh-tangent|sh|uniform|exhaustive]\n\
          \x20             [--batch-fraction F] [--seed N]\n\
@@ -38,10 +38,11 @@ fn print_usage() {
          ({}),\n\
          which carries its own class-dependent noise and takes no --noise",
         registry::cifar_n_names().join(" ")
-    );
+    )
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line; `Ok(None)` asks for the usage text (`--help`).
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         dataset: "cifar10".to_string(),
         noise: None,
@@ -56,20 +57,27 @@ fn parse_args() -> Result<Args, String> {
     while i < argv.len() {
         let flag = argv[i].as_str();
         if flag == "--help" || flag == "-h" {
-            return Err(String::new());
+            return Ok(None);
         }
-        let value = argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
+        // The flag is matched before its value is read, so an unknown flag is
+        // reported as unknown even when nothing follows it.
+        let value = || argv.get(i + 1).ok_or_else(|| format!("missing value for {flag}"));
         match flag {
-            "--dataset" => args.dataset = value.clone(),
+            "--dataset" => args.dataset = value()?.clone(),
             "--target" => {
+                let value = value()?;
                 args.target = value.parse().map_err(|_| format!("invalid target accuracy {value}"))?
             }
-            "--seed" => args.seed = value.parse().map_err(|_| format!("invalid seed {value}"))?,
+            "--seed" => {
+                let value = value()?;
+                args.seed = value.parse().map_err(|_| format!("invalid seed {value}"))?
+            }
             "--batch-fraction" => {
+                let value = value()?;
                 args.batch_fraction = value.parse().map_err(|_| format!("invalid batch fraction {value}"))?
             }
             "--scale" => {
-                args.scale = match value.as_str() {
+                args.scale = match value()?.as_str() {
                     "tiny" => SizeScale::Tiny,
                     "small" => SizeScale::Small,
                     "standard" => SizeScale::Standard,
@@ -77,7 +85,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--strategy" => {
-                args.strategy = match value.as_str() {
+                args.strategy = match value()?.as_str() {
                     "sh-tangent" => SelectionStrategy::SuccessiveHalvingTangent,
                     "sh" => SelectionStrategy::SuccessiveHalving,
                     "uniform" => SelectionStrategy::Uniform,
@@ -86,6 +94,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--noise" => {
+                let value = value()?;
                 args.noise = Some(if value == "clean" {
                     NoiseModel::Clean
                 } else if let Some(rho) = value.strip_prefix("uniform:") {
@@ -100,7 +109,7 @@ fn parse_args() -> Result<Args, String> {
         }
         i += 2;
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// A flip probability in `[0, 1]` (NaN rejected).
@@ -134,19 +143,20 @@ fn load_task(args: &Args) -> Result<(TaskDataset, NoiseModel), String> {
     Ok((registry::load_with_noise(&args.dataset, args.scale, &noise, args.seed), noise))
 }
 
-/// Prints `error: message` (when there is one) and the usage text; the
-/// process then exits with code 1.
+/// Prints `error: message` and the usage text; the process then exits with
+/// code 1.
 fn fail(message: &str) -> ExitCode {
-    if !message.is_empty() {
-        eprintln!("error: {message}\n");
-    }
-    print_usage();
+    eprintln!("error: {message}\n\n{}", usage());
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(message) => return fail(&message),
     };
     // Reject a bad configuration before the task load and zoo fit pay for it.

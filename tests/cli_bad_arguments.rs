@@ -12,6 +12,7 @@ fn out_of_range_arguments_print_an_error_instead_of_panicking() {
         &["--batch-fraction", "0"],
         &["--noise", "uniform:1.5"],
         &["--dataset", "cifar10-aggre", "--noise", "uniform:0.3"],
+        &["--bogus"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_snoopy")).args(args).output().expect("run snoopy");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -20,5 +21,11 @@ fn out_of_range_arguments_print_an_error_instead_of_panicking() {
         assert!(stderr.contains("usage: snoopy"), "{args:?}: no usage text in\n{stderr}");
         assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
         assert!(out.stdout.is_empty(), "{args:?} must fail before loading a dataset");
+        if args == ["--bogus"] {
+            assert!(
+                stderr.contains("error: unknown flag --bogus"),
+                "--bogus not named as unknown:\n{stderr}"
+            );
+        }
     }
 }

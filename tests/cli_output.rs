@@ -1,8 +1,19 @@
-//! What the `snoopy` binary writes to standard output: the noise model a
-//! CIFAR-N variant really carries, and a quiet exit when the reader of its
-//! output goes away.
+//! What the `snoopy` binary writes to standard output: the usage text when
+//! asked for it, the noise model a CIFAR-N variant really carries, and a
+//! quiet exit when the reader of its output goes away.
 
 use std::process::{Command, Stdio};
+
+#[test]
+fn help_prints_the_usage_on_stdout_and_succeeds() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_snoopy")).arg(flag).output().expect("run snoopy");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{flag} must exit with code 0");
+        assert!(stdout.starts_with("usage: snoopy"), "{flag}: no usage on stdout:\n{stdout}");
+        assert!(out.stderr.is_empty(), "{flag} wrote to stderr:\n{}", String::from_utf8_lossy(&out.stderr));
+    }
+}
 
 #[test]
 fn a_closed_stdout_ends_the_report_quietly() {
