@@ -8,8 +8,8 @@
 /// batch) and returns the arm's current loss (the 1NN test error). Losses are
 /// assumed to (noisily) decrease and converge as more budget is spent.
 ///
-/// Arms are `Send` so the strategies can evaluate independent arms on worker
-/// threads.
+/// Arms are `Send` so the strategies can pull independent arms as tasks on
+/// the current `snoopy-pool` pool.
 pub trait Arm: Send {
     /// A short identifier (the transformation name for Snoopy arms).
     fn name(&self) -> &str;
@@ -50,13 +50,6 @@ pub trait Arm: Send {
     fn eval_pairs(&self) -> u64 {
         0
     }
-
-    /// Notifies the arm how many arms will pull concurrently in the next
-    /// round, so arms with internal parallelism can resize their worker
-    /// share as the field shrinks. Default: no-op.
-    fn on_concurrency(&mut self, active_arms: usize) {
-        let _ = active_arms;
-    }
 }
 
 impl<T: Arm + ?Sized> Arm for Box<T> {
@@ -83,9 +76,6 @@ impl<T: Arm + ?Sized> Arm for Box<T> {
     }
     fn eval_pairs(&self) -> u64 {
         (**self).eval_pairs()
-    }
-    fn on_concurrency(&mut self, active_arms: usize) {
-        (**self).on_concurrency(active_arms)
     }
 }
 

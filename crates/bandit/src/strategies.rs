@@ -121,13 +121,14 @@ impl RoundPlan {
 /// Returns which arms the tangent break eliminated (all `false` for plain
 /// phases).
 ///
-/// Arms are first told how many of them will run concurrently
-/// ([`Arm::on_concurrency`]) so arms with internal parallelism can size
-/// their worker share. Each busy arm runs as one task on the persistent
-/// [`snoopy_pool`] pool — a queue push, not a thread spawn — and a phase
-/// with a single busy arm runs inline, skipping even that. Each arm's own
-/// pull sequence is identical to the sequential schedule, so outcomes are
-/// deterministic and unchanged at every pool worker count.
+/// Each busy arm runs as one task on the current [`snoopy_pool`] pool — a
+/// queue push, not a thread spawn — and a phase with a single busy arm runs
+/// inline, skipping even that. Parallel work inside a pull (an arm's engine
+/// scan) splits over the same pool's workers like any other call, so its
+/// chunks queue behind the other arms' instead of oversubscribing the
+/// machine. Each arm's own pull sequence is identical to the sequential
+/// schedule, so outcomes are deterministic and unchanged at every pool
+/// worker count.
 pub fn execute_round<A: Arm>(arms: &mut [A], curves: &mut [Vec<f64>], plan: &RoundPlan) -> Vec<bool> {
     let n = arms.len();
     assert_eq!(plan.jobs.len(), n, "one job count per arm required");
@@ -136,11 +137,6 @@ pub fn execute_round<A: Arm>(arms: &mut [A], curves: &mut [Vec<f64>], plan: &Rou
     let busy = arms.iter().zip(&plan.jobs).filter(|(arm, &job)| job > 0 && !arm.exhausted()).count();
     if busy == 0 {
         return eliminated;
-    }
-    for (arm, &job) in arms.iter_mut().zip(&plan.jobs) {
-        if job > 0 && !arm.exhausted() {
-            arm.on_concurrency(busy);
-        }
     }
     let threshold = plan.tangent_threshold;
     let run_one = |arm: &mut A, curve: &mut Vec<f64>, job: usize, eliminated: &mut bool| {

@@ -1,7 +1,7 @@
 //! Emits `BENCH_knn.json`: queries/second of the kNN kernels — top-k
-//! (k = 1 and k = 10) chunk-parallel vs a one-thread engine, the
-//! leave-one-out error (parallel self-excluding kernel vs a
-//! forced-serial engine), the single-core scalar-vs-tiled kernel comparison
+//! (k = 1 and k = 10) on the global pool vs a 1-worker pool, the
+//! leave-one-out error (the same self-excluding scan on both pools), the
+//! single-core scalar-vs-tiled kernel comparison
 //! (the PR-3 per-pair scalar scan against the tile-blocked `MetricKernel`
 //! path, per metric, across an n × d grid), the plain-vs-quantized pruned
 //! scan (int8 two-phase scan against the exact f32 scan of a warm
@@ -12,7 +12,7 @@
 //! (per-slide append+evict on an eviction-enabled state vs a cold rebuild of
 //! the surviving window, with the re-scanned query count per slide), the
 //! persistent-pool comparison (per-call latency of the old scoped-spawn
-//! fan-out vs the pool-backed engine, plus the zero-alloc scratch variant),
+//! fan-out vs the engine on a 2-worker pool),
 //! the multi-tenant serving comparison (studies/sec of the warm
 //! `FeasibilityService` at 1..N tenants vs sequential cold one-shot
 //! studies), and the out-of-core comparison (the full feasibility study
@@ -36,6 +36,9 @@
 //! the run (CI executes the tiny scale, which includes the 10k incremental
 //! and eviction cases).
 //!
+//! The engine splits every scan into one chunk per worker of the pool it
+//! runs on, so each serial baseline is the same call on a 1-worker pool.
+//!
 //! ```text
 //! cargo run --release -p snoopy-bench --bin bench_knn_json [--scale tiny|small|standard]
 //! ```
@@ -44,6 +47,7 @@ use snoopy_bench::time_median;
 use snoopy_knn::engine::{knn_reference, EvalEngine, NeighborTable, TopKState};
 use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric, MetricKernel, ShardedIndex};
 use snoopy_linalg::{rng, DatasetView, LabeledView, Matrix};
+use snoopy_pool::ThreadPool;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -114,9 +118,6 @@ struct PoolCase {
     spawn_s: f64,
     /// Per-call seconds of the same two-way fan-out on the persistent pool.
     pool_s: f64,
-    /// Per-call seconds of the pool path with caller-owned scratch
-    /// (`topk_with`) — the allocation-free steady-state serving loop.
-    scratch_s: f64,
 }
 
 struct ServerCase {
@@ -260,23 +261,25 @@ fn scalar_topk(train: DatasetView<'_>, queries: DatasetView<'_>, metric: Metric,
 
 /// The pre-pool per-call fan-out, reproduced locally as the spawn-churn
 /// baseline: two OS threads are spawned and joined for every call, each
-/// running the serial engine over half the queries — exactly the per-call
-/// thread churn the engine paid before the persistent pool. Results are
-/// asserted bit-identical to the reference before timing.
+/// running a serial scan (the engine on the 1-worker `serial` pool) over
+/// half the queries — exactly the per-call thread churn the engine paid
+/// before the persistent pool. Results are asserted bit-identical to the
+/// reference before timing.
 fn scoped_spawn_topk(
+    serial: &ThreadPool,
     train: DatasetView<'_>,
     queries: DatasetView<'_>,
     metric: Metric,
     k: usize,
 ) -> [NeighborTable; 2] {
-    let serial = EvalEngine::serial();
+    let engine = EvalEngine::default();
     let mid = queries.rows() / 2;
     let (head, tail) = (queries.prefix(mid), queries.slice_rows(mid, queries.rows()));
     let mut tables = [NeighborTable::default(), NeighborTable::default()];
     let [t0, t1] = &mut tables;
     std::thread::scope(|scope| {
-        scope.spawn(|| *t0 = serial.topk(train, head, metric, k));
-        scope.spawn(|| *t1 = serial.topk(train, tail, metric, k));
+        scope.spawn(|| *t0 = serial.install(|| engine.topk(train, head, metric, k)));
+        scope.spawn(|| *t1 = serial.install(|| engine.topk(train, tail, metric, k)));
     });
     tables
 }
@@ -289,7 +292,10 @@ fn main() {
         _ => (&[1_000, 4_000, 16_000], 250, 64, 5),
     };
 
-    let threads = EvalEngine::parallel().threads();
+    let threads = snoopy_pool::workers();
+    // Every serial baseline is the same engine call on this 1-worker pool.
+    let serial = ThreadPool::new(1);
+    let engine = EvalEngine::default();
     let query_x = make_data(queries, dim, 1);
     let mut topk_cases = Vec::new();
     let mut loo_cases = Vec::new();
@@ -297,26 +303,22 @@ fn main() {
         let train_x = make_data(n, dim, 2 + i as u64);
         // Top-k kernel, squared Euclidean (the estimator pipeline's metric):
         // parity is asserted against the sort-based ground truth, but the
-        // timed serial baseline is the same kernel on a one-thread engine —
-        // a fair comparison that isolates parallelism.
-        let serial = EvalEngine::serial();
-        let parallel = EvalEngine::parallel();
+        // timed serial baseline is the same kernel on a 1-worker pool — a
+        // fair comparison that isolates parallelism.
         for k in [1usize, 10] {
             assert_eq!(
-                parallel.topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, k),
+                engine.topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, k),
                 knn_reference(train_x.view(), query_x.view(), Metric::SquaredEuclidean, k),
                 "parallel top-k must be bit-identical to the serial reference"
             );
             let t_serial = time_median(reps, || {
-                std::hint::black_box(serial.topk(
-                    train_x.view(),
-                    query_x.view(),
-                    Metric::SquaredEuclidean,
-                    k,
-                ));
+                std::hint::black_box(
+                    serial
+                        .install(|| engine.topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, k)),
+                );
             });
             let t_parallel = time_median(reps, || {
-                std::hint::black_box(parallel.topk(
+                std::hint::black_box(engine.topk(
                     train_x.view(),
                     query_x.view(),
                     Metric::SquaredEuclidean,
@@ -330,7 +332,7 @@ fn main() {
                 parallel_qps: queries as f64 / t_parallel,
             };
             println!(
-                "n={:>6} d={} top-{:<2} {:<7} serial {:>10.0} q/s   parallel({} threads) {:>10.0} q/s   speedup {:.2}x",
+                "n={:>6} d={} top-{:<2} {:<7} serial {:>10.0} q/s   parallel({} workers) {:>10.0} q/s   speedup {:.2}x",
                 case.train_n,
                 dim,
                 k,
@@ -344,24 +346,23 @@ fn main() {
         }
 
         // Leave-one-out 1NN error over the training set itself: the parallel
-        // self-excluding kernel vs the same kernel on a one-thread engine.
+        // self-excluding kernel vs the same kernel on a 1-worker pool.
         let labels: Vec<u32> = (0..n).map(|j| (j % 10) as u32).collect();
         let index = BruteForceIndex::new(&train_x, &labels, 10, Metric::SquaredEuclidean);
-        let serial_index = index.clone().with_engine(EvalEngine::serial());
         assert_eq!(
             index.leave_one_out_error().to_bits(),
-            serial_index.leave_one_out_error().to_bits(),
+            serial.install(|| index.leave_one_out_error()).to_bits(),
             "parallel LOO must match the serial engine"
         );
         let loo_reps = reps.min(3);
         let t_serial = time_median(loo_reps, || {
-            std::hint::black_box(serial_index.leave_one_out_error());
+            std::hint::black_box(serial.install(|| index.leave_one_out_error()));
         });
         let t_parallel = time_median(loo_reps, || {
             std::hint::black_box(index.leave_one_out_error());
         });
         println!(
-            "n={:>6} d={} leave-one-out     serial {:>9.4} s     parallel({} threads) {:>9.4} s     speedup {:.2}x",
+            "n={:>6} d={} leave-one-out     serial {:>9.4} s     parallel({} workers) {:>9.4} s     speedup {:.2}x",
             n,
             dim,
             t_serial,
@@ -373,7 +374,7 @@ fn main() {
     }
 
     // Scalar vs tiled kernel, single core: the PR-3 per-pair scalar scan
-    // against today's tile-blocked MetricKernel path on a one-thread engine
+    // against today's tile-blocked MetricKernel path on a 1-worker pool
     // — isolates the kernel-layer speedup from parallelism. Parity of the
     // tiled path is asserted bit for bit against the serial reference, and
     // across two tile sizes, before anything is timed.
@@ -389,16 +390,18 @@ fn main() {
         for (j, &d) in kernel_dims.iter().enumerate() {
             let train_x = make_data(n, d, 200 + (i * 8 + j) as u64);
             let query_x = make_data(kernel_queries, d, 300 + (i * 8 + j) as u64);
-            let serial = EvalEngine::serial();
             for metric in Metric::all() {
                 let reference = knn_reference(train_x.view(), query_x.view(), metric, kernel_k);
+                let tiled = |engine: EvalEngine| {
+                    serial.install(|| engine.topk(train_x.view(), query_x.view(), metric, kernel_k))
+                };
                 assert_eq!(
-                    serial.topk(train_x.view(), query_x.view(), metric, kernel_k),
+                    tiled(engine),
                     reference,
                     "tiled kernel must be bit-identical to the serial reference"
                 );
                 assert_eq!(
-                    serial.with_tile_rows(23).topk(train_x.view(), query_x.view(), metric, kernel_k),
+                    tiled(engine.with_tile_rows(23)),
                     reference,
                     "tiled kernel must be bit-identical across tile sizes"
                 );
@@ -406,7 +409,7 @@ fn main() {
                     std::hint::black_box(scalar_topk(train_x.view(), query_x.view(), metric, kernel_k));
                 });
                 let t_tiled = time_median(kernel_reps, || {
-                    std::hint::black_box(serial.topk(train_x.view(), query_x.view(), metric, kernel_k));
+                    std::hint::black_box(tiled(engine));
                 });
                 let case = KernelCase {
                     train_n: n,
@@ -417,7 +420,7 @@ fn main() {
                     tiled_qps: kernel_queries as f64 / t_tiled,
                 };
                 println!(
-                    "n={:>6} d={:>3} top-{:<2} {:<13} scalar {:>9.0} q/s   tiled(1 thread) {:>9.0} q/s   kernel speedup {:.2}x",
+                    "n={:>6} d={:>3} top-{:<2} {:<13} scalar {:>9.0} q/s   tiled(1 worker) {:>9.0} q/s   kernel speedup {:.2}x",
                     case.train_n,
                     case.dim,
                     kernel_k,
@@ -460,7 +463,6 @@ fn main() {
         // ⌈√n⌉ clusters: the centroid scan and the in-cluster scans cost
         // about the same.
         let nlist = (n as f64).sqrt().ceil() as usize;
-        let engine = EvalEngine::parallel();
         let build = || ShardedIndex::build(train_x.view(), Metric::SquaredEuclidean, nlist, usize::MAX);
         let mut plain = build();
         let unquantized = build();
@@ -552,7 +554,6 @@ fn main() {
         let train_y: Vec<u32> = (0..n).map(|j| (j % 10) as u32).collect();
         let query_x = make_data(incr_queries, incr_dim, 600 + i as u64);
         let query_y: Vec<u32> = (0..incr_queries).map(|j| (j % 10) as u32).collect();
-        let engine = EvalEngine::parallel();
         let batch = n / incr_rounds;
         let mut state =
             IncrementalTopK::new(query_x.clone(), query_y.clone(), Metric::SquaredEuclidean, incr_k);
@@ -635,7 +636,6 @@ fn main() {
         let train_y: Vec<u32> = (0..n).map(|j| (j % 10) as u32).collect();
         let query_x = make_data(incr_queries, incr_dim, 620 + i as u64);
         let query_y: Vec<u32> = (0..incr_queries).map(|j| (j % 10) as u32).collect();
-        let engine = EvalEngine::parallel();
         let mut state =
             IncrementalTopK::new(query_x.clone(), query_y.clone(), Metric::SquaredEuclidean, evict_k)
                 .with_eviction(evict_slack);
@@ -739,10 +739,9 @@ fn main() {
     // every engine call paid before the pool) and once through the
     // persistent pool (a queue push per chunk). Workloads are small on
     // purpose — that is where per-call overhead dominates and where the
-    // bandit's per-round pulls actually live. The scratch row is the pool
-    // path through `topk_with`: the caller-owned kernel caches, per-query
-    // states, and output table make the steady-state loop allocation-free.
-    // All three paths are asserted bit-identical before timing.
+    // bandit's per-round pulls actually live. The pool path runs the engine
+    // on a 2-worker pool, so both paths split the queries in two. Both are
+    // asserted bit-identical before timing.
     let pool_k = 10;
     let pool_reps = 30;
     let mut pool_cases = Vec::new();
@@ -750,9 +749,11 @@ fn main() {
         let train_x = make_data(n, pool_dim, 700);
         let query_x = make_data(pool_queries, pool_dim, 701);
         let reference = knn_reference(train_x.view(), query_x.view(), Metric::SquaredEuclidean, pool_k);
-        let engine = EvalEngine::with_threads(2);
+        let pair = ThreadPool::new(2);
+        let pooled =
+            || pair.install(|| engine.topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, pool_k));
         let [head, tail] =
-            scoped_spawn_topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, pool_k);
+            scoped_spawn_topk(&serial, train_x.view(), query_x.view(), Metric::SquaredEuclidean, pool_k);
         let mid = query_x.rows() / 2;
         assert_eq!(
             head,
@@ -768,19 +769,10 @@ fn main() {
             ),
             "scoped-spawn baseline must match the reference"
         );
-        assert_eq!(
-            engine.topk(train_x.view(), query_x.view(), Metric::SquaredEuclidean, pool_k),
-            reference,
-            "pool-backed engine must match the reference"
-        );
-        let mut scratch = snoopy_knn::TopKScratch::new();
-        assert_eq!(
-            engine.topk_with(&mut scratch, train_x.view(), query_x.view(), Metric::SquaredEuclidean, pool_k),
-            &reference,
-            "scratch variant must match the reference"
-        );
+        assert_eq!(pooled(), reference, "pool-backed engine must match the reference");
         let spawn_s = time_median(pool_reps, || {
             std::hint::black_box(scoped_spawn_topk(
+                &serial,
                 train_x.view(),
                 query_x.view(),
                 Metric::SquaredEuclidean,
@@ -788,27 +780,12 @@ fn main() {
             ));
         });
         let pool_s = time_median(pool_reps, || {
-            std::hint::black_box(engine.topk(
-                train_x.view(),
-                query_x.view(),
-                Metric::SquaredEuclidean,
-                pool_k,
-            ));
-        });
-        let scratch_s = time_median(pool_reps, || {
-            std::hint::black_box(engine.topk_with(
-                &mut scratch,
-                train_x.view(),
-                query_x.view(),
-                Metric::SquaredEuclidean,
-                pool_k,
-            ));
+            std::hint::black_box(pooled());
         });
         println!(
-            "n={n:>6} d={pool_dim} q={pool_queries} top-{pool_k} pool      scoped-spawn {:>8.1} us/call   pool {:>8.1} us/call   pool+scratch {:>8.1} us/call   churn cut {:.2}x",
+            "n={n:>6} d={pool_dim} q={pool_queries} top-{pool_k} pool      scoped-spawn {:>8.1} us/call   pool {:>8.1} us/call   churn cut {:.2}x",
             spawn_s * 1e6,
             pool_s * 1e6,
-            scratch_s * 1e6,
             spawn_s / pool_s,
         );
         pool_cases.push(PoolCase {
@@ -818,7 +795,6 @@ fn main() {
             k: pool_k,
             spawn_s,
             pool_s,
-            scratch_s,
         });
     }
 
@@ -1222,16 +1198,14 @@ fn main() {
         let comma = if i + 1 < pool_cases.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"train_n\": {}, \"queries\": {}, \"dim\": {}, \"k\": {}, \"metric\": \"sq-euclidean\", \"spawn_s\": {:.9}, \"pool_s\": {:.9}, \"pool_scratch_s\": {:.9}, \"speedup\": {:.3}, \"scratch_speedup\": {:.3}}}{comma}",
+            "    {{\"train_n\": {}, \"queries\": {}, \"dim\": {}, \"k\": {}, \"metric\": \"sq-euclidean\", \"spawn_s\": {:.9}, \"pool_s\": {:.9}, \"speedup\": {:.3}}}{comma}",
             c.train_n,
             c.queries,
             c.dim,
             c.k,
             c.spawn_s,
             c.pool_s,
-            c.scratch_s,
             c.spawn_s / c.pool_s,
-            c.spawn_s / c.scratch_s,
         );
     }
     let _ = writeln!(json, "  ],");

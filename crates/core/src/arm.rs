@@ -24,7 +24,7 @@
 use snoopy_bandit::{Arm, PullLedger};
 use snoopy_data::TaskDataset;
 use snoopy_embeddings::{Transformation, TransformedTask};
-use snoopy_knn::{EvalEngine, IncrementalTopK, Metric};
+use snoopy_knn::{IncrementalTopK, Metric};
 use std::sync::Arc;
 
 /// A bandit arm evaluating one transformation on one task.
@@ -41,11 +41,6 @@ pub struct TransformationArm<'a> {
     state: Option<IncrementalTopK>,
     consumed: usize,
     ledger: PullLedger,
-    /// Engine handed to the incremental state. The study throttles this to
-    /// a per-arm share of the cores: the strategy layer already runs arms on
-    /// their own worker threads, and nesting a full-width engine inside each
-    /// would oversubscribe the CPU.
-    engine: EvalEngine,
     /// Pre-computed embeddings of both splits (the feasibility service's
     /// warm path). When present, pulls slice the cached train rows
     /// zero-copy and the first pull clones the cached test embedding —
@@ -74,7 +69,6 @@ impl<'a> TransformationArm<'a> {
             state: None,
             consumed: 0,
             ledger: PullLedger::new(),
-            engine: EvalEngine::parallel(),
             embeddings: None,
         }
     }
@@ -100,12 +94,6 @@ impl<'a> TransformationArm<'a> {
         self
     }
 
-    /// Overrides the evaluation engine used by this arm's state.
-    pub fn with_engine(mut self, engine: EvalEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Overrides the per-query neighbour capacity `k` retained by this arm's
     /// state (must be set before the first pull; clamped to ≥ 1).
     ///
@@ -115,17 +103,6 @@ impl<'a> TransformationArm<'a> {
         assert!(self.state.is_none(), "table_k must be set before the first pull");
         self.table_k = k.max(1);
         self
-    }
-
-    /// Swaps the engine in place, including on an already-started state.
-    /// The study re-widens the winning arm with this before finishing it
-    /// alone — the per-arm throttle only makes sense while the whole zoo is
-    /// running concurrently.
-    pub fn set_engine(&mut self, engine: EvalEngine) {
-        self.engine = engine;
-        if let Some(state) = self.state.as_mut() {
-            state.set_engine(engine);
-        }
     }
 
     /// Simulated inference cost charged so far (seconds).
@@ -179,10 +156,12 @@ impl<'a> TransformationArm<'a> {
                 self.transformation.transform(self.task.test.features_view())
             }
         };
-        self.state = Some(
-            IncrementalTopK::new(test_embedded, self.task.test.labels.clone(), self.metric, self.table_k)
-                .with_engine(self.engine),
-        );
+        self.state = Some(IncrementalTopK::new(
+            test_embedded,
+            self.task.test.labels.clone(),
+            self.metric,
+            self.table_k,
+        ));
     }
 }
 
@@ -239,15 +218,6 @@ impl Arm for TransformationArm<'_> {
 
     fn eval_pairs(&self) -> u64 {
         self.ledger.eval_pairs()
-    }
-
-    /// Resizes the inner engine to a per-arm share of the cores: with
-    /// `active_arms` arms pulling concurrently on strategy worker threads, a
-    /// full-width engine in each would oversubscribe the CPU; alone, the arm
-    /// takes every core.
-    fn on_concurrency(&mut self, active_arms: usize) {
-        let share = (snoopy_knn::engine::num_threads() / active_arms.max(1)).max(1);
-        self.set_engine(EvalEngine::with_threads(share));
     }
 }
 

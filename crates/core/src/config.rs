@@ -20,8 +20,6 @@ pub struct SnoopyConfig {
     /// `max(#arms, #batches · ⌈log₂ #arms⌉ · 2)` pulls, enough for successive
     /// halving to fully converge its winner.
     pub budget: Option<usize>,
-    /// Seed used for anything stochastic in the study (zoo construction).
-    pub seed: u64,
     /// Per-query neighbour capacity `k` of each arm's incremental state.
     /// The feasibility signal only reads the first hit (identical for every
     /// `k`), but a larger capacity makes the winning arm's snapshot — the
@@ -38,7 +36,6 @@ impl Default for SnoopyConfig {
             batch_fraction: 0.05,
             metric: Metric::SquaredEuclidean,
             budget: None,
-            seed: 0,
             table_k: 1,
         }
     }

@@ -100,8 +100,10 @@ pub struct OutOfCoreReport {
 /// [`snoopy_linalg::disk::DiskDatasetError::ChecksumMismatch`] (wrapped in
 /// [`DiskPairError::Dataset`]) before any result is returned. A dataset
 /// with fewer than two rows (no train/eval split exists) is
-/// [`DiskPairError::TooFewRows`], and one without feature columns is
-/// [`DiskPairError::NoFeatures`].
+/// [`DiskPairError::TooFewRows`], one without feature columns is
+/// [`DiskPairError::NoFeatures`], and a label outside the dataset's class
+/// count is [`snoopy_linalg::disk::DiskDatasetError::LabelOutOfRange`],
+/// found when the dataset opens.
 pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError> {
     let dataset = Arc::new(open_splittable(dir)?);
     // Integrity off the fault path: re-hashing faults every page in, so it
@@ -153,9 +155,10 @@ pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreRe
 /// estimators, but the shared table comes from one exhaustive scan of the
 /// in-memory engine ([`snoopy_estimators::shared_neighbor_table`]). Exists
 /// so parity tests and benches state "paged == resident" in one call, and
-/// fails the same way on a dataset too small to split or without feature
-/// columns. "Paged == resident" compares the pruned, paged cluster scan
-/// against an independent code path.
+/// fails the same way on a dataset too small to split, without feature
+/// columns, or with a label outside its class count. "Paged == resident"
+/// compares the pruned, paged cluster scan against an independent code
+/// path.
 pub fn run_resident_reference(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError> {
     let dataset = open_splittable(dir)?;
     let full = dataset.view();
@@ -285,6 +288,31 @@ mod tests {
             ),
             "wrong error: {err:?}"
         );
+    }
+
+    #[test]
+    fn out_of_range_label_is_a_typed_error_from_both_studies() {
+        use snoopy_linalg::disk::DiskDatasetError;
+
+        type Study = fn(&Path, &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError>;
+        let dir = TempDir::new("oocore_bad_label");
+        write_dataset(dir.path(), 29, 200, 6);
+        // Flip byte 67, inside label 0 (bytes 64..68 past the header; its
+        // high byte on a little-endian host): the header stays intact, but
+        // the label leaves the dataset's 4 classes.
+        let path = dir.path().join(snoopy_data::disk::LABELS_FILE);
+        let mut bytes = std::fs::read(&path).expect("read labels");
+        bytes[67] ^= 0xff;
+        std::fs::write(&path, &bytes).expect("rewrite labels");
+        let flipped = u32::from_ne_bytes(bytes[64..68].try_into().expect("4 bytes"));
+        for study in [run_oocore_study as Study, run_resident_reference] {
+            let err = study(dir.path(), &OutOfCoreConfig::default()).expect_err("a bad label must fail");
+            let DiskPairError::Dataset(DiskDatasetError::LabelOutOfRange { row, label, num_classes }) = err
+            else {
+                panic!("wrong error: {err:?}");
+            };
+            assert_eq!((row, label, num_classes), (0, flipped, 4));
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use snoopy_bandit::run_strategy;
 use snoopy_data::TaskDataset;
 use snoopy_embeddings::Transformation;
 use snoopy_estimators::cover_hart_lower_bound;
-use snoopy_knn::{EvalEngine, IncrementalTopK};
+use snoopy_knn::IncrementalTopK;
 use std::time::Instant;
 
 /// Snoopy's binary output signal.
@@ -215,10 +215,10 @@ impl FeasibilityStudy {
         let budget = self.config.effective_budget(zoo.len(), batches);
 
         // Build one arm per transformation and let the scheduler spend the
-        // budget; independent arms are evaluated on worker threads by the
-        // strategy executors in `snoopy-bandit`, which resize each arm's
-        // inner 1NN engine per round (`Arm::on_concurrency`) so arm-level
-        // and query-level parallelism compose instead of oversubscribing.
+        // budget; the strategy executors in `snoopy-bandit` pull independent
+        // arms as tasks on the current pool, and each arm's engine scans
+        // split over that same pool's workers, so arm-level and query-level
+        // parallelism share one set of threads instead of oversubscribing.
         let mut arms: Vec<TransformationArm<'_>> = zoo
             .iter()
             .map(|t| {
@@ -239,9 +239,6 @@ impl FeasibilityStudy {
             // arms stop moving.
             loop {
                 let finished = best_idx;
-                // The finishing arm runs alone now: give it the full core
-                // budget instead of its zoo-share.
-                arms[finished].set_engine(EvalEngine::parallel());
                 arms[finished].finish();
                 per_transformation[finished] =
                     result_of(&arms[finished], zoo[finished].name(), task.num_classes);
@@ -333,6 +330,37 @@ mod tests {
         );
         // The aggregate estimate should not differ wildly (SH keeps the best arm).
         assert!((sh.ber_estimate - exhaustive.ber_estimate).abs() < 0.15);
+    }
+
+    #[test]
+    fn study_is_bit_identical_across_pool_worker_counts() {
+        // Successive halving pulls several arms per round as tasks on the
+        // current pool, and every pull's engine scan splits over that same
+        // pool: the report must not move by one bit at any worker count.
+        let task = load_with_noise("cifar10", SizeScale::Tiny, &NoiseModel::Uniform(0.2), 13);
+        let zoo = zoo_for_task(&task, 7);
+        let study = FeasibilityStudy::new(
+            SnoopyConfig::with_target(0.9).strategy(SelectionStrategy::SuccessiveHalving).batch_fraction(0.1),
+        );
+        type Arm = (String, u64, Vec<(usize, u64)>, usize, u64);
+        let fingerprint = |workers: usize| -> (String, u64, Vec<Arm>) {
+            let report = snoopy_pool::ThreadPool::new(workers).install(|| study.run(&task, &zoo));
+            let arms = report
+                .per_transformation
+                .iter()
+                .map(|r| {
+                    let curve = r.curve.iter().map(|&(n, e)| (n, e.to_bits())).collect();
+                    (r.name.clone(), r.ber_estimate.to_bits(), curve, r.consumed_samples, r.eval_pairs)
+                })
+                .collect();
+            (report.best_transformation, report.ber_estimate.to_bits(), arms)
+        };
+        let serial = fingerprint(1);
+        let pulled = serial.2.iter().filter(|arm| arm.3 > 0).count();
+        assert!(pulled >= 3, "the first round must pull several arms, pulled {pulled}");
+        for workers in [2, 3] {
+            assert_eq!(fingerprint(workers), serial, "workers {workers}");
+        }
     }
 
     #[test]

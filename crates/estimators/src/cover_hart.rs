@@ -68,7 +68,7 @@ impl OneNnEstimator {
         if train.is_empty() || eval.is_empty() {
             return 1.0;
         }
-        EvalEngine::parallel()
+        EvalEngine::default()
             .topk(train.features(), eval.features(), self.metric, 1)
             .one_nn_error(train.labels(), eval.labels())
     }

@@ -63,7 +63,7 @@ impl BerEstimator for KnnPosteriorEstimator {
         if train.is_empty() || eval.is_empty() {
             return 1.0 - 1.0 / num_classes as f64;
         }
-        let table = EvalEngine::parallel().topk(
+        let table = EvalEngine::default().topk(
             train.features(),
             eval.features(),
             self.metric,

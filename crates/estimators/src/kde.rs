@@ -71,7 +71,7 @@ impl BerEstimator for KdeEstimator {
 
         // All pairwise kernel work in one blocked, chunk-parallel engine
         // pass: log Σ_j exp(−‖x − x_j‖² / 2h²) per (eval point, class).
-        let kernel_sums = EvalEngine::parallel().class_kernel_log_sums(
+        let kernel_sums = EvalEngine::default().class_kernel_log_sums(
             eval.features(),
             train.features(),
             train.labels(),

@@ -107,7 +107,7 @@ pub fn shared_neighbor_table(
     eval: snoopy_linalg::DatasetView<'_>,
     k_max: usize,
 ) -> NeighborTable {
-    EvalEngine::parallel().topk(train, eval, Metric::SquaredEuclidean, k_max)
+    EvalEngine::default().topk(train, eval, Metric::SquaredEuclidean, k_max)
 }
 
 /// Evaluates every estimator against one precomputed shared table: table

@@ -30,7 +30,6 @@ pub struct BruteForceIndex<'a> {
     /// Vote-vector size for majority voting: max(declared classes, labels
     /// present). Computed once — scanning labels per query is a hot-path tax.
     vote_classes: usize,
-    engine: EvalEngine,
 }
 
 /// One retrieved neighbour.
@@ -62,13 +61,7 @@ impl<'a> BruteForceIndex<'a> {
         let mut kernel = MetricKernel::new(metric);
         kernel.bind_train(view.features());
         let vote_classes = view.num_classes().max(view.observed_classes());
-        Self { view, kernel, vote_classes, engine: EvalEngine::parallel() }
-    }
-
-    /// Replaces the evaluation engine (e.g. to force a serial reference run).
-    pub fn with_engine(mut self, engine: EvalEngine) -> Self {
-        self.engine = engine;
-        self
+        Self { view, kernel, vote_classes }
     }
 
     /// Number of indexed samples.
@@ -108,7 +101,7 @@ impl<'a> BruteForceIndex<'a> {
         let mut kernel = self.kernel.clone();
         kernel.bind_queries(queries);
         let mut states = vec![TopKState::new(k.min(self.len())); queries.rows()];
-        self.engine.update_topk(queries, &kernel, self.view.features(), 0, &mut states, None);
+        EvalEngine::default().update_topk(queries, &kernel, self.view.features(), 0, &mut states, None);
         NeighborTable::from_states(&states)
     }
 
@@ -178,9 +171,9 @@ impl<'a> BruteForceIndex<'a> {
     /// Leave-one-out top-`k` neighbour table on the *training* set itself:
     /// each row's neighbour list excludes that row. One parallel
     /// self-excluding engine pass ([`EvalEngine::topk_loo`]),
-    /// `O(n² / threads)`.
+    /// `O(n² / workers)`.
     pub fn leave_one_out_table(&self, k: usize) -> NeighborTable {
-        self.engine.topk_loo(self.view.features(), self.metric(), k)
+        EvalEngine::default().topk_loo(self.view.features(), self.metric(), k)
     }
 
     /// Leave-one-out 1NN error on the *training* set itself (each sample's
@@ -192,18 +185,6 @@ impl<'a> BruteForceIndex<'a> {
         }
         self.leave_one_out_table(1).one_nn_error(self.labels(), self.labels())
     }
-}
-
-/// Convenience helper: 1NN error of `train` evaluated on `test`, zero-copy.
-pub fn one_nn_error(
-    train_x: &Matrix,
-    train_y: &[u32],
-    test_x: &Matrix,
-    test_y: &[u32],
-    num_classes: usize,
-    metric: Metric,
-) -> f64 {
-    BruteForceIndex::new(train_x, train_y, num_classes, metric).one_nn_error(test_x, test_y)
 }
 
 #[cfg(test)]

@@ -11,8 +11,10 @@
 //! rest of the workspace relies on:
 //!
 //! 1. **Chunk parallelism.** Queries are split into contiguous chunks, one
-//!    per worker of the persistent work-stealing pool (`snoopy_pool::scope`;
-//!    submitting a chunk is a queue push, not a thread spawn).
+//!    per worker of the pool the call runs on ([`snoopy_pool::workers`];
+//!    submitting a chunk is a queue push, not a thread spawn). The engine
+//!    holds no thread count of its own: to run a scan at another width,
+//!    install a pool of that size around it.
 //! 2. **Row blocking + tiling.** Each worker walks the training rows in
 //!    blocks of [`EvalEngine::block_rows`] rows so a block stays
 //!    cache-resident while every query of the chunk scans it, and inside a
@@ -30,8 +32,8 @@
 //! (which [`Metric::distance`] also evaluates), each query sees its training
 //! rows in ascending order, and candidate admission is ordered by the
 //! lexicographic key `(distance, global index)` — so ties always resolve to
-//! the lowest training index regardless of thread count, block size, tile
-//! size, or batch boundaries. Every table, `k = 1` included, keeps one
+//! the lowest training index regardless of pool worker count, block size,
+//! tile size, or batch boundaries. Every table, `k = 1` included, keeps one
 //! bounded [`TopKState`] per query and snapshots into a query-major
 //! [`NeighborTable`]. The integration test `parallel_engine.rs` pins the
 //! parity against [`nearest_reference`] / [`knn_reference`] down.
@@ -98,8 +100,7 @@ impl TopKState {
     }
 
     /// Clears the state for reuse at capacity `k` (clamped to ≥ 1), keeping
-    /// the hit buffer's allocation — the scratch-reset of
-    /// [`EvalEngine::topk_with`].
+    /// the hit buffer's allocation.
     #[inline]
     pub fn reset(&mut self, k: usize) {
         self.k = k.max(1);
@@ -215,23 +216,6 @@ impl NeighborTable {
         Self { per_query, num_queries: states.len(), hits }
     }
 
-    /// [`NeighborTable::from_states`] into an existing table, reusing its
-    /// hit buffer — the zero-alloc snapshot of [`EvalEngine::topk_with`].
-    ///
-    /// # Panics
-    /// Panics if states disagree on their hit count.
-    pub fn assign_from_states(&mut self, states: &[TopKState]) {
-        let per_query = states.first().map_or(0, |s| s.hits.len());
-        self.hits.clear();
-        self.hits.reserve(states.len() * per_query);
-        for s in states {
-            assert_eq!(s.hits.len(), per_query, "ragged top-k states cannot form a table");
-            self.hits.extend_from_slice(&s.hits);
-        }
-        self.per_query = per_query;
-        self.num_queries = states.len();
-    }
-
     /// Number of queries.
     #[inline]
     pub fn num_queries(&self) -> usize {
@@ -330,19 +314,11 @@ impl NeighborTable {
     }
 }
 
-/// Number of worker threads the parallel engine uses by default: the worker
-/// count of the current [`snoopy_pool`] pool (the installed one inside a
-/// [`snoopy_pool::ThreadPool::install`] frame, else the global pool, whose
-/// size is resolved once from `SNOOPY_POOL_WORKERS` /
-/// `available_parallelism()`).
-pub fn num_threads() -> usize {
-    snoopy_pool::workers()
-}
-
-/// The tile-blocked, chunk-parallel evaluation engine.
+/// The tile-blocked, chunk-parallel evaluation engine. It stores only scan
+/// geometry; each call splits its queries over the workers of the pool it
+/// runs on.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalEngine {
-    threads: usize,
     block_rows: usize,
     tile_rows: usize,
 }
@@ -358,22 +334,14 @@ const DEFAULT_BLOCK_ROWS: usize = 128;
 /// loop without spilling the microkernel's register blocks.
 pub(crate) const DEFAULT_TILE_ROWS: usize = 64;
 
+impl Default for EvalEngine {
+    /// The default block and tile sizes.
+    fn default() -> Self {
+        Self { block_rows: DEFAULT_BLOCK_ROWS, tile_rows: DEFAULT_TILE_ROWS }
+    }
+}
+
 impl EvalEngine {
-    /// A single-threaded engine (the bit-exact reference configuration).
-    pub fn serial() -> Self {
-        Self { threads: 1, block_rows: DEFAULT_BLOCK_ROWS, tile_rows: DEFAULT_TILE_ROWS }
-    }
-
-    /// An engine using all available cores (capped at 16).
-    pub fn parallel() -> Self {
-        Self { threads: num_threads(), block_rows: DEFAULT_BLOCK_ROWS, tile_rows: DEFAULT_TILE_ROWS }
-    }
-
-    /// An engine with an explicit worker count (clamped to ≥ 1).
-    pub fn with_threads(threads: usize) -> Self {
-        Self { threads: threads.max(1), block_rows: DEFAULT_BLOCK_ROWS, tile_rows: DEFAULT_TILE_ROWS }
-    }
-
     /// Overrides the training-row block size (clamped to ≥ 1).
     pub fn with_block_rows(mut self, block_rows: usize) -> Self {
         self.block_rows = block_rows.max(1);
@@ -386,11 +354,6 @@ impl EvalEngine {
     pub fn with_tile_rows(mut self, tile_rows: usize) -> Self {
         self.tile_rows = tile_rows.max(1);
         self
-    }
-
-    /// The worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The training-row block size.
@@ -406,12 +369,12 @@ impl EvalEngine {
     /// The engine's one scan loop. `sinks` holds one equal run of sinks per
     /// query row; `sink(run, q, t0, tile)` receives query `q`'s run and the
     /// distances from query `q` to the bound training rows
-    /// `t0..t0 + tile.len()`. Queries are split into contiguous chunks across
-    /// the pool; each chunk walks the training rows block by block and,
-    /// inside a block, takes its queries in pairs through the 2 × 4 register
-    /// block (an odd trailing query alone), one tile at a time. Each query
-    /// therefore sees its training rows in ascending order, whatever the
-    /// thread count, block or tile size.
+    /// `t0..t0 + tile.len()`. Queries are split into one contiguous chunk
+    /// per worker of the current pool; each chunk walks the training rows
+    /// block by block and, inside a block, takes its queries in pairs
+    /// through the 2 × 4 register block (an odd trailing query alone), one
+    /// tile at a time. Each query therefore sees its training rows in
+    /// ascending order, whatever the worker count, block or tile size.
     fn walk<S: Send>(
         &self,
         queries: DatasetView<'_>,
@@ -451,11 +414,11 @@ impl EvalEngine {
                 }
             }
         };
-        let threads = self.threads.min(n);
-        if threads <= 1 {
+        let chunks = snoopy_pool::workers().min(n);
+        if chunks <= 1 {
             return scan(0, sinks);
         }
-        let chunk = n.div_ceil(threads);
+        let chunk = n.div_ceil(chunks);
         let scan = &scan;
         snoopy_pool::scope(|scope| {
             for (t, part) in sinks.chunks_mut(chunk * stride).enumerate() {
@@ -527,44 +490,6 @@ impl EvalEngine {
         NeighborTable::from_states(&states)
     }
 
-    /// [`EvalEngine::topk`] with caller-owned scratch: the per-query states,
-    /// the kernel's norm caches, and the output table all live in `scratch`
-    /// and are reused call after call, so once the scratch has warmed up to
-    /// the largest query count seen, a steady-state serving loop allocates
-    /// nothing per call. Results are bit-identical to [`EvalEngine::topk`].
-    pub fn topk_with<'s>(
-        &self,
-        scratch: &'s mut TopKScratch,
-        train: DatasetView<'_>,
-        queries: DatasetView<'_>,
-        metric: Metric,
-        k: usize,
-    ) -> &'s NeighborTable {
-        let (kernel, states, table) = scratch.prepare(metric, queries.rows(), k);
-        kernel.bind_queries(queries);
-        kernel.bind_train(train);
-        self.update_topk(queries, kernel, train, 0, states, None);
-        table.assign_from_states(states);
-        table
-    }
-
-    /// [`EvalEngine::topk_loo`] with caller-owned scratch — see
-    /// [`EvalEngine::topk_with`] for the reuse contract.
-    pub fn topk_loo_with<'s>(
-        &self,
-        scratch: &'s mut TopKScratch,
-        data: DatasetView<'_>,
-        metric: Metric,
-        k: usize,
-    ) -> &'s NeighborTable {
-        let (kernel, states, table) = scratch.prepare(metric, data.rows(), k);
-        kernel.bind_queries(data);
-        kernel.bind_train(data);
-        self.update_topk(data, kernel, data, 0, states, Some(0));
-        table.assign_from_states(states);
-        table
-    }
-
     /// Blocked, chunk-parallel accumulation of per-class Gaussian kernel
     /// sums — the KDE hot loop. For every query `q` and class `c` this
     /// returns (query-major, `num_classes` entries per query)
@@ -577,8 +502,8 @@ impl EvalEngine {
     /// class) in the same scan loop as [`EvalEngine::update_topk`], so the
     /// per-point log-kernels are never materialised. Classes with no
     /// training rows yield `-∞`. Training rows are visited in ascending
-    /// index order per query, so results do not depend on thread count,
-    /// block or tile size.
+    /// index order per query, so results do not depend on the pool worker
+    /// count, block or tile size.
     ///
     /// # Panics
     /// Panics on dimension or label-count mismatches, or a label
@@ -601,53 +526,6 @@ impl EvalEngine {
             }
         });
         acc.iter().map(OnlineLse::value).collect()
-    }
-}
-
-/// Caller-owned scratch for the zero-alloc top-k entry points
-/// ([`EvalEngine::topk_with`] / [`EvalEngine::topk_loo_with`]): the
-/// per-query [`TopKState`]s, the [`MetricKernel`] with its norm caches, and
-/// the output [`NeighborTable`] are all owned here and recycled call after
-/// call — the `Reuse`-variant API idiom. A fresh scratch behaves exactly
-/// like the allocating entry points; reuse only skips the allocations.
-#[derive(Default)]
-pub struct TopKScratch {
-    kernel: Option<MetricKernel>,
-    states: Vec<TopKState>,
-    table: NeighborTable,
-}
-
-impl TopKScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The table produced by the most recent `*_with` call (empty before
-    /// any call).
-    pub fn table(&self) -> &NeighborTable {
-        &self.table
-    }
-
-    /// Resets the states to `n` queries at capacity `k`, keeps (or swaps,
-    /// on a metric change) the kernel, and hands all three buffers out.
-    fn prepare(
-        &mut self,
-        metric: Metric,
-        n: usize,
-        k: usize,
-    ) -> (&mut MetricKernel, &mut [TopKState], &mut NeighborTable) {
-        if !matches!(&self.kernel, Some(kr) if kr.metric() == metric) {
-            self.kernel = Some(MetricKernel::new(metric));
-        }
-        let kernel = self.kernel.as_mut().expect("kernel ensured above");
-        let k = k.max(1);
-        self.states.truncate(n);
-        for s in self.states.iter_mut() {
-            s.reset(k);
-        }
-        self.states.resize_with(n, || TopKState::new(k));
-        (kernel, &mut self.states, &mut self.table)
     }
 }
 
@@ -731,19 +609,36 @@ mod tests {
         (0..table.num_queries()).filter_map(|q| table.first(q)).collect()
     }
 
+    /// Runs `f` on a fresh pool of `workers` workers, so every scan inside
+    /// splits into that many chunks.
+    fn on_pool<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+        snoopy_pool::ThreadPool::new(workers).install(f)
+    }
+
+    /// (worker count, engine) shapes: serial, the current pool's width, and
+    /// three chunks over small blocks.
+    fn shapes() -> [(usize, EvalEngine); 3] {
+        [
+            (1, EvalEngine::default()),
+            (snoopy_pool::workers(), EvalEngine::default()),
+            (3, EvalEngine::default().with_block_rows(16)),
+        ]
+    }
+
     #[test]
     fn engine_matches_reference_for_all_metrics() {
         let train = wavy(137, 9, 0.0);
         let queries = wavy(41, 9, 1.3);
         for metric in Metric::all() {
             let reference = nearest_reference(train.view(), queries.view(), metric);
-            for engine in [
-                EvalEngine::serial(),
-                EvalEngine::parallel(),
-                EvalEngine::with_threads(3).with_block_rows(16),
-            ] {
-                let got = engine.topk(train.view(), queries.view(), metric, 1);
-                assert_eq!(first_hits(&got), reference, "metric {} engine {engine:?}", metric.name());
+            for (workers, engine) in shapes() {
+                let got = on_pool(workers, || engine.topk(train.view(), queries.view(), metric, 1));
+                assert_eq!(
+                    first_hits(&got),
+                    reference,
+                    "metric {} workers {workers} {engine:?}",
+                    metric.name()
+                );
             }
         }
     }
@@ -753,8 +648,8 @@ mod tests {
         let train = wavy(10, 4, 0.0);
         let empty = Matrix::zeros(0, 4);
         let kernel = crate::kernel::MetricKernel::bound(Metric::SquaredEuclidean, empty.view(), train.view());
-        EvalEngine::parallel().update_topk(empty.view(), &kernel, train.view(), 0, &mut [], None);
-        let table = EvalEngine::parallel().topk(empty.view(), wavy(3, 4, 0.5).view(), Metric::Euclidean, 1);
+        EvalEngine::default().update_topk(empty.view(), &kernel, train.view(), 0, &mut [], None);
+        let table = EvalEngine::default().topk(empty.view(), wavy(3, 4, 0.5).view(), Metric::Euclidean, 1);
         assert_eq!((table.num_queries(), table.k()), (3, 0));
     }
 
@@ -765,13 +660,9 @@ mod tests {
         for metric in Metric::all() {
             for k in [1usize, 3, 10, 119, 400] {
                 let reference = knn_reference(train.view(), queries.view(), metric, k);
-                for engine in [
-                    EvalEngine::serial(),
-                    EvalEngine::parallel(),
-                    EvalEngine::with_threads(3).with_block_rows(16),
-                ] {
-                    let got = engine.topk(train.view(), queries.view(), metric, k);
-                    assert_eq!(got, reference, "metric {} k {k} engine {engine:?}", metric.name());
+                for (workers, engine) in shapes() {
+                    let got = on_pool(workers, || engine.topk(train.view(), queries.view(), metric, k));
+                    assert_eq!(got, reference, "metric {} k {k} workers {workers} {engine:?}", metric.name());
                 }
             }
         }
@@ -781,7 +672,8 @@ mod tests {
     fn streamed_topk_accumulates_to_the_cold_start_answer() {
         let train = wavy(90, 5, 0.0);
         let queries = wavy(21, 5, 2.4);
-        let engine = EvalEngine::with_threads(2).with_block_rows(8);
+        let engine = EvalEngine::default().with_block_rows(8);
+        let pool = snoopy_pool::ThreadPool::new(2);
         for metric in [Metric::SquaredEuclidean, Metric::Cosine] {
             for k in [1usize, 4] {
                 let mut kernel = crate::kernel::MetricKernel::new(metric);
@@ -790,7 +682,9 @@ mod tests {
                 let mut consumed = 0;
                 for batch in train.view().batches(26) {
                     kernel.bind_train(batch);
-                    engine.update_topk(queries.view(), &kernel, batch, consumed, &mut states, None);
+                    pool.install(|| {
+                        engine.update_topk(queries.view(), &kernel, batch, consumed, &mut states, None)
+                    });
                     consumed += batch.rows();
                 }
                 let table = NeighborTable::from_states(&states);
@@ -806,7 +700,8 @@ mod tests {
         for metric in Metric::all() {
             for k in [1usize, 5, 57] {
                 let reference = knn_reference_loo(data.view(), metric, k);
-                let got = EvalEngine::with_threads(4).with_block_rows(13).topk_loo(data.view(), metric, k);
+                let got =
+                    on_pool(4, || EvalEngine::default().with_block_rows(13).topk_loo(data.view(), metric, k));
                 assert_eq!(got, reference, "metric {} k {k}", metric.name());
                 for q in 0..got.num_queries() {
                     assert!(got.neighbors(q).iter().all(|h| h.index != q), "row {q} must exclude itself");
@@ -820,8 +715,8 @@ mod tests {
     fn table_prefixes_are_smaller_k_answers_and_votes_are_deterministic() {
         let train = wavy(64, 4, 0.0);
         let queries = wavy(11, 4, 0.9);
-        let big = EvalEngine::parallel().topk(train.view(), queries.view(), Metric::SquaredEuclidean, 9);
-        let small = EvalEngine::parallel().topk(train.view(), queries.view(), Metric::SquaredEuclidean, 3);
+        let big = EvalEngine::default().topk(train.view(), queries.view(), Metric::SquaredEuclidean, 9);
+        let small = EvalEngine::default().topk(train.view(), queries.view(), Metric::SquaredEuclidean, 3);
         for q in 0..queries.rows() {
             assert_eq!(big.neighbors_k(q, 3), small.neighbors(q));
             assert_eq!(big.first(q), small.first(q));
@@ -836,12 +731,14 @@ mod tests {
     #[test]
     fn topk_ties_resolve_to_lowest_indices_for_every_shape() {
         // Every training row identical: the top-k set must be {0, 1, .., k-1}
-        // in order, for any thread/block shape and for streamed ingestion.
+        // in order, for any worker count and block shape.
         let train = Matrix::from_fn(40, 3, |_, _| 2.5);
         let queries = wavy(7, 3, 0.4);
         for metric in Metric::all() {
-            for engine in [EvalEngine::serial(), EvalEngine::with_threads(5).with_block_rows(4)] {
-                let table = engine.topk(train.view(), queries.view(), metric, 6);
+            for (workers, engine) in
+                [(1, EvalEngine::default()), (5, EvalEngine::default().with_block_rows(4))]
+            {
+                let table = on_pool(workers, || engine.topk(train.view(), queries.view(), metric, 6));
                 for q in 0..table.num_queries() {
                     let idx: Vec<usize> = table.neighbors(q).iter().map(|h| h.index).collect();
                     assert_eq!(idx, vec![0, 1, 2, 3, 4, 5], "metric {}", metric.name());
@@ -857,8 +754,10 @@ mod tests {
         let queries = wavy(17, 5, 1.1);
         let labels: Vec<u32> = (0..83).map(|i| (i % 3) as u32).collect();
         let inv_two_h2 = 0.37;
-        for engine in [EvalEngine::serial(), EvalEngine::with_threads(4).with_block_rows(9)] {
-            let got = engine.class_kernel_log_sums(queries.view(), train.view(), &labels, 4, inv_two_h2);
+        for (workers, engine) in [(1, EvalEngine::default()), (4, EvalEngine::default().with_block_rows(9))] {
+            let got = on_pool(workers, || {
+                engine.class_kernel_log_sums(queries.view(), train.view(), &labels, 4, inv_two_h2)
+            });
             assert_eq!(got.len(), 17 * 4);
             for (qi, q) in queries.view().rows_iter().enumerate() {
                 for c in 0..4u32 {
@@ -885,13 +784,12 @@ mod tests {
     fn empty_table_shapes() {
         let queries = wavy(5, 4, 0.0);
         let empty_train = Matrix::zeros(0, 4);
-        let table = EvalEngine::parallel().topk(empty_train.view(), queries.view(), Metric::Euclidean, 3);
+        let table = EvalEngine::default().topk(empty_train.view(), queries.view(), Metric::Euclidean, 3);
         assert_eq!(table.num_queries(), 5);
         assert_eq!(table.k(), 0);
         assert_eq!(table.first(0), None);
         assert_eq!(table.one_nn_error(&[], &[0, 1, 0, 1, 0]), 1.0);
-        let no_queries =
-            EvalEngine::parallel().topk(queries.view(), empty_train.view(), Metric::Euclidean, 3);
+        let no_queries = EvalEngine::default().topk(queries.view(), empty_train.view(), Metric::Euclidean, 3);
         assert_eq!(no_queries.num_queries(), 0);
         assert_eq!(no_queries.knn_error(3, &[0; 5], &[], 2), 0.0);
     }
@@ -904,7 +802,7 @@ mod tests {
         let mut states = vec![TopKState::new(1); 4];
         let kernel =
             crate::kernel::MetricKernel::bound(Metric::SquaredEuclidean, queries.view(), train.view());
-        EvalEngine::serial().update_topk(queries.view(), &kernel, train.view(), 0, &mut states, None);
+        EvalEngine::default().update_topk(queries.view(), &kernel, train.view(), 0, &mut states, None);
     }
 
     #[test]
@@ -917,6 +815,6 @@ mod tests {
         // not a silent wrong answer.
         let kernel =
             crate::kernel::MetricKernel::bound(Metric::Cosine, queries.view(), train.view().slice_rows(0, 3));
-        EvalEngine::serial().update_topk(queries.view(), &kernel, train.view(), 0, &mut states, None);
+        EvalEngine::default().update_topk(queries.view(), &kernel, train.view(), 0, &mut states, None);
     }
 }

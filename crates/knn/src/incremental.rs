@@ -141,7 +141,7 @@ impl IncrementalTopK {
             query_features,
             query_labels,
             k,
-            engine: EvalEngine::parallel(),
+            engine: EvalEngine::default(),
             kernel,
             train_labels: Vec::new(),
             curve: Vec::new(),
@@ -200,16 +200,11 @@ impl IncrementalTopK {
         state
     }
 
-    /// Replaces the evaluation engine (e.g. to force a serial reference run).
+    /// Replaces the evaluation engine's scan geometry (block and tile
+    /// sizes); results are bit-identical for every geometry.
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// Swaps the evaluation engine in place (used to re-widen a throttled
-    /// arm once it runs alone).
-    pub fn set_engine(&mut self, engine: EvalEngine) {
-        self.engine = engine;
     }
 
     /// The metric the state evaluates.
@@ -631,7 +626,7 @@ mod tests {
                 for batch in LabeledView::new(&train_x, &train_y).batches(27) {
                     state.append(batch.features(), batch.labels());
                 }
-                let cold = EvalEngine::parallel().topk(train_x.view(), test_x.view(), metric, k);
+                let cold = EvalEngine::default().topk(train_x.view(), test_x.view(), metric, k);
                 assert_eq!(state.table(), cold, "metric {} k {k}", metric.name());
                 assert_eq!(state.table(), knn_reference(train_x.view(), test_x.view(), metric, k));
             }
@@ -754,7 +749,7 @@ mod tests {
         kernel.bind_queries(test_x.view());
         kernel.bind_train(window);
         let mut states = vec![TopKState::new(k); test_x.rows()];
-        EvalEngine::parallel().update_topk(test_x.view(), &kernel, window, start, &mut states, None);
+        EvalEngine::default().update_topk(test_x.view(), &kernel, window, start, &mut states, None);
         NeighborTable::from_states(&states)
     }
 

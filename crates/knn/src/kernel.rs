@@ -29,7 +29,7 @@
 //! ## Determinism contract
 //!
 //! A distance depends only on the two rows (and the metric) — never on tile
-//! size, block size, thread count, batch boundaries, or which consumer
+//! size, block size, pool worker count, batch boundaries, or which consumer
 //! computed it. The fixed-order accumulation is the contract's foundation;
 //! note that it is a *different* floating-point value than the pre-kernel
 //! naive summation, so golden values pinned before this layer were re-pinned

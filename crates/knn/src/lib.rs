@@ -15,13 +15,15 @@
 //!   [`snoopy_linalg::kernel`] dot microkernel (squared Euclidean via the
 //!   `‖q‖² + ‖x‖² − 2⟨q, x⟩` norm trick, cosine from the same dot tile), so
 //!   a distance depends only on the pair of rows — never on tile size,
-//!   block size, thread count, or which consumer computed it,
+//!   block size, pool worker count, or which consumer computed it,
 //! * the blocked, chunk-parallel top-k evaluation engine
 //!   ([`engine::EvalEngine`]): one scan loop builds every neighbour table,
 //!   `k = 1` included, and KDE's per-class kernel sums, bit-identical to the
 //!   serial references [`engine::nearest_reference`] /
-//!   [`engine::knn_reference`] for every metric, thread count, block size,
-//!   tile size, and batch-streamed ingestion order,
+//!   [`engine::knn_reference`] for every metric, pool worker count, block
+//!   size, tile size, and batch-streamed ingestion order. The engine keeps
+//!   no thread count: each scan splits into one chunk per worker of the
+//!   `snoopy-pool` pool it runs on,
 //! * the query-major [`engine::NeighborTable`] — the one neighbour handshake
 //!   every distance consumer speaks. A table computed once at `k_max` answers
 //!   every smaller `k` by prefix, which is how the estimator-comparison
@@ -75,7 +77,7 @@ pub mod sharded;
 
 pub use bounds::{PruneStats, ResidentBytes, KMEANS_SEED};
 pub use brute::BruteForceIndex;
-pub use engine::{EvalEngine, NearestHit, NeighborTable, TopKScratch, TopKState};
+pub use engine::{EvalEngine, NearestHit, NeighborTable, TopKState};
 pub use incremental::{EvictReport, IncrementalTopK};
 pub use kernel::MetricKernel;
 pub use metric::Metric;

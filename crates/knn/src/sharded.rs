@@ -90,7 +90,7 @@
 use crate::bounds::{
     euclid_f64, ClusterSlice, Partition, PruneStats, ResidentBytes, ScanRows, KMEANS_MAX_ITERS, KMEANS_SEED,
 };
-use crate::engine::{num_threads, NeighborTable, TopKState};
+use crate::engine::{NeighborTable, TopKState};
 use crate::metric::Metric;
 use crate::quantized::AffineQuantizer;
 use snoopy_linalg::kmeans::lloyd_kmeans;
@@ -582,7 +582,7 @@ pub struct ShardedIndex<'a> {
 impl<'a> ShardedIndex<'a> {
     /// Builds a shard-paged index over `source` with (at most) `nlist`
     /// k-means clusters and an LRU shard cache of `budget_bytes`; the
-    /// k-means assignment passes run on all available cores. The build
+    /// k-means assignment passes split over the current pool's workers. The build
     /// streams the source twice (k-means plus one radii/member pass) and
     /// materialises no row buffer — per-row residency starts at one `usize`
     /// id.
@@ -593,7 +593,7 @@ impl<'a> ShardedIndex<'a> {
     pub fn build(source: DatasetView<'a>, metric: Metric, nlist: usize, budget_bytes: usize) -> Self {
         assert!(metric != Metric::Cosine, "cosine dissimilarity is not triangle-prunable");
         assert!(!source.is_empty(), "cannot build a sharded index over an empty dataset");
-        let km = lloyd_kmeans(source, nlist, KMEANS_MAX_ITERS, KMEANS_SEED, num_threads());
+        let km = lloyd_kmeans(source, nlist, KMEANS_MAX_ITERS, KMEANS_SEED);
         // Per-row centroid distances are shard metadata — recomputed at
         // fault, not stored.
         let part = Partition::new(source, metric, &km.centroids, &km.assignments);

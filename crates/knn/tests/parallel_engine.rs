@@ -4,13 +4,16 @@
 //! metric, every `k` (the 1NN table is the `k = 1` top-k table), every
 //! engine shape, batch-streamed ingestion, and through every consumer
 //! (index queries, batch evaluation, leave-one-out, the incremental top-k
-//! state, and KDE's per-class kernel sums).
+//! state, and KDE's per-class kernel sums). The engine splits each scan into
+//! one chunk per worker of the pool it runs on, so every sweep over chunk
+//! counts installs a pool of that many workers.
 
 use snoopy_knn::engine::{
     knn_reference, knn_reference_loo, nearest_reference, EvalEngine, NearestHit, NeighborTable, TopKState,
 };
 use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric};
 use snoopy_linalg::{LabeledView, Matrix};
+use snoopy_pool::ThreadPool;
 // Shared fixture (duplicated rows so distance ties actually occur —
 // tie-breaking is part of the bit-identical contract).
 use snoopy_testutil::cloud_with_ties as cloud;
@@ -20,20 +23,27 @@ fn first_hits(table: &NeighborTable) -> Vec<NearestHit> {
     (0..table.num_queries()).filter_map(|q| table.first(q)).collect()
 }
 
+/// Runs `f` on a fresh pool of `workers` workers, so every scan inside
+/// splits into that many chunks.
+fn on_pool<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    ThreadPool::new(workers).install(f)
+}
+
 #[test]
 fn engine_is_bit_identical_to_serial_reference_for_all_metrics_and_shapes() {
     let (train_x, _) = cloud(11, 203, 13, 4);
     let (test_x, _) = cloud(12, 61, 13, 4);
     for metric in Metric::all() {
         let reference = nearest_reference(train_x.view(), test_x.view(), metric);
-        for threads in [1usize, 2, 3, 8] {
+        for workers in [1usize, 2, 3, 8] {
+            let pool = ThreadPool::new(workers);
             for block_rows in [1usize, 7, 64, 1024] {
-                let engine = EvalEngine::with_threads(threads).with_block_rows(block_rows);
-                let got = engine.topk(train_x.view(), test_x.view(), metric, 1);
+                let engine = EvalEngine::default().with_block_rows(block_rows);
+                let got = pool.install(|| engine.topk(train_x.view(), test_x.view(), metric, 1));
                 assert_eq!(
                     first_hits(&got),
                     reference,
-                    "metric {} threads {threads} block {block_rows}",
+                    "metric {} workers {workers} block {block_rows}",
                     metric.name()
                 );
             }
@@ -56,11 +66,10 @@ fn index_batch_queries_match_reference_indices_and_distances() {
             assert_eq!(got.label, train_y[expected.index]);
         }
         // The error computed through the parallel engine equals the error of
-        // a forced-serial engine.
-        let serial = BruteForceIndex::new(&train_x, &train_y, 3, metric).with_engine(EvalEngine::serial());
+        // a serial scan on a 1-worker pool.
         assert_eq!(
             index.one_nn_error(&test_x, &test_y).to_bits(),
-            serial.one_nn_error(&test_x, &test_y).to_bits(),
+            on_pool(1, || index.one_nn_error(&test_x, &test_y)).to_bits(),
             "metric {}",
             metric.name()
         );
@@ -96,14 +105,15 @@ fn topk_is_bit_identical_to_serial_reference_for_all_metrics_shapes_and_ks() {
     for metric in Metric::all() {
         for k in [1usize, 3, 10, 149] {
             let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
-            for threads in [1usize, 3, 8] {
+            for workers in [1usize, 3, 8] {
+                let pool = ThreadPool::new(workers);
                 for block_rows in [1usize, 7, 64, 1024] {
-                    let engine = EvalEngine::with_threads(threads).with_block_rows(block_rows);
-                    let got = engine.topk(train_x.view(), test_x.view(), metric, k);
+                    let engine = EvalEngine::default().with_block_rows(block_rows);
+                    let got = pool.install(|| engine.topk(train_x.view(), test_x.view(), metric, k));
                     assert_eq!(
                         got,
                         reference,
-                        "metric {} k {k} threads {threads} block {block_rows}",
+                        "metric {} k {k} workers {workers} block {block_rows}",
                         metric.name()
                     );
                 }
@@ -116,7 +126,8 @@ fn topk_is_bit_identical_to_serial_reference_for_all_metrics_shapes_and_ks() {
 fn batch_streamed_topk_ingestion_matches_cold_start_and_reference() {
     let (train_x, _) = cloud(61, 131, 6, 3);
     let (test_x, _) = cloud(62, 33, 6, 3);
-    let engine = EvalEngine::with_threads(4).with_block_rows(16);
+    let engine = EvalEngine::default().with_block_rows(16);
+    let pool = ThreadPool::new(4);
     for metric in Metric::all() {
         for batch_size in [1usize, 13, 50, 131] {
             let mut kernel = snoopy_knn::MetricKernel::new(metric);
@@ -125,7 +136,9 @@ fn batch_streamed_topk_ingestion_matches_cold_start_and_reference() {
             let mut consumed = 0;
             for batch in train_x.view().batches(batch_size) {
                 kernel.bind_train(batch);
-                engine.update_topk(test_x.view(), &kernel, batch, consumed, &mut states, None);
+                pool.install(|| {
+                    engine.update_topk(test_x.view(), &kernel, batch, consumed, &mut states, None)
+                });
                 consumed += batch.rows();
                 // At every batch boundary the accumulated table equals the
                 // cold-start answer on the consumed prefix.
@@ -161,11 +174,10 @@ fn index_knn_queries_match_the_engine_table() {
                 }
             }
             // The vote-based error agrees between the parallel table path and
-            // a forced-serial engine.
-            let serial = index.clone().with_engine(EvalEngine::serial());
+            // a serial scan on a 1-worker pool.
             assert_eq!(
                 index.knn_error(&test_x, &test_y, k).to_bits(),
-                serial.knn_error(&test_x, &test_y, k).to_bits(),
+                on_pool(1, || index.knn_error(&test_x, &test_y, k)).to_bits(),
                 "metric {} k {k}",
                 metric.name()
             );
@@ -181,10 +193,17 @@ fn leave_one_out_error_matches_serial_exclusion_reference() {
         let wrong =
             (0..train_x.rows()).filter(|&i| train_y[reference.neighbors(i)[0].index] != train_y[i]).count();
         let expected = wrong as f64 / train_x.rows() as f64;
-        for engine in [EvalEngine::serial(), EvalEngine::parallel()] {
-            let index = BruteForceIndex::new(&train_x, &train_y, 3, metric).with_engine(engine);
-            assert_eq!(index.leave_one_out_error().to_bits(), expected.to_bits(), "metric {}", metric.name());
-            assert_eq!(index.leave_one_out_table(4), knn_reference_loo(train_x.view(), metric, 4));
+        let index = BruteForceIndex::new(&train_x, &train_y, 3, metric);
+        for workers in [1, snoopy_pool::workers()] {
+            on_pool(workers, || {
+                assert_eq!(
+                    index.leave_one_out_error().to_bits(),
+                    expected.to_bits(),
+                    "metric {}",
+                    metric.name()
+                );
+                assert_eq!(index.leave_one_out_table(4), knn_reference_loo(train_x.view(), metric, 4));
+            });
         }
     }
 }
@@ -203,8 +222,9 @@ fn topk_and_query_knn_share_the_lowest_index_tie_break() {
     let (test_x, _) = cloud(91, 12, 2, 3);
     for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
         let reference = knn_reference(train_x.view(), test_x.view(), metric, 15);
-        let engine_table =
-            EvalEngine::with_threads(4).with_block_rows(8).topk(train_x.view(), test_x.view(), metric, 15);
+        let engine_table = on_pool(4, || {
+            EvalEngine::default().with_block_rows(8).topk(train_x.view(), test_x.view(), metric, 15)
+        });
         assert_eq!(engine_table, reference);
         let index = BruteForceIndex::new(&train_x, &train_y, 3, metric);
         for (qi, q) in test_x.view().rows_iter().enumerate() {
@@ -227,7 +247,7 @@ fn topk_and_query_knn_share_the_lowest_index_tie_break() {
 /// Regression for the lexicographic admission invariant of `update_topk`:
 /// the original tie-break test covered batch-streamed ingestion at a single
 /// block size. This sweep pins the invariant against *both* knobs — block
-/// sizes {1, 7, exact-multiple, > n} and thread counts {1, 2, 8} — for
+/// sizes {1, 7, exact-multiple, > n} and pool worker counts {1, 2, 8} — for
 /// cold-start and batch-streamed ingestion on tie-saturated data (five
 /// copies of each distinct row value).
 #[test]
@@ -241,16 +261,17 @@ fn topk_tie_break_is_invariant_across_block_sizes_and_thread_counts() {
     for metric in Metric::all() {
         for k in [1usize, 6, 17] {
             let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
-            for threads in [1usize, 2, 8] {
+            for workers in [1usize, 2, 8] {
+                let pool = ThreadPool::new(workers);
                 // Block sizes: degenerate (1), odd (7), an exact divisor of
                 // n (15 divides 60), and one larger than n.
                 for block_rows in [1usize, 7, 15, n + 40] {
-                    let engine = EvalEngine::with_threads(threads).with_block_rows(block_rows);
-                    let cold = engine.topk(train_x.view(), test_x.view(), metric, k);
+                    let engine = EvalEngine::default().with_block_rows(block_rows);
+                    let cold = pool.install(|| engine.topk(train_x.view(), test_x.view(), metric, k));
                     assert_eq!(
                         cold,
                         reference,
-                        "cold metric {} k {k} threads {threads} block {block_rows}",
+                        "cold metric {} k {k} workers {workers} block {block_rows}",
                         metric.name()
                     );
                     for batch in [1usize, 7, n, n + 40] {
@@ -260,13 +281,15 @@ fn topk_tie_break_is_invariant_across_block_sizes_and_thread_counts() {
                         let mut consumed = 0;
                         for chunk in train_x.view().batches(batch) {
                             kernel.bind_train(chunk);
-                            engine.update_topk(test_x.view(), &kernel, chunk, consumed, &mut states, None);
+                            pool.install(|| {
+                                engine.update_topk(test_x.view(), &kernel, chunk, consumed, &mut states, None)
+                            });
                             consumed += chunk.rows();
                         }
                         assert_eq!(
                             NeighborTable::from_states(&states),
                             reference,
-                            "streamed metric {} k {k} threads {threads} block {block_rows} batch {batch}",
+                            "streamed metric {} k {k} workers {workers} block {block_rows} batch {batch}",
                             metric.name()
                         );
                     }
@@ -286,13 +309,14 @@ fn tile_sweep_is_bit_identical_across_every_consumer() {
     let (train_x, train_y) = cloud(97, 143, 11, 3);
     let (test_x, test_y) = cloud(98, 31, 11, 3);
     let train = LabeledView::new(&train_x, &train_y).with_classes(3);
+    let three = ThreadPool::new(3);
     for metric in Metric::all() {
         for k in [1usize, 5] {
             let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
             for tile_rows in [1usize, 3, 4, 5, 9, 33, 64, 200] {
-                let engine = EvalEngine::with_threads(3).with_tile_rows(tile_rows);
+                let engine = EvalEngine::default().with_tile_rows(tile_rows);
                 assert_eq!(
-                    engine.topk(train_x.view(), test_x.view(), metric, k),
+                    three.install(|| engine.topk(train_x.view(), test_x.view(), metric, k)),
                     reference,
                     "metric {} k {k} tile {tile_rows}",
                     metric.name()
@@ -303,25 +327,28 @@ fn tile_sweep_is_bit_identical_across_every_consumer() {
     // The streamed consumer under the same sweep.
     let full_error =
         BruteForceIndex::from_view(train, Metric::SquaredEuclidean).one_nn_error(&test_x, &test_y);
+    let two = ThreadPool::new(2);
     for tile_rows in [1usize, 5, 33, 200] {
-        let engine = EvalEngine::with_threads(2).with_tile_rows(tile_rows);
+        let engine = EvalEngine::default().with_tile_rows(tile_rows);
         let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 1)
             .with_engine(engine);
         for batch in LabeledView::new(&train_x, &train_y).batches(29) {
-            state.append(batch.features(), batch.labels());
+            two.install(|| state.append(batch.features(), batch.labels()));
         }
         assert_eq!(state.error().to_bits(), full_error.to_bits(), "incremental tile {tile_rows}");
     }
-    // KDE's class sums under the same sweep, at two thread counts.
-    let class_sums = |engine: EvalEngine| -> Vec<u64> {
-        let sums = engine.class_kernel_log_sums(test_x.view(), train_x.view(), &train_y, 3, 0.05);
+    // KDE's class sums under the same sweep, on pools of 1 and 3 workers.
+    let one = ThreadPool::new(1);
+    let class_sums = |pool: &ThreadPool, engine: EvalEngine| -> Vec<u64> {
+        let sums =
+            pool.install(|| engine.class_kernel_log_sums(test_x.view(), train_x.view(), &train_y, 3, 0.05));
         sums.iter().map(|v| v.to_bits()).collect()
     };
-    let reference = class_sums(EvalEngine::serial());
+    let reference = class_sums(&one, EvalEngine::default());
     for tile_rows in [1usize, 3, 4, 5, 9, 33, 64, 200] {
-        for threads in [1usize, 3] {
-            let engine = EvalEngine::with_threads(threads).with_tile_rows(tile_rows);
-            assert_eq!(class_sums(engine), reference, "class sums tile {tile_rows} threads {threads}");
+        for (workers, pool) in [(1, &one), (3, &three)] {
+            let engine = EvalEngine::default().with_tile_rows(tile_rows);
+            assert_eq!(class_sums(pool, engine), reference, "class sums tile {tile_rows} workers {workers}");
         }
     }
 }
@@ -334,11 +361,12 @@ fn leading_duplicates_resolve_to_the_lowest_train_index() {
     let train_y: Vec<u32> = (0..50).map(|i| (i % 2) as u32).collect();
     let (test_x, _) = cloud(41, 16, 4, 2);
     for metric in Metric::all() {
-        for threads in [1usize, 4] {
-            let engine = EvalEngine::with_threads(threads).with_block_rows(8);
-            let hits = first_hits(&engine.topk(train_x.view(), test_x.view(), metric, 1));
+        for workers in [1usize, 4] {
+            let engine = EvalEngine::default().with_block_rows(8);
+            let hits =
+                first_hits(&on_pool(workers, || engine.topk(train_x.view(), test_x.view(), metric, 1)));
             assert_eq!(hits.len(), test_x.rows());
-            assert!(hits.iter().all(|h| h.index == 0), "metric {} threads {threads}", metric.name());
+            assert!(hits.iter().all(|h| h.index == 0), "metric {} workers {workers}", metric.name());
         }
         let index = BruteForceIndex::new(&train_x, &train_y, 2, metric);
         assert!(index.nearest_neighbors_batch(&test_x).iter().all(|n| n.index == 0));

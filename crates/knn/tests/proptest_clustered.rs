@@ -150,7 +150,7 @@ fn degenerate_single_row_and_single_cluster() {
     for metric in prunable_metrics() {
         let reference = knn_reference(train_x.view(), no_queries, metric, 7);
         assert_eq!(reference.num_queries(), 0);
-        let engine = EvalEngine::parallel();
+        let engine = EvalEngine::default();
         assert_eq!(engine.topk(train_x.view(), no_queries, metric, 7), reference, "{}", metric.name());
         for budget in [0, usize::MAX] {
             for depth in [0usize, 2] {

@@ -24,7 +24,7 @@ proptest! {
         // part of the contract.
         let (train_x, train_y) = cloud_with_ties(seed, n, 5, 3);
         let (test_x, test_y) = cloud(seed ^ 0x1271, 13, 5, 3);
-        let engine = EvalEngine::parallel();
+        let engine = EvalEngine::default();
         for metric in Metric::all() {
             for k in [1usize, 3, 10, n] {
                 let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), metric, k);
@@ -58,7 +58,7 @@ proptest! {
         let (train_x, mut train_y) = cloud(seed, n, 4, 3);
         let (test_x, mut test_y) = cloud(seed ^ 0xfeed, 11, 4, 3);
         let mut state = IncrementalTopK::new(test_x.clone(), test_y.clone(), Metric::SquaredEuclidean, 3);
-        let engine = EvalEngine::parallel();
+        let engine = EvalEngine::default();
         let mut consumed = 0;
         let mut edit_iter = edits.into_iter();
         while consumed < n {

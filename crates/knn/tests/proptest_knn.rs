@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use snoopy_knn::engine::{knn_reference, EvalEngine, NeighborTable, TopKState};
 use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric, MetricKernel};
 use snoopy_linalg::LabeledView;
+use snoopy_pool::ThreadPool;
 use snoopy_testutil::{cloud, cloud_with_ties};
 
 proptest! {
@@ -49,13 +50,13 @@ proptest! {
     }
 
     /// The parallel top-k engine is bit-identical to the serial sort-based
-    /// reference for every metric, k ∈ {1, 3, 10, len}, arbitrary engine
-    /// shapes (threads × blocks × tiles), and batch-streamed ingestion of
-    /// the training rows.
+    /// reference for every metric, k ∈ {1, 3, 10, len}, arbitrary scan
+    /// shapes (pool workers × blocks × tiles), and batch-streamed ingestion
+    /// of the training rows.
     #[test]
     fn parallel_topk_equals_serial_reference(
         seed in 0u64..500,
-        threads in 1usize..8,
+        workers in 1usize..8,
         block in 1usize..96,
         tile in 1usize..80,
         batch in 1usize..40,
@@ -63,33 +64,36 @@ proptest! {
         let n = 60;
         let (train_x, _) = cloud(seed, n, 4, 3);
         let (test_x, _) = cloud(seed ^ 0x5eed, 18, 4, 3);
-        let engine = EvalEngine::with_threads(threads).with_block_rows(block).with_tile_rows(tile);
-        for metric in Metric::all() {
-            for k in [1usize, 3, 10, n] {
-                let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
-                // Cold start.
-                prop_assert_eq!(
-                    &engine.topk(train_x.view(), test_x.view(), metric, k),
-                    &reference,
-                    "cold metric {} k {}", metric.name(), k
-                );
-                // Batch-streamed ingestion accumulates to the same table.
-                let mut kernel = MetricKernel::new(metric);
-                kernel.bind_queries(test_x.view());
-                let mut states = vec![TopKState::new(k); test_x.rows()];
-                let mut consumed = 0;
-                for chunk in train_x.view().batches(batch) {
-                    kernel.bind_train(chunk);
-                    engine.update_topk(test_x.view(), &kernel, chunk, consumed, &mut states, None);
-                    consumed += chunk.rows();
+        let engine = EvalEngine::default().with_block_rows(block).with_tile_rows(tile);
+        ThreadPool::new(workers).install(|| -> Result<(), TestCaseError> {
+            for metric in Metric::all() {
+                for k in [1usize, 3, 10, n] {
+                    let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
+                    // Cold start.
+                    prop_assert_eq!(
+                        &engine.topk(train_x.view(), test_x.view(), metric, k),
+                        &reference,
+                        "cold metric {} k {}", metric.name(), k
+                    );
+                    // Batch-streamed ingestion accumulates to the same table.
+                    let mut kernel = MetricKernel::new(metric);
+                    kernel.bind_queries(test_x.view());
+                    let mut states = vec![TopKState::new(k); test_x.rows()];
+                    let mut consumed = 0;
+                    for chunk in train_x.view().batches(batch) {
+                        kernel.bind_train(chunk);
+                        engine.update_topk(test_x.view(), &kernel, chunk, consumed, &mut states, None);
+                        consumed += chunk.rows();
+                    }
+                    prop_assert_eq!(
+                        &NeighborTable::from_states(&states),
+                        &reference,
+                        "streamed metric {} k {} batch {}", metric.name(), k, batch
+                    );
                 }
-                prop_assert_eq!(
-                    &NeighborTable::from_states(&states),
-                    &reference,
-                    "streamed metric {} k {} batch {}", metric.name(), k, batch
-                );
             }
-        }
+            Ok(())
+        })?;
     }
 
     /// Tiled kernel == fixed-order serial reference on *ragged tile edges*:
@@ -106,12 +110,13 @@ proptest! {
     ) {
         let (train_x, train_y) = cloud_with_ties(seed, n, d, 3);
         let (test_x, test_y) = cloud(seed ^ 0x7117, 9, d, 3);
-        let engine = EvalEngine::with_threads(3).with_tile_rows(tile);
+        let engine = EvalEngine::default().with_tile_rows(tile);
+        let pool = ThreadPool::new(3);
         for metric in Metric::all() {
             for k in [1usize, 3, 10, n] {
                 let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
                 prop_assert_eq!(
-                    &engine.topk(train_x.view(), test_x.view(), metric, k),
+                    &pool.install(|| engine.topk(train_x.view(), test_x.view(), metric, k)),
                     &reference,
                     "metric {} k {} d {} tile {}", metric.name(), k, d, tile
                 );
@@ -123,7 +128,7 @@ proptest! {
             .with_engine(engine);
         let train = LabeledView::new(&train_x, &train_y).with_classes(3);
         for chunk in train.batches(17) {
-            state.append(chunk.features(), chunk.labels());
+            pool.install(|| state.append(chunk.features(), chunk.labels()));
         }
         let full = BruteForceIndex::from_view(train, Metric::SquaredEuclidean)
             .one_nn_error(&test_x, &test_y);

@@ -39,7 +39,7 @@ proptest! {
         let disk_queries = DiskDataset::open(&query_path).expect("open queries");
         prop_assert_eq!(disk_train.view().data(), train.view().data());
 
-        let engine = EvalEngine::parallel();
+        let engine = EvalEngine::default();
         for metric in Metric::all() {
             let memory = engine.topk(train.view(), queries.view(), metric, k);
             let disk = engine.topk(disk_train.view(), disk_queries.view(), metric, k);

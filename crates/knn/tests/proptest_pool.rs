@@ -1,13 +1,13 @@
 //! Pool-determinism proptests: the persistent work-stealing pool behind the
 //! evaluation engine changes *where* chunks run, never *what* they compute.
 //! Every consumer — cold top-k, leave-one-out, the pruned index (whose
-//! k-means build and shard prefetch run on the pool), the incremental
-//! successor state, and the caller-owned-scratch serving variants — must
-//! return bit-identical results at every pool worker count.
+//! k-means build and shard prefetch run on the pool), and the incremental
+//! successor state — must return bit-identical results at every pool
+//! worker count, which is also the number of chunks each scan splits into.
 
 use proptest::prelude::*;
 use snoopy_knn::engine::{knn_reference, knn_reference_loo, EvalEngine};
-use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric, ShardedIndex, TopKScratch};
+use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric, ShardedIndex};
 use snoopy_linalg::LabeledView;
 use snoopy_pool::ThreadPool;
 use snoopy_testutil::{cloud, cloud_with_ties};
@@ -21,17 +21,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Cold `topk` and `topk_loo` on arbitrary tie-saturated data equal the
-    /// serial references under pools of 1, 2, and 8 workers, for every
-    /// metric, every pinned k, and arbitrary engine chunking.
+    /// serial references under pools of 1, 2, and 8 workers (so scans split
+    /// into 1, 2 and 8 chunks), for every metric, every pinned k, and
+    /// arbitrary row blocking.
     #[test]
     fn topk_and_loo_are_worker_count_invariant(
         seed in 0u64..400,
-        threads in 1usize..8,
         block in 1usize..96,
     ) {
         let (train_x, _) = cloud_with_ties(seed, 67, 5, 3);
         let (test_x, _) = cloud(seed ^ 0x900d, 19, 5, 3);
-        let engine = EvalEngine::with_threads(threads).with_block_rows(block);
+        let engine = EvalEngine::default().with_block_rows(block);
         for metric in Metric::all() {
             for k in KS {
                 let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
@@ -94,50 +94,6 @@ proptest! {
                     Ok(())
                 })?;
             }
-        }
-    }
-
-    /// The zero-alloc serving variants (`topk_with` / `topk_loo_with`) are
-    /// bit-identical to their allocating counterparts while one scratch is
-    /// reused across differently-shaped calls — shrinking and growing query
-    /// counts, changing k, switching metrics — and across worker counts.
-    #[test]
-    fn scratch_reuse_is_bit_identical_across_shapes(
-        seed in 0u64..400,
-        threads in 1usize..8,
-    ) {
-        let (train_x, _) = cloud_with_ties(seed, 53, 6, 3);
-        let (big_q, _) = cloud(seed ^ 0xbe9, 23, 6, 3);
-        let (small_q, _) = cloud(seed ^ 0x5a11, 7, 6, 3);
-        let engine = EvalEngine::with_threads(threads);
-        for workers in WORKERS {
-            let pool = ThreadPool::new(workers);
-            pool.install(|| {
-                let mut scratch = TopKScratch::new();
-                // One scratch, many shapes: each call must match a fresh
-                // allocating call exactly.
-                for (queries, k, metric) in [
-                    (big_q.view(), 3, Metric::SquaredEuclidean),
-                    (small_q.view(), 10, Metric::SquaredEuclidean),
-                    (big_q.view(), 1, Metric::Cosine),
-                    (small_q.view(), 3, Metric::Euclidean),
-                    (big_q.view(), 10, Metric::Euclidean),
-                ] {
-                    let got = engine.topk_with(&mut scratch, train_x.view(), queries, metric, k);
-                    prop_assert_eq!(
-                        got, &engine.topk(train_x.view(), queries, metric, k),
-                        "topk_with k {} metric {} workers {}", k, metric.name(), workers
-                    );
-                }
-                for k in KS {
-                    let got = engine.topk_loo_with(&mut scratch, train_x.view(), Metric::SquaredEuclidean, k);
-                    prop_assert_eq!(
-                        got, &engine.topk_loo(train_x.view(), Metric::SquaredEuclidean, k),
-                        "topk_loo_with k {} workers {}", k, workers
-                    );
-                }
-                Ok(())
-            })?;
         }
     }
 }

@@ -29,12 +29,15 @@
 //!
 //! [`DiskDataset::open`] / [`DiskLabels::open`] *never* return a garbage
 //! view: wrong magic, an unknown version, a foreign-endian file, the wrong
-//! element kind, or a payload whose byte length disagrees with the header
-//! all fail with the matching [`DiskDatasetError`] variant. The payload
-//! checksum is deliberately **not** verified at open (that would fault every
-//! page of a dataset whose whole point is lazy paging) — callers that want
-//! end-to-end integrity run [`DiskDataset::verify_checksum`], one streaming
-//! pass.
+//! element kind, a payload whose byte length disagrees with the header, or
+//! a label outside the header's class count all fail with the matching
+//! [`DiskDatasetError`] variant ([`DiskLabels::write`] refuses such a label
+//! too). Labels are checked at open because every consumer indexes per-class
+//! arrays by them and reads all of them anyway (four bytes a row). The
+//! feature payload checksum is deliberately **not** verified at open (that
+//! would fault every page of a dataset whose whole point is lazy paging) —
+//! callers that want end-to-end integrity run
+//! [`DiskDataset::verify_checksum`], one streaming pass.
 //!
 //! ## Backing
 //!
@@ -107,6 +110,16 @@ pub enum DiskDatasetError {
         /// Checksum of the payload as read.
         actual: u64,
     },
+    /// A label at or above the class count of its labels file, which would
+    /// index past every per-class array downstream.
+    LabelOutOfRange {
+        /// Position of the first offending label.
+        row: usize,
+        /// The offending label.
+        label: u32,
+        /// The class count the header declares (or the writer was given).
+        num_classes: usize,
+    },
 }
 
 impl fmt::Display for DiskDatasetError {
@@ -129,6 +142,12 @@ impl fmt::Display for DiskDatasetError {
             }
             DiskDatasetError::ChecksumMismatch { expected, actual } => {
                 write!(f, "payload checksum mismatch: header {expected:#018x}, payload {actual:#018x}")
+            }
+            DiskDatasetError::LabelOutOfRange { row, label, num_classes } => {
+                write!(
+                    f,
+                    "label {label} at row {row} is outside the {num_classes} classes of the labels file"
+                )
             }
         }
     }
@@ -470,8 +489,11 @@ pub struct DiskLabels {
 }
 
 impl DiskLabels {
-    /// Writes `labels` (with its class count) to `path`.
+    /// Writes `labels` (with its class count) to `path`. A label
+    /// `≥ num_classes` is refused with
+    /// [`DiskDatasetError::LabelOutOfRange`] before any file is created.
     pub fn write(path: &Path, labels: &[u32], num_classes: usize) -> Result<(), DiskDatasetError> {
+        check_labels(labels, num_classes)?;
         let payload = payload_bytes(labels);
         let mut hash = Fnv1a::new();
         hash.update(payload);
@@ -484,7 +506,9 @@ impl DiskLabels {
         Ok(())
     }
 
-    /// Opens and hard-validates a labels sidecar.
+    /// Opens and hard-validates a labels sidecar, every label included: one
+    /// outside the header's class count is
+    /// [`DiskDatasetError::LabelOutOfRange`].
     pub fn open(path: &Path) -> Result<Self, DiskDatasetError> {
         let mut file = File::open(path)?;
         let (raw, file_len) = read_header(&mut file)?;
@@ -495,7 +519,9 @@ impl DiskLabels {
         } else {
             open_u32_backing(&mut file, file_len as usize, count)?
         };
-        Ok(DiskLabels { backing, len: count, num_classes: h.extra as usize, checksum: h.checksum })
+        let labels = DiskLabels { backing, len: count, num_classes: h.extra as usize, checksum: h.checksum };
+        check_labels(labels.labels(), labels.num_classes)?;
+        Ok(labels)
     }
 
     /// Number of labels.
@@ -532,6 +558,14 @@ impl DiskLabels {
             return Err(DiskDatasetError::ChecksumMismatch { expected: self.checksum, actual });
         }
         Ok(())
+    }
+}
+
+/// The error for the first label outside `[0, num_classes)`, if any.
+fn check_labels(labels: &[u32], num_classes: usize) -> Result<(), DiskDatasetError> {
+    match labels.iter().position(|&y| y as usize >= num_classes) {
+        Some(row) => Err(DiskDatasetError::LabelOutOfRange { row, label: labels[row], num_classes }),
+        None => Ok(()),
     }
 }
 
@@ -614,6 +648,29 @@ mod tests {
         assert_eq!(disk.labels(), &y[..]);
         assert_eq!(disk.num_classes(), 7);
         disk.verify_checksum().expect("checksum");
+    }
+
+    #[test]
+    fn labels_outside_the_class_count_are_refused_on_write_and_open() {
+        let dir = Scratch::new("label_range");
+        let path = dir.file("labels.snpy");
+        let err = DiskLabels::write(&path, &[0, 3, 9, 1], 4).expect_err("label 9 of 4 classes");
+        assert!(
+            matches!(err, DiskDatasetError::LabelOutOfRange { row: 2, label: 9, num_classes: 4 }),
+            "wrong error: {err:?}"
+        );
+        assert!(err.to_string().contains("label 9 at row 2"), "{err}");
+        assert!(!path.exists(), "a refused write creates no file");
+        // A valid file whose header class count (the extra field, bytes
+        // 44..48) is lowered below a stored label fails at open.
+        DiskLabels::write(&path, &[0, 3, 2, 1], 4).expect("write");
+        let mut bytes = fs::read(&path).expect("read");
+        bytes[44..48].copy_from_slice(&3u32.to_ne_bytes());
+        fs::write(&path, &bytes).expect("rewrite");
+        assert!(matches!(
+            DiskLabels::open(&path),
+            Err(DiskDatasetError::LabelOutOfRange { row: 1, label: 3, num_classes: 3 })
+        ));
     }
 
     #[test]

@@ -223,7 +223,7 @@ pub fn dot_row_tile2(
 /// written as a plain reduction the autovectorizer turns into widening
 /// multiply-add (`pmaddwd` on baseline x86-64) without any determinism
 /// caveat. Bit-for-bit reproducibility across tile shapes, machines, and
-/// thread counts is inherited from exactness.
+/// pool worker counts is inherited from exactness.
 ///
 /// The caller owns the overflow budget: with `|v[j]| ≤ 8191` and
 /// `|x[j]| ≤ 127` the sum stays inside `i32` for up to 2064 dimensions

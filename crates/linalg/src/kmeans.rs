@@ -12,9 +12,10 @@
 //! simplicity: seeded initial centroids drawn with the crate's own [`rng`]
 //! helpers, assignment ties resolved to the lowest cluster index, centroid
 //! means accumulated in `f64`, and a fixed iteration cap. Only the
-//! assignment step (the `O(n · k · d)` hot loop) is chunk-parallel;
-//! everything else is serial and byte-for-byte reproducible for a given
-//! seed.
+//! assignment step (the `O(n · k · d)` hot loop) is chunk-parallel, one
+//! chunk per worker of the current `snoopy-pool` pool; everything else is
+//! serial, and the result is byte-for-byte reproducible for a given seed at
+//! every worker count.
 
 use crate::view::DatasetView;
 use crate::{rng, Matrix};
@@ -35,9 +36,10 @@ pub struct KMeans {
 /// * Initial centroids are `k` distinct rows drawn without replacement from a
 ///   [`rng::seeded`] generator, so runs are deterministic per seed.
 /// * Each iteration assigns every row to its nearest centroid by squared
-///   Euclidean distance (ties to the lowest cluster index; rows are chunked
-///   over `threads` workers) and recomputes centroids as `f64`-accumulated
-///   means. Clusters that lose all rows keep their previous centroid.
+///   Euclidean distance (ties to the lowest cluster index; rows are split
+///   into one chunk per worker of the current pool, [`snoopy_pool::workers`])
+///   and recomputes centroids as `f64`-accumulated means. Clusters that lose
+///   all rows keep their previous centroid.
 /// * Stops when an assignment pass changes nothing or after `max_iters`
 ///   passes.
 ///
@@ -45,7 +47,7 @@ pub struct KMeans {
 ///
 /// # Panics
 /// Panics if `data` has no rows or no columns.
-pub fn lloyd_kmeans(data: DatasetView<'_>, k: usize, max_iters: usize, seed: u64, threads: usize) -> KMeans {
+pub fn lloyd_kmeans(data: DatasetView<'_>, k: usize, max_iters: usize, seed: u64) -> KMeans {
     let n = data.rows();
     let d = data.cols();
     assert!(n > 0 && d > 0, "cannot cluster an empty dataset");
@@ -62,7 +64,7 @@ pub fn lloyd_kmeans(data: DatasetView<'_>, k: usize, max_iters: usize, seed: u64
     let mut iterations = 0;
     for _ in 0..max_iters.max(1) {
         iterations += 1;
-        let changed = assign_rows(data, &centroids, threads, &mut assignments);
+        let changed = assign_rows(data, &centroids, &mut assignments);
         if changed == 0 {
             break;
         }
@@ -90,13 +92,13 @@ pub fn lloyd_kmeans(data: DatasetView<'_>, k: usize, max_iters: usize, seed: u64
 
 /// One parallel assignment pass: writes each row's nearest-centroid id into
 /// `out` and returns how many assignments changed.
-fn assign_rows(data: DatasetView<'_>, centroids: &Matrix, threads: usize, out: &mut [usize]) -> usize {
+fn assign_rows(data: DatasetView<'_>, centroids: &Matrix, out: &mut [usize]) -> usize {
     let n = data.rows();
-    let threads = threads.clamp(1, n);
-    if threads <= 1 {
+    let chunks = snoopy_pool::workers().min(n);
+    if chunks <= 1 {
         return assign_chunk(data, centroids, 0, out);
     }
-    let chunk = n.div_ceil(threads);
+    let chunk = n.div_ceil(chunks);
     let mut changed = vec![0usize; out.len().div_ceil(chunk)];
     snoopy_pool::scope(|scope| {
         for ((t, slot), changed) in out.chunks_mut(chunk).enumerate().zip(changed.iter_mut()) {
@@ -142,14 +144,20 @@ mod tests {
         })
     }
 
+    /// Runs `f` on a fresh pool of `workers` workers, so every assignment
+    /// pass inside splits into that many chunks.
+    fn on_pool<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+        snoopy_pool::ThreadPool::new(workers).install(f)
+    }
+
     #[test]
     fn kmeans_is_deterministic_per_seed_and_thread_count() {
         let data = blobs(120, 6, 4, 3);
-        let a = lloyd_kmeans(data.view(), 4, 20, 7, 1);
-        let b = lloyd_kmeans(data.view(), 4, 20, 7, 8);
+        let a = on_pool(1, || lloyd_kmeans(data.view(), 4, 20, 7));
+        let b = on_pool(8, || lloyd_kmeans(data.view(), 4, 20, 7));
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.centroids.data(), b.centroids.data());
-        let c = lloyd_kmeans(data.view(), 4, 20, 8, 1);
+        let c = on_pool(1, || lloyd_kmeans(data.view(), 4, 20, 8));
         // A different seed picks different initial rows (not a hard guarantee
         // in general, but true for this fixture).
         assert!(a.assignments != c.assignments || a.centroids.data() != c.centroids.data());
@@ -163,7 +171,7 @@ mod tests {
         let data = blobs(200, 5, 4, 11);
         let mut recovered = false;
         for seed in 0..8u64 {
-            let km = lloyd_kmeans(data.view(), 4, 30, seed, 4);
+            let km = on_pool(4, || lloyd_kmeans(data.view(), 4, 30, seed));
             assert_eq!(km.centroids.rows(), 4);
             assert!(km.iterations >= 1);
             assert!(km.assignments.iter().all(|&a| a < 4));
@@ -175,7 +183,7 @@ mod tests {
     #[test]
     fn k_is_clamped_and_duplicates_are_tolerated() {
         let data = Matrix::from_fn(5, 3, |_, _| 1.25); // all rows identical
-        let km = lloyd_kmeans(data.view(), 64, 10, 2, 2);
+        let km = on_pool(2, || lloyd_kmeans(data.view(), 64, 10, 2));
         assert_eq!(km.centroids.rows(), 5);
         assert!(km.assignments.iter().all(|&a| a < 5));
         // All rows tie to every centroid: the lowest cluster index wins.
@@ -186,6 +194,6 @@ mod tests {
     #[should_panic(expected = "empty dataset")]
     fn kmeans_rejects_empty_input() {
         let data = Matrix::zeros(0, 4);
-        let _ = lloyd_kmeans(data.view(), 2, 5, 0, 1);
+        let _ = on_pool(1, || lloyd_kmeans(data.view(), 2, 5, 0));
     }
 }

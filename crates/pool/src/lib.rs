@@ -43,13 +43,20 @@
 //!
 //! ## Current pool and worker counts
 //!
-//! [`workers`] / [`scope`] operate on the *current* pool: the pool whose
-//! [`ThreadPool::install`] frame encloses the call (worker threads are
-//! permanently installed on their own pool), falling back to the lazily
-//! created global pool. The global pool's size is resolved **once** —
-//! `SNOOPY_POOL_WORKERS` if set, else `available_parallelism()` clamped to
-//! `[1, 16]` — so `EvalEngine::num_threads()` and `Arm::on_concurrency`
-//! derive from one cached value instead of re-querying the OS per call.
+//! [`workers`], [`scope`] and [`spawn`] operate on the *current* pool: the
+//! pool whose [`ThreadPool::install`] frame encloses the call (worker
+//! threads are permanently installed on their own pool), falling back to
+//! the lazily created global pool. `install` is the one way to pick a pool.
+//! The global pool's size is resolved **once** — `SNOOPY_POOL_WORKERS` if
+//! set, else `available_parallelism()` clamped to `[1, 16]`.
+//!
+//! The worker count is the workspace's only parallelism setting: every
+//! parallel split (the kNN engine's query chunks, the k-means assignment
+//! pass) cuts its work into [`workers`] chunks of the pool it runs on, and
+//! nothing else stores or forwards a thread count. A bandit arm pulled as a
+//! pool task therefore splits its engine scan like any other call; the
+//! chunks queue behind the other arms' on the same workers instead of
+//! oversubscribing the machine.
 //!
 //! ```
 //! let pool = snoopy_pool::ThreadPool::new(2);
@@ -202,9 +209,10 @@ impl ThreadPool {
     }
 
     /// Runs `f` with this pool installed as the calling thread's current
-    /// pool: [`scope`] and [`workers`] inside `f` (and inside anything it
-    /// calls) resolve to this pool instead of the global one. Restored on
-    /// exit, including on panic.
+    /// pool: [`scope`], [`spawn`] and [`workers`] inside `f` (and inside
+    /// anything it calls) resolve to this pool instead of the global one.
+    /// Restored on exit, including on panic. A [`JoinHandle`] returned out
+    /// of `f` stays tied to this pool.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         let ctx = PoolCtx {
             shared: Arc::clone(&self.inner.shared),
@@ -221,14 +229,6 @@ impl ThreadPool {
         }
         let _restore = Restore(prev);
         f()
-    }
-
-    /// [`scope`] on this specific pool, regardless of what is installed.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-        let me = current_ctx()
-            .filter(|ctx| Arc::ptr_eq(&ctx.shared, &self.inner.shared))
-            .and_then(|ctx| ctx.worker_index);
-        scope_on(&self.inner.shared, me, f)
     }
 }
 
@@ -289,8 +289,9 @@ fn global() -> &'static ThreadPool {
 }
 
 /// Worker count of the current pool (the innermost installed one, else the
-/// global pool). This is the machine-shaped default every parallel consumer
-/// sizes its chunking by.
+/// global pool). Every parallel split in the workspace cuts its work into
+/// this many chunks; to run a call at another count, install a pool of that
+/// size around it.
 pub fn workers() -> usize {
     match current_ctx() {
         Some(ctx) => ctx.workers,
@@ -422,8 +423,7 @@ struct TaskState<T> {
     done: Condvar,
 }
 
-/// Owner side of a detached task submitted with [`spawn`] /
-/// [`ThreadPool::spawn`].
+/// Owner side of a detached task submitted with [`spawn`].
 ///
 /// A `JoinHandle` is a **completion obligation**, not a fire-and-forget
 /// token: [`JoinHandle::join`] waits for the task and returns its result
@@ -437,14 +437,14 @@ struct TaskState<T> {
 /// pool task cannot deadlock, even on a one-worker pool.
 pub struct JoinHandle<T> {
     shared: Arc<Shared>,
-    /// `Some` until the result has been claimed by [`join`] (or awaited by
-    /// drop); taking it is what disarms the drop wait.
+    /// `Some` until the result has been claimed by [`JoinHandle::join`] (or
+    /// awaited by drop); taking it is what disarms the drop wait.
     state: Option<Arc<TaskState<T>>>,
 }
 
 impl<T> JoinHandle<T> {
     /// Whether the task has finished running (its result is ready to
-    /// [`join`] without waiting).
+    /// [`JoinHandle::join`] without waiting).
     pub fn is_finished(&self) -> bool {
         match &self.state {
             Some(state) => state.sync.lock().expect("task lock poisoned").is_some(),
@@ -527,20 +527,6 @@ where
     }
 }
 
-impl ThreadPool {
-    /// [`spawn`] on this specific pool, regardless of what is installed.
-    pub fn spawn<T, F>(&self, f: F) -> JoinHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let me = current_ctx()
-            .filter(|ctx| Arc::ptr_eq(&ctx.shared, &self.inner.shared))
-            .and_then(|ctx| ctx.worker_index);
-        spawn_on(&self.inner.shared, me, f)
-    }
-}
-
 fn spawn_on<T, F>(shared: &Arc<Shared>, me: Option<usize>, f: F) -> JoinHandle<T>
 where
     T: Send + 'static,
@@ -555,21 +541,6 @@ where
     });
     shared.push(task, me);
     JoinHandle { shared: Arc::clone(shared), state: Some(state) }
-}
-
-/// Runs two closures, potentially in parallel, and returns both results —
-/// the binary convenience over [`scope`].
-pub fn join<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-{
-    let mut rb = None;
-    let ra = scope(|s| {
-        s.spawn(|| rb = Some(b()));
-        a()
-    });
-    (ra, rb.expect("spawned half of join completed"))
 }
 
 #[cfg(test)]
@@ -625,14 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let pool = ThreadPool::new(2);
-        let (a, b) = pool.install(|| join(|| 2 + 2, || "ok"));
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
     fn task_panic_propagates_after_all_tasks_ran() {
         let pool = ThreadPool::new(2);
         let ran = AtomicUsize::new(0);
@@ -678,8 +641,8 @@ mod tests {
 
     #[test]
     fn spawn_join_returns_the_task_result() {
-        let pool = ThreadPool::new(2);
-        let handle = pool.spawn(|| 21 * 2);
+        // No pool installed: the task runs on the global pool.
+        let handle = spawn(|| 21 * 2);
         assert_eq!(handle.join(), 42);
     }
 
@@ -695,14 +658,14 @@ mod tests {
         // The outer task occupies the only worker and joins an inner detached
         // task; without help-while-wait this deadlocks.
         let pool = ThreadPool::new(1);
-        let outer = pool.spawn(|| spawn(|| 7usize).join() + 1);
+        let outer = pool.install(|| spawn(|| spawn(|| 7usize).join() + 1));
         assert_eq!(outer.join(), 8);
     }
 
     #[test]
     fn join_resumes_the_task_panic() {
         let pool = ThreadPool::new(2);
-        let handle = pool.spawn(|| -> usize { panic!("detached boom") });
+        let handle = pool.install(|| spawn(|| -> usize { panic!("detached boom") }));
         let result = catch_unwind(AssertUnwindSafe(move || handle.join()));
         assert!(result.is_err(), "the task panic must surface at join");
     }
@@ -713,9 +676,11 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         {
             let ran = Arc::clone(&ran);
-            let handle = pool.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                ran.fetch_add(1, Ordering::Relaxed);
+            let handle = pool.install(|| {
+                spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
             });
             drop(handle);
         }
@@ -728,10 +693,12 @@ mod tests {
         let gate = Arc::new(AtomicUsize::new(0));
         let handle = {
             let gate = Arc::clone(&gate);
-            pool.spawn(move || {
-                while gate.load(Ordering::Acquire) == 0 {
-                    std::hint::spin_loop();
-                }
+            pool.install(|| {
+                spawn(move || {
+                    while gate.load(Ordering::Acquire) == 0 {
+                        std::hint::spin_loop();
+                    }
+                })
             })
         };
         assert!(!handle.is_finished(), "task is gated and cannot have finished");
@@ -745,10 +712,12 @@ mod tests {
         let count = Arc::new(AtomicUsize::new(0));
         {
             let count = Arc::clone(&count);
-            pool.scope(|s| {
-                s.spawn(move || {
-                    count.fetch_add(1, Ordering::Relaxed);
-                });
+            pool.install(|| {
+                scope(|s| {
+                    s.spawn(move || {
+                        count.fetch_add(1, Ordering::Relaxed);
+                    });
+                })
             });
         }
         drop(pool);
