@@ -107,20 +107,26 @@ impl TopKState {
         self.hits.clear();
     }
 
+    /// The worst kept hit once the state holds `k` hits: a candidate is
+    /// admitted only if it beats this bar. `None` while the state has room,
+    /// when every candidate is admitted.
+    #[inline]
+    fn admission_bar(&self) -> Option<NearestHit> {
+        self.hits.last().copied().filter(|_| self.hits.len() == self.k)
+    }
+
     /// Offers one candidate. Keeps the lexicographically smallest `k`
     /// `(distance, index)` pairs seen so far.
     #[inline]
     pub fn offer(&mut self, distance: f32, index: usize) {
-        if let Some(&worst) = self.hits.last() {
-            if self.hits.len() == self.k {
-                if !NearestHit::beats(distance, index, worst) {
-                    return;
-                }
-                // k == 1 fast path: a single slot overwritten in place.
-                if self.k == 1 {
-                    self.hits[0] = NearestHit { distance, index };
-                    return;
-                }
+        if let Some(worst) = self.admission_bar() {
+            if !NearestHit::beats(distance, index, worst) {
+                return;
+            }
+            // k == 1 fast path: a single slot overwritten in place.
+            if self.k == 1 {
+                self.hits[0] = NearestHit { distance, index };
+                return;
             }
         }
         let pos = self
@@ -454,11 +460,15 @@ impl EvalEngine {
         assert_eq!(kernel.train_bound(), train.rows(), "kernel train cache not bound to this train batch");
         assert_eq!(states.len(), queries.rows(), "one top-k state per query required");
         self.walk(queries, kernel, train, states, |state, q, t0, tile| {
-            let skip = exclude_self.map_or(usize::MAX, |base| base + q);
+            let (state, skip) = (&mut state[0], exclude_self.map_or(usize::MAX, |base| base + q));
+            // Only a candidate that clears the bar can change the state, so
+            // the bar lives in a local and the rest never reach `offer`.
+            let mut bar = state.admission_bar();
             for (j, &d) in tile.iter().enumerate() {
                 let global = offset + t0 + j;
-                if global != skip {
-                    state[0].offer(d, global);
+                if global != skip && bar.is_none_or(|worst| NearestHit::beats(d, global, worst)) {
+                    state.offer(d, global);
+                    bar = state.admission_bar();
                 }
             }
         });

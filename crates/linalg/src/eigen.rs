@@ -166,17 +166,8 @@ fn tred2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Vec<f64> {
             e[..i].fill(0.0);
 
             // Apply the similarity transformation to the remaining rows.
-            for j in 0..i {
-                let f = d[j];
-                w[i * n + j] = f;
-                let row = &w[j * n..j * n + i];
-                let mut g = e[j] + row[j] * f;
-                for ((&v, &dk), ek) in row[j + 1..].iter().zip(&d[j + 1..i]).zip(&mut e[j + 1..i]) {
-                    g += v * dk;
-                    *ek += v * f;
-                }
-                e[j] = g;
-            }
+            w[i * n..i * n + i].copy_from_slice(&d[..i]);
+            symv_upper(w, n, i, d, e);
             let mut f = 0.0f64;
             for (ej, &dj) in e[..i].iter_mut().zip(&d[..i]) {
                 *ej /= h;
@@ -206,6 +197,66 @@ fn tred2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Vec<f64> {
     e.copy_within(1.., 0);
     e[n - 1] = 0.0;
     scales
+}
+
+/// [`tred2`]'s symmetric matrix-vector product at width `i`: adds
+/// `A·d[..i]` to `e[..i]` (zero on entry) from the upper triangle of the
+/// leading `i × i` block of `w`. Row `j` adds `w[j][m]·d[m]` to its own sum
+/// for `m ≥ j`, which starts from `e[j]`, and `w[j][m]·d[j]` to `e[m]` for
+/// `m > j`; the rows go four at a time through [`symv_rows4`], the rest one
+/// by one, in the same order.
+fn symv_upper(w: &[f64], n: usize, i: usize, d: &[f64], e: &mut [f64]) {
+    let mut j = 0;
+    while j + 4 <= i {
+        symv_rows4(&w[j * n..(j + 4) * n], n, i, j, d, e);
+        j += 4;
+    }
+    for j in j..i {
+        let f = d[j];
+        let row = &w[j * n..j * n + i];
+        let mut g = e[j] + row[j] * f;
+        for ((&v, &dk), ek) in row[j + 1..].iter().zip(&d[j + 1..i]).zip(&mut e[j + 1..i]) {
+            g += v * dk;
+            *ek += v * f;
+        }
+        e[j] = g;
+    }
+}
+
+/// Rows `j..j + 4` of [`tred2`]'s symmetric matrix-vector product at width
+/// `i`, interleaved so that one pass loads each `d[m]` and `e[m]` for all
+/// four rows and runs four independent sums. `rows` holds the four rows of
+/// the work matrix (`n` wide).
+///
+/// Every sum keeps the order of four one-row passes: row `j + a` starts from
+/// `e[j + a]` after rows `j..j + a` have added to it, then adds
+/// `w[j + a][m]·d[m]` for `m` ascending, and each `e[m]` to the right of the
+/// rows receives their terms in row order. So `T` and the eigenvalues are
+/// bit-equal to the row-at-a-time loop.
+fn symv_rows4(rows: &[f64], n: usize, i: usize, j: usize, d: &[f64], e: &mut [f64]) {
+    let row = |a: usize| &rows[a * n..a * n + i];
+    let (r, f) = ([row(0), row(1), row(2), row(3)], [d[j], d[j + 1], d[j + 2], d[j + 3]]);
+    let mut g = [0.0f64; 4];
+    // The 4 × 4 triangle on and right of the block's diagonal, row by row.
+    for a in 0..4 {
+        g[a] = e[j + a] + r[a][j + a] * f[a];
+        for c in a + 1..4 {
+            g[a] += r[a][j + c] * d[j + c];
+            e[j + c] += r[a][j + c] * f[a];
+        }
+    }
+    let [t0, t1, t2, t3] = r.map(|row| &row[j + 4..]);
+    let columns = t0.iter().zip(t1).zip(t2.iter().zip(t3));
+    for (((&v0, &v1), (&v2, &v3)), (&dm, em)) in columns.zip(d[j + 4..i].iter().zip(&mut e[j + 4..i])) {
+        let v = [v0, v1, v2, v3];
+        for a in 0..4 {
+            g[a] += v[a] * dm;
+        }
+        for a in 0..4 {
+            *em += v[a] * f[a];
+        }
+    }
+    e[j..j + 4].copy_from_slice(&g);
 }
 
 /// Implicit-shift QL on the tridiagonal matrix `(d, e)` left by [`tred2`].
@@ -499,6 +550,32 @@ mod tests {
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
+    }
+
+    #[test]
+    fn interleaved_symv_equals_the_one_row_loop_bit_for_bit() {
+        let mut r = rng::seeded(29);
+        for n in 1..=14 {
+            for i in 0..n {
+                let w: Vec<f64> =
+                    (0..n * n).map(|_| rng::normal(&mut r) * 10f64.powi(r.gen_range(-4..4))).collect();
+                let d: Vec<f64> = (0..n).map(|_| rng::normal(&mut r)).collect();
+                let mut want = vec![0.0f64; n];
+                for j in 0..i {
+                    let row = &w[j * n..j * n + i];
+                    let mut g = want[j] + row[j] * d[j];
+                    for m in j + 1..i {
+                        g += row[m] * d[m];
+                        want[m] += row[m] * d[j];
+                    }
+                    want[j] = g;
+                }
+                let mut got = vec![0.0f64; n];
+                symv_upper(&w, n, i, &d, &mut got);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n {n} i {i}");
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! * a row-major [`Matrix`] of `f32` features with the usual constructors,
 //!   slicing, and matrix operations (`matmul`, `transpose`, a covariance
 //!   that skips the zeros of sparse columns, row/column statistics),
-//! * the register-blocked dot-product microkernel ([`kernel`]): fixed-order
-//!   multi-lane accumulation plus a row-tile driver whose results are
+//! * the register-blocked microkernels ([`kernel`]): a fixed-order
+//!   multi-lane dot product plus a row-tile driver whose results are
 //!   bit-identical to the scalar path for every tile shape — the compute
-//!   substrate of every distance evaluation in `snoopy-knn`,
+//!   substrate of every distance evaluation in `snoopy-knn` — and a 4 × 8
+//!   blocked matrix product, bit-identical to the `ikj` loop, behind every
+//!   linear map of the transformation zoo,
 //! * zero-copy dataset views ([`view::DatasetView`], [`view::LabeledView`])
 //!   — the shared data handshake between the dataset registry, the kNN
 //!   engine, the Bayes-error estimators, and the feasibility study,

@@ -174,10 +174,12 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * other`.
-    ///
-    /// Straightforward ikj-ordered triple loop; accumulation happens in `f32`
-    /// which is sufficient for the moderate dimensions used in the workspace.
+    /// Matrix product `self * other`, by
+    /// [`DatasetView::matmul`](crate::view::DatasetView::matmul) over the
+    /// whole matrix: row blocks without zeros go through the register-blocked
+    /// [`matmul_tile`](crate::kernel::matmul_tile), bit-identical to the
+    /// `ikj` loop. Accumulation happens in `f32`, which is sufficient for the
+    /// moderate dimensions used in the workspace.
     ///
     /// # Panics
     /// Panics if inner dimensions do not match.

@@ -17,6 +17,7 @@
 //! every distance between projected rows unchanged.
 
 use crate::eigen::symmetric_eigen;
+use crate::kernel::{matmul_tile, ROW_BLOCK};
 use crate::matrix::Matrix;
 use crate::view::DatasetView;
 
@@ -90,23 +91,30 @@ impl Pca {
     /// `n × k` matrix. Accepts owned matrices (`&Matrix`) and zero-copy
     /// [`DatasetView`]s alike.
     ///
-    /// Output `c` of a row is the `f32` sum of `(x_j − μ_j)·v_cj` in feature
-    /// order. The loop runs feature-major over a transposed copy of the
-    /// components, so one centred feature updates all `k` outputs at once
-    /// instead of each output waiting on its own serial sum.
+    /// Output `c` of a row is the `f32` sum of `(x_j − μ_j)·v_cj` from `+0.0`
+    /// in feature order, every term included. The rows go in blocks of
+    /// [`ROW_BLOCK`]: each block is centred into one reused scratch tile
+    /// (no centred copy of the whole input) and multiplied by the transposed
+    /// components in [`matmul_tile`]'s register block, which adds the terms
+    /// in exactly that order.
     pub fn transform<'a>(&self, data: impl Into<DatasetView<'a>>) -> Matrix {
         let data = data.into();
-        assert_eq!(data.cols(), self.mean.len(), "PCA transform dimension mismatch");
-        let weights = self.components.transpose();
-        let mut out = Matrix::zeros(data.rows(), self.components.rows());
-        for r in 0..data.rows() {
-            let out_row = out.row_mut(r);
-            for ((&x, &mean), w) in data.row(r).iter().zip(&self.mean).zip(weights.rows_iter()) {
-                let centred = x - mean;
-                for (o, &v) in out_row.iter_mut().zip(w) {
-                    *o += centred * v;
+        let d = self.mean.len();
+        assert_eq!(data.cols(), d, "PCA transform dimension mismatch");
+        let (weights, k) = (self.components.transpose(), self.components.rows());
+        let mut out = Matrix::zeros(data.rows(), k);
+        if d == 0 {
+            return out;
+        }
+        let mut centred = vec![0.0f32; ROW_BLOCK * d];
+        for (block, o) in data.data().chunks(ROW_BLOCK * d).zip(out.data_mut().chunks_mut(ROW_BLOCK * k)) {
+            let centred = &mut centred[..block.len()];
+            for (c_row, x_row) in centred.chunks_exact_mut(d).zip(block.chunks_exact(d)) {
+                for ((c, &x), &mean) in c_row.iter_mut().zip(x_row).zip(&self.mean) {
+                    *c = x - mean;
                 }
             }
+            matmul_tile(centred, weights.data(), d, k, o);
         }
         out
     }

@@ -10,6 +10,7 @@
 //! owned [`Matrix`] only when they genuinely need one (e.g. pooling two
 //! samples for an MST).
 
+use crate::kernel;
 use crate::matrix::Matrix;
 
 /// A borrowed, row-contiguous `rows × cols` window over feature data.
@@ -164,20 +165,38 @@ impl<'a> DatasetView<'a> {
     /// Matrix product `view * other` (an `n × d` view times a `d × k`
     /// matrix), mirroring [`Matrix::matmul`].
     ///
+    /// Output `(i, j)` is the `f32` sum, from `+0.0` with `k` ascending, of
+    /// `a_ik · b_kj` over the non-zero `a_ik`. The rows go in blocks of
+    /// [`ROW_BLOCK`](crate::kernel::ROW_BLOCK): a block without a zero entry
+    /// (`-0.0` counts as zero) goes through the register-blocked
+    /// [`kernel::matmul_tile`], and every row of any other block adds the
+    /// products of its non-zero entries only, one row of `other` at a time,
+    /// which is what keeps term-frequency rows (mostly zeros) cheap. Both
+    /// paths add the same products in the same order, so the result does not
+    /// depend on how the rows fall into blocks.
+    ///
     /// # Panics
     /// Panics if inner dimensions do not match.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows(), "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols());
-        for (i, a_row) in self.rows_iter().enumerate() {
-            let out_row = out.row_mut(i);
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (j, &b_kj) in b_row.iter().enumerate() {
-                    out_row[j] += a_ik * b_kj;
+        let (inner, cols) = (self.cols, other.cols());
+        let mut out = Matrix::zeros(self.rows, cols);
+        if inner == 0 || cols == 0 {
+            return out;
+        }
+        let blocks = self.data.chunks(kernel::ROW_BLOCK * inner);
+        for (a, o) in blocks.zip(out.data_mut().chunks_mut(kernel::ROW_BLOCK * cols)) {
+            if !a.contains(&0.0) {
+                kernel::matmul_tile(a, other.data(), inner, cols, o);
+                continue;
+            }
+            for (a_row, out_row) in a.chunks_exact(inner).zip(o.chunks_exact_mut(cols)) {
+                for (&a_ik, b_row) in a_row.iter().zip(other.rows_iter()) {
+                    if a_ik != 0.0 {
+                        for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
+                            *o += a_ik * b_kj;
+                        }
+                    }
                 }
             }
         }
