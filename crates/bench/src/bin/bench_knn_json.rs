@@ -1,6 +1,5 @@
 //! Emits `BENCH_knn.json`: queries/second of the kNN kernels — top-k
 //! (k = 1 and k = 10) on the global pool vs a 1-worker pool, the
-//! leave-one-out error (the same self-excluding scan on both pools), the
 //! single-core scalar-vs-tiled kernel comparison
 //! (the PR-3 per-pair scalar scan against the tile-blocked `MetricKernel`
 //! path, per metric, across an n × d grid), the plain-vs-quantized pruned
@@ -45,7 +44,7 @@
 
 use snoopy_bench::time_median;
 use snoopy_knn::engine::{knn_reference, EvalEngine, NeighborTable, TopKState};
-use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric, MetricKernel, ShardedIndex};
+use snoopy_knn::{IncrementalTopK, Metric, MetricKernel, ShardedIndex};
 use snoopy_linalg::{rng, DatasetView, LabeledView, Matrix};
 use snoopy_pool::ThreadPool;
 use std::fmt::Write as _;
@@ -78,7 +77,7 @@ fn cold_window_table(
     kernel.bind_queries(queries);
     kernel.bind_train(window);
     let mut states = vec![TopKState::new(k); queries.rows()];
-    engine.update_topk(queries, &kernel, window, start, &mut states, None);
+    engine.update_topk(queries, &kernel, window, start, &mut states);
     NeighborTable::from_states(&states)
 }
 
@@ -87,12 +86,6 @@ struct TopKCase {
     k: usize,
     serial_qps: f64,
     parallel_qps: f64,
-}
-
-struct LooCase {
-    train_n: usize,
-    serial_s: f64,
-    parallel_s: f64,
 }
 
 struct QuantizedCase {
@@ -298,7 +291,6 @@ fn main() {
     let engine = EvalEngine::default();
     let query_x = make_data(queries, dim, 1);
     let mut topk_cases = Vec::new();
-    let mut loo_cases = Vec::new();
     for (i, &n) in sizes.iter().enumerate() {
         let train_x = make_data(n, dim, 2 + i as u64);
         // Top-k kernel, squared Euclidean (the estimator pipeline's metric):
@@ -344,33 +336,6 @@ fn main() {
             );
             topk_cases.push(case);
         }
-
-        // Leave-one-out 1NN error over the training set itself: the parallel
-        // self-excluding kernel vs the same kernel on a 1-worker pool.
-        let labels: Vec<u32> = (0..n).map(|j| (j % 10) as u32).collect();
-        let index = BruteForceIndex::new(&train_x, &labels, 10, Metric::SquaredEuclidean);
-        assert_eq!(
-            index.leave_one_out_error().to_bits(),
-            serial.install(|| index.leave_one_out_error()).to_bits(),
-            "parallel LOO must match the serial engine"
-        );
-        let loo_reps = reps.min(3);
-        let t_serial = time_median(loo_reps, || {
-            std::hint::black_box(serial.install(|| index.leave_one_out_error()));
-        });
-        let t_parallel = time_median(loo_reps, || {
-            std::hint::black_box(index.leave_one_out_error());
-        });
-        println!(
-            "n={:>6} d={} leave-one-out     serial {:>9.4} s     parallel({} workers) {:>9.4} s     speedup {:.2}x",
-            n,
-            dim,
-            t_serial,
-            threads,
-            t_parallel,
-            t_serial / t_parallel,
-        );
-        loo_cases.push(LooCase { train_n: n, serial_s: t_serial, parallel_s: t_parallel });
     }
 
     // Scalar vs tiled kernel, single core: the PR-3 per-pair scalar scan
@@ -1050,7 +1015,6 @@ fn main() {
         "{}",
         thread_dep("topk_cases", "serial vs parallel top-k extraction; k = 1 is the 1NN scan")
     );
-    let _ = writeln!(json, "{}", thread_dep("leave_one_out", "serial vs parallel LOO error"));
     let _ = writeln!(json, "{}", thread_free("kernel_cases", "scalar vs tile-blocked distance kernel"));
     let _ = writeln!(
         json,
@@ -1095,19 +1059,6 @@ fn main() {
             c.serial_qps,
             c.parallel_qps,
             c.parallel_qps / c.serial_qps,
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"leave_one_out\": [");
-    for (i, c) in loo_cases.iter().enumerate() {
-        let comma = if i + 1 < loo_cases.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"train_n\": {}, \"dim\": {dim}, \"metric\": \"sq-euclidean\", \"serial_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.3}}}{comma}",
-            c.train_n,
-            c.serial_s,
-            c.parallel_s,
-            c.serial_s / c.parallel_s,
         );
     }
     let _ = writeln!(json, "  ],");

@@ -33,10 +33,6 @@ pub struct TransformationArm<'a> {
     task: &'a TaskDataset,
     metric: Metric,
     batch_size: usize,
-    /// Per-query neighbour capacity of the arm's state: 1 for the pure
-    /// feasibility signal, larger when the winner's snapshot must also feed
-    /// k-consuming estimators (the 1NN error is identical for every k).
-    table_k: usize,
     /// Lazily initialised on the first pull (embedding the test split).
     state: Option<IncrementalTopK>,
     consumed: usize,
@@ -65,7 +61,6 @@ impl<'a> TransformationArm<'a> {
             task,
             metric,
             batch_size: batch_size.max(1),
-            table_k: 1,
             state: None,
             consumed: 0,
             ledger: PullLedger::new(),
@@ -91,17 +86,6 @@ impl<'a> TransformationArm<'a> {
             "cached embeddings must come from this arm's transformation"
         );
         self.embeddings = Some(embeddings);
-        self
-    }
-
-    /// Overrides the per-query neighbour capacity `k` retained by this arm's
-    /// state (must be set before the first pull; clamped to ≥ 1).
-    ///
-    /// # Panics
-    /// Panics if the state already exists.
-    pub fn with_table_k(mut self, k: usize) -> Self {
-        assert!(self.state.is_none(), "table_k must be set before the first pull");
-        self.table_k = k.max(1);
         self
     }
 
@@ -135,8 +119,8 @@ impl<'a> TransformationArm<'a> {
     }
 
     /// Pulls until the training split is fully consumed and returns the
-    /// state, which then holds the exact top-k neighbour state over the
-    /// whole training set. Additional pulls are charged to the ledger like
+    /// state, which then holds the exact 1NN state over the whole training
+    /// set. Additional pulls are charged to the ledger like
     /// any others.
     pub fn finish(&mut self) -> &IncrementalTopK {
         while !self.exhausted() {
@@ -156,12 +140,8 @@ impl<'a> TransformationArm<'a> {
                 self.transformation.transform(self.task.test.features_view())
             }
         };
-        self.state = Some(IncrementalTopK::new(
-            test_embedded,
-            self.task.test.labels.clone(),
-            self.metric,
-            self.table_k,
-        ));
+        // The feasibility signal reads only each query's first hit.
+        self.state = Some(IncrementalTopK::new(test_embedded, self.task.test.labels.clone(), self.metric, 1));
     }
 }
 
@@ -259,8 +239,7 @@ mod tests {
         let zoo = zoo_for_task(&task, 8);
         let best = zoo.iter().find(|t| t.name() == "efficientnet-b7").unwrap();
         let batch = (task.train.len() / 3).max(1);
-        let mut arm =
-            TransformationArm::new(best.as_ref(), &task, Metric::SquaredEuclidean, batch).with_table_k(3);
+        let mut arm = TransformationArm::new(best.as_ref(), &task, Metric::SquaredEuclidean, batch);
         arm.pull(); // partially consumed
         arm.finish();
         let state = arm.take_state().expect("finished arm holds a state");
@@ -274,10 +253,10 @@ mod tests {
             &full_test,
             &task.test.labels,
             Metric::SquaredEuclidean,
-            3,
+            1,
         );
         assert!((state.error() - rebuilt.error()).abs() < 1e-12);
-        // The k = 3 table grown pull by pull equals the cold build's.
+        // The table grown pull by pull equals the cold build's.
         assert_eq!(state.table(), rebuilt.table());
     }
 

@@ -20,12 +20,6 @@ pub struct SnoopyConfig {
     /// `max(#arms, #batches · ⌈log₂ #arms⌉ · 2)` pulls, enough for successive
     /// halving to fully converge its winner.
     pub budget: Option<usize>,
-    /// Per-query neighbour capacity `k` of each arm's incremental state.
-    /// The feasibility signal only reads the first hit (identical for every
-    /// `k`), but a larger capacity makes the winning arm's snapshot — the
-    /// state [`crate::IncrementalStudy`] keeps — directly consumable by
-    /// k-reading estimators without any recomputation.
-    pub table_k: usize,
 }
 
 impl Default for SnoopyConfig {
@@ -36,7 +30,6 @@ impl Default for SnoopyConfig {
             batch_fraction: 0.05,
             metric: Metric::SquaredEuclidean,
             budget: None,
-            table_k: 1,
         }
     }
 }
@@ -62,13 +55,6 @@ impl SnoopyConfig {
     /// Sets the pull budget explicitly.
     pub fn budget(mut self, budget: usize) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Sets the per-query neighbour capacity of each arm's incremental state
-    /// (clamped to ≥ 1).
-    pub fn table_k(mut self, k: usize) -> Self {
-        self.table_k = k.max(1);
         self
     }
 

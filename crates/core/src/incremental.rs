@@ -9,8 +9,9 @@
 //! grew append by append — and afterwards answers feasibility queries in a
 //! single `O(test)` pass — the paper reports 0.2 ms for 10 K test / 50 K
 //! training samples, orders of magnitude faster than re-running inference.
-//! The same state's [`IncrementalTopK::table`] snapshot feeds any
-//! k-consuming estimator without recomputation.
+//! Arms keep one neighbour per test row (`k = 1`), so the state's
+//! [`IncrementalTopK::table`] snapshot is the 1NN table over the whole
+//! training split.
 
 use crate::config::SnoopyConfig;
 use crate::study::{FeasibilityDecision, FeasibilityStudy, StudyReport};
@@ -62,8 +63,7 @@ impl IncrementalStudy {
 
     /// The tracked incremental state itself — relabelled in place by
     /// [`IncrementalStudy::refresh`] / [`IncrementalStudy::apply_updates`];
-    /// its [`IncrementalTopK::table`] snapshot is what k-consuming
-    /// estimators read.
+    /// its [`IncrementalTopK::table`] snapshot is the `k = 1` table.
     pub fn state(&self) -> &IncrementalTopK {
         &self.cache
     }

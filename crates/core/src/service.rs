@@ -215,7 +215,6 @@ impl FeasibilityService {
             .iter()
             .map(|t| {
                 TransformationArm::new(t.as_ref(), task, config.metric, batch_size)
-                    .with_table_k(config.table_k)
                     .with_embeddings(cache.get_or_compute(t.as_ref(), task))
             })
             .collect();

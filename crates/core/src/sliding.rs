@@ -191,7 +191,7 @@ impl SlidingWindowStudy {
                     t.transform(task.test.features_view()),
                     task.test.labels.clone(),
                     self.config.metric,
-                    self.config.table_k,
+                    1,
                 )
                 .with_eviction(self.window.slack)
             })

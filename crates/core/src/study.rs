@@ -221,10 +221,7 @@ impl FeasibilityStudy {
         // parallelism share one set of threads instead of oversubscribing.
         let mut arms: Vec<TransformationArm<'_>> = zoo
             .iter()
-            .map(|t| {
-                TransformationArm::new(t.as_ref(), task, self.config.metric, batch_size)
-                    .with_table_k(self.config.table_k)
-            })
+            .map(|t| TransformationArm::new(t.as_ref(), task, self.config.metric, batch_size))
             .collect();
         let _outcome = run_strategy(self.config.strategy, &mut arms, budget);
 

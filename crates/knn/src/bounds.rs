@@ -60,8 +60,8 @@
 //! Inside a visited cluster, rows are evaluated with the engine's own tile
 //! kernel ([`MetricKernel::tile_with`]) whenever a whole tile survives the
 //! per-row bound (the common case), falling back to the bit-identical
-//! per-pair path when a tile is broken by a pruned or self-excluded row —
-//! distance values never depend on which path computed them.
+//! per-pair path when a tile is broken by a pruned row — distance values
+//! never depend on which path computed them.
 //!
 //! ## Two-phase int8 scan (the quantized shadow)
 //!
@@ -451,17 +451,12 @@ impl Partition {
     /// first one whose bound can no longer beat the k-th admitted distance,
     /// and scans each visited slice — through the int8 two-phase scan when
     /// the index is quantized and the query fits the overflow guard, the
-    /// f32 tile scan otherwise. Admitted indices are member ids plus
-    /// `offset`; `exclude_self = Some(base)` declares query row `i` to be
-    /// global training row `base + i` and skips that one pair
-    /// (leave-one-out).
+    /// f32 tile scan otherwise. Admitted indices are member ids.
     pub fn update_topk(
         &self,
         pager: &mut Pager<'_>,
         queries: DatasetView<'_>,
-        offset: usize,
         states: &mut [TopKState],
-        exclude_self: Option<usize>,
     ) -> PruneStats {
         let mut stats = PruneStats::default();
         // Scratch reused across queries; a tile never spans two clusters.
@@ -474,7 +469,7 @@ impl Partition {
         let (mut wbuf, mut vbuf) = (Vec::new(), Vec::new());
         let mut order = Vec::with_capacity(self.num_clusters());
         let kernel = MetricKernel::new(self.metric());
-        for (qi, (q, state)) in queries.rows_iter().zip(states).enumerate() {
+        for (q, state) in queries.rows_iter().zip(states) {
             order.clear();
             for (c, cent) in self.centroids.rows_iter().enumerate() {
                 let dqc = euclid_f64(q, cent);
@@ -494,8 +489,6 @@ impl Partition {
                 q,
                 qv: kernel.query_value(q),
                 err: self.bounds.kernel_err(norm_f64(q)),
-                offset,
-                skip: exclude_self.map_or(usize::MAX, |b| b + qi),
             };
             for (pos, &(lb, dqc, _)) in order.iter().enumerate() {
                 let tau_sq = kth_distance(state).map(|tau| self.bounds.tau_sq(tau));
@@ -526,8 +519,6 @@ struct QueryCtx<'q> {
     qv: f32,
     /// The kernel-error margin of `q` ([`PruneBounds::kernel_err`]).
     err: f64,
-    offset: usize,
-    skip: usize,
 }
 
 /// A row buffer with everything a scan derives from it. Rows are addressed
@@ -579,9 +570,9 @@ pub(crate) struct ClusterSlice<'s> {
 
 impl ClusterSlice<'_> {
     /// The f32 scan, one distance tile at a time: a tile unbroken by the
-    /// per-row bound or the self-exclusion goes through the tile kernel; a
-    /// broken tile falls back to the bit-identical per-pair path with a
-    /// live (row-by-row) threshold.
+    /// per-row bound goes through the tile kernel; a broken tile falls back
+    /// to the bit-identical per-pair path with a live (row-by-row)
+    /// threshold.
     fn scan_f32(
         &self,
         cx: &QueryCtx<'_>,
@@ -598,33 +589,26 @@ impl ClusterSlice<'_> {
             // (The tile-start τ is stale after mid-tile admissions, but a
             // stale — larger — τ only keeps rows a fresh one might prune, so
             // exactness never depends on it.)
-            let mut fast = cx.skip == usize::MAX || !ids.iter().any(|&o| cx.offset + o == cx.skip);
-            if fast {
-                if let Some(tau) = kth_distance(state) {
-                    let tau_sq = cx.bounds.tau_sq(tau);
-                    fast = !centers.iter().any(|&rc| cx.bounds.prunes((dqc - rc).abs(), tau_sq, cx.err));
-                }
-            }
+            let fast = kth_distance(state).is_none_or(|tau| {
+                let tau_sq = cx.bounds.tau_sq(tau);
+                !centers.iter().any(|&rc| cx.bounds.prunes((dqc - rc).abs(), tau_sq, cx.err))
+            });
             if fast {
                 let out = &mut tile[..len];
                 kernel.tile_with(cx.q, cx.qv, data, r, out);
                 for (&d, &id) in out.iter().zip(ids) {
-                    state.offer(d, cx.offset + id);
+                    state.offer(d, id);
                 }
                 stats.rows_scanned += len;
             } else {
                 for (j, (&id, &rc)) in ids.iter().zip(centers).enumerate() {
-                    let global = cx.offset + id;
-                    if global == cx.skip {
-                        continue;
-                    }
                     if let Some(tau) = kth_distance(state) {
                         if cx.bounds.prunes((dqc - rc).abs(), cx.bounds.tau_sq(tau), cx.err) {
                             stats.rows_pruned += 1;
                             continue;
                         }
                     }
-                    state.offer(kernel.pair_with(cx.q, cx.qv, data, r + j), global);
+                    state.offer(kernel.pair_with(cx.q, cx.qv, data, r + j), id);
                     stats.rows_scanned += 1;
                 }
             }
@@ -676,11 +660,7 @@ impl ClusterSlice<'_> {
                     stats.rows_pruned += 1;
                     continue;
                 }
-                let global = cx.offset + id;
-                if global == cx.skip {
-                    continue;
-                }
-                state.offer(kernel.pair_with(cx.q, cx.qv, data, r + j), global);
+                state.offer(kernel.pair_with(cx.q, cx.qv, data, r + j), id);
                 stats.rows_scanned += 1;
             }
         }

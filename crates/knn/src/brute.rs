@@ -1,9 +1,9 @@
 //! Exact brute-force k-nearest-neighbour index over a borrowed
-//! [`LabeledView`]. Every distance computation — single queries, parallel
-//! batch queries, kNN classifier error, and the leave-one-out error — routes
-//! through the shared [`EvalEngine`] top-k kernel and its [`NeighborTable`]
-//! results, so tie handling (lowest global index wins on equal distances)
-//! and floating-point behaviour are identical across all of them.
+//! [`LabeledView`]. Its neighbour tables and its 1NN and kNN classifier
+//! errors on a held-out query set all route through the shared
+//! [`EvalEngine`] top-k kernel and its [`NeighborTable`] results, so tie
+//! handling (lowest global index wins on equal distances) and
+//! floating-point behaviour are identical across all of them.
 //!
 //! With at most a few tens of thousands of samples per task replica and
 //! moderate embedding dimensions, exact brute force in `O(n · d)` per query is
@@ -13,7 +13,7 @@
 //! once at construction, so batch queries pay one query-side norm pass and
 //! nothing per query.
 
-use crate::engine::{EvalEngine, NearestHit, NeighborTable, TopKState};
+use crate::engine::{EvalEngine, NeighborTable, TopKState};
 use crate::kernel::MetricKernel;
 use crate::metric::Metric;
 use snoopy_linalg::{DatasetView, LabeledView, Matrix};
@@ -30,17 +30,6 @@ pub struct BruteForceIndex<'a> {
     /// Vote-vector size for majority voting: max(declared classes, labels
     /// present). Computed once — scanning labels per query is a hot-path tax.
     vote_classes: usize,
-}
-
-/// One retrieved neighbour.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Neighbor {
-    /// Row index into the training set.
-    pub index: usize,
-    /// Dissimilarity to the query.
-    pub distance: f32,
-    /// Training label of the neighbour.
-    pub label: u32,
 }
 
 impl<'a> BruteForceIndex<'a> {
@@ -89,10 +78,6 @@ impl<'a> BruteForceIndex<'a> {
         self.view
     }
 
-    fn hit_to_neighbor(&self, hit: NearestHit) -> Neighbor {
-        Neighbor { index: hit.index, distance: hit.distance, label: self.view.label(hit.index) }
-    }
-
     /// Top-`k` neighbour table for every row of `queries`, computed by the
     /// blocked chunk-parallel engine with the index's precomputed norm
     /// scratch. `k` is clamped to `[1, len]`.
@@ -101,42 +86,8 @@ impl<'a> BruteForceIndex<'a> {
         let mut kernel = self.kernel.clone();
         kernel.bind_queries(queries);
         let mut states = vec![TopKState::new(k.min(self.len())); queries.rows()];
-        EvalEngine::default().update_topk(queries, &kernel, self.view.features(), 0, &mut states, None);
+        EvalEngine::default().update_topk(queries, &kernel, self.view.features(), 0, &mut states);
         NeighborTable::from_states(&states)
-    }
-
-    /// Finds the single nearest neighbour of `query`.
-    pub fn query_1nn(&self, query: &[f32]) -> Neighbor {
-        self.query_knn(query, 1)[0]
-    }
-
-    /// Finds the `k` nearest neighbours of `query`, ordered by increasing
-    /// distance. `k` is clamped to the index size. Ties are deterministic:
-    /// on equal distances the lowest training index wins — the same
-    /// lexicographic `(distance, index)` rule as the engine's top-k kernel,
-    /// which this routes through.
-    pub fn query_knn(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        let table = self.neighbor_table(DatasetView::from_row(query), k);
-        table.neighbors(0).iter().map(|&h| self.hit_to_neighbor(h)).collect()
-    }
-
-    /// Majority-vote kNN prediction for `query`; vote ties resolve to the
-    /// smallest class id among the tied classes (deterministic).
-    pub fn predict_knn(&self, query: &[f32], k: usize) -> u32 {
-        self.neighbor_table(DatasetView::from_row(query), k).vote(0, k, self.labels(), self.vote_classes)
-    }
-
-    /// 1NN predictions for every row of `queries`, computed by the parallel
-    /// engine.
-    pub fn predict_1nn_batch<'q>(&self, queries: impl Into<DatasetView<'q>>) -> Vec<u32> {
-        self.nearest_neighbors_batch(queries).into_iter().map(|n| n.label).collect()
-    }
-
-    /// Nearest neighbour of every row of `queries`, computed by the blocked
-    /// chunk-parallel engine (the `k = 1` neighbour table).
-    pub fn nearest_neighbors_batch<'q>(&self, queries: impl Into<DatasetView<'q>>) -> Vec<Neighbor> {
-        let table = self.neighbor_table(queries, 1);
-        (0..table.num_queries()).map(|q| self.hit_to_neighbor(table.neighbors(q)[0])).collect()
     }
 
     /// kNN classifier error on a labelled query set (fraction of
@@ -151,39 +102,18 @@ impl<'a> BruteForceIndex<'a> {
         self.neighbor_table(queries, k).knn_error(k, self.labels(), query_labels, self.vote_classes)
     }
 
-    /// 1NN classifier error on a labelled query set.
+    /// 1NN classifier error on a labelled query set (0 for no queries): the
+    /// `k = 1` neighbour table's first hits against `query_labels`.
+    ///
+    /// # Panics
+    /// Panics if `query_labels` disagrees with the query count.
     pub fn one_nn_error<'q>(&self, queries: impl Into<DatasetView<'q>>, query_labels: &[u32]) -> f64 {
-        let queries = queries.into();
-        assert_eq!(queries.rows(), query_labels.len(), "query feature/label mismatch");
-        if query_labels.is_empty() {
-            return 0.0;
-        }
-        let preds = self.predict_1nn_batch(queries);
-        let wrong = preds.iter().zip(query_labels).filter(|(p, y)| p != y).count();
-        wrong as f64 / query_labels.len() as f64
+        self.neighbor_table(queries, 1).one_nn_error(self.labels(), query_labels)
     }
 
     /// 1NN classifier error on a labelled evaluation view.
     pub fn one_nn_error_view(&self, eval: LabeledView<'_>) -> f64 {
         self.one_nn_error(eval.features(), eval.labels())
-    }
-
-    /// Leave-one-out top-`k` neighbour table on the *training* set itself:
-    /// each row's neighbour list excludes that row. One parallel
-    /// self-excluding engine pass ([`EvalEngine::topk_loo`]),
-    /// `O(n² / workers)`.
-    pub fn leave_one_out_table(&self, k: usize) -> NeighborTable {
-        EvalEngine::default().topk_loo(self.view.features(), self.metric(), k)
-    }
-
-    /// Leave-one-out 1NN error on the *training* set itself (each sample's
-    /// nearest neighbour excludes itself). Used by estimators that do not have
-    /// a held-out split.
-    pub fn leave_one_out_error(&self) -> f64 {
-        if self.len() < 2 {
-            return 0.0;
-        }
-        self.leave_one_out_table(1).one_nn_error(self.labels(), self.labels())
     }
 }
 
@@ -211,7 +141,8 @@ mod tests {
         let index = BruteForceIndex::new(&x, &y, 2, Metric::SquaredEuclidean);
         assert_eq!(index.one_nn_error(&x, &y), 0.0);
         let query = [9.0f32, 9.5];
-        assert_eq!(index.query_1nn(&query).label, 1);
+        let nearest = index.neighbor_table(DatasetView::from_row(&query), 1).neighbors(0)[0];
+        assert_eq!(index.labels()[nearest.index], 1);
     }
 
     #[test]
@@ -227,7 +158,8 @@ mod tests {
     fn knn_returns_sorted_unique_neighbors() {
         let (x, y) = clustered_data(20);
         let index = BruteForceIndex::new(&x, &y, 2, Metric::Euclidean);
-        let neigh = index.query_knn(&[0.0, 0.0], 5);
+        let table = index.neighbor_table(DatasetView::from_row(&[0.0, 0.0]), 5);
+        let neigh = table.neighbors(0);
         assert_eq!(neigh.len(), 5);
         for w in neigh.windows(2) {
             assert!(w[0].distance <= w[1].distance);
@@ -243,8 +175,9 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.0, 0.0], vec![0.1, 0.0], vec![5.0, 5.0]]);
         let y = vec![0, 0, 1];
         let index = BruteForceIndex::new(&x, &y, 2, Metric::SquaredEuclidean);
-        assert_eq!(index.query_knn(&[0.0, 0.0], 10).len(), 3);
-        assert_eq!(index.predict_knn(&[0.2, 0.0], 3), 0);
+        assert_eq!(index.neighbor_table(DatasetView::from_row(&[0.0, 0.0]), 10).k(), 3);
+        let table = index.neighbor_table(DatasetView::from_row(&[0.2, 0.0]), 3);
+        assert_eq!(table.vote(0, 3, index.labels(), 2), 0);
     }
 
     #[test]
@@ -252,11 +185,10 @@ mod tests {
         let (x, y) = clustered_data(40);
         let index = BruteForceIndex::new(&x, &y, 2, Metric::SquaredEuclidean);
         let queries = Matrix::from_rows(&[vec![1.0, 1.0], vec![9.0, 9.0], vec![4.9, 5.1], vec![0.0, 0.2]]);
-        let batch = index.nearest_neighbors_batch(&queries);
-        for (i, item) in batch.iter().enumerate() {
-            let single = index.query_1nn(queries.row(i));
-            assert_eq!(item.index, single.index);
-            assert_eq!(item.label, single.label);
+        let batch = index.neighbor_table(&queries, 1);
+        for i in 0..queries.rows() {
+            let single = index.neighbor_table(DatasetView::from_row(queries.row(i)), 1);
+            assert_eq!(batch.neighbors(i), single.neighbors(0));
         }
     }
 
@@ -279,20 +211,6 @@ mod tests {
         let (sx, sy) = clustered_data(30);
         let sep_index = BruteForceIndex::new(&sx, &sy, 2, Metric::SquaredEuclidean);
         assert_eq!(sep_index.knn_error(&sx, &sy, 3), 0.0);
-    }
-
-    #[test]
-    fn leave_one_out_error_detects_label_noise() {
-        let (x, mut y) = clustered_data(25);
-        let index_clean = BruteForceIndex::new(&x, &y, 2, Metric::SquaredEuclidean);
-        assert_eq!(index_clean.leave_one_out_error(), 0.0);
-        drop(index_clean);
-        // Flip a quarter of the labels: LOO error must rise.
-        for i in (0..y.len()).step_by(4) {
-            y[i] = 1 - y[i];
-        }
-        let index_noisy = BruteForceIndex::new(&x, &y, 2, Metric::SquaredEuclidean);
-        assert!(index_noisy.leave_one_out_error() > 0.2);
     }
 
     #[test]

@@ -373,8 +373,8 @@ impl EvalEngine {
     }
 
     /// The engine's one scan loop. `sinks` holds one equal run of sinks per
-    /// query row; `sink(run, q, t0, tile)` receives query `q`'s run and the
-    /// distances from query `q` to the bound training rows
+    /// query row; `sink(run, t0, tile)` receives one query's run and the
+    /// distances from that query to the bound training rows
     /// `t0..t0 + tile.len()`. Queries are split into one contiguous chunk
     /// per worker of the current pool; each chunk walks the training rows
     /// block by block and, inside a block, takes its queries in pairs
@@ -387,7 +387,7 @@ impl EvalEngine {
         kernel: &MetricKernel,
         train: DatasetView<'_>,
         sinks: &mut [S],
-        sink: impl Fn(&mut [S], usize, usize, &[f32]) + Sync,
+        sink: impl Fn(&mut [S], usize, &[f32]) + Sync,
     ) {
         let n = queries.rows();
         if n == 0 || train.rows() == 0 {
@@ -410,11 +410,11 @@ impl EvalEngine {
                             let qb = qa + 1;
                             let (qva, qvb) = (kernel.query_cached(qa), kernel.query_cached(qb));
                             kernel.tile2_with(queries.row(qa), qva, queries.row(qb), qvb, train, t0, a, b);
-                            sink(run_a, qa, t0, a);
-                            sink(run_b, qb, t0, b);
+                            sink(run_a, t0, a);
+                            sink(run_b, t0, b);
                         } else {
                             kernel.tile_with(queries.row(qa), kernel.query_cached(qa), train, t0, a);
-                            sink(run_a, qa, t0, a);
+                            sink(run_a, t0, a);
                         }
                     }
                 }
@@ -439,9 +439,6 @@ impl EvalEngine {
     ///
     /// `kernel` must be bound to exactly these views
     /// ([`MetricKernel::bind_queries`] / [`MetricKernel::bind_train`]).
-    /// `exclude_self = Some(base)` declares that query row `i` *is* the training row with
-    /// global index `base + i` and skips that one pair — the leave-one-out
-    /// configuration.
     ///
     /// # Panics
     /// Panics on dimension mismatches, `states.len() != queries.rows()`, or
@@ -453,20 +450,19 @@ impl EvalEngine {
         train: DatasetView<'_>,
         offset: usize,
         states: &mut [TopKState],
-        exclude_self: Option<usize>,
     ) {
         assert_eq!(queries.cols(), train.cols(), "query/train dimensionality mismatch");
         assert_eq!(kernel.queries_bound(), queries.rows(), "kernel query cache not bound to these queries");
         assert_eq!(kernel.train_bound(), train.rows(), "kernel train cache not bound to this train batch");
         assert_eq!(states.len(), queries.rows(), "one top-k state per query required");
-        self.walk(queries, kernel, train, states, |state, q, t0, tile| {
-            let (state, skip) = (&mut state[0], exclude_self.map_or(usize::MAX, |base| base + q));
+        self.walk(queries, kernel, train, states, |state, t0, tile| {
+            let state = &mut state[0];
             // Only a candidate that clears the bar can change the state, so
             // the bar lives in a local and the rest never reach `offer`.
             let mut bar = state.admission_bar();
             for (j, &d) in tile.iter().enumerate() {
                 let global = offset + t0 + j;
-                if global != skip && bar.is_none_or(|worst| NearestHit::beats(d, global, worst)) {
+                if bar.is_none_or(|worst| NearestHit::beats(d, global, worst)) {
                     state.offer(d, global);
                     bar = state.admission_bar();
                 }
@@ -486,17 +482,7 @@ impl EvalEngine {
     ) -> NeighborTable {
         let kernel = MetricKernel::bound(metric, queries, train);
         let mut states = vec![TopKState::new(k.max(1)); queries.rows()];
-        self.update_topk(queries, &kernel, train, 0, &mut states, None);
-        NeighborTable::from_states(&states)
-    }
-
-    /// Leave-one-out top-k table of `data` against itself: row `i`'s
-    /// neighbour list excludes row `i`. Each row stores
-    /// `min(k, rows − 1)` hits.
-    pub fn topk_loo(&self, data: DatasetView<'_>, metric: Metric, k: usize) -> NeighborTable {
-        let kernel = MetricKernel::bound(metric, data, data);
-        let mut states = vec![TopKState::new(k.max(1)); data.rows()];
-        self.update_topk(data, &kernel, data, 0, &mut states, Some(0));
+        self.update_topk(queries, &kernel, train, 0, &mut states);
         NeighborTable::from_states(&states)
     }
 
@@ -530,7 +516,7 @@ impl EvalEngine {
         assert_eq!(train.rows(), train_labels.len(), "train feature/label mismatch");
         let mut acc = vec![OnlineLse::EMPTY; queries.rows() * num_classes.max(1)];
         let kernel = MetricKernel::bound(Metric::SquaredEuclidean, queries, train);
-        self.walk(queries, &kernel, train, &mut acc, |sums, _, t0, tile| {
+        self.walk(queries, &kernel, train, &mut acc, |sums, t0, tile| {
             for (j, &d) in tile.iter().enumerate() {
                 sums[train_labels[t0 + j] as usize].add(-(d as f64) * inv_two_h2);
             }
@@ -570,30 +556,12 @@ pub fn knn_reference(
     metric: Metric,
     k: usize,
 ) -> NeighborTable {
-    reference_table(train, queries, metric, k.max(1), false)
-}
-
-/// Leave-one-out variant of [`knn_reference`]: query `i` is row `i` of
-/// `data` and is excluded from its own neighbour list.
-pub fn knn_reference_loo(data: DatasetView<'_>, metric: Metric, k: usize) -> NeighborTable {
-    reference_table(data, data, metric, k.max(1), true)
-}
-
-fn reference_table(
-    train: DatasetView<'_>,
-    queries: DatasetView<'_>,
-    metric: Metric,
-    k: usize,
-    exclude_diag: bool,
-) -> NeighborTable {
-    let candidates = if exclude_diag { train.rows().saturating_sub(1) } else { train.rows() };
-    let per_query = if queries.rows() == 0 { 0 } else { k.min(candidates) };
+    let per_query = if queries.rows() == 0 { 0 } else { k.max(1).min(train.rows()) };
     let mut hits = Vec::with_capacity(queries.rows() * per_query);
-    for (qi, q) in queries.rows_iter().enumerate() {
+    for q in queries.rows_iter() {
         let mut all: Vec<NearestHit> = train
             .rows_iter()
             .enumerate()
-            .filter(|&(j, _)| !(exclude_diag && j == qi))
             .map(|(j, row)| NearestHit { distance: metric.distance(q, row), index: j })
             .collect();
         all.sort_by(|a, b| {
@@ -658,7 +626,7 @@ mod tests {
         let train = wavy(10, 4, 0.0);
         let empty = Matrix::zeros(0, 4);
         let kernel = crate::kernel::MetricKernel::bound(Metric::SquaredEuclidean, empty.view(), train.view());
-        EvalEngine::default().update_topk(empty.view(), &kernel, train.view(), 0, &mut [], None);
+        EvalEngine::default().update_topk(empty.view(), &kernel, train.view(), 0, &mut []);
         let table = EvalEngine::default().topk(empty.view(), wavy(3, 4, 0.5).view(), Metric::Euclidean, 1);
         assert_eq!((table.num_queries(), table.k()), (3, 0));
     }
@@ -693,30 +661,13 @@ mod tests {
                 for batch in train.view().batches(26) {
                     kernel.bind_train(batch);
                     pool.install(|| {
-                        engine.update_topk(queries.view(), &kernel, batch, consumed, &mut states, None)
+                        engine.update_topk(queries.view(), &kernel, batch, consumed, &mut states)
                     });
                     consumed += batch.rows();
                 }
                 let table = NeighborTable::from_states(&states);
                 let reference = knn_reference(train.view(), queries.view(), metric, k);
                 assert_eq!(table, reference, "{} k {k}", metric.name());
-            }
-        }
-    }
-
-    #[test]
-    fn loo_table_excludes_self_and_matches_reference() {
-        let data = wavy(57, 6, 0.3);
-        for metric in Metric::all() {
-            for k in [1usize, 5, 57] {
-                let reference = knn_reference_loo(data.view(), metric, k);
-                let got =
-                    on_pool(4, || EvalEngine::default().with_block_rows(13).topk_loo(data.view(), metric, k));
-                assert_eq!(got, reference, "metric {} k {k}", metric.name());
-                for q in 0..got.num_queries() {
-                    assert!(got.neighbors(q).iter().all(|h| h.index != q), "row {q} must exclude itself");
-                }
-                assert_eq!(got.k(), k.min(56));
             }
         }
     }
@@ -812,7 +763,7 @@ mod tests {
         let mut states = vec![TopKState::new(1); 4];
         let kernel =
             crate::kernel::MetricKernel::bound(Metric::SquaredEuclidean, queries.view(), train.view());
-        EvalEngine::default().update_topk(queries.view(), &kernel, train.view(), 0, &mut states, None);
+        EvalEngine::default().update_topk(queries.view(), &kernel, train.view(), 0, &mut states);
     }
 
     #[test]
@@ -825,6 +776,6 @@ mod tests {
         // not a silent wrong answer.
         let kernel =
             crate::kernel::MetricKernel::bound(Metric::Cosine, queries.view(), train.view().slice_rows(0, 3));
-        EvalEngine::default().update_topk(queries.view(), &kernel, train.view(), 0, &mut states, None);
+        EvalEngine::default().update_topk(queries.view(), &kernel, train.view(), 0, &mut states);
     }
 }

@@ -63,7 +63,7 @@
 use crate::engine::{EvalEngine, NeighborTable, TopKState};
 use crate::kernel::MetricKernel;
 use crate::metric::Metric;
-use snoopy_linalg::{DatasetView, LabeledView, Matrix};
+use snoopy_linalg::{DatasetView, Matrix};
 
 /// What one [`IncrementalTopK::evict_oldest`] call did: how many rows left
 /// the window and how many queries' admission buffers drained below
@@ -175,18 +175,9 @@ impl IncrementalTopK {
         self
     }
 
-    /// Cold full build over borrowed views — [`IncrementalTopK::new`]
+    /// Cold full build — [`IncrementalTopK::new`] over the test split
     /// followed by one [`IncrementalTopK::append`] of the whole training
-    /// split. This is the single constructor behind what used to be
-    /// `IncrementalOneNn::{build, from_views}` and a finished
-    /// `StreamedOneNn`.
-    pub fn from_views(train: LabeledView<'_>, test: LabeledView<'_>, metric: Metric, k: usize) -> Self {
-        let mut state = Self::new(test.features().to_matrix(), test.labels().to_vec(), metric, k);
-        state.append(train.features(), train.labels());
-        state
-    }
-
-    /// [`IncrementalTopK::from_views`] over raw feature/label parts.
+    /// split.
     pub fn build<'a>(
         train_features: impl Into<DatasetView<'a>>,
         train_labels: &[u32],
@@ -315,14 +306,7 @@ impl IncrementalTopK {
             Vec::new()
         };
         self.kernel.bind_train(batch);
-        self.engine.update_topk(
-            self.query_features.view(),
-            &self.kernel,
-            batch,
-            offset,
-            &mut self.states,
-            None,
-        );
+        self.engine.update_topk(self.query_features.view(), &self.kernel, batch, offset, &mut self.states);
         self.folded_pairs += (batch.rows() * self.query_features.rows()) as u64;
         if self.eviction {
             for (q, ok) in recertify.iter().enumerate() {
@@ -395,7 +379,7 @@ impl IncrementalTopK {
         let mut kernel = MetricKernel::new(self.metric());
         kernel.bind_queries(queries);
         kernel.bind_train(window);
-        self.engine.update_topk(queries, &kernel, window, self.window_start, &mut sub, None);
+        self.engine.update_topk(queries, &kernel, window, self.window_start, &mut sub);
         self.folded_pairs += (window.rows() * affected.len()) as u64;
         for (i, &q) in affected.iter().enumerate() {
             self.valid[q] = sub[i].hits().len();
@@ -515,21 +499,6 @@ impl IncrementalTopK {
             NeighborTable::from_states(&self.states)
         }
     }
-
-    /// The nearest training index currently assigned to each query
-    /// (`usize::MAX` before any append).
-    pub fn nearest_train_indices(&self) -> Vec<usize> {
-        self.states.iter().map(|s| s.hits().first().map_or(usize::MAX, |h| h.index)).collect()
-    }
-
-    /// The nearest training label currently assigned to each query
-    /// (`u32::MAX` before any append).
-    pub fn nearest_train_labels(&self) -> Vec<u32> {
-        self.states
-            .iter()
-            .map(|s| s.hits().first().map_or(u32::MAX, |h| self.train_labels[h.index]))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -537,6 +506,7 @@ mod tests {
     use super::*;
     use crate::brute::BruteForceIndex;
     use crate::engine::knn_reference;
+    use snoopy_linalg::LabeledView;
 
     /// A two-blob labelled task split into train/test, built on the shared
     /// `snoopy-testutil` blob fixture (rows alternate blobs round-robin, so
@@ -613,8 +583,6 @@ mod tests {
         assert_eq!(state.error(), 1.0);
         assert_eq!(state.knn_error(3, 2), 1.0);
         assert_eq!(state.table().k(), 0, "empty before any append");
-        assert!(state.nearest_train_indices().iter().all(|&i| i == usize::MAX));
-        assert!(state.nearest_train_labels().iter().all(|&y| y == u32::MAX));
     }
 
     #[test]
@@ -685,19 +653,15 @@ mod tests {
     }
 
     #[test]
-    fn from_views_matches_build_and_batched_appends() {
+    fn build_matches_batched_appends() {
         let (tx, ty, _, qx, qy, _) = noisy_task();
-        let train = LabeledView::new(&tx, &ty).with_classes(2);
-        let test = LabeledView::new(&qx, &qy).with_classes(2);
-        let a = IncrementalTopK::from_views(train, test, Metric::SquaredEuclidean, 2);
-        let b = IncrementalTopK::build(&tx, &ty, &qx, &qy, Metric::SquaredEuclidean, 2);
-        let mut c = IncrementalTopK::new(qx.clone(), qy.clone(), Metric::SquaredEuclidean, 2);
+        let built = IncrementalTopK::build(&tx, &ty, &qx, &qy, Metric::SquaredEuclidean, 2);
+        let mut appended = IncrementalTopK::new(qx.clone(), qy.clone(), Metric::SquaredEuclidean, 2);
         let view = tx.view();
-        c.append(view.slice_rows(0, 60), &ty[..60]);
-        c.append(view.slice_rows(60, tx.rows()), &ty[60..]);
-        assert_eq!(a.table(), b.table());
-        assert_eq!(a.table(), c.table());
-        assert_eq!(a.error().to_bits(), c.error().to_bits());
+        appended.append(view.slice_rows(0, 60), &ty[..60]);
+        appended.append(view.slice_rows(60, tx.rows()), &ty[60..]);
+        assert_eq!(built.table(), appended.table());
+        assert_eq!(built.error().to_bits(), appended.error().to_bits());
     }
 
     #[test]
@@ -707,7 +671,8 @@ mod tests {
         let view = train_x.view();
         state.append(view.slice_rows(0, 50), &train_y[..50]);
         state.append(view.slice_rows(50, 100), &train_y[50..]);
-        let idx = state.nearest_train_indices();
+        let table = state.table();
+        let idx: Vec<usize> = (0..table.num_queries()).map(|q| table.neighbors(q)[0].index).collect();
         assert!(idx.iter().all(|&i| i < 100));
         assert!(idx.iter().any(|&i| i >= 50), "some neighbours should come from the second batch");
     }
@@ -749,7 +714,7 @@ mod tests {
         kernel.bind_queries(test_x.view());
         kernel.bind_train(window);
         let mut states = vec![TopKState::new(k); test_x.rows()];
-        EvalEngine::default().update_topk(test_x.view(), &kernel, window, start, &mut states, None);
+        EvalEngine::default().update_topk(test_x.view(), &kernel, window, start, &mut states);
         NeighborTable::from_states(&states)
     }
 

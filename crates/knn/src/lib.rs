@@ -5,7 +5,12 @@
 //!
 //! Snoopy's Bayes-error estimator is built on the 1NN classifier error
 //! (Cover & Hart), evaluated on top of many feature transformations and over
-//! growing training-set prefixes. This crate provides:
+//! growing training-set prefixes. Every entry point answers one question —
+//! the top-k indexed training rows of each held-out query row — either cold
+//! ([`engine::EvalEngine::topk`], [`sharded::ShardedIndex::topk_with_stats`],
+//! [`brute::BruteForceIndex::neighbor_table`]) or streamed by appends
+//! ([`engine::EvalEngine::update_topk`] under
+//! [`incremental::IncrementalTopK`]). This crate provides:
 //!
 //! * distance metrics ([`metric::Metric`]: squared Euclidean, Euclidean,
 //!   cosine dissimilarity), whose expressions live in exactly one place —
@@ -51,9 +56,9 @@
 //!   dot tile, a quantization-error-widened bound selects the candidate
 //!   superset, and only survivors are re-ranked through the exact f32
 //!   kernel — a ~4× smaller scan copy with the identical `NeighborTable`,
-//! * an exact brute-force index ([`brute::BruteForceIndex`]) whose k-NN
-//!   queries, batch evaluation, and leave-one-out error all route through
-//!   the engine,
+//! * an exact brute-force index ([`brute::BruteForceIndex`]) whose
+//!   neighbour tables and 1NN / kNN errors on held-out query rows route
+//!   through the engine,
 //! * the *incremental top-k successor state*
 //!   ([`incremental::IncrementalTopK`]) — the one append/relabel-able kNN
 //!   state behind the successive-halving bandit (each arm pull **appends** a

@@ -21,8 +21,10 @@
 //! the pager: it tops the prefetch pipeline up, then commits the cluster's
 //! staged shard or faults it in.
 //!
-//! Every query path reports [`PruneStats`] — clusters visited vs total and
-//! rows scanned vs pruned — and [`PagingStats`] counts the shard traffic.
+//! Queries go through one entry, [`ShardedIndex::topk_with_stats`]: a cold
+//! top-k table of held-out query rows plus its [`PruneStats`] — clusters
+//! visited vs total and rows scanned vs pruned — while [`PagingStats`]
+//! counts the shard traffic.
 //!
 //! ## Paging order *is* prune order
 //!
@@ -136,7 +138,7 @@ pub struct PagedResidentBytes {
     pub peak: usize,
     /// Bytes of materialised-but-uncommitted prefetched shards right now
     /// (non-zero only mid-query; the staging area drains before every
-    /// `update_topk` return).
+    /// [`ShardedIndex::topk_with_stats`] return).
     pub staged: usize,
     /// Largest single shard materialised so far —
     /// `peak ≤ budget + max_shard × (1 + prefetch_depth)` is the cache's
@@ -194,8 +196,8 @@ impl<'p> ShardLoader<'p> {
 /// `run` dereferences the captured pointers, so a job must not outlive the
 /// buffers they point into. The prefetch pipeline guarantees that
 /// structurally: every spawned job's [`snoopy_pool::JoinHandle`] is joined
-/// before `update_topk` returns (the staging area drains on exit, and a
-/// dropped handle waits), and for the whole `update_topk` call the index is
+/// before [`ShardedIndex::topk_with_stats`] returns (the staging area drains
+/// on exit, and a dropped handle waits), and for the whole call the index is
 /// exclusively borrowed — `source` outlives the index by construction
 /// (`'a`), and the partition is never mutated after build.
 struct PrefetchJob {
@@ -372,7 +374,7 @@ impl Prefetcher {
                 continue;
             }
             let job = PrefetchJob::capture(loader, c);
-            // SAFETY: joined before `update_topk` returns — see `PrefetchJob`.
+            // SAFETY: joined before `topk_with_stats` returns — see `PrefetchJob`.
             let handle = snoopy_pool::spawn(move || unsafe { job.run() });
             cache.stats.shards_prefetched += 1;
             self.slots.push(StagedSlot { cluster: c, handle: Some(handle), shard: None });
@@ -380,8 +382,8 @@ impl Prefetcher {
     }
 
     /// Resolves every outstanding speculative load — called before
-    /// `update_topk` returns, which is what makes the pointer erasure in
-    /// [`PrefetchJob`] sound. Everything still staged is wasted work.
+    /// [`ShardedIndex::topk_with_stats`] returns, which is what makes the
+    /// pointer erasure in [`PrefetchJob`] sound. Everything still staged is wasted work.
     fn drain(&mut self, cache: &mut ShardCache) {
         for slot in self.slots.drain(..) {
             Self::waste_slot(cache, slot);
@@ -693,42 +695,6 @@ impl<'a> ShardedIndex<'a> {
         }
     }
 
-    /// Folds the indexed source rows (global indices = source row index plus
-    /// `offset`) into the running top-k state of every query row — the
-    /// pruned counterpart of
-    /// [`EvalEngine::update_topk`](crate::engine::EvalEngine::update_topk), with the same
-    /// streamable fold semantics: pre-seeded states tighten the pruning
-    /// threshold from the first cluster. `exclude_self = Some(base)`
-    /// declares query row `i` to be global training row `base + i` and skips
-    /// that one pair (leave-one-out). The scan itself runs on this thread;
-    /// with a non-zero [`ShardedIndex::set_prefetch_depth`] upcoming shards
-    /// materialise concurrently on pool workers (see the
-    /// [module docs](self)).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatches or `states.len() != queries.rows()`.
-    pub fn update_topk(
-        &mut self,
-        queries: DatasetView<'_>,
-        offset: usize,
-        states: &mut [TopKState],
-        exclude_self: Option<usize>,
-    ) -> PruneStats {
-        assert_eq!(queries.cols(), self.source.cols(), "query/train dimensionality mismatch");
-        assert_eq!(states.len(), queries.rows(), "one top-k state per query required");
-        let ShardedIndex { source, part, quantizer, cache } = self;
-        let mut pager = Pager {
-            loader: ShardLoader { source: *source, part, quantizer: quantizer.as_ref() },
-            pf: Prefetcher::new(part.num_clusters(), cache.prefetch_depth),
-            cache,
-        };
-        let stats = part.update_topk(&mut pager, queries, offset, states, exclude_self);
-        // Resolve every outstanding speculative load before returning —
-        // the soundness condition of `PrefetchJob`'s pointer erasure.
-        pager.pf.drain(pager.cache);
-        stats
-    }
-
     /// Top-k neighbour table for every query, from a cold start —
     /// bit-identical to [`EvalEngine::topk`](crate::engine::EvalEngine::topk) on the
     /// same data.
@@ -737,24 +703,26 @@ impl<'a> ShardedIndex<'a> {
     }
 
     /// [`ShardedIndex::topk`] plus the pruning counters (paging counters
-    /// accumulate on the index — [`ShardedIndex::paging_stats`]).
+    /// accumulate on the index — [`ShardedIndex::paging_stats`]). The scan
+    /// itself runs on this thread; with a non-zero
+    /// [`ShardedIndex::set_prefetch_depth`] upcoming shards materialise
+    /// concurrently on pool workers (see the [module docs](self)).
+    ///
+    /// # Panics
+    /// Panics on a query/index dimension mismatch.
     pub fn topk_with_stats(&mut self, queries: DatasetView<'_>, k: usize) -> (NeighborTable, PruneStats) {
+        assert_eq!(queries.cols(), self.source.cols(), "query/train dimensionality mismatch");
         let mut states = vec![TopKState::new(k.max(1)); queries.rows()];
-        let stats = self.update_topk(queries, 0, &mut states, None);
-        (NeighborTable::from_states(&states), stats)
-    }
-
-    /// Leave-one-out top-k table of the indexed data against itself (row
-    /// `i` of `data` must be row `i` of the source view) — bit-identical to
-    /// [`EvalEngine::topk_loo`](crate::engine::EvalEngine::topk_loo).
-    pub fn topk_loo(&mut self, data: DatasetView<'_>, k: usize) -> NeighborTable {
-        self.topk_loo_with_stats(data, k).0
-    }
-
-    /// [`ShardedIndex::topk_loo`] plus the pruning counters.
-    pub fn topk_loo_with_stats(&mut self, data: DatasetView<'_>, k: usize) -> (NeighborTable, PruneStats) {
-        let mut states = vec![TopKState::new(k.max(1)); data.rows()];
-        let stats = self.update_topk(data, 0, &mut states, Some(0));
+        let ShardedIndex { source, part, quantizer, cache } = self;
+        let mut pager = Pager {
+            loader: ShardLoader { source: *source, part, quantizer: quantizer.as_ref() },
+            pf: Prefetcher::new(part.num_clusters(), cache.prefetch_depth),
+            cache,
+        };
+        let stats = part.update_topk(&mut pager, queries, &mut states);
+        // Resolve every outstanding speculative load before returning —
+        // the soundness condition of `PrefetchJob`'s pointer erasure.
+        pager.pf.drain(pager.cache);
         (NeighborTable::from_states(&states), stats)
     }
 }
@@ -762,7 +730,7 @@ impl<'a> ShardedIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{knn_reference, knn_reference_loo};
+    use crate::engine::knn_reference;
     use snoopy_linalg::Matrix;
 
     fn blobs(n: usize, d: usize, centers: usize, seed: u64) -> Matrix {
@@ -837,17 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn loo_excludes_self_and_matches_reference() {
-        let data = blobs(150, 5, 6, 51);
-        let mut index = ShardedIndex::build(data.view(), Metric::Euclidean, 6, 5 * 5 * 4 * 30);
-        let got = index.topk_loo(data.view(), 4);
-        assert_eq!(got, knn_reference_loo(data.view(), Metric::Euclidean, 4));
-        for qi in 0..got.num_queries() {
-            assert!(got.neighbors(qi).iter().all(|h| h.index != qi));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "not triangle-prunable")]
     fn cosine_sharded_panics() {
         let data = blobs(10, 3, 2, 1);
@@ -898,7 +855,7 @@ mod tests {
         );
         assert!(paging.bytes_prefetched > 0, "{paging:?}");
         let rb = index.resident_bytes();
-        assert_eq!(rb.staged, 0, "staging drains before update_topk returns");
+        assert_eq!(rb.staged, 0, "staging drains before topk_with_stats returns");
     }
 
     #[test]
@@ -924,7 +881,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_quantized_and_loo_stay_exact() {
+    fn prefetch_quantized_stays_exact() {
         let train = blobs(600, 12, 10, 91);
         let queries = blobs(50, 12, 10, 92);
         let budget = 3 * (600 / 10) * 12 * 4;
@@ -933,8 +890,6 @@ mod tests {
             .with_prefetch_depth(2);
         let table = index.topk(queries.view(), 5);
         assert_eq!(table, knn_reference(train.view(), queries.view(), Metric::SquaredEuclidean, 5));
-        let mut loo = ShardedIndex::build(train.view(), Metric::Euclidean, 10, budget).with_prefetch_depth(3);
-        assert_eq!(loo.topk_loo(train.view(), 4), knn_reference_loo(train.view(), Metric::Euclidean, 4));
     }
 
     #[test]
@@ -1027,25 +982,27 @@ mod tests {
         assert!(stats_q.rows_quantized > 0, "{stats_q:?}");
         assert!(stats_q.rows_scanned < stats_q.rows_quantized, "int8 bound must prune: {stats_q:?}");
         assert!(stats_q.rerank_rate() < 1.0, "{stats_q:?}");
-        assert!(
-            stats_q.rows_scanned + stats_q.rows_pruned + stats_q.queries >= stats_q.rows_quantized,
-            "every phase-1 row is re-ranked, pruned, or the self-skip: {stats_q:?}"
+        assert_eq!(
+            stats_q.rows_scanned + stats_q.rows_pruned,
+            stats_q.rows_quantized,
+            "every phase-1 row is re-ranked or pruned: {stats_q:?}"
         );
     }
 
     #[test]
     fn quantized_resident_bytes_measures_the_4x_scan_copy() {
-        // Leave-one-out visits every row's own cluster, and an unbounded
-        // budget keeps every faulted shard resident.
+        // Each training row queried against the index visits its own
+        // cluster (a zero lower bound never prunes), and an unbounded budget
+        // keeps every faulted shard resident.
         let train = blobs(300, 32, 6, 61);
         let mut plain = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 6, usize::MAX);
-        plain.topk_loo(train.view(), 1);
+        plain.topk(train.view(), 1);
         let rb_plain = plain.resident_bytes().resident;
         assert_eq!(rb_plain.train_rows, 300 * 32 * 4);
         assert_eq!(rb_plain.quantized_codes, 0);
         assert_eq!(rb_plain.quantized_meta, 0);
         let mut quantized = plain.quantize();
-        quantized.topk_loo(train.view(), 1);
+        quantized.topk(train.view(), 1);
         let rb = quantized.resident_bytes().resident;
         assert_eq!(rb.train_rows, 300 * 32 * 4);
         assert_eq!(rb.quantized_codes * 4, rb.train_rows, "codes are exactly 4x smaller");

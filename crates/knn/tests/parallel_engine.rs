@@ -3,16 +3,16 @@
 //! **bit-identical** results to the plain serial reference loops, for every
 //! metric, every `k` (the 1NN table is the `k = 1` top-k table), every
 //! engine shape, batch-streamed ingestion, and through every consumer
-//! (index queries, batch evaluation, leave-one-out, the incremental top-k
-//! state, and KDE's per-class kernel sums). The engine splits each scan into
+//! (the brute-force index's neighbour tables and errors, the incremental
+//! top-k state, and KDE's per-class kernel sums). The engine splits each scan into
 //! one chunk per worker of the pool it runs on, so every sweep over chunk
 //! counts installs a pool of that many workers.
 
 use snoopy_knn::engine::{
-    knn_reference, knn_reference_loo, nearest_reference, EvalEngine, NearestHit, NeighborTable, TopKState,
+    knn_reference, nearest_reference, EvalEngine, NearestHit, NeighborTable, TopKState,
 };
 use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric};
-use snoopy_linalg::{LabeledView, Matrix};
+use snoopy_linalg::{DatasetView, LabeledView, Matrix};
 use snoopy_pool::ThreadPool;
 // Shared fixture (duplicated rows so distance ties actually occur —
 // tie-breaking is part of the bit-identical contract).
@@ -58,12 +58,11 @@ fn index_batch_queries_match_reference_indices_and_distances() {
     for metric in Metric::all() {
         let reference = nearest_reference(train_x.view(), test_x.view(), metric);
         let index = BruteForceIndex::new(&train_x, &train_y, 3, metric);
-        let batch = index.nearest_neighbors_batch(&test_x);
+        let batch = first_hits(&index.neighbor_table(&test_x, 1));
         assert_eq!(batch.len(), reference.len());
         for (got, expected) in batch.iter().zip(&reference) {
             assert_eq!(got.index, expected.index, "metric {}", metric.name());
             assert_eq!(got.distance.to_bits(), expected.distance.to_bits(), "metric {}", metric.name());
-            assert_eq!(got.label, train_y[expected.index]);
         }
         // The error computed through the parallel engine equals the error of
         // a serial scan on a 1-worker pool.
@@ -90,9 +89,8 @@ fn incremental_appends_match_reference_at_every_batch_boundary() {
                 consumed += batch.len();
                 let prefix = train.prefix(consumed);
                 let reference = nearest_reference(prefix.features(), test_x.view(), metric);
-                let got = state.nearest_train_indices();
-                let expected: Vec<usize> = reference.iter().map(|h| h.index).collect();
-                assert_eq!(got, expected, "metric {} batch {batch_size} prefix {consumed}", metric.name());
+                let got = first_hits(&state.table());
+                assert_eq!(got, reference, "metric {} batch {batch_size} prefix {consumed}", metric.name());
             }
         }
     }
@@ -136,9 +134,7 @@ fn batch_streamed_topk_ingestion_matches_cold_start_and_reference() {
             let mut consumed = 0;
             for batch in train_x.view().batches(batch_size) {
                 kernel.bind_train(batch);
-                pool.install(|| {
-                    engine.update_topk(test_x.view(), &kernel, batch, consumed, &mut states, None)
-                });
+                pool.install(|| engine.update_topk(test_x.view(), &kernel, batch, consumed, &mut states));
                 consumed += batch.rows();
                 // At every batch boundary the accumulated table equals the
                 // cold-start answer on the consumed prefix.
@@ -165,12 +161,11 @@ fn index_knn_queries_match_the_engine_table() {
             let table = index.neighbor_table(&test_x, k);
             assert_eq!(table, knn_reference(train_x.view(), test_x.view(), metric, k.min(97)));
             for (qi, q) in test_x.view().rows_iter().enumerate() {
-                let singles = index.query_knn(q, k);
-                assert_eq!(singles.len(), table.k());
-                for (got, expected) in singles.iter().zip(table.neighbors(qi)) {
+                let single = index.neighbor_table(DatasetView::from_row(q), k);
+                assert_eq!(single.k(), table.k());
+                for (got, expected) in single.neighbors(0).iter().zip(table.neighbors(qi)) {
                     assert_eq!(got.index, expected.index);
                     assert_eq!(got.distance.to_bits(), expected.distance.to_bits());
-                    assert_eq!(got.label, train_y[expected.index]);
                 }
             }
             // The vote-based error agrees between the parallel table path and
@@ -185,34 +180,11 @@ fn index_knn_queries_match_the_engine_table() {
     }
 }
 
+/// The shared tie-break contract: on equal distances the lowest global
+/// training index wins — in the engine's top-k kernel and in the brute-force
+/// index's neighbour table, which routes through it.
 #[test]
-fn leave_one_out_error_matches_serial_exclusion_reference() {
-    let (train_x, train_y) = cloud(81, 110, 4, 3);
-    for metric in Metric::all() {
-        let reference = knn_reference_loo(train_x.view(), metric, 1);
-        let wrong =
-            (0..train_x.rows()).filter(|&i| train_y[reference.neighbors(i)[0].index] != train_y[i]).count();
-        let expected = wrong as f64 / train_x.rows() as f64;
-        let index = BruteForceIndex::new(&train_x, &train_y, 3, metric);
-        for workers in [1, snoopy_pool::workers()] {
-            on_pool(workers, || {
-                assert_eq!(
-                    index.leave_one_out_error().to_bits(),
-                    expected.to_bits(),
-                    "metric {}",
-                    metric.name()
-                );
-                assert_eq!(index.leave_one_out_table(4), knn_reference_loo(train_x.view(), metric, 4));
-            });
-        }
-    }
-}
-
-/// The shared tie-break contract (satellite of the top-k refactor): on equal
-/// distances the lowest global training index wins — in the engine's top-k
-/// kernel and in `query_knn`, which routes through it.
-#[test]
-fn topk_and_query_knn_share_the_lowest_index_tie_break() {
+fn topk_and_neighbor_table_share_the_lowest_index_tie_break() {
     // Five copies of each of ten distinct rows: every query's top-15 must be
     // exactly the three lowest-index copies of its five nearest row values.
     let distinct: Vec<Vec<f32>> = (0..10).map(|i| vec![i as f32, (i * i) as f32 * 0.1]).collect();
@@ -226,9 +198,9 @@ fn topk_and_query_knn_share_the_lowest_index_tie_break() {
             EvalEngine::default().with_block_rows(8).topk(train_x.view(), test_x.view(), metric, 15)
         });
         assert_eq!(engine_table, reference);
-        let index = BruteForceIndex::new(&train_x, &train_y, 3, metric);
-        for (qi, q) in test_x.view().rows_iter().enumerate() {
-            let neighbors = index.query_knn(q, 15);
+        let table = BruteForceIndex::new(&train_x, &train_y, 3, metric).neighbor_table(&test_x, 15);
+        for qi in 0..test_x.rows() {
+            let neighbors = table.neighbors(qi);
             let idx: Vec<usize> = neighbors.iter().map(|n| n.index).collect();
             let expected: Vec<usize> = reference.neighbors(qi).iter().map(|h| h.index).collect();
             assert_eq!(idx, expected, "metric {} query {qi}", metric.name());
@@ -282,7 +254,7 @@ fn topk_tie_break_is_invariant_across_block_sizes_and_thread_counts() {
                         for chunk in train_x.view().batches(batch) {
                             kernel.bind_train(chunk);
                             pool.install(|| {
-                                engine.update_topk(test_x.view(), &kernel, chunk, consumed, &mut states, None)
+                                engine.update_topk(test_x.view(), &kernel, chunk, consumed, &mut states)
                             });
                             consumed += chunk.rows();
                         }
@@ -369,6 +341,6 @@ fn leading_duplicates_resolve_to_the_lowest_train_index() {
             assert!(hits.iter().all(|h| h.index == 0), "metric {} workers {workers}", metric.name());
         }
         let index = BruteForceIndex::new(&train_x, &train_y, 2, metric);
-        assert!(index.nearest_neighbors_batch(&test_x).iter().all(|n| n.index == 0));
+        assert!(first_hits(&index.neighbor_table(&test_x, 1)).iter().all(|h| h.index == 0));
     }
 }

@@ -3,15 +3,16 @@
 //! to the serial sort-based reference (and hence to the exhaustive engine)
 //! for every prunable metric, k ∈ {1, 3, 10, len}, arbitrary `nlist`
 //! (including `nlist > n`), duplicate rows, single-cluster partitions, and
-//! the self-excluding leave-one-out mode — at an unbounded budget (every
-//! visited shard stays resident) and at a two-shard budget (eviction churn
-//! mid-query) — the same way `proptest_knn.rs` pinned the parallel engine.
-//! Paging changes time, never work: tables and every [`PruneStats`] counter
-//! are equal at every budget and prefetch depth.
+//! the training rows queried against themselves (duplicates tie at distance
+//! zero) — at an unbounded budget (every visited shard stays resident) and
+//! at a two-shard budget (eviction churn mid-query) — the same way
+//! `proptest_knn.rs` pinned the parallel engine. Paging changes time, never
+//! work: tables and every [`PruneStats`] counter are equal at every budget
+//! and prefetch depth.
 
 use proptest::prelude::*;
-use snoopy_knn::engine::{knn_reference, knn_reference_loo};
-use snoopy_knn::{EvalEngine, Metric, PruneStats, ShardedIndex, TopKState};
+use snoopy_knn::engine::knn_reference;
+use snoopy_knn::{EvalEngine, Metric, PruneStats, ShardedIndex};
 use snoopy_linalg::DatasetView;
 use snoopy_testutil::{cloud, cloud_with_ties};
 
@@ -30,7 +31,10 @@ proptest! {
 
     /// Cold-start pruned top-k equals the reference for arbitrary data
     /// shapes and cluster counts (including nlist = 1 and nlist > n), with
-    /// duplicated rows so the lexicographic tie-break is exercised.
+    /// duplicated rows so the lexicographic tie-break is exercised — also
+    /// for the training rows queried against themselves, where every row
+    /// and its duplicates sit at distance zero and resolve to the lowest
+    /// index.
     #[test]
     fn clustered_topk_equals_reference(
         seed in 0u64..400,
@@ -46,91 +50,53 @@ proptest! {
                     ShardedIndex::build(train_x.view(), metric, nlist, budget).with_prefetch_depth(depth);
                 prop_assert!(index.num_clusters() <= n.min(nlist));
                 for k in [1usize, 3, 10, n] {
-                    let got = index.topk(test_x.view(), k);
-                    let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
-                    prop_assert_eq!(
-                        got, reference, "metric {} k {} nlist {} budget {}", metric.name(), k, nlist, budget
-                    );
-                }
-            }
-        }
-    }
-
-    /// The self-excluding leave-one-out mode equals the reference: row i's
-    /// list never contains i, even with duplicate rows at distance zero.
-    #[test]
-    fn clustered_loo_equals_reference(
-        seed in 0u64..400,
-        n in 2usize..70,
-        nlist in 1usize..32,
-    ) {
-        let (data, _) = cloud_with_ties(seed, n, 4, 3);
-        for metric in prunable_metrics() {
-            for budget in budgets(data.view(), nlist) {
-                let mut index = ShardedIndex::build(data.view(), metric, nlist, budget);
-                for k in [1usize, 3, 10, n] {
-                    let got = index.topk_loo(data.view(), k);
-                    let reference = knn_reference_loo(data.view(), metric, k);
-                    prop_assert_eq!(
-                        &got, &reference, "metric {} k {} nlist {} budget {}", metric.name(), k, nlist, budget
-                    );
-                    for q in 0..got.num_queries() {
-                        prop_assert!(got.neighbors(q).iter().all(|h| h.index != q));
+                    for queries in [test_x.view(), train_x.view()] {
+                        let got = index.topk(queries, k);
+                        let reference = knn_reference(train_x.view(), queries, metric, k);
+                        prop_assert_eq!(
+                            got, reference, "metric {} k {} nlist {} budget {} queries {}",
+                            metric.name(), k, nlist, budget, queries.rows()
+                        );
                     }
                 }
             }
         }
     }
 
-    /// Streamed fold parity and paging invariance: seeding states with
-    /// earlier batches' results and folding the remaining batches through
-    /// per-batch indexes, at a non-zero `offset` into pre-seeded states,
-    /// accumulates to the cold-start reference. Every batch is folded at
-    /// budget 0 (each fault evicts the previous shard), a two-shard budget
-    /// and an unbounded one, each at prefetch depths 0 and 2, plain or
-    /// quantized: all six return the same states and the same
-    /// [`PruneStats`], counter for counter.
+    /// Paging invariance: paging changes time, never work. A cold
+    /// `topk_with_stats` at budget 0 (each fault evicts the previous shard),
+    /// a two-shard budget and an unbounded one, each at prefetch depths 0
+    /// and 2, plain or quantized, returns the reference table and the same
+    /// [`PruneStats`], counter for counter — and counts phase-1 int8 rows
+    /// exactly when the index is quantized and a cluster was visited.
     #[test]
-    fn streamed_clustered_fold_accumulates_to_reference(
+    fn paging_invariance_across_budgets_and_depths(
         seed in 0u64..300,
-        batch in 1usize..40,
+        n in 1usize..90,
         nlist in 1usize..12,
         quantize in (0u8..2).prop_map(|b| b == 1),
     ) {
-        let (train_x, _) = cloud_with_ties(seed, 70, 4, 3);
+        let (train_x, _) = cloud_with_ties(seed, n, 4, 3);
         let (test_x, _) = cloud(seed ^ 0x5eed, 13, 4, 3);
+        let [unbounded, two_shards] = budgets(train_x.view(), nlist);
         for metric in prunable_metrics() {
-            let mut states = vec![TopKState::new(4); test_x.rows()];
-            let mut consumed = 0;
-            for chunk in train_x.view().batches(batch) {
-                let [unbounded, two_shards] = budgets(chunk, nlist);
-                let mut folds = Vec::new();
-                for budget in [0, two_shards, unbounded] {
-                    for depth in [0usize, 2] {
-                        let mut index =
-                            ShardedIndex::build(chunk, metric, nlist, budget).with_prefetch_depth(depth);
-                        if quantize {
-                            index = index.quantize();
-                        }
-                        let mut folded = states.clone();
-                        let stats = index.update_topk(test_x.view(), consumed, &mut folded, None);
-                        folds.push((folded, stats, budget, depth));
-                    }
-                }
-                let (first, first_stats) = (folds[0].0.clone(), folds[0].1);
-                for (folded, stats, budget, depth) in folds {
-                    let at =
-                        format!("{} prefix {} budget {} depth {}", metric.name(), consumed, budget, depth);
-                    prop_assert_eq!(&folded, &first, "{}", at);
-                    prop_assert_eq!(stats, first_stats, "{}", at);
-                }
-                prop_assert_eq!(first_stats.rows_quantized > 0, quantize && first_stats.clusters_visited > 0);
-                states = first;
-                consumed += chunk.rows();
-            }
-            let table = snoopy_knn::NeighborTable::from_states(&states);
             let reference = knn_reference(train_x.view(), test_x.view(), metric, 4);
-            prop_assert_eq!(table, reference, "{}", metric.name());
+            let mut first: Option<PruneStats> = None;
+            for budget in [0, two_shards, unbounded] {
+                for depth in [0usize, 2] {
+                    let mut index =
+                        ShardedIndex::build(train_x.view(), metric, nlist, budget).with_prefetch_depth(depth);
+                    if quantize {
+                        index = index.quantize();
+                    }
+                    let (table, stats) = index.topk_with_stats(test_x.view(), 4);
+                    let at = format!("{} budget {} depth {}", metric.name(), budget, depth);
+                    prop_assert_eq!(&table, &reference, "{}", at);
+                    prop_assert_eq!(stats, *first.get_or_insert(stats), "{}", at);
+                }
+            }
+            let stats = first.expect("six paged runs");
+            prop_assert_eq!(stats.rows_quantized > 0, quantize && stats.clusters_visited > 0);
         }
     }
 }

@@ -25,7 +25,7 @@ fn cold_window_table(
     kernel.bind_queries(test_x.view());
     kernel.bind_train(window);
     let mut states = vec![TopKState::new(k); test_x.rows()];
-    EvalEngine::default().update_topk(test_x.view(), &kernel, window, start, &mut states, None);
+    EvalEngine::default().update_topk(test_x.view(), &kernel, window, start, &mut states);
     NeighborTable::from_states(&states)
 }
 

@@ -82,7 +82,7 @@ proptest! {
                     let mut consumed = 0;
                     for chunk in train_x.view().batches(batch) {
                         kernel.bind_train(chunk);
-                        engine.update_topk(test_x.view(), &kernel, chunk, consumed, &mut states, None);
+                        engine.update_topk(test_x.view(), &kernel, chunk, consumed, &mut states);
                         consumed += chunk.rows();
                     }
                     prop_assert_eq!(
@@ -140,9 +140,9 @@ proptest! {
     fn knn_lists_sorted_and_distinct(seed in 0u64..500, k in 1usize..20) {
         let (train_x, train_y) = cloud(seed, 50, 5, 4);
         let (query_x, _) = cloud(seed ^ 0x77, 5, 5, 4);
-        let index = BruteForceIndex::new(&train_x, &train_y, 4, Metric::Euclidean);
+        let table = BruteForceIndex::new(&train_x, &train_y, 4, Metric::Euclidean).neighbor_table(&query_x, k);
         for qi in 0..query_x.rows() {
-            let neigh = index.query_knn(query_x.row(qi), k);
+            let neigh = table.neighbors(qi);
             prop_assert_eq!(neigh.len(), k.min(50));
             for w in neigh.windows(2) {
                 prop_assert!(w[0].distance <= w[1].distance);

@@ -53,7 +53,6 @@ proptest! {
         for quantize in [false, true] {
             for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
                 let reference = engine.topk(train.view(), queries.view(), metric, k);
-                let loo_ref = engine.topk_loo(train.view(), metric, k);
                 let mut resident = ShardedIndex::build(train.view(), metric, nlist, usize::MAX);
                 if quantize {
                     resident = resident.quantize();
@@ -64,24 +63,12 @@ proptest! {
                     if quantize {
                         paged = paged.quantize();
                     }
-                    let cases = [
-                        (
-                            paged.topk_with_stats(disk_queries.view(), k),
-                            resident.topk_with_stats(queries.view(), k),
-                            &reference,
-                        ),
-                        (
-                            paged.topk_loo_with_stats(disk_train.view(), k),
-                            resident.topk_loo_with_stats(train.view(), k),
-                            &loo_ref,
-                        ),
-                    ];
-                    for (got, want, reference) in cases {
-                        let at = format!("metric {} quantize {} depth {}", metric.name(), quantize, depth);
-                        prop_assert_eq!(&got.0, reference, "{}", at);
-                        prop_assert_eq!(&got.0, &want.0, "{}", at);
-                        prop_assert_eq!(got.1, want.1, "{}", at);
-                    }
+                    let got = paged.topk_with_stats(disk_queries.view(), k);
+                    let want = resident.topk_with_stats(queries.view(), k);
+                    let at = format!("metric {} quantize {} depth {}", metric.name(), quantize, depth);
+                    prop_assert_eq!(&got.0, &reference, "{}", at);
+                    prop_assert_eq!(&got.0, &want.0, "{}", at);
+                    prop_assert_eq!(got.1, want.1, "{}", at);
                     let rb = paged.resident_bytes();
                     prop_assert!(
                         rb.peak <= rb.budget + (1 + depth) * rb.max_shard,

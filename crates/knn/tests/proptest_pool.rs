@@ -1,12 +1,12 @@
 //! Pool-determinism proptests: the persistent work-stealing pool behind the
 //! evaluation engine changes *where* chunks run, never *what* they compute.
-//! Every consumer — cold top-k, leave-one-out, the pruned index (whose
-//! k-means build and shard prefetch run on the pool), and the incremental
-//! successor state — must return bit-identical results at every pool
-//! worker count, which is also the number of chunks each scan splits into.
+//! Every consumer — cold top-k, the pruned index (whose k-means build and
+//! shard prefetch run on the pool), and the incremental successor state —
+//! must return bit-identical results at every pool worker count, which is
+//! also the number of chunks each scan splits into.
 
 use proptest::prelude::*;
-use snoopy_knn::engine::{knn_reference, knn_reference_loo, EvalEngine};
+use snoopy_knn::engine::{knn_reference, EvalEngine};
 use snoopy_knn::{BruteForceIndex, IncrementalTopK, Metric, ShardedIndex};
 use snoopy_linalg::LabeledView;
 use snoopy_pool::ThreadPool;
@@ -20,12 +20,12 @@ const KS: [usize; 3] = [1, 3, 10];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Cold `topk` and `topk_loo` on arbitrary tie-saturated data equal the
-    /// serial references under pools of 1, 2, and 8 workers (so scans split
-    /// into 1, 2 and 8 chunks), for every metric, every pinned k, and
-    /// arbitrary row blocking.
+    /// Cold `topk` on arbitrary tie-saturated data equals the serial
+    /// reference under pools of 1, 2, and 8 workers (so scans split into 1,
+    /// 2 and 8 chunks), for every metric, every pinned k, and arbitrary row
+    /// blocking.
     #[test]
-    fn topk_and_loo_are_worker_count_invariant(
+    fn topk_is_worker_count_invariant(
         seed in 0u64..400,
         block in 1usize..96,
     ) {
@@ -35,22 +35,12 @@ proptest! {
         for metric in Metric::all() {
             for k in KS {
                 let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
-                let reference_loo = knn_reference_loo(train_x.view(), metric, k);
                 for workers in WORKERS {
                     let pool = ThreadPool::new(workers);
-                    let (topk, loo) = pool.install(|| {
-                        (
-                            engine.topk(train_x.view(), test_x.view(), metric, k),
-                            engine.topk_loo(train_x.view(), metric, k),
-                        )
-                    });
+                    let topk = pool.install(|| engine.topk(train_x.view(), test_x.view(), metric, k));
                     prop_assert_eq!(
                         &topk, &reference,
                         "topk metric {} k {} workers {}", metric.name(), k, workers
-                    );
-                    prop_assert_eq!(
-                        &loo, &reference_loo,
-                        "loo metric {} k {} workers {}", metric.name(), k, workers
                     );
                 }
             }

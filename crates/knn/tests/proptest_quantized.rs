@@ -4,13 +4,13 @@
 //! exhaustive engine and the unquantized index) on exactly the inputs where
 //! an approximate bound is easiest to get wrong — constant columns (zero
 //! scale), mixed extreme magnitudes across dimensions, subnormal
-//! coordinates, duplicated rows at distance zero, and the self-excluding
-//! leave-one-out mode — for k ∈ {1, 3, 10, len}, at an unbounded budget and
-//! at a two-shard budget (every re-faulted shard re-encodes against the one
-//! frozen quantizer).
+//! coordinates, and duplicated rows at distance zero (the training rows
+//! queried against themselves) — for k ∈ {1, 3, 10, len}, at an unbounded
+//! budget and at a two-shard budget (every re-faulted shard re-encodes
+//! against the one frozen quantizer).
 
 use proptest::prelude::*;
-use snoopy_knn::engine::{knn_reference, knn_reference_loo};
+use snoopy_knn::engine::knn_reference;
 use snoopy_knn::{Metric, ShardedIndex};
 use snoopy_linalg::{DatasetView, Matrix};
 use snoopy_testutil::{cloud, cloud_with_ties};
@@ -62,7 +62,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Quantized top-k equals the reference across column-scale profiles,
-    /// constant columns, duplicate rows, and every k class.
+    /// constant columns, duplicate rows, and every k class — also for the
+    /// training rows queried against themselves, where duplicates tie at
+    /// distance zero and resolve to the lowest index.
     #[test]
     fn quantized_topk_equals_reference_across_column_profiles(
         seed in 0u64..400,
@@ -80,36 +82,13 @@ proptest! {
             for budget in budgets(train_x.view(), nlist) {
                 let mut index = quantized(train_x.view(), metric, nlist, budget).with_prefetch_depth(depth);
                 for k in [1usize, 3, 10, n] {
-                    let got = index.topk(test_x.view(), k);
-                    let reference = knn_reference(train_x.view(), test_x.view(), metric, k);
-                    prop_assert_eq!(
-                        got, reference,
-                        "metric {} k {} shape {:#x} budget {}", metric.name(), k, shape, budget
-                    );
-                }
-            }
-        }
-    }
-
-    /// Leave-one-out through the int8 phase: row i's list never contains i,
-    /// even when duplicate rows tie at approximate distance zero.
-    #[test]
-    fn quantized_loo_equals_reference(
-        seed in 0u64..400,
-        n in 2usize..70,
-        nlist in 1usize..24,
-        shape in 0u64..65536,
-    ) {
-        let (raw, _) = cloud_with_ties(seed, n, 4, 3);
-        let data = apply_columns(&raw, shape, 1);
-        for metric in prunable_metrics() {
-            for budget in budgets(data.view(), nlist) {
-                let mut index = quantized(data.view(), metric, nlist, budget);
-                for k in [1usize, 3, 10, n] {
-                    let got = index.topk_loo(data.view(), k);
-                    prop_assert_eq!(&got, &knn_reference_loo(data.view(), metric, k));
-                    for q in 0..got.num_queries() {
-                        prop_assert!(got.neighbors(q).iter().all(|h| h.index != q));
+                    for queries in [test_x.view(), train_x.view()] {
+                        let got = index.topk(queries, k);
+                        let reference = knn_reference(train_x.view(), queries, metric, k);
+                        prop_assert_eq!(
+                            got, reference, "metric {} k {} shape {:#x} budget {} queries {}",
+                            metric.name(), k, shape, budget, queries.rows()
+                        );
                     }
                 }
             }
@@ -140,8 +119,8 @@ fn degenerate_constant_and_subnormal_datasets() {
         let tiny = Matrix::from_fn(12, 3, |r, c| ((r + c) as f32 - 6.0) * 1.0e-41);
         let mut index = quantized(tiny.view(), metric, 3, 0);
         assert_eq!(
-            index.topk_loo(tiny.view(), 5),
-            knn_reference_loo(tiny.view(), metric, 5),
+            index.topk(tiny.view(), 5),
+            knn_reference(tiny.view(), tiny.view(), metric, 5),
             "subnormal dataset, metric {}",
             metric.name()
         );

@@ -12,6 +12,11 @@ fn out_of_range_arguments_print_an_error_instead_of_panicking() {
         &["--batch-fraction", "0"],
         &["--noise", "uniform:1.5"],
         &["--dataset", "cifar10-aggre", "--noise", "uniform:0.3"],
+        &["--dataset", "cifar1O"],
+        &["--scale", "huge"],
+        &["--strategy", "greedy"],
+        &["--seed", "-1"],
+        &["--target"],
         &["--bogus"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_snoopy")).args(args).output().expect("run snoopy");
