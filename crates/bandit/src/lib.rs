@@ -10,26 +10,21 @@
 //! spend as few pulls as possible on transformations that will clearly not
 //! yield the minimum estimate.
 //!
-//! Implemented strategies:
+//! One [`StrategyDriver`] runs every [`SelectionStrategy`], one phase of
+//! pulls per [`StrategyDriver::step`]:
 //!
-//! * [`strategies::uniform_allocation`] — the baseline from Jamieson &
-//!   Talwalkar that spreads the budget evenly,
-//! * [`strategies::successive_halving`] — Algorithm 1 of the paper's
-//!   appendix (classic successive halving),
+//! * uniform allocation — the baseline from Jamieson & Talwalkar that
+//!   spreads the budget evenly,
+//! * successive halving — Algorithm 1 of the paper's appendix,
 //! * successive halving **with tangent breaks** — Algorithm 2: a tangent
 //!   through the last two points of the convergence curve lower-bounds the
 //!   error an arm can reach by the end of the round (convergence curves are
 //!   decreasing and convex on average); arms whose bound is already worse
 //!   than half the field stop pulling early,
-//! * [`strategies::doubling_successive_halving`] — the doubling trick of
-//!   Jamieson & Talwalkar §3 that removes the dependence on an initial
-//!   budget.
+//! * exhaustive evaluation — every arm pulled dry.
 
 pub mod arm;
 pub mod strategies;
 
-pub use arm::{Arm, PrerecordedArm, PullLedger};
-pub use strategies::{
-    doubling_successive_halving, execute_round, exhaust_all, run_strategy, successive_halving,
-    uniform_allocation, RoundPlan, SelectionOutcome, SelectionStrategy, StrategyDriver,
-};
+pub use arm::{Arm, PrerecordedArm};
+pub use strategies::{SelectionStrategy, StrategyDriver};

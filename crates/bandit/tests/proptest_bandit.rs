@@ -1,21 +1,33 @@
 //! Property-based tests for the successive-halving scheduler.
 
 use proptest::prelude::*;
-use snoopy_bandit::{
-    exhaust_all, run_strategy, successive_halving, uniform_allocation, Arm, PrerecordedArm, SelectionStrategy,
-};
+use snoopy_bandit::{Arm, PrerecordedArm, SelectionStrategy, StrategyDriver};
 
 /// Builds arms with monotonically decreasing, convex-ish curves converging to
 /// the given asymptotes (the regime the tangent rule assumes).
 fn convergent_arms(asymptotes: &[f64], len: usize) -> Vec<PrerecordedArm> {
     asymptotes
         .iter()
-        .enumerate()
-        .map(|(i, &a)| {
-            let curve: Vec<f64> = (1..=len).map(|t| a + (0.95 - a) * (-(t as f64) / 5.0).exp()).collect();
-            PrerecordedArm::new(&format!("arm{i}"), curve)
+        .map(|&a| {
+            PrerecordedArm::new((1..=len).map(|t| a + (0.95 - a) * (-(t as f64) / 5.0).exp()).collect())
         })
         .collect()
+}
+
+/// Steps a fresh driver dry and returns each arm's pull count.
+fn run(strategy: SelectionStrategy, arms: &mut [PrerecordedArm], budget: usize) -> Vec<usize> {
+    let mut driver = StrategyDriver::new(strategy, arms.len(), budget);
+    while driver.step(arms) {}
+    arms.iter().map(Arm::pulls).collect()
+}
+
+/// The pulled arm with the lowest loss (ties to the earliest index): the arm
+/// a study selects.
+fn best_arm(arms: &[PrerecordedArm]) -> usize {
+    (0..arms.len())
+        .filter(|&i| arms[i].pulls() > 0)
+        .min_by(|&a, &b| arms[a].current_loss().total_cmp(&arms[b].current_loss()))
+        .expect("at least one arm was pulled")
 }
 
 proptest! {
@@ -30,14 +42,10 @@ proptest! {
     ) {
         for strategy in [SelectionStrategy::Uniform, SelectionStrategy::SuccessiveHalving, SelectionStrategy::SuccessiveHalvingTangent] {
             let mut arms = convergent_arms(&asymptotes, len);
-            let outcome = run_strategy(strategy, &mut arms, budget);
+            let total: usize = run(strategy, &mut arms, budget).iter().sum();
             let max_possible = asymptotes.len() * len;
-            prop_assert!(outcome.total_pulls <= budget.max(asymptotes.len()) .max(1).min(max_possible) + len,
-                "{}: spent {} pulls with budget {budget}", strategy.name(), outcome.total_pulls);
-            // Curves and pull counters agree.
-            for (curve, pulls) in outcome.curves.iter().zip(&outcome.pulls_per_arm) {
-                prop_assert_eq!(curve.len(), *pulls);
-            }
+            prop_assert!(total <= budget.max(asymptotes.len()).max(1).min(max_possible) + len,
+                "{}: spent {} pulls with budget {budget}", strategy.name(), total);
         }
     }
 
@@ -56,13 +64,13 @@ proptest! {
         let budget = asymptotes.len() * len * 2;
 
         let mut reference = convergent_arms(&asymptotes, len);
-        let truth = exhaust_all(&mut reference);
-        prop_assert_eq!(truth.best_arm, winner);
+        run(SelectionStrategy::Exhaustive, &mut reference, 0);
+        prop_assert_eq!(best_arm(&reference), winner);
 
-        for use_tangent in [false, true] {
+        for strategy in [SelectionStrategy::SuccessiveHalving, SelectionStrategy::SuccessiveHalvingTangent] {
             let mut arms = convergent_arms(&asymptotes, len);
-            let outcome = successive_halving(&mut arms, budget, use_tangent);
-            prop_assert_eq!(outcome.best_arm, winner, "tangent={}", use_tangent);
+            run(strategy, &mut arms, budget);
+            prop_assert_eq!(best_arm(&arms), winner, "{}", strategy.name());
         }
     }
 
@@ -75,11 +83,11 @@ proptest! {
         budget in 20usize..400,
     ) {
         let mut plain_arms = convergent_arms(&asymptotes, len);
-        let plain = successive_halving(&mut plain_arms, budget, false);
+        let plain: usize = run(SelectionStrategy::SuccessiveHalving, &mut plain_arms, budget).iter().sum();
         let mut tangent_arms = convergent_arms(&asymptotes, len);
-        let tangent = successive_halving(&mut tangent_arms, budget, true);
-        prop_assert!(tangent.total_pulls <= plain.total_pulls);
-        prop_assert_eq!(tangent.best_arm, plain.best_arm);
+        let tangent: usize = run(SelectionStrategy::SuccessiveHalvingTangent, &mut tangent_arms, budget).iter().sum();
+        prop_assert!(tangent <= plain);
+        prop_assert_eq!(best_arm(&tangent_arms), best_arm(&plain_arms));
     }
 
     /// Uniform allocation distributes pulls evenly (within one pull) among
@@ -91,27 +99,23 @@ proptest! {
     ) {
         let len = 50usize;
         let mut arms = convergent_arms(&asymptotes, len);
-        let outcome = uniform_allocation(&mut arms, budget);
-        let max = outcome.pulls_per_arm.iter().copied().max().unwrap_or(0);
-        let min = outcome.pulls_per_arm.iter().copied().min().unwrap_or(0);
-        prop_assert!(max - min <= 1, "pulls {:?}", outcome.pulls_per_arm);
+        let pulls = run(SelectionStrategy::Uniform, &mut arms, budget);
+        let max = pulls.iter().copied().max().unwrap_or(0);
+        let min = pulls.iter().copied().min().unwrap_or(0);
+        prop_assert!(max - min <= 1, "pulls {:?}", pulls);
     }
 
-    /// The reported minimum loss never exceeds any arm's final recorded loss.
+    /// The arm with the minimum loss (the study's aggregate) is the one the
+    /// schedule ends on: on convergent curves the last survivor beats every
+    /// eliminated arm, and it received at least as many pulls as any of them.
     #[test]
     fn min_loss_is_the_minimum(
         asymptotes in prop::collection::vec(0.02f64..0.6, 2..10),
         budget in 30usize..300,
     ) {
         let mut arms = convergent_arms(&asymptotes, 25);
-        let outcome = successive_halving(&mut arms, budget, true);
-        for curve in &outcome.curves {
-            if let Some(&last) = curve.last() {
-                prop_assert!(outcome.min_loss() <= last + 1e-12);
-            }
-        }
-        // The winner is consistent with the pulls: it received at least as
-        // many pulls as any surviving competitor would need to beat it.
-        prop_assert!(arms[outcome.best_arm].pulls() > 0);
+        let pulls = run(SelectionStrategy::SuccessiveHalvingTangent, &mut arms, budget);
+        let best = best_arm(&arms);
+        prop_assert!(pulls.iter().all(|&n| n <= pulls[best]), "pulls {:?}, best {}", pulls, best);
     }
 }

@@ -567,7 +567,9 @@ fn main() {
         let dirty: Vec<(usize, u32)> = (0..n / 100).map(|j| (j * 100, ((j + 1) % 10) as u32)).collect();
         let t_relabel = time_median(incr_reps.max(3), || {
             let mut s = state.clone();
-            s.relabel_train_batch(&dirty);
+            for &(i, y) in &dirty {
+                s.relabel_train(i, y);
+            }
             std::hint::black_box(s.error());
         });
         println!("n={:>6} d={incr_dim} relabel 1% + error refresh {:>9.4} ms", n, t_relabel * 1e3);

@@ -9,19 +9,17 @@
 //! batch (test-set inference is charged on the first pull), which is exactly
 //! the cost structure that makes successive halving worthwhile in the paper
 //! (Section V); the *true incremental evaluation cost* (query–row pairs the
-//! append folded) is additionally reported to the strategies through
-//! [`snoopy_bandit::Arm::eval_pairs`].
+//! append folded) is additionally recorded per arm
+//! ([`TransformationArm::eval_pairs`]) for the report.
 //!
 //! Raw batches are sliced zero-copy from the task's training split
 //! ([`snoopy_linalg::DatasetView`]); only the *embedded* batch is
 //! materialised, appended, and dropped. Nothing is ever re-embedded or
 //! reassembled for a rebuild — the study takes the winning arm's state itself
 //! ([`TransformationArm::take_state`]) and hands it to the cleaning loop and
-//! the estimators unchanged. Pull/cost bookkeeping lives in the shared
-//! [`PullLedger`] from `snoopy-bandit`, the same ledger every other arm
-//! implementation uses.
+//! the estimators unchanged.
 
-use snoopy_bandit::{Arm, PullLedger};
+use snoopy_bandit::Arm;
 use snoopy_data::TaskDataset;
 use snoopy_embeddings::{Transformation, TransformedTask};
 use snoopy_knn::{IncrementalTopK, Metric};
@@ -36,7 +34,10 @@ pub struct TransformationArm<'a> {
     /// Lazily initialised on the first pull (embedding the test split).
     state: Option<IncrementalTopK>,
     consumed: usize,
-    ledger: PullLedger,
+    /// Simulated inference cost charged so far (seconds).
+    simulated_cost: f64,
+    /// Query–row distance pairs the appends folded so far.
+    eval_pairs: u64,
     /// Pre-computed embeddings of both splits (the feasibility service's
     /// warm path). When present, pulls slice the cached train rows
     /// zero-copy and the first pull clones the cached test embedding —
@@ -63,17 +64,18 @@ impl<'a> TransformationArm<'a> {
             batch_size: batch_size.max(1),
             state: None,
             consumed: 0,
-            ledger: PullLedger::new(),
+            simulated_cost: 0.0,
+            eval_pairs: 0,
             embeddings: None,
         }
     }
 
     /// Serves this arm from pre-computed embeddings: pulls slice the cached
     /// train rows instead of running inference, and the first pull clones
-    /// the cached test embedding. The ledger charges nothing for warm pulls
-    /// (the embedding cache charged once when it computed the value), but
-    /// pull counts and eval-pair accounting are unchanged — and so is every
-    /// observed error, bit for bit.
+    /// the cached test embedding. Warm pulls charge nothing (the embedding
+    /// cache charged once when it computed the value), but pull counts and
+    /// eval-pair accounting are unchanged — and so is every observed error,
+    /// bit for bit.
     ///
     /// # Panics
     /// Panics if the state already exists or the cached embeddings belong to
@@ -91,7 +93,14 @@ impl<'a> TransformationArm<'a> {
 
     /// Simulated inference cost charged so far (seconds).
     pub fn simulated_cost(&self) -> f64 {
-        self.ledger.simulated_cost()
+        self.simulated_cost
+    }
+
+    /// True incremental evaluation work performed so far, in query–row
+    /// distance pairs: exactly the pairs each appended batch folded
+    /// (`O(batch × queries)`), not a rebuild-shaped estimate.
+    pub fn eval_pairs(&self) -> u64 {
+        self.eval_pairs
     }
 
     /// The convergence curve recorded so far: `(consumed samples, error)`.
@@ -120,8 +129,7 @@ impl<'a> TransformationArm<'a> {
 
     /// Pulls until the training split is fully consumed and returns the
     /// state, which then holds the exact 1NN state over the whole training
-    /// set. Additional pulls are charged to the ledger like
-    /// any others.
+    /// set. Additional pulls are charged like any others.
     pub fn finish(&mut self) -> &IncrementalTopK {
         while !self.exhausted() {
             self.pull();
@@ -136,7 +144,7 @@ impl<'a> TransformationArm<'a> {
         let test_embedded = match &self.embeddings {
             Some(cached) => cached.test_features.clone(),
             None => {
-                self.ledger.charge(self.transformation.cost_for(self.task.test.len()));
+                self.simulated_cost += self.transformation.cost_for(self.task.test.len());
                 self.transformation.transform(self.task.test.features_view())
             }
         };
@@ -146,10 +154,6 @@ impl<'a> TransformationArm<'a> {
 }
 
 impl Arm for TransformationArm<'_> {
-    fn name(&self) -> &str {
-        self.transformation.name()
-    }
-
     fn pull(&mut self) -> f64 {
         if self.exhausted() {
             return self.current_loss();
@@ -166,18 +170,19 @@ impl Arm for TransformationArm<'_> {
                 (embedded_cold.view(), self.transformation.cost_for(end - start))
             }
         };
-        self.ledger.record_pull(pull_cost);
+        self.simulated_cost += pull_cost;
         let labels = &self.task.train.labels[start..end];
         let state = self.state.as_mut().expect("state initialised by ensure_state");
         let before = state.folded_pairs();
         let err = state.append(embedded, labels);
-        self.ledger.record_eval_pairs(state.folded_pairs() - before);
+        self.eval_pairs += state.folded_pairs() - before;
         self.consumed = end;
         err
     }
 
     fn pulls(&self) -> usize {
-        self.ledger.pulls()
+        // Every pull but the last consumes a full batch.
+        self.consumed.div_ceil(self.batch_size)
     }
 
     fn exhausted(&self) -> bool {
@@ -186,18 +191,6 @@ impl Arm for TransformationArm<'_> {
 
     fn current_loss(&self) -> f64 {
         self.state.as_ref().map(|s| s.error()).unwrap_or(1.0)
-    }
-
-    fn cost_per_pull(&self) -> f64 {
-        self.transformation.cost_for(self.batch_size)
-    }
-
-    fn accumulated_cost(&self) -> f64 {
-        self.ledger.simulated_cost()
-    }
-
-    fn eval_pairs(&self) -> u64 {
-        self.ledger.eval_pairs()
     }
 }
 
@@ -271,7 +264,41 @@ mod tests {
         arm_pricey.pull();
         arm_cheap.pull();
         assert!(arm_pricey.simulated_cost() > arm_cheap.simulated_cost());
-        assert!(arm_pricey.cost_per_pull() > 0.0);
+    }
+
+    #[test]
+    fn ledger_tracks_pulls_cost_and_eval_pairs() {
+        // Every pull folds its batch against every query; pulling an
+        // exhausted arm counts and charges nothing.
+        let task = load_clean("mnist", SizeScale::Tiny, 3);
+        let zoo = zoo_for_task(&task, 4);
+        let (n, q) = (task.train.len(), task.test.len());
+        let batch = n / 2 + 1;
+        let mut arm = TransformationArm::new(zoo[0].as_ref(), &task, Metric::SquaredEuclidean, batch);
+        arm.pull();
+        assert_eq!((arm.pulls(), arm.eval_pairs()), (1, (batch * q) as u64));
+        arm.pull();
+        assert!(arm.exhausted());
+        assert_eq!((arm.pulls(), arm.eval_pairs()), (2, (n * q) as u64));
+        let ledger = (arm.pulls(), arm.simulated_cost(), arm.eval_pairs());
+        arm.pull();
+        assert_eq!((arm.pulls(), arm.simulated_cost(), arm.eval_pairs()), ledger);
+    }
+
+    #[test]
+    fn accumulated_cost_reflects_actual_pulls() {
+        // The first pull charges the test split's inference on top of its
+        // batch, every later pull its own batch.
+        let task = load_clean("mnist", SizeScale::Tiny, 3);
+        let zoo = zoo_for_task(&task, 4);
+        let t = zoo.iter().find(|t| t.name() == "efficientnet-b7").unwrap();
+        let (n, test_cost) = (task.train.len(), t.cost_for(task.test.len()));
+        let batch = n / 2 + 1;
+        let mut arm = TransformationArm::new(t.as_ref(), &task, Metric::SquaredEuclidean, batch);
+        arm.pull();
+        assert_eq!(arm.simulated_cost(), test_cost + t.cost_for(batch));
+        arm.pull();
+        assert_eq!(arm.simulated_cost(), test_cost + t.cost_for(batch) + t.cost_for(n - batch));
     }
 
     #[test]

@@ -16,10 +16,6 @@ pub struct SnoopyConfig {
     pub batch_fraction: f64,
     /// Distance metric for the 1NN evaluator.
     pub metric: Metric,
-    /// Total pull budget for budgeted strategies; `None` derives a default of
-    /// `max(#arms, #batches · ⌈log₂ #arms⌉ · 2)` pulls, enough for successive
-    /// halving to fully converge its winner.
-    pub budget: Option<usize>,
 }
 
 impl Default for SnoopyConfig {
@@ -29,7 +25,6 @@ impl Default for SnoopyConfig {
             strategy: SelectionStrategy::SuccessiveHalvingTangent,
             batch_fraction: 0.05,
             metric: Metric::SquaredEuclidean,
-            budget: None,
         }
     }
 }
@@ -49,12 +44,6 @@ impl SnoopyConfig {
     /// Sets the per-pull batch fraction.
     pub fn batch_fraction(mut self, fraction: f64) -> Self {
         self.batch_fraction = fraction;
-        self
-    }
-
-    /// Sets the pull budget explicitly.
-    pub fn budget(mut self, budget: usize) -> Self {
-        self.budget = Some(budget);
         self
     }
 
@@ -88,13 +77,13 @@ impl SnoopyConfig {
         ((train_len as f64 * self.batch_fraction).round() as usize).clamp(1, train_len.max(1))
     }
 
-    /// The pull budget to use for `num_arms` arms over a training split that
-    /// needs `batches` pulls per arm.
+    /// The total pull budget of the budgeted strategies for `num_arms` arms
+    /// over a training split that needs `batches` pulls per arm:
+    /// `max(#arms, #batches · ⌈log₂ #arms⌉ · 2)`, enough for successive
+    /// halving to fully converge its winner.
     pub fn effective_budget(&self, num_arms: usize, batches: usize) -> usize {
-        self.budget.unwrap_or_else(|| {
-            let rounds = (num_arms.max(2) as f64).log2().ceil() as usize;
-            (batches * rounds * 2).max(num_arms)
-        })
+        let rounds = (num_arms.max(2) as f64).log2().ceil() as usize;
+        (batches * rounds * 2).max(num_arms)
     }
 }
 
@@ -132,12 +121,8 @@ mod tests {
 
     #[test]
     fn builder_methods_chain() {
-        let c = SnoopyConfig::with_target(0.8)
-            .strategy(SelectionStrategy::Uniform)
-            .batch_fraction(0.01)
-            .budget(500);
+        let c = SnoopyConfig::with_target(0.8).strategy(SelectionStrategy::Uniform).batch_fraction(0.01);
         assert_eq!(c.strategy, SelectionStrategy::Uniform);
-        assert_eq!(c.budget, Some(500));
         assert!((c.batch_fraction - 0.01).abs() < 1e-12);
     }
 
@@ -151,11 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn effective_budget_default_and_override() {
+    fn effective_budget_default() {
         let c = SnoopyConfig::default();
-        let b = c.effective_budget(16, 20);
-        assert_eq!(b, 20 * 4 * 2);
-        assert_eq!(c.budget(99).effective_budget(16, 20), 99);
+        assert_eq!(c.effective_budget(16, 20), 20 * 4 * 2);
+        // Never fewer pulls than arms.
+        assert_eq!(c.effective_budget(16, 1), 16);
     }
 
     #[test]

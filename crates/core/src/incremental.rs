@@ -35,10 +35,10 @@ impl IncrementalStudy {
     /// incremental state.
     ///
     /// The state comes straight from the winning arm
-    /// ([`FeasibilityStudy::run_with_cache`]): the scheduler may have stopped
-    /// the arm early under aggressive budgets, in which case only the
-    /// *remaining* batches are embedded and appended — nothing is embedded
-    /// twice, nothing is rebuilt.
+    /// ([`FeasibilityStudy::run_with_cache`]): when the scheduler stopped the
+    /// arm before the end of the training split, only the *remaining*
+    /// batches are embedded and appended — nothing is embedded twice,
+    /// nothing is rebuilt.
     pub fn bootstrap(config: SnoopyConfig, task: &TaskDataset, zoo: &[Box<dyn Transformation>]) -> Self {
         let study = FeasibilityStudy::new(config);
         let (report, cache) = study.run_with_cache(task, zoo);
@@ -62,8 +62,8 @@ impl IncrementalStudy {
     }
 
     /// The tracked incremental state itself — relabelled in place by
-    /// [`IncrementalStudy::refresh`] / [`IncrementalStudy::apply_updates`];
-    /// its [`IncrementalTopK::table`] snapshot is the `k = 1` table.
+    /// [`IncrementalStudy::refresh`]; its [`IncrementalTopK::table`]
+    /// snapshot is the `k = 1` table.
     pub fn state(&self) -> &IncrementalTopK {
         &self.cache
     }
@@ -73,19 +73,7 @@ impl IncrementalStudy {
     /// features are assumed unchanged, matching the paper's assumption that
     /// cleaning never moves a nearest neighbour.
     pub fn refresh(&mut self, task: &TaskDataset) -> IncrementalAnswer {
-        let error = self.cache.set_labels(&task.train.labels, &task.test.labels);
-        self.answer_from_error(error)
-    }
-
-    /// Applies explicit label updates (train and test index/label pairs)
-    /// without needing the whole task.
-    pub fn apply_updates(&mut self, train: &[(usize, u32)], test: &[(usize, u32)]) -> IncrementalAnswer {
-        self.cache.relabel_train_batch(train);
-        self.cache.relabel_test_batch(test);
-        self.answer_from_error(self.cache.error())
-    }
-
-    fn answer_from_error(&self, one_nn_error: f64) -> IncrementalAnswer {
+        let one_nn_error = self.cache.set_labels(&task.train.labels, &task.test.labels);
         let ber_estimate = cover_hart_lower_bound(one_nn_error, self.num_classes);
         let decision = if ber_estimate <= self.config.target_error() {
             FeasibilityDecision::Realistic
@@ -165,24 +153,5 @@ mod tests {
         )
         .one_nn_error(&test_embedded, &task.test.labels);
         assert!((incremental.one_nn_error - full).abs() < 1e-12);
-    }
-
-    #[test]
-    fn explicit_updates_are_equivalent_to_refresh() {
-        let mut task = load_with_noise("sst2", SizeScale::Tiny, &NoiseModel::Uniform(0.5), 9);
-        let zoo = zoo_for_task(&task, 10);
-        let mut by_refresh = IncrementalStudy::bootstrap(config(0.8), &task, &zoo);
-        let mut by_updates = IncrementalStudy::bootstrap(config(0.8), &task, &zoo);
-
-        // Clean the first 10 dirty training labels.
-        let dirty: Vec<usize> = task.train.dirty_indices().into_iter().take(10).collect();
-        let updates: Vec<(usize, u32)> = dirty.iter().map(|&i| (i, task.train.clean_labels[i])).collect();
-        for &i in &dirty {
-            task.train.clean_label(i);
-        }
-        let a = by_refresh.refresh(&task);
-        let b = by_updates.apply_updates(&updates, &[]);
-        assert!((a.one_nn_error - b.one_nn_error).abs() < 1e-12);
-        assert_eq!(a.decision, b.decision);
     }
 }

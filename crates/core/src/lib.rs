@@ -40,6 +40,7 @@ pub mod guidance;
 pub mod incremental;
 pub mod oocore;
 pub mod service;
+mod session;
 pub mod sliding;
 pub mod study;
 pub mod theory;

@@ -28,19 +28,17 @@
 //! currently leading transformation, its BER estimate, and the evaluation
 //! work spent so far — the paper's real-time feedback loop, per tenant.
 //!
+//! [`StrategyDriver`]: snoopy_bandit::StrategyDriver
 //! [`FeasibilityStudy::run`]: crate::study::FeasibilityStudy::run
 //! [`StudyReport::simulated_cost_seconds`]: crate::study::StudyReport::simulated_cost_seconds
 
-use crate::arm::TransformationArm;
 use crate::config::SnoopyConfig;
-use crate::study::{assemble_report, best_of, result_of, StudyReport, TransformationResult};
-use snoopy_bandit::{execute_round, Arm, RoundPlan, StrategyDriver};
+use crate::session::StudySession;
+use crate::study::StudyReport;
 use snoopy_data::TaskDataset;
 use snoopy_embeddings::{EmbeddingCache, Transformation};
-use snoopy_estimators::cover_hart_lower_bound;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One tenant's study request.
 pub struct StudyRequest<'a> {
@@ -49,7 +47,7 @@ pub struct StudyRequest<'a> {
     pub task: &'a TaskDataset,
     /// The transformation zoo to evaluate.
     pub zoo: &'a [Box<dyn Transformation>],
-    /// Study configuration (strategy, budget, metric, target).
+    /// Study configuration (strategy, batch fraction, metric, target).
     pub config: SnoopyConfig,
 }
 
@@ -68,28 +66,6 @@ pub struct StudyProgress {
     /// Total incremental evaluation work spent so far by this tenant's arms
     /// (query–row pairs, post-pruning).
     pub eval_pairs: u64,
-}
-
-/// One tenant's in-flight state while its study is being served.
-struct Tenant<'a> {
-    task: &'a TaskDataset,
-    zoo: &'a [Box<dyn Transformation>],
-    config: &'a SnoopyConfig,
-    arms: Vec<TransformationArm<'a>>,
-    curves: Vec<Vec<f64>>,
-    driver: StrategyDriver,
-    /// The phase selected this round, if any (taken by the executor).
-    plan: Option<RoundPlan>,
-    /// Whether this tenant executed a phase this round.
-    ran: bool,
-    /// Tangent eliminations reported by this round's [`execute_round`].
-    eliminated: Vec<bool>,
-    done: bool,
-    cache: Arc<EmbeddingCache>,
-    /// The cache's simulated cost before this request touched it — the
-    /// delta is what this request actually paid for inference.
-    cost_before: f64,
-    started: Instant,
 }
 
 /// A persistent multi-study server: embedding caches live across calls, so
@@ -130,137 +106,40 @@ impl FeasibilityService {
         requests: &[StudyRequest<'_>],
         mut on_progress: impl FnMut(StudyProgress),
     ) -> Vec<StudyReport> {
-        let mut tenants: Vec<Tenant<'_>> = requests.iter().map(|r| self.admit(r)).collect();
+        let mut sessions: Vec<StudySession<'_>> = requests
+            .iter()
+            .map(|r| {
+                let cache = Arc::clone(self.caches.entry(r.task.name.clone()).or_default());
+                StudySession::admit(r.config, r.task, r.zoo, Some(cache))
+            })
+            .collect();
 
+        // `live[i]`: tenant `i`'s last step ran a phase (all start live).
+        let mut live = vec![true; sessions.len()];
         let mut round = 0usize;
         loop {
-            // Fair interleaving: every live tenant gets exactly one phase
-            // per global round, in request order.
-            let mut any = false;
-            for tenant in tenants.iter_mut() {
-                if tenant.done {
-                    continue;
-                }
-                match tenant.driver.next_plan(&tenant.arms) {
-                    Some(plan) => {
-                        tenant.plan = Some(plan);
-                        any = true;
-                    }
-                    None => tenant.done = true,
-                }
-            }
-            if !any {
-                break;
-            }
-            round += 1;
-
-            // Execute every selected phase concurrently: one pool task per
-            // tenant, each arm of a phase a nested pool task inside it.
+            // Fair interleaving: every live tenant steps exactly one phase
+            // per global round, as one pool task per tenant with each arm
+            // of its phase a nested pool task inside it.
             snoopy_pool::scope(|scope| {
-                for tenant in tenants.iter_mut() {
-                    if let Some(plan) = tenant.plan.take() {
-                        tenant.ran = true;
-                        scope.spawn(move || {
-                            tenant.eliminated = execute_round(&mut tenant.arms, &mut tenant.curves, &plan);
-                        });
+                for (session, live) in sessions.iter_mut().zip(live.iter_mut()) {
+                    if *live {
+                        scope.spawn(move || *live = session.step());
                     }
                 }
             });
-
-            // Fold the outcomes back in and stream progress.
-            for (i, tenant) in tenants.iter_mut().enumerate() {
-                if !tenant.ran {
-                    continue;
+            if !live.contains(&true) {
+                break;
+            }
+            round += 1;
+            for (tenant, session) in sessions.iter().enumerate() {
+                if live[tenant] {
+                    on_progress(session.progress(tenant, round));
                 }
-                tenant.ran = false;
-                let eliminated = std::mem::take(&mut tenant.eliminated);
-                tenant.driver.observe(&tenant.arms, &eliminated);
-                let (lead, ber) = tenant
-                    .arms
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| a.consumed_samples() > 0)
-                    .map(|(j, a)| (j, cover_hart_lower_bound(a.current_loss(), tenant.task.num_classes)))
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .unwrap_or((0, 1.0));
-                on_progress(StudyProgress {
-                    tenant: i,
-                    round,
-                    leading_transformation: tenant.zoo[lead].name().to_string(),
-                    ber_estimate: ber,
-                    eval_pairs: tenant.arms.iter().map(Arm::eval_pairs).sum(),
-                });
             }
         }
 
-        tenants.into_iter().map(Tenant::into_report).collect()
-    }
-
-    /// Builds one tenant's serving state: warm embeddings from its cache
-    /// (filling it on first contact), arms over them, and a fresh driver.
-    fn admit<'a>(&mut self, request: &'a StudyRequest<'a>) -> Tenant<'a> {
-        let task = request.task;
-        let zoo = request.zoo;
-        let config = &request.config;
-        config.validate().unwrap_or_else(|e| panic!("{e}"));
-        assert!(!zoo.is_empty(), "the transformation zoo must not be empty");
-        assert!(!task.train.is_empty() && !task.test.is_empty(), "task must have train and test samples");
-
-        let cache = Arc::clone(self.caches.entry(task.name.clone()).or_default());
-        let cost_before = cache.simulated_cost();
-        let batch_size = config.batch_size(task.train.len());
-        let batches = config.batches_for(task.train.len());
-        let budget = config.effective_budget(zoo.len(), batches);
-        let arms: Vec<TransformationArm<'a>> = zoo
-            .iter()
-            .map(|t| {
-                TransformationArm::new(t.as_ref(), task, config.metric, batch_size)
-                    .with_embeddings(cache.get_or_compute(t.as_ref(), task))
-            })
-            .collect();
-        let curves = vec![Vec::new(); arms.len()];
-        let driver = StrategyDriver::new(config.strategy, arms.len(), budget);
-        Tenant {
-            task,
-            zoo,
-            config,
-            arms,
-            curves,
-            driver,
-            plan: None,
-            ran: false,
-            eliminated: Vec::new(),
-            done: false,
-            cache,
-            cost_before,
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Tenant<'_> {
-    /// Final report assembly — the exact aggregation the one-shot study
-    /// uses, with inference cost read from the cache delta (warm requests
-    /// paid nothing).
-    fn into_report(self) -> StudyReport {
-        let per_transformation: Vec<TransformationResult> = self
-            .arms
-            .iter()
-            .enumerate()
-            .map(|(j, arm)| result_of(arm, self.zoo[j].name(), self.task.num_classes))
-            .collect();
-        let (best_idx, ber_estimate) = best_of(&per_transformation);
-        let arm_cost: f64 = per_transformation.iter().map(|r| r.simulated_cost).sum();
-        let inference_cost = self.cache.simulated_cost() - self.cost_before;
-        assemble_report(
-            self.config,
-            self.task,
-            per_transformation,
-            best_idx,
-            ber_estimate,
-            arm_cost + inference_cost,
-            self.started.elapsed().as_secs_f64(),
-        )
+        sessions.into_iter().map(StudySession::into_report).collect()
     }
 }
 

@@ -1,15 +1,12 @@
 //! The feasibility study itself: run the zoo, aggregate by the minimum,
 //! decide REALISTIC/UNREALISTIC, and attach guidance.
 
-use crate::arm::TransformationArm;
 use crate::config::SnoopyConfig;
 use crate::guidance::AdditionalGuidance;
-use snoopy_bandit::run_strategy;
+use crate::session::StudySession;
 use snoopy_data::TaskDataset;
 use snoopy_embeddings::Transformation;
-use snoopy_estimators::cover_hart_lower_bound;
 use snoopy_knn::IncrementalTopK;
-use std::time::Instant;
 
 /// Snoopy's binary output signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,75 +84,6 @@ impl StudyReport {
     }
 }
 
-/// Reads one arm's outcome into a [`TransformationResult`]. Shared between
-/// the one-shot study and the multi-tenant service so both report the exact
-/// same numbers from the exact same state.
-pub(crate) fn result_of(arm: &TransformationArm<'_>, name: &str, num_classes: usize) -> TransformationResult {
-    let curve = arm.curve();
-    let one_nn_error = curve.last().map(|&(_, e)| e).unwrap_or(1.0);
-    TransformationResult {
-        name: name.to_string(),
-        one_nn_error,
-        ber_estimate: cover_hart_lower_bound(one_nn_error, num_classes),
-        curve,
-        consumed_samples: arm.consumed_samples(),
-        simulated_cost: arm.simulated_cost(),
-        eval_pairs: snoopy_bandit::Arm::eval_pairs(arm),
-    }
-}
-
-/// Aggregates by taking the minimum over all transformations that actually
-/// consumed data (Section IV): `(best index, aggregated BER estimate)`.
-pub(crate) fn best_of(results: &[TransformationResult]) -> (usize, f64) {
-    results
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.consumed_samples > 0)
-        .map(|(i, r)| (i, r.ber_estimate))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .unwrap_or((0, 1.0))
-}
-
-/// Builds the final report from aggregated per-transformation results —
-/// decision rule, projected accuracy, gap, and the Section IV-C guidance.
-pub(crate) fn assemble_report(
-    config: &SnoopyConfig,
-    task: &TaskDataset,
-    per_transformation: Vec<TransformationResult>,
-    best_idx: usize,
-    ber_estimate: f64,
-    simulated_cost_seconds: f64,
-    wall_clock_seconds: f64,
-) -> StudyReport {
-    let target_error = config.target_error();
-    let decision = if ber_estimate <= target_error {
-        FeasibilityDecision::Realistic
-    } else {
-        FeasibilityDecision::Unrealistic
-    };
-    let projected_accuracy = 1.0 - ber_estimate;
-    let guidance = AdditionalGuidance::from_results(
-        &per_transformation,
-        best_idx,
-        target_error,
-        task.num_classes,
-        task.train.len(),
-    );
-    StudyReport {
-        task: task.name.clone(),
-        target_accuracy: config.target_accuracy,
-        decision,
-        ber_estimate,
-        projected_accuracy,
-        gap: projected_accuracy - config.target_accuracy,
-        best_transformation: per_transformation[best_idx].name.clone(),
-        per_transformation,
-        simulated_cost_seconds,
-        wall_clock_seconds,
-        guidance,
-    }
-}
-
 /// The feasibility-study engine.
 pub struct FeasibilityStudy {
     config: SnoopyConfig,
@@ -180,7 +108,7 @@ impl FeasibilityStudy {
     /// Runs the feasibility study for `task` over the given transformation
     /// zoo and returns the full report.
     pub fn run(&self, task: &TaskDataset, zoo: &[Box<dyn Transformation>]) -> StudyReport {
-        self.evaluate(task, zoo, false).0
+        self.session(task, zoo).into_report()
     }
 
     /// Runs the study and additionally returns the *winning arm's own
@@ -197,72 +125,15 @@ impl FeasibilityStudy {
         task: &TaskDataset,
         zoo: &[Box<dyn Transformation>],
     ) -> (StudyReport, IncrementalTopK) {
-        let (report, cache) = self.evaluate(task, zoo, true);
-        (report, cache.expect("evaluate(finish_winner = true) always builds the cache"))
+        self.session(task, zoo).finish_winner()
     }
 
-    fn evaluate(
-        &self,
-        task: &TaskDataset,
-        zoo: &[Box<dyn Transformation>],
-        finish_winner: bool,
-    ) -> (StudyReport, Option<IncrementalTopK>) {
-        assert!(!zoo.is_empty(), "the transformation zoo must not be empty");
-        assert!(!task.train.is_empty() && !task.test.is_empty(), "task must have train and test samples");
-        let start = Instant::now();
-        let batch_size = self.config.batch_size(task.train.len());
-        let batches = self.config.batches_for(task.train.len());
-        let budget = self.config.effective_budget(zoo.len(), batches);
-
-        // Build one arm per transformation and let the scheduler spend the
-        // budget; the strategy executors in `snoopy-bandit` pull independent
-        // arms as tasks on the current pool, and each arm's engine scans
-        // split over that same pool's workers, so arm-level and query-level
-        // parallelism share one set of threads instead of oversubscribing.
-        let mut arms: Vec<TransformationArm<'_>> = zoo
-            .iter()
-            .map(|t| TransformationArm::new(t.as_ref(), task, self.config.metric, batch_size))
-            .collect();
-        let _outcome = run_strategy(self.config.strategy, &mut arms, budget);
-
-        let mut per_transformation: Vec<TransformationResult> =
-            arms.iter().enumerate().map(|(i, arm)| result_of(arm, zoo[i].name(), task.num_classes)).collect();
-        let (mut best_idx, mut ber_estimate) = best_of(&per_transformation);
-
-        let cache = if finish_winner {
-            // Append the winner's remaining batches and re-aggregate (its
-            // error moves as it converges). If finishing dethrones it, finish
-            // the new winner too; this reaches a fixpoint because finished
-            // arms stop moving.
-            loop {
-                let finished = best_idx;
-                arms[finished].finish();
-                per_transformation[finished] =
-                    result_of(&arms[finished], zoo[finished].name(), task.num_classes);
-                (best_idx, ber_estimate) = best_of(&per_transformation);
-                if best_idx == finished {
-                    break;
-                }
-            }
-            // Move the winner's state out of its arm: the cleaning loop keeps
-            // relabelling the very state the bandit grew.
-            Some(arms[best_idx].take_state().expect("winner was finished above"))
-        } else {
-            None
-        };
-        let simulated_cost: f64 = per_transformation.iter().map(|r| r.simulated_cost).sum();
-        drop(arms);
-
-        let report = assemble_report(
-            &self.config,
-            task,
-            per_transformation,
-            best_idx,
-            ber_estimate,
-            simulated_cost,
-            start.elapsed().as_secs_f64(),
-        );
-        (report, cache)
+    /// Admits the study with cold arms and steps its bandit loop until the
+    /// strategy is done.
+    fn session<'a>(&self, task: &'a TaskDataset, zoo: &'a [Box<dyn Transformation>]) -> StudySession<'a> {
+        let mut session = StudySession::admit(self.config, task, zoo, None);
+        while session.step() {}
+        session
     }
 }
 

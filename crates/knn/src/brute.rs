@@ -91,14 +91,12 @@ impl<'a> BruteForceIndex<'a> {
     }
 
     /// kNN classifier error on a labelled query set (fraction of
-    /// misclassified queries): one parallel top-k table pass, then a cheap
-    /// serial vote.
+    /// misclassified queries, 0 for no queries): one parallel top-k table
+    /// pass, then a cheap serial vote.
+    ///
+    /// # Panics
+    /// Panics if `query_labels` disagrees with the query count.
     pub fn knn_error<'q>(&self, queries: impl Into<DatasetView<'q>>, query_labels: &[u32], k: usize) -> f64 {
-        let queries = queries.into();
-        assert_eq!(queries.rows(), query_labels.len(), "query feature/label mismatch");
-        if query_labels.is_empty() {
-            return 0.0;
-        }
         self.neighbor_table(queries, k).knn_error(k, self.labels(), query_labels, self.vote_classes)
     }
 
@@ -176,8 +174,10 @@ mod tests {
         let y = vec![0, 0, 1];
         let index = BruteForceIndex::new(&x, &y, 2, Metric::SquaredEuclidean);
         assert_eq!(index.neighbor_table(DatasetView::from_row(&[0.0, 0.0]), 10).k(), 3);
-        let table = index.neighbor_table(DatasetView::from_row(&[0.2, 0.0]), 3);
-        assert_eq!(table.vote(0, 3, index.labels(), 2), 0);
+        // Two of the three neighbours say 0.
+        let query = DatasetView::from_row(&[0.2, 0.0]);
+        assert_eq!(index.knn_error(query, &[0], 3), 0.0);
+        assert_eq!(index.knn_error(query, &[1], 3), 1.0);
     }
 
     #[test]
@@ -218,6 +218,7 @@ mod tests {
         let (x, y) = clustered_data(5);
         let index = BruteForceIndex::new(&x, &y, 2, Metric::SquaredEuclidean);
         assert_eq!(index.one_nn_error(&Matrix::zeros(0, 2), &[]), 0.0);
+        assert_eq!(index.knn_error(&Matrix::zeros(0, 2), &[], 3), 0.0);
     }
 
     #[test]

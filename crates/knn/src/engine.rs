@@ -254,17 +254,9 @@ impl NeighborTable {
         self.neighbors(q).first().copied()
     }
 
-    /// Majority-vote label among the first `k` neighbours of query `q`; vote
-    /// ties resolve to the smallest class id (deterministic).
-    ///
-    /// # Panics
-    /// Panics if a consulted neighbour's label is `≥ num_classes`.
-    pub fn vote(&self, q: usize, k: usize, train_labels: &[u32], num_classes: usize) -> u32 {
-        let mut votes = vec![0usize; num_classes];
-        self.vote_into(q, k, train_labels, &mut votes)
-    }
-
-    /// [`NeighborTable::vote`] with a caller-provided (reused) count buffer.
+    /// Majority-vote label among the first `k` neighbours of query `q`, with
+    /// a caller-provided (reused) count buffer; vote ties resolve to the
+    /// smallest class id (deterministic).
     fn vote_into(&self, q: usize, k: usize, train_labels: &[u32], votes: &mut [usize]) -> u32 {
         votes.iter_mut().for_each(|v| *v = 0);
         for hit in self.neighbors_k(q, k) {
@@ -684,9 +676,8 @@ mod tests {
         }
         // All-identical labels: the vote is that label for every k.
         let labels = vec![2u32; 64];
-        for q in 0..queries.rows() {
-            assert_eq!(big.vote(q, 5, &labels, 3), 2);
-        }
+        assert_eq!(big.knn_error(5, &labels, &vec![2; queries.rows()], 3), 0.0);
+        assert_eq!(big.knn_error(5, &labels, &vec![1; queries.rows()], 3), 1.0);
     }
 
     #[test]

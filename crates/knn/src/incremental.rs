@@ -401,20 +401,6 @@ impl IncrementalTopK {
         self.label_bound = self.label_bound.max(new_label.saturating_add(1));
     }
 
-    /// Applies a batch of training-label updates.
-    pub fn relabel_train_batch(&mut self, updates: &[(usize, u32)]) {
-        for &(i, y) in updates {
-            self.relabel_train(i, y);
-        }
-    }
-
-    /// Applies a batch of test-label updates.
-    pub fn relabel_test_batch(&mut self, updates: &[(usize, u32)]) {
-        for &(i, y) in updates {
-            self.relabel_test(i, y);
-        }
-    }
-
     /// Synchronises all labels at once (e.g. after a cleaning round applied
     /// to the underlying dataset) and returns the refreshed 1NN error.
     ///
@@ -639,13 +625,11 @@ mod tests {
         let (tx, ty, clean_ty, qx, qy, clean_qy) = noisy_task();
         let mut state = IncrementalTopK::build(&tx, &ty, &qx, &qy, Metric::SquaredEuclidean, 1);
         let before = state.error();
-        let updates: Vec<(usize, u32)> = ty
-            .iter()
-            .enumerate()
-            .filter(|(i, &y)| y != clean_ty[*i])
-            .map(|(i, _)| (i, clean_ty[i]))
-            .collect();
-        state.relabel_train_batch(&updates);
+        for (i, (&y, &clean)) in ty.iter().zip(&clean_ty).enumerate() {
+            if y != clean {
+                state.relabel_train(i, clean);
+            }
+        }
         let full = BruteForceIndex::new(&tx, &clean_ty, 2, Metric::SquaredEuclidean).one_nn_error(&qx, &qy);
         assert!((state.error() - full).abs() < 1e-12);
         state.set_labels(&clean_ty, &clean_qy);

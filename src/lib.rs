@@ -38,7 +38,7 @@
 //! | [`estimators`] | Bayes-error estimators and extrapolation |
 //! | [`embeddings`] | the simulated pre-trained transformation zoo |
 //! | [`models`] | LR proxy, MLP, AutoML and FineTune baselines, cost model |
-//! | [`bandit`] | successive halving with tangent breaks |
+//! | [`bandit`] | the one strategy driver: successive halving with tangent breaks and its baselines |
 //! | [`core`] | the feasibility study itself |
 //! | [`e2e`] | the end-to-end label-cleaning use-case simulator |
 
