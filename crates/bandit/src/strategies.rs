@@ -119,6 +119,16 @@ enum DriverState {
 /// until it returns `false`. A feasibility study does exactly that on one
 /// arm set; the multi-study feasibility service steps one driver per
 /// tenant, interleaving their phases round-robin on the shared pool.
+///
+/// Uniform allocation spends at most `budget` pulls. Successive halving
+/// runs `rounds = ⌈log₂ #arms⌉` rounds and gives each of a round's `l`
+/// survivors `max(1, budget / (l · rounds))` pulls. The floor of one pull
+/// keeps every survivor moving, so each round spends at most
+/// `max(l, budget / rounds)` pulls, and a budget below `#arms × rounds` is
+/// overspent: 9 arms at budget 9 take 9 + 4 + 2 = 15 pulls. When the rounds
+/// spent less than the budget, the last step tops the winner up to it.
+/// Exhausted arms take no pulls, so no strategy spends more than the arms
+/// hold.
 pub struct StrategyDriver {
     budget: usize,
     state: DriverState,

@@ -21,6 +21,31 @@ fn run(strategy: SelectionStrategy, arms: &mut [PrerecordedArm], budget: usize) 
     arms.iter().map(Arm::pulls).collect()
 }
 
+/// The most pulls `strategy` may spend on `num_arms` arms of `len` losses
+/// each: uniform allocation stays within the budget; a halving round over
+/// `l` survivors gives each `max(1, budget / (l · rounds))` pulls, at most
+/// `max(l, budget / rounds)` in all, and the last step tops the winner up
+/// to the budget; exhausted arms take no pulls.
+fn pull_bound(strategy: SelectionStrategy, num_arms: usize, len: usize, budget: usize) -> usize {
+    let spent = match strategy {
+        SelectionStrategy::Uniform => budget,
+        SelectionStrategy::Exhaustive => num_arms * len,
+        SelectionStrategy::SuccessiveHalving | SelectionStrategy::SuccessiveHalvingTangent => {
+            let rounds = (num_arms as f64).log2().ceil() as usize;
+            let (mut l, mut rounds_spent) = (num_arms, 0);
+            for _ in 0..rounds {
+                if l <= 1 {
+                    break;
+                }
+                rounds_spent += l.max(budget / rounds);
+                l = (l / 2).max(1);
+            }
+            rounds_spent.max(budget)
+        }
+    };
+    spent.min(num_arms * len)
+}
+
 /// The pulled arm with the lowest loss (ties to the earliest index): the arm
 /// a study selects.
 fn best_arm(arms: &[PrerecordedArm]) -> usize {
@@ -33,18 +58,23 @@ fn best_arm(arms: &[PrerecordedArm]) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every strategy respects the total pull budget (up to full exhaustion).
+    /// Every strategy spends at most the pulls its budget rule allows
+    /// ([`pull_bound`]), half the cases with a budget below
+    /// `#arms × rounds`, where the halving floor overspends.
     #[test]
     fn budget_is_respected(
         asymptotes in prop::collection::vec(0.02f64..0.6, 2..12),
         len in 5usize..40,
         budget in 1usize..400,
+        tight in (0u8..2).prop_map(|b| b == 1),
     ) {
+        let num_arms = asymptotes.len();
+        let rounds = (num_arms as f64).log2().ceil() as usize;
+        let budget = if tight { 1 + budget % (num_arms * rounds) } else { budget };
         for strategy in [SelectionStrategy::Uniform, SelectionStrategy::SuccessiveHalving, SelectionStrategy::SuccessiveHalvingTangent] {
             let mut arms = convergent_arms(&asymptotes, len);
             let total: usize = run(strategy, &mut arms, budget).iter().sum();
-            let max_possible = asymptotes.len() * len;
-            prop_assert!(total <= budget.max(asymptotes.len()).max(1).min(max_possible) + len,
+            prop_assert!(total <= pull_bound(strategy, num_arms, len, budget),
                 "{}: spent {} pulls with budget {budget}", strategy.name(), total);
         }
     }
@@ -117,5 +147,19 @@ proptest! {
         let pulls = run(SelectionStrategy::SuccessiveHalvingTangent, &mut arms, budget);
         let best = best_arm(&arms);
         prop_assert!(pulls.iter().all(|&n| n <= pulls[best]), "pulls {:?}, best {}", pulls, best);
+    }
+}
+
+/// The halving floor's fixed counterexample to a budget cap: 9 arms at
+/// budget 9 run ⌈log₂ 9⌉ = 4 rounds of one pull per survivor until one arm
+/// is left, 9 + 4 + 2 = 15 pulls — exactly [`pull_bound`].
+#[test]
+fn halving_floor_overspends_a_tight_budget() {
+    let asymptotes = [0.3, 0.1, 0.5, 0.2, 0.45, 0.05, 0.35, 0.25, 0.4];
+    for strategy in [SelectionStrategy::SuccessiveHalving, SelectionStrategy::SuccessiveHalvingTangent] {
+        let mut arms = convergent_arms(&asymptotes, 5);
+        let total: usize = run(strategy, &mut arms, 9).iter().sum();
+        assert_eq!(total, 15, "{}", strategy.name());
+        assert_eq!(pull_bound(strategy, 9, 5, 9), 15);
     }
 }

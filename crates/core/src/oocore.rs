@@ -6,19 +6,22 @@
 //! evaluation split, and computes the shared neighbour table through the
 //! shard-paged [`ShardedIndex`]: training rows stay in the memory-mapped
 //! file, clusters materialise as independently evictable shards under a
-//! configurable resident byte budget, and the triangle-inequality prune
-//! order doubles as the paging order so bound-rejected clusters are never
-//! faulted in at all. The resulting [`NeighborTable`] — and therefore every
-//! estimate derived from it — is **bit-identical** to a fully-resident run;
-//! the budget trades only time, never answers.
+//! configurable resident byte budget, and a cluster the triangle-inequality
+//! bound rejects for every query is never faulted in at all. The index's
+//! visit loop is visit-major: it sweeps the clusters and loads each one
+//! that evaluation queries wait on once for all of them, so a call pays at
+//! most one load per cluster per sweep however tight the budget. The
+//! resulting [`NeighborTable`] — and therefore every estimate derived from
+//! it — is **bit-identical** to a fully-resident run; the budget trades
+//! only time, never answers.
 //!
-//! Two pieces of the study run on `snoopy-pool` workers, off the scanning
-//! thread: the index's shard **prefetch pipeline**
-//! ([`OutOfCoreConfig::prefetch_depth`]) overlaps upcoming shard
-//! materialisation with the current scan, and the FNV-1a **checksum
-//! verification** of both payload files re-hashes the dataset concurrently
-//! with the study — its verdict is awaited before any result is surfaced,
-//! so a poisoned dataset fails loud
+//! Three pieces of the study run on `snoopy-pool` workers: each loaded
+//! shard's waiting queries scan in one chunk per worker, the index's shard
+//! **prefetch pipeline** ([`OutOfCoreConfig::prefetch_depth`]) materialises
+//! the next clusters the sweep visits while the current one scans, and the
+//! FNV-1a **checksum verification** of both payload files re-hashes the
+//! dataset concurrently with the study — its verdict is awaited before any
+//! result is surfaced, so a poisoned dataset fails loud
 //! ([`snoopy_linalg::disk::DiskDatasetError::ChecksumMismatch`]) instead of
 //! silently feeding corrupt rows into the estimators.
 
@@ -48,10 +51,11 @@ pub struct OutOfCoreConfig {
     /// Attach the per-shard int8 shadow: visited shards scan at about one
     /// byte per dimension with exact f32 re-ranking (identical table).
     pub quantize: bool,
-    /// Prefetch pipeline depth `P`: up to `P` upcoming shards materialise
-    /// on pool workers while the current one scans. 0 restores the fully
-    /// serial fault→scan loop; results are bit-identical at every depth.
-    /// Widens peak residency to `budget + max_shard × (1 + P)`.
+    /// Prefetch pipeline depth `P`: the shards of the next `P` clusters
+    /// the sweep visits materialise on pool workers while the current one
+    /// scans; each is certain to be visited, so none is wasted. 0 faults
+    /// every shard on the calling thread; results are bit-identical at
+    /// every depth. Widens peak residency to `budget + max_shard × (1 + P)`.
     pub prefetch_depth: usize,
 }
 

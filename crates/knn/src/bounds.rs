@@ -1,13 +1,16 @@
 //! The cluster-scan core of the exact pruned index.
 //!
 //! [`crate::sharded::ShardedIndex`] holds a compacted k-means [`Partition`]
-//! and answers queries through its one bound-ordered visit loop
-//! ([`Partition::update_topk`]): order the clusters by their
-//! triangle-inequality lower bound, visit them until a bound can no longer
-//! beat the k-th admitted distance, obtain each visited cluster's rows from
-//! the shard pager (a prefetched shard is committed, any other faulted in),
-//! and scan the [`ClusterSlice`] through the one f32 tile scan or the one
-//! int8 two-phase scan. Every prune decision goes through [`PruneBounds`].
+//! and answers queries through its one visit-major loop
+//! ([`Partition::update_topk`]): each query orders the clusters by their
+//! triangle-inequality lower bound and visits them until a bound can no
+//! longer beat its k-th admitted distance, while the loop groups the
+//! visits by cluster — it sweeps the clusters, obtains each one that
+//! queries wait on once from the shard pager (a prefetched shard is
+//! committed, any other faulted in), and scans the [`ClusterSlice`] for
+//! every waiting query through the one f32 tile scan or the one int8
+//! two-phase scan, split over the pool's workers. Every prune decision goes
+//! through [`PruneBounds`].
 //!
 //! ## Exactness argument
 //!
@@ -445,69 +448,221 @@ impl Partition {
             + self.offsets.len() * size_of::<usize>()
     }
 
-    /// The bound-ordered visit loop: folds every cluster the `pager` hands
-    /// out into the running top-k state of each query row. Per query it
-    /// orders the clusters by ascending lower bound, visits them until the
-    /// first one whose bound can no longer beat the k-th admitted distance,
-    /// and scans each visited slice — through the int8 two-phase scan when
-    /// the index is quantized and the query fits the overflow guard, the
-    /// f32 tile scan otherwise. Admitted indices are member ids.
+    /// Query `q`'s triangle-inequality lower bound on any member of
+    /// cluster `c`: `max(0, e(q, c) − r_c)`.
+    fn lower_bound(&self, q: &[f32], c: usize) -> f64 {
+        (euclid_f64(q, self.centroids.row(c)) - self.radii[c]).max(0.0)
+    }
+
+    /// The visit-major loop: folds every cluster the `pager` hands out into
+    /// the running top-k state of each query row. Per query it orders the
+    /// clusters by ascending lower bound and visits them until the first one
+    /// whose bound can no longer beat the k-th admitted distance — but the
+    /// visits are grouped by cluster, not by query. Each query waits on its
+    /// next unpruned cluster; the loop sweeps the clusters in index order
+    /// (again and again until no query waits), obtains each swept cluster
+    /// with waiting queries once, and scans it for all of them, split over
+    /// the pool's workers. A scanned query then runs its own τ check on its
+    /// next cluster and waits there, or is done. Every query still visits
+    /// its own clusters in its own bound order, checking the same τ, so the
+    /// states and the counters equal those of a query-at-a-time loop bit
+    /// for bit; the grouping changes only how often a shard is loaded. A
+    /// visited slice scans through the int8 two-phase scan when the index
+    /// is quantized and the query fits the overflow guard, the f32 tile
+    /// scan otherwise. Admitted indices are member ids.
     pub fn update_topk(
         &self,
         pager: &mut Pager<'_>,
         queries: DatasetView<'_>,
         states: &mut [TopKState],
     ) -> PruneStats {
-        let mut stats = PruneStats::default();
-        // Scratch reused across queries; a tile never spans two clusters.
-        let largest = (0..self.num_clusters()).map(|c| self.cluster(c).len()).max().unwrap_or(0);
-        let tile_len = DEFAULT_TILE_ROWS.min(largest.max(1));
-        let mut tile = vec![0.0f32; tile_len];
-        let quantizer = pager.quantizer();
-        let int8_len = if quantizer.is_some() { tile_len } else { 0 };
-        let (mut qtile, mut keep) = (vec![0i32; int8_len], vec![false; int8_len]);
-        let (mut wbuf, mut vbuf) = (Vec::new(), Vec::new());
-        let mut order = Vec::with_capacity(self.num_clusters());
-        let kernel = MetricKernel::new(self.metric());
-        for (q, state) in queries.rows_iter().zip(states) {
-            order.clear();
-            for (c, cent) in self.centroids.rows_iter().enumerate() {
-                let dqc = euclid_f64(q, cent);
-                order.push(((dqc - self.radii[c]).max(0.0), dqc, c));
+        let nlist = self.num_clusters();
+        let nq = queries.rows();
+        let mut stats = PruneStats {
+            queries: nq,
+            clusters_total: nq * nlist,
+            rows_total: nq * self.members.len(),
+            ..PruneStats::default()
+        };
+        let schedule = Schedule::new(self, queries, pager.quantizer());
+        let mut waiting: Vec<Vec<Waiter<'_>>> = (0..nlist).map(|_| Vec::new()).collect();
+        let mut active = 0;
+        for (query, state) in states.iter_mut().enumerate() {
+            let mut w = Waiter { query, pos: 0, state };
+            schedule.check_next(&mut w);
+            if let Some(c) = schedule.next(&w) {
+                waiting[c].push(w);
+                active += 1;
             }
-            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-            stats.queries += 1;
-            stats.clusters_total += self.num_clusters();
-            stats.rows_total += self.members.len();
-            // One int8 context per query: the margin rests on the frozen
-            // quantizer's index-wide code-norm bound, so it holds for every
-            // shard. `None`: unquantized, or the query's norm trips the
-            // overflow guard, and the query scans exactly.
-            let int8 = quantizer.and_then(|qz| qz.prepare_query(q, &mut wbuf, &mut vbuf));
-            let cx = QueryCtx {
-                bounds: &self.bounds,
-                q,
-                qv: kernel.query_value(q),
-                err: self.bounds.kernel_err(norm_f64(q)),
-            };
-            for (pos, &(lb, dqc, _)) in order.iter().enumerate() {
-                let tau_sq = kth_distance(state).map(|tau| self.bounds.tau_sq(tau));
-                // Clusters are ordered by ascending bound and τ only shrinks,
-                // so the first unbeatable cluster ends the query.
-                if tau_sq.is_some_and(|t| self.bounds.prunes(lb, t, cx.err)) {
-                    break;
+        }
+        // Buffers and counters per worker chunk; a tile never spans two
+        // clusters.
+        let largest = (0..nlist).map(|c| self.cluster(c).len()).max().unwrap_or(0);
+        let tile_len = DEFAULT_TILE_ROWS.min(largest.max(1));
+        let int8_len = if schedule.quantizer.is_some() { tile_len } else { 0 };
+        let workers = snoopy_pool::workers();
+        let mut buffers: Vec<ChunkBuffers> =
+            (0..workers).map(|_| ChunkBuffers::new(tile_len, int8_len)).collect();
+        let mut here = Vec::new();
+        while active > 0 {
+            for c in 0..nlist {
+                if waiting[c].is_empty() {
+                    continue;
                 }
-                stats.clusters_visited += 1;
-                let slice = pager.obtain(&order, pos, tau_sq, cx.err);
-                match (&int8, &slice.rows.shadow) {
-                    (Some(qq), Some(sh)) => {
-                        slice.scan_int8(&cx, sh, qq, &vbuf, state, &mut qtile, &mut keep, &mut stats)
+                std::mem::swap(&mut here, &mut waiting[c]);
+                // The other clusters queries wait on, in the order the
+                // sweep reaches them: each will be visited, so the pager
+                // may stage them.
+                let upcoming = (c + 1..nlist).chain(0..c).filter(|&u| !waiting[u].is_empty());
+                let slice = pager.obtain(c, upcoming);
+                let serve = |part: &mut [Waiter<'_>], s: &mut ChunkBuffers| {
+                    for w in part {
+                        schedule.visit(&slice, c, w, s);
                     }
-                    _ => slice.scan_f32(&cx, dqc, state, &mut tile, &mut stats),
+                };
+                let chunks = workers.min(here.len());
+                if chunks <= 1 {
+                    serve(&mut here, &mut buffers[0]);
+                } else {
+                    let (chunk, serve) = (here.len().div_ceil(chunks), &serve);
+                    snoopy_pool::scope(|scope| {
+                        for (part, s) in here.chunks_mut(chunk).zip(buffers.iter_mut()) {
+                            scope.spawn(move || serve(part, s));
+                        }
+                    });
+                }
+                for w in here.drain(..) {
+                    match schedule.next(&w) {
+                        Some(next) => waiting[next].push(w),
+                        None => active -= 1,
+                    }
                 }
             }
         }
+        for s in &buffers {
+            stats.clusters_visited += s.stats.clusters_visited;
+            stats.rows_scanned += s.stats.rows_scanned;
+            stats.rows_pruned += s.stats.rows_pruned;
+            stats.rows_quantized += s.stats.rows_quantized;
+        }
         stats
+    }
+}
+
+/// One query in the visit-major loop: its row, its cursor into its cluster
+/// order, and its running state.
+struct Waiter<'s> {
+    query: usize,
+    /// Position in the query's cluster order of the cluster it waits on;
+    /// `nlist` once it is done.
+    pos: usize,
+    state: &'s mut TopKState,
+}
+
+/// The per-query state of one [`Partition::update_topk`] call that every
+/// visit reads.
+struct Schedule<'a> {
+    part: &'a Partition,
+    queries: DatasetView<'a>,
+    /// The frozen quantizer every shard encodes against, if any.
+    quantizer: Option<&'a AffineQuantizer>,
+    /// The kernel with the query side bound.
+    kernel: MetricKernel,
+    /// Per query: its kernel-error margin ([`PruneBounds::kernel_err`]).
+    errs: Vec<f64>,
+    /// `nq × nlist` cluster ids, each query's in ascending bound order, ties
+    /// by id. Only the ids are kept: a τ check recomputes its bound, to the
+    /// same bits.
+    order: Vec<u32>,
+    nlist: usize,
+}
+
+impl<'a> Schedule<'a> {
+    fn new(part: &'a Partition, queries: DatasetView<'a>, quantizer: Option<&'a AffineQuantizer>) -> Self {
+        let nlist = part.num_clusters();
+        let mut order = vec![0u32; queries.rows() * nlist];
+        let mut ranked = Vec::with_capacity(nlist);
+        for (q, ids) in queries.rows_iter().zip(order.chunks_exact_mut(nlist)) {
+            ranked.clear();
+            ranked.extend((0..nlist).map(|c| (part.lower_bound(q, c), c)));
+            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for (id, &(_, c)) in ids.iter_mut().zip(&ranked) {
+                *id = u32::try_from(c).expect("cluster ids fit in u32");
+            }
+        }
+        let mut kernel = MetricKernel::new(part.metric());
+        kernel.bind_queries(queries);
+        let errs = queries.rows_iter().map(|q| part.bounds.kernel_err(norm_f64(q))).collect();
+        Schedule { part, queries, quantizer, kernel, errs, order, nlist }
+    }
+
+    /// The cluster `w` waits on, `None` once it is done.
+    fn next(&self, w: &Waiter<'_>) -> Option<usize> {
+        (w.pos < self.nlist).then(|| self.order[w.query * self.nlist + w.pos] as usize)
+    }
+
+    /// The τ check on `w`'s next cluster: clusters come in ascending bound
+    /// order and τ only shrinks, so the first cluster τ prunes ends the
+    /// query.
+    fn check_next(&self, w: &mut Waiter<'_>) {
+        let (Some(c), Some(tau)) = (self.next(w), kth_distance(w.state)) else { return };
+        let bounds = &self.part.bounds;
+        let lb = self.part.lower_bound(self.queries.row(w.query), c);
+        if bounds.prunes(lb, bounds.tau_sq(tau), self.errs[w.query]) {
+            w.pos = self.nlist;
+        }
+    }
+
+    /// Scans cluster `c`'s `slice` for `w`, then moves `w` on to its next
+    /// cluster.
+    fn visit(&self, slice: &ClusterSlice<'_>, c: usize, w: &mut Waiter<'_>, s: &mut ChunkBuffers) {
+        let q = self.queries.row(w.query);
+        let cx = QueryCtx {
+            bounds: &self.part.bounds,
+            q,
+            qv: self.kernel.query_cached(w.query),
+            err: self.errs[w.query],
+        };
+        s.stats.clusters_visited += 1;
+        // The int8 margin rests on the frozen quantizer's index-wide
+        // code-norm bound, so it holds for every shard. `None`: unquantized,
+        // or the query's norm trips the overflow guard, and the query scans
+        // exactly.
+        let int8 = self.quantizer.and_then(|qz| qz.prepare_query(q, &mut s.wbuf, &mut s.vbuf));
+        match (&int8, &slice.rows.shadow) {
+            (Some(qq), Some(sh)) => {
+                slice.scan_int8(&cx, sh, qq, &s.vbuf, w.state, &mut s.qtile, &mut s.keep, &mut s.stats)
+            }
+            _ => {
+                let dqc = euclid_f64(q, self.part.centroids.row(c));
+                slice.scan_f32(&cx, dqc, w.state, &mut s.tile, &mut s.stats)
+            }
+        }
+        w.pos += 1;
+        self.check_next(w);
+    }
+}
+
+/// One worker chunk's scan buffers and counters.
+struct ChunkBuffers {
+    tile: Vec<f32>,
+    qtile: Vec<i32>,
+    keep: Vec<bool>,
+    wbuf: Vec<f32>,
+    vbuf: Vec<i16>,
+    stats: PruneStats,
+}
+
+impl ChunkBuffers {
+    fn new(tile_len: usize, int8_len: usize) -> Self {
+        ChunkBuffers {
+            tile: vec![0.0; tile_len],
+            qtile: vec![0; int8_len],
+            keep: vec![false; int8_len],
+            wbuf: Vec::new(),
+            vbuf: Vec::new(),
+            stats: PruneStats::default(),
+        }
     }
 }
 

@@ -42,13 +42,15 @@
 //!   cluster materialises as an independently loadable/evictable shard
 //!   under an LRU byte budget ([`sharded::PagingStats`],
 //!   [`sharded::PagedResidentBytes`]; `usize::MAX` keeps every visited
-//!   shard resident); the triangle-inequality prune order doubles as the
-//!   paging order, so rejected clusters are never faulted in, and a
-//!   configurable prefetch pipeline overlaps upcoming shard
-//!   materialisation with the current scan on `snoopy-pool` workers.
-//!   Cosine dissimilarity has no triangle inequality, so cosine consumers
-//!   use the exhaustive engine. The bound-ordered cluster visit loop, the
-//!   f32 tile scan and the int8 two-phase scan are one crate-internal
+//!   shard resident). Each query visits its clusters in triangle-inequality
+//!   bound order, so a cluster every query's bound rejects is never faulted
+//!   in, but the visit loop is visit-major: it sweeps the clusters, loads
+//!   each one that queries wait on once, and scans it for all of them in
+//!   one chunk per `snoopy-pool` worker, while a configurable prefetch
+//!   pipeline materialises the next clusters of the sweep on the pool's
+//!   workers. Cosine dissimilarity has no triangle inequality, so cosine
+//!   consumers use the exhaustive engine. The visit-major loop, the f32
+//!   tile scan and the int8 two-phase scan are one crate-internal
 //!   cluster-scan core,
 //! * the per-dimension affine int8 shadow ([`quantized::QuantizedShadow`],
 //!   [`sharded::ShardedIndex::quantize`]): visited clusters scan

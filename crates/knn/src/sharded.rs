@@ -12,30 +12,52 @@
 //! that do not fit in memory, or an in-memory view with
 //! `budget_bytes = usize::MAX`. It keeps the partition resident and runs
 //! the crate's one cluster-scan core (the crate-internal `bounds` module:
-//! one bound-ordered visit loop, one f32 tile scan, one int8 two-phase
+//! one visit-major loop, one f32 tile scan, one int8 two-phase
 //! scan, and the derivation of every bound they test), but materialises
 //! each cluster as an independent **shard** — the gathered f32 member rows,
 //! their per-row centroid distances, the kernel norm cache, and (when
 //! quantized) the int8 shadow — that loads and evicts on demand under a
 //! configurable resident byte budget. The visit loop obtains a cluster from
-//! the pager: it tops the prefetch pipeline up, then commits the cluster's
-//! staged shard or faults it in.
+//! the pager, which commits the cluster's staged shard or faults it in and
+//! then stages the clusters the loop reaches next.
 //!
 //! Queries go through one entry, [`ShardedIndex::topk_with_stats`]: a cold
 //! top-k table of held-out query rows plus its [`PruneStats`] — clusters
 //! visited vs total and rows scanned vs pruned — while [`PagingStats`]
 //! counts the shard traffic.
 //!
-//! ## Paging order *is* prune order
+//! ## Visit-major paging
 //!
 //! A query sorts clusters by ascending triangle-inequality lower bound and
-//! visits them in that order. A shard is faulted in **only when its cluster
-//! is actually visited**, so the bound doubles as the paging schedule:
-//! clusters the bound rejects are never read off disk at all, and the first
-//! unbeatable cluster ends the query before any further I/O. The cost model
-//! is therefore the prune rate translated into bytes —
-//! [`PruneStats::cluster_prune_rate`] bounds the fraction of the dataset a
-//! query can fault.
+//! visits them in that order until the first cluster whose bound can no
+//! longer beat its k-th admitted distance. The visit loop runs all queries
+//! of a call together, grouped by cluster: each query waits on its next
+//! unpruned cluster, and the loop sweeps the clusters in index order —
+//! repeating the sweep until no query waits — obtaining each swept cluster
+//! that has waiting queries **once** and scanning it for all of them. A
+//! scanned query runs its own τ check on its next cluster and waits there,
+//! or is done. Each query still visits exactly its own clusters in its own
+//! bound order with the same τ at every check, so the table and every
+//! [`PruneStats`] counter equal those of a query-at-a-time loop; only the
+//! shard traffic changes. One sweep loads each cluster at most once, so a
+//! call costs at most `nlist` shard loads per sweep, however many queries
+//! visit a cluster and however small the budget: on a 32-cluster index at
+//! an eighth of the payload, 256 queries pay ~70–100 loads, where visiting
+//! them one query at a time would pay ~2,000.
+//!
+//! A shard is faulted in **only when its cluster is actually visited**, so
+//! the bound still doubles as the paging schedule: clusters the bound
+//! rejects for every query are never read off disk at all.
+//!
+//! ## Query fan-out
+//!
+//! The queries waiting on one shard are independent: each owns its top-k
+//! state and reads the shard immutably. A visit therefore splits them into
+//! [`snoopy_pool::workers`] chunks of the pool it runs on, one task per
+//! chunk, each writing only its own queries' states and its own
+//! [`PruneStats`] share (summed as integers afterwards). Shard loads, LRU
+//! decisions and prefetch staging stay on the calling thread, between
+//! visits, so paging is identical at every worker count.
 //!
 //! ## Residency contract
 //!
@@ -59,33 +81,33 @@
 //! re-faulting a shard recomputes identical bytes — gathers, per-row
 //! geometry and int8 codes are deterministic functions of the source view
 //! and the frozen quantizer — and the int8 margin rests on the quantizer's
-//! index-wide code-norm bound, so the budget and the prefetch depth change
-//! time, never work: tables and [`PruneStats`] are equal at every budget.
+//! index-wide code-norm bound, so the budget, the prefetch depth and the
+//! pool's worker count change time, never work: tables and [`PruneStats`]
+//! are equal at every budget, depth and pool.
 //!
 //! ## Pipelined prefetch
 //!
-//! The visit schedule is known the moment the bounds are sorted, so the
-//! serial fault→scan→fault loop leaves free win on the table: while the
-//! scanning thread works through the current shard, `snoopy-pool` workers
-//! can already *materialise* the next few. [`ShardedIndex::set_prefetch_depth`]
-//! enables exactly that: at each visit the index tops up to `P` speculative
-//! shard loads for the next unresident clusters in bound order (skipping
-//! clusters the current τ already prunes — ascending bounds mean everything
-//! past the first pruned position is dead). A prefetched shard is
+//! The sweep knows which clusters it visits next: every cluster with a
+//! waiting query will be visited, in sweep order.
+//! [`ShardedIndex::set_prefetch_depth`] lets `snoopy-pool` workers
+//! *materialise* the next of them while the current shard scans: after
+//! each visit's shard is obtained, the index starts speculative loads for
+//! the next `P` clusters with waiting queries, in sweep order, that are
+//! neither resident nor already staged. Each staged cluster is certain to
+//! be visited, so no load is wasted ([`PagingStats::prefetch_wasted`] stays
+//! 0 and `shards_prefetched == prefetch_committed`). A prefetched shard is
 //! bit-identical to a demand-faulted one — gather, per-row centroid
 //! distances, norm cache, and int8 encode are deterministic functions of
-//! the source view — so results cannot depend on what was speculated.
+//! the source view — so results cannot depend on what was staged.
 //!
-//! All LRU decisions stay on the scanning thread: a speculative shard lives
+//! All LRU decisions stay on the calling thread: a speculative shard lives
 //! in a bounded staging area (≤ `P` entries, never charged to the cache)
-//! until its cluster is actually visited, at which point it is *committed*
-//! through the same evict→charge→evict sequence a demand fault uses, with
-//! the same LRU clock tick. The cache's residency trace is therefore
-//! identical at every prefetch depth and every worker count; a staged shard
-//! whose cluster gets pruned before its turn is dropped (counted as
-//! [`PagingStats::prefetch_wasted`]) without ever touching the cache.
-//! Queries still scan on one thread (`&mut self`) — the pipeline overlaps
-//! materialisation with scanning, it does not fan the scan out.
+//! until its cluster is visited, at which point it is *committed* through
+//! the same evict→charge→evict sequence a demand fault uses, with the same
+//! LRU clock tick. Staging decisions read only the sweep and the residency
+//! trace, so the cache's residency trace is identical at every prefetch
+//! depth and every worker count, and so is the split between faults and
+//! commits at a fixed depth.
 //!
 //! [`MetricKernel`]: crate::kernel::MetricKernel
 
@@ -116,10 +138,11 @@ pub struct PagingStats {
     /// Prefetched shards whose cluster was visited: committed to the LRU
     /// cache in place of a demand fault.
     pub prefetch_committed: usize,
-    /// Prefetched shards dropped without a commit (cluster pruned before
-    /// its turn, or the query stream ended first).
+    /// Prefetched shards dropped without a commit. Always 0: the pipeline
+    /// stages only clusters that queries wait on, each certain to be
+    /// visited.
     pub prefetch_wasted: usize,
-    /// Bytes materialised by prefetch tasks (committed and wasted alike).
+    /// Bytes materialised by prefetch tasks.
     pub bytes_prefetched: usize,
 }
 
@@ -137,8 +160,8 @@ pub struct PagedResidentBytes {
     /// High-water mark of resident *plus staged* shard bytes since build.
     pub peak: usize,
     /// Bytes of materialised-but-uncommitted prefetched shards right now
-    /// (non-zero only mid-query; the staging area drains before every
-    /// [`ShardedIndex::topk_with_stats`] return).
+    /// (non-zero only mid-call; every staged shard is committed before
+    /// [`ShardedIndex::topk_with_stats`] returns).
     pub staged: usize,
     /// Largest single shard materialised so far —
     /// `peak ≤ budget + max_shard × (1 + prefetch_depth)` is the cache's
@@ -196,9 +219,10 @@ impl<'p> ShardLoader<'p> {
 /// `run` dereferences the captured pointers, so a job must not outlive the
 /// buffers they point into. The prefetch pipeline guarantees that
 /// structurally: every spawned job's [`snoopy_pool::JoinHandle`] is joined
-/// before [`ShardedIndex::topk_with_stats`] returns (the staging area drains
-/// on exit, and a dropped handle waits), and for the whole call the index is
-/// exclusively borrowed — `source` outlives the index by construction
+/// before [`ShardedIndex::topk_with_stats`] returns (a staged cluster has
+/// waiting queries, so its visit joins the slot before the loop ends, and
+/// on unwinding a dropped handle waits), and for the whole call the index
+/// is exclusively borrowed — `source` outlives the index by construction
 /// (`'a`), and the partition is never mutated after build.
 struct PrefetchJob {
     data: *const f32,
@@ -247,33 +271,20 @@ struct StagedSlot {
     shard: Option<Shard>,
 }
 
-/// The scanning thread's view of the prefetch pipeline: at most
+/// The calling thread's view of the prefetch pipeline: at most
 /// [`ShardCache::prefetch_depth`] slots, each owning one speculative load.
 /// The prefetcher never touches the LRU cache's residency — it only hands
-/// fully-materialised shards to [`ShardCache::obtain`] at visit time.
-/// Spawn/drop decisions depend only on the (deterministic) visit order,
-/// residency trace, and τ evolution — never on worker timing — so the
-/// pipeline issues the same speculative loads at every worker count.
+/// fully-materialised shards to [`ShardCache::obtain`] at visit time. It
+/// stages only clusters that queries wait on, each certain to be visited,
+/// so no load is wasted, and its decisions depend only on the
+/// (deterministic) sweep and residency trace — never on worker timing — so
+/// the pipeline issues the same loads at every worker count.
+#[derive(Default)]
 struct Prefetcher {
     slots: Vec<StagedSlot>,
-    /// Cluster → position in the *current* query's visit order.
-    rank: Vec<usize>,
 }
 
 impl Prefetcher {
-    fn new(clusters: usize, depth: usize) -> Self {
-        Prefetcher { slots: Vec::with_capacity(depth), rank: vec![0; clusters] }
-    }
-
-    /// Re-ranks the staging area for a new query's visit order (leftover
-    /// slots from the previous query stay — the new query may well visit
-    /// their clusters).
-    fn begin_query(&mut self, order: &[(f64, f64, usize)]) {
-        for (pos, &(_, _, c)) in order.iter().enumerate() {
-            self.rank[c] = pos;
-        }
-    }
-
     /// Joins one slot's in-flight handle, folding the materialised bytes
     /// into the prefetch ledgers (each spawned job passes through here
     /// exactly once, so `bytes_prefetched` covers every speculative load).
@@ -300,39 +311,21 @@ impl Prefetcher {
         }
     }
 
-    /// Drops one slot as wasted work, joining it first if still in flight
-    /// (the handle would block on drop anyway; joining keeps the byte
-    /// ledger exact).
-    fn waste_slot(cache: &mut ShardCache, mut slot: StagedSlot) {
-        match slot.shard.take() {
-            Some(shard) => cache.staged_bytes -= shard.bytes,
-            None => drop(Self::join_handle(cache, slot.handle.take().expect("in-flight slot"))),
-        }
-        cache.stats.prefetch_wasted += 1;
-    }
-
-    /// Tops the pipeline up to `depth` speculative loads for the clusters
-    /// that follow position `pos` in this query's visit order, skipping
-    /// resident and already-staged clusters and stopping at the first
-    /// position the current τ prunes (bounds ascend, so everything past it
-    /// is unreachable this query). Called *before* the current shard is
-    /// obtained and scanned — that is the overlap. Also folds finished
-    /// loads into the staged ledger and retires leftovers τ already prunes,
-    /// so stale speculation cannot starve the pipeline.
+    /// Starts speculative loads for the first `depth` clusters of
+    /// `upcoming` that are neither resident nor staged, while the pipeline
+    /// has a free slot. Called after the current visit's shard is obtained
+    /// and before it is scanned — that is the overlap. Also folds finished
+    /// loads into the staged ledger.
     fn top_up(
         &mut self,
         cache: &mut ShardCache,
         loader: &ShardLoader<'_>,
-        order: &[(f64, f64, usize)],
-        pos: usize,
-        tau_sq: Option<f64>,
-        err: f64,
+        upcoming: impl Iterator<Item = usize>,
     ) {
         let depth = cache.prefetch_depth;
         if depth == 0 {
             return;
         }
-        let bounds = &loader.part.bounds;
         // Fold finished loads into the staged ledger (non-blocking).
         for slot in self.slots.iter_mut() {
             if slot.shard.is_none() && slot.handle.as_ref().expect("in-flight slot").is_finished() {
@@ -342,33 +335,9 @@ impl Prefetcher {
                 cache.note_peak();
             }
         }
-        // Retire leftovers this query can no longer reach: once τ prunes a
-        // slot's position it will never be visited (ascending bounds), and
-        // holding its slot would starve nearer clusters.
-        if let Some(tau_sq) = tau_sq {
-            let mut i = 0;
-            while i < self.slots.len() {
-                // A slot whose position this query already passed cannot
-                // exist (passing it commits), so rank ≥ pos here; the
-                // current position's own slot survives because its bound
-                // was not pruned (the visit loop checked before calling).
-                let slot_pos = self.rank[self.slots[i].cluster];
-                if bounds.prunes(order[slot_pos].0, tau_sq, err) {
-                    let slot = self.slots.swap_remove(i);
-                    Self::waste_slot(cache, slot);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        let mut next = pos + 1;
-        while self.slots.len() < depth && next < order.len() {
-            let (lb, _, c) = order[next];
-            next += 1;
-            if let Some(tau_sq) = tau_sq {
-                if bounds.prunes(lb, tau_sq, err) {
-                    break;
-                }
+        for c in upcoming.take(depth) {
+            if self.slots.len() == depth {
+                break;
             }
             if cache.resident[c].is_some() || self.slots.iter().any(|s| s.cluster == c) {
                 continue;
@@ -379,16 +348,6 @@ impl Prefetcher {
             cache.stats.shards_prefetched += 1;
             self.slots.push(StagedSlot { cluster: c, handle: Some(handle), shard: None });
         }
-    }
-
-    /// Resolves every outstanding speculative load — called before
-    /// [`ShardedIndex::topk_with_stats`] returns, which is what makes the
-    /// pointer erasure in [`PrefetchJob`] sound. Everything still staged is wasted work.
-    fn drain(&mut self, cache: &mut ShardCache) {
-        for slot in self.slots.drain(..) {
-            Self::waste_slot(cache, slot);
-        }
-        debug_assert_eq!(cache.staged_bytes, 0, "staging ledger must drain to zero");
     }
 }
 
@@ -447,21 +406,21 @@ impl ShardCache {
         );
     }
 
-    /// Returns cluster `c`'s shard. On a miss it admits `staged` (a
-    /// prefetched shard, counted as a commit) or else materialises one
-    /// through `load` (a demand fault), in one evict→charge→evict sequence
-    /// with one LRU clock tick — so the residency trace is identical
-    /// whether a shard arrived by fault or by prefetch. The fresh shard is
-    /// pinned while LRU shards are evicted until the cache fits the budget
-    /// again.
-    fn obtain(&mut self, c: usize, staged: Option<Shard>, load: impl FnOnce() -> Shard) -> &Shard {
+    /// Makes cluster `c`'s shard resident and marks it used. On a miss it
+    /// admits `staged` (a prefetched shard, counted as a commit) or else
+    /// materialises one through `load` (a demand fault), in one
+    /// evict→charge→evict sequence with one LRU clock tick — so the
+    /// residency trace is identical whether a shard arrived by fault or by
+    /// prefetch. The fresh shard is pinned while LRU shards are evicted
+    /// until the cache fits the budget again.
+    fn obtain(&mut self, c: usize, staged: Option<Shard>, load: impl FnOnce() -> Shard) {
         debug_assert!(staged.is_none() || self.resident[c].is_none(), "staged cluster {c} already resident");
         self.tick += 1;
         if self.resident[c].is_none() {
-            // Make room first: nothing is mid-scan between visits (queries
-            // are serial), so even a previously-pinned over-budget shard is
-            // evictable now. This keeps the peak at `budget + one shard`
-            // rather than `budget + two`.
+            // Make room first: a visit's scans all finish before the next
+            // shard is obtained, so even a previously-pinned over-budget
+            // shard is evictable now. This keeps the peak at `budget + one
+            // shard` rather than `budget + two`.
             self.evict_over_budget(usize::MAX);
             let shard = match staged {
                 Some(shard) => {
@@ -482,10 +441,7 @@ impl ShardCache {
             self.evict_over_budget(c);
             self.note_peak();
         }
-        let tick = self.tick;
-        let shard = self.resident[c].as_mut().expect("shard resident after fault or commit");
-        shard.last_use = tick;
-        shard
+        self.resident[c].as_mut().expect("shard resident after fault or commit").last_use = self.tick;
     }
 
     /// Evicts least-recently-used shards (never `pin`, the shard being
@@ -522,9 +478,9 @@ impl ShardCache {
     }
 }
 
-/// How the visit loop obtains the rows of a visited cluster: at each visit
-/// it tops the prefetch pipeline up with that visit's τ, then commits the
-/// cluster's staged shard or faults it in.
+/// How the visit loop obtains the rows of a visited cluster: it commits the
+/// cluster's staged shard or faults it in, then stages the clusters the
+/// sweep reaches next.
 pub(crate) struct Pager<'p> {
     loader: ShardLoader<'p>,
     cache: &'p mut ShardCache,
@@ -538,28 +494,16 @@ impl<'p> Pager<'p> {
         self.loader.quantizer
     }
 
-    /// The shard of cluster `order[pos].2`, called once per visit after the
-    /// τ prune check passed: `tau_sq` is that check's squared threshold
-    /// (`None` while the query's state is not full) and `err` the query's
-    /// kernel-error margin.
-    pub fn obtain(
-        &mut self,
-        order: &[(f64, f64, usize)],
-        pos: usize,
-        tau_sq: Option<f64>,
-        err: f64,
-    ) -> ClusterSlice<'_> {
-        if pos == 0 {
-            // Every query that visits anything starts at position 0.
-            self.pf.begin_query(order);
-        }
-        let (c, loader) = (order[pos].2, self.loader);
-        // Top the pipeline up *before* touching this visit's shard: the
-        // workers materialise what comes next while this thread faults (if
-        // needed) and scans the current cluster.
-        self.pf.top_up(self.cache, &loader, order, pos, tau_sq, err);
+    /// Cluster `c`'s shard, called once per sweep visit. `upcoming` lists
+    /// the other clusters queries wait on, in the order the sweep reaches
+    /// them: every one will be visited, so the pipeline stages from its
+    /// front while this visit scans.
+    pub fn obtain(&mut self, c: usize, upcoming: impl Iterator<Item = usize>) -> ClusterSlice<'_> {
+        let loader = self.loader;
         let staged = self.pf.take(self.cache, c);
-        let shard = self.cache.obtain(c, staged, || loader.load(c));
+        self.cache.obtain(c, staged, || loader.load(c));
+        self.pf.top_up(self.cache, &loader, upcoming);
+        let shard = self.cache.resident[c].as_ref().expect("shard resident after fault or commit");
         ClusterSlice { rows: &shard.rows, ids: loader.ids(c) }
     }
 }
@@ -648,17 +592,18 @@ impl<'a> ShardedIndex<'a> {
         self.cache.budget
     }
 
-    /// The current prefetch pipeline depth `P` (0 = fully serial paging).
+    /// The current prefetch pipeline depth `P` (0 = every shard faults on
+    /// the calling thread).
     pub fn prefetch_depth(&self) -> usize {
         self.cache.prefetch_depth
     }
 
-    /// Sets the prefetch pipeline depth: up to `depth` upcoming shards
-    /// materialise speculatively on `snoopy-pool` workers while the current
-    /// one scans (see the [module docs](self)). Depth 0 (the build default)
-    /// restores the fully serial fault→scan loop. Results are bit-identical
-    /// at every depth and worker count; peak residency is bounded by
-    /// `budget + max_shard × (1 + depth)`.
+    /// Sets the prefetch pipeline depth: the shards of up to `depth`
+    /// upcoming clusters with waiting queries materialise on `snoopy-pool`
+    /// workers while the current one scans (see the [module docs](self)).
+    /// Depth 0 (the build default) faults every shard on the calling
+    /// thread. Results are bit-identical at every depth and worker count;
+    /// peak residency is bounded by `budget + max_shard × (1 + depth)`.
     pub fn set_prefetch_depth(&mut self, depth: usize) {
         self.cache.prefetch_depth = depth;
     }
@@ -703,10 +648,11 @@ impl<'a> ShardedIndex<'a> {
     }
 
     /// [`ShardedIndex::topk`] plus the pruning counters (paging counters
-    /// accumulate on the index — [`ShardedIndex::paging_stats`]). The scan
-    /// itself runs on this thread; with a non-zero
-    /// [`ShardedIndex::set_prefetch_depth`] upcoming shards materialise
-    /// concurrently on pool workers (see the [module docs](self)).
+    /// accumulate on the index — [`ShardedIndex::paging_stats`]). Each
+    /// visited shard's waiting queries scan in one chunk per worker of the
+    /// current pool; with a non-zero [`ShardedIndex::set_prefetch_depth`]
+    /// upcoming shards also materialise on pool workers (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     /// Panics on a query/index dimension mismatch.
@@ -716,13 +662,13 @@ impl<'a> ShardedIndex<'a> {
         let ShardedIndex { source, part, quantizer, cache } = self;
         let mut pager = Pager {
             loader: ShardLoader { source: *source, part, quantizer: quantizer.as_ref() },
-            pf: Prefetcher::new(part.num_clusters(), cache.prefetch_depth),
+            pf: Prefetcher::default(),
             cache,
         };
         let stats = part.update_topk(&mut pager, queries, &mut states);
-        // Resolve every outstanding speculative load before returning —
-        // the soundness condition of `PrefetchJob`'s pointer erasure.
-        pager.pf.drain(pager.cache);
+        // A staged cluster has waiting queries, so its visit took the slot.
+        debug_assert!(pager.pf.slots.is_empty(), "a staged shard outlived the sweep");
+        debug_assert_eq!(pager.cache.staged_bytes, 0, "staging ledger must drain to zero");
         (NeighborTable::from_states(&states), stats)
     }
 }
@@ -760,9 +706,13 @@ mod tests {
         let budget = 3 * (600 / 10) * 12 * 4; // ~3 shards of f32 rows
         let mut index = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 10, budget).quantize();
         assert!(index.is_quantized());
-        let (table, stats) = index.topk_with_stats(queries.view(), 5);
-        assert_eq!(table, knn_reference(train.view(), queries.view(), Metric::SquaredEuclidean, 5));
-        assert!(stats.rows_quantized > 0, "shards must carry shadows: {stats:?}");
+        let reference = knn_reference(train.view(), queries.view(), Metric::SquaredEuclidean, 5);
+        // The second call re-faults the shards the first one evicted.
+        for _ in 0..2 {
+            let (table, stats) = index.topk_with_stats(queries.view(), 5);
+            assert_eq!(table, reference);
+            assert!(stats.rows_quantized > 0, "shards must carry shadows: {stats:?}");
+        }
         let paging = index.paging_stats();
         assert!(paging.shards_faulted > index.num_clusters(), "re-faults expected: {paging:?}");
         assert!(paging.shards_evicted >= 2, "{paging:?}");
@@ -848,10 +798,10 @@ mod tests {
         assert_eq!(table, knn_reference(train.view(), queries.view(), Metric::SquaredEuclidean, 5));
         let paging = index.paging_stats();
         assert!(paging.prefetch_committed >= 1, "pipeline must land commits: {paging:?}");
+        assert_eq!(paging.prefetch_wasted, 0, "only clusters queries wait on are staged: {paging:?}");
         assert_eq!(
-            paging.shards_prefetched,
-            paging.prefetch_committed + paging.prefetch_wasted,
-            "every speculative load ends committed or wasted: {paging:?}"
+            paging.shards_prefetched, paging.prefetch_committed,
+            "every load is committed: {paging:?}"
         );
         assert!(paging.bytes_prefetched > 0, "{paging:?}");
         let rb = index.resident_bytes();

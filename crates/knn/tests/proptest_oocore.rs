@@ -82,12 +82,13 @@ proptest! {
     /// The prefetch pipeline is invisible in results: at every depth ×
     /// eviction-forcing budget the pipelined scan produces the depth-0
     /// serial scan's table bit for bit, the staging area drains, the
-    /// counters balance (every speculative load ends committed or wasted,
-    /// and faults + commits equal the serial fault count), and peak
-    /// residency honours `budget + (1 + P) × max_shard`. The in-flight
-    /// staging bound (never more than `P` shards' worth of staged bytes)
-    /// is debug-asserted inside the cache on every commit/evict cycle,
-    /// which these debug-built cases exercise on every query.
+    /// counters balance (every speculative load is committed — only
+    /// clusters queries wait on are staged, so none is wasted — and faults +
+    /// commits equal the serial fault count), and peak residency honours
+    /// `budget + (1 + P) × max_shard`. The in-flight staging bound (never
+    /// more than `P` shards' worth of staged bytes) is debug-asserted
+    /// inside the cache on every commit/evict cycle, which these
+    /// debug-built cases exercise on every visit.
     #[test]
     fn prefetch_depths_are_bit_identical_to_serial(
         seed in 0u64..500,
@@ -133,6 +134,7 @@ proptest! {
                     paging.prefetch_committed + paging.prefetch_wasted,
                     "speculative loads must balance: {:?}", paging
                 );
+                prop_assert_eq!(paging.prefetch_wasted, 0, "a staged cluster is always visited: {:?}", paging);
                 let rb = piped.resident_bytes();
                 prop_assert_eq!(rb.staged, 0, "staging must drain");
                 prop_assert!(
