@@ -23,6 +23,8 @@
 //!   than half the field stop pulling early,
 //! * exhaustive evaluation — every arm pulled dry.
 
+#![forbid(unsafe_code)]
+
 pub mod arm;
 pub mod strategies;
 

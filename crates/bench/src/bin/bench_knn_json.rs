@@ -19,11 +19,10 @@
 //! through the `ShardedIndex`, vs the fully-resident baseline — with
 //! bit-identical tables/estimates, ≥ 2 forced shard evictions, and the
 //! peak-residency contract asserted before timing — plus the query phase of
-//! a prebuilt index at that budget, with serial paging and with the depth-4
-//! prefetch pipeline, against the same index at an unbounded budget:
-//! bit-identical by assertion, every prefetched shard committed and none
-//! wasted, and the serially paged phase ≥ 0.5× the unbounded one at
-//! n ≥ 32,768) — across a few training-set sizes. This is the workspace's
+//! a prebuilt index at that budget against the same index at an unbounded
+//! budget: bit-identical by assertion, and the paged phase ≥ 0.5× the
+//! unbounded one at n ≥ 32,768) — across a few training-set sizes. This is
+//! the workspace's
 //! perf-trajectory anchor — run it before and after touching the engine.
 //!
 //! Every section asserts bit-exact parity before timing anything, the
@@ -136,30 +135,19 @@ struct OocoreCase {
     /// How many times over budget the dataset is (≥ 4, ≥ 8 on the largest
     /// case).
     budget_factor: usize,
-    /// End-to-end feasibility-study throughput, shard-paged (prefetch off —
-    /// the serial baseline PR 9 established).
+    /// End-to-end feasibility-study throughput, shard-paged.
     paged_qps: f64,
     /// End-to-end feasibility-study throughput, fully resident.
     resident_qps: f64,
-    /// Query-phase throughput of a prebuilt paged index, serial paging
-    /// (prefetch depth 0).
+    /// Query-phase throughput of a prebuilt paged index (every shard
+    /// faulted on the calling thread).
     serial_query_qps: f64,
     /// Query-phase throughput of the same partition at an unbounded budget
     /// (every visited shard stays resident after the warm-up).
     unbounded_query_qps: f64,
-    /// Query-phase throughput of the same index with the prefetch pipeline
-    /// on (`prefetch_depth` shards ahead).
-    prefetch_query_qps: f64,
-    /// Pipeline depth of the prefetch query-phase measurement.
-    prefetch_depth: usize,
     shards_faulted: usize,
     shards_evicted: usize,
     bytes_faulted: usize,
-    /// Speculative loads issued / committed / dropped across the prefetch
-    /// query-phase runs.
-    shards_prefetched: usize,
-    prefetch_committed: usize,
-    prefetch_wasted: usize,
     peak_bytes: usize,
     max_shard_bytes: usize,
 }
@@ -830,13 +818,12 @@ fn main() {
     // dataset whose feature payload is `budget_factor`× the resident shard
     // budget, paged through the `ShardedIndex` vs the fully-resident
     // in-memory baseline, plus the query phase of a prebuilt index at that
-    // budget (serial paging and the prefetch pipeline) against the same
-    // partition at an unbounded budget (whole-study time is dominated by
-    // the k-means build, so the cost of paging is measured on the
-    // paging+scanning loop alone). Parity is asserted bit for bit (table,
-    // estimates, and the three query-phase tables), the budget must
-    // actually bind (≥ 2 shard evictions), and peak residency must respect
-    // the `budget + max_shard × (1 + depth)` contract before anything is
+    // budget against the same partition at an unbounded budget (whole-study
+    // time is dominated by the k-means build, so the cost of paging is
+    // measured on the paging+scanning loop alone). Parity is asserted bit
+    // for bit (table, estimates, and the two query-phase tables), the
+    // budget must actually bind (≥ 2 shard evictions), and peak residency
+    // must respect the `budget + max_shard` contract before anything is
     // timed. Paged throughput depends on page-fault and gather cost
     // (`io_dependent`), and the query phases split each visit's queries
     // over the pool's workers (`thread_dependent`).
@@ -852,7 +839,6 @@ fn main() {
         }
         _ => &[(8_000, 16, 4), (16_384, 32, 4), (65_536, 16, 4)],
     };
-    const OOCORE_PREFETCH_DEPTH: usize = 4;
     let mut oocore_cases = Vec::new();
     for (i, &(n, d, budget_factor)) in oocore_specs.iter().enumerate() {
         let x = make_blobs(n, d, 32, 90 + i as u64);
@@ -872,9 +858,7 @@ fn main() {
             nlist: 32,
             eval_rows,
             quantize: false,
-            // The whole-study timing keeps PR 9's serial-paging semantics;
-            // the pipeline is measured separately on the query phase below.
-            prefetch_depth: 0,
+            ..snoopy_core::OutOfCoreConfig::default()
         };
         assert!(
             dataset_bytes >= budget_factor * budget_bytes,
@@ -916,9 +900,9 @@ fn main() {
             );
         }
 
-        // The query phase on one prebuilt index at the case's budget,
-        // serial (depth 0) and pipelined (depth 4), against the same
-        // partition at an unbounded budget, tables asserted bit-identical.
+        // The query phase on one prebuilt index at the case's budget against
+        // the same partition at an unbounded budget, tables asserted
+        // bit-identical.
         // Each timed paged run re-pages most of its shards (the budget is
         // `budget_factor`× oversubscribed), so residual cache state between
         // runs is noise, not signal; the unbounded index keeps every shard
@@ -929,28 +913,14 @@ fn main() {
         let eval_x = full.features().slice_rows(train_rows, n);
         let kq = 8usize;
         let mut index = ShardedIndex::build(train_x, Metric::SquaredEuclidean, cfg.nlist, budget_bytes);
-        index.set_prefetch_depth(0);
         let serial_table = index.topk(eval_x, kq); // warm-up + reference
         let t_serial_q = time_median(5, || {
             std::hint::black_box(index.topk(eval_x, kq));
         });
-        index.set_prefetch_depth(OOCORE_PREFETCH_DEPTH);
-        let before = index.paging_stats();
-        let prefetch_table = index.topk(eval_x, kq); // warm-up on the pipeline
-        assert_eq!(prefetch_table, serial_table, "prefetch must not change a single bit");
-        let t_prefetch_q = time_median(5, || {
-            std::hint::black_box(index.topk(eval_x, kq));
-        });
-        let after = index.paging_stats();
-        let shards_prefetched = after.shards_prefetched - before.shards_prefetched;
-        let prefetch_committed = after.prefetch_committed - before.prefetch_committed;
-        let prefetch_wasted = after.prefetch_wasted - before.prefetch_wasted;
-        assert_eq!(prefetch_wasted, 0, "only clusters queries wait on may be staged");
-        assert_eq!(shards_prefetched, prefetch_committed, "every prefetched shard must be committed");
         let qrb = index.resident_bytes();
         assert!(
-            qrb.peak <= qrb.budget + (1 + OOCORE_PREFETCH_DEPTH) * qrb.max_shard,
-            "pipelined peak {} exceeds budget {} + (1 + {OOCORE_PREFETCH_DEPTH}) x largest shard {}",
+            qrb.peak <= qrb.budget + qrb.max_shard,
+            "query-phase peak {} exceeds budget {} + largest shard {}",
             qrb.peak,
             qrb.budget,
             qrb.max_shard
@@ -961,7 +931,6 @@ fn main() {
             std::hint::black_box(unbounded.topk(eval_x, kq));
         });
         let serial_query_qps = eval_rows as f64 / t_serial_q;
-        let prefetch_query_qps = eval_rows as f64 / t_prefetch_q;
         let unbounded_query_qps = eval_rows as f64 / t_unbounded_q;
         if n >= 32_768 {
             assert!(
@@ -972,21 +941,17 @@ fn main() {
         }
 
         println!(
-            "oocore n={n} d={d}   budget {:.1} MiB / dataset {:.1} MiB ({budget_factor}x)   paged {:>7.1} qps   resident {:>7.1} qps   ratio {:.2}x   query serial {:>7.1} qps   prefetch(x{OOCORE_PREFETCH_DEPTH}) {:>7.1} qps ({:.2}x)   unbounded {:>7.1} qps (paged {:.2}x)   ({} faults, {} evictions, {}/{} commits/wasted)",
+            "oocore n={n} d={d}   budget {:.1} MiB / dataset {:.1} MiB ({budget_factor}x)   paged {:>7.1} qps   resident {:>7.1} qps   ratio {:.2}x   query paged {:>7.1} qps   unbounded {:>7.1} qps (paged {:.2}x)   ({} faults, {} evictions)",
             budget_bytes as f64 / (1 << 20) as f64,
             dataset_bytes as f64 / (1 << 20) as f64,
             paged_qps,
             resident_qps,
             paged_qps / resident_qps,
             serial_query_qps,
-            prefetch_query_qps,
-            prefetch_query_qps / serial_query_qps,
             unbounded_query_qps,
             serial_query_qps / unbounded_query_qps,
             paged.paging.shards_faulted,
             paged.paging.shards_evicted,
-            prefetch_committed,
-            prefetch_wasted,
         );
         oocore_cases.push(OocoreCase {
             train_n: n,
@@ -1000,14 +965,9 @@ fn main() {
             resident_qps,
             serial_query_qps,
             unbounded_query_qps,
-            prefetch_query_qps,
-            prefetch_depth: OOCORE_PREFETCH_DEPTH,
             shards_faulted: paged.paging.shards_faulted,
             shards_evicted: paged.paging.shards_evicted,
             bytes_faulted: paged.paging.bytes_faulted,
-            shards_prefetched,
-            prefetch_committed,
-            prefetch_wasted,
             peak_bytes: rb.peak,
             max_shard_bytes: rb.max_shard,
         });
@@ -1053,7 +1013,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"oocore_cases\": {{\"compares\": \"shard-paged out-of-core study vs fully-resident study, plus the query phase at the budget (serial paging and the prefetch pipeline) vs an unbounded budget\", \"thread_dependent\": true, \"io_dependent\": true}},"
+        "    \"oocore_cases\": {{\"compares\": \"shard-paged out-of-core study vs fully-resident study, plus the query phase at the budget vs an unbounded budget\", \"thread_dependent\": true, \"io_dependent\": true}},"
     );
     let _ = writeln!(
         json,
@@ -1184,7 +1144,7 @@ fn main() {
         let comma = if i + 1 < oocore_cases.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"train_n\": {}, \"dim\": {}, \"eval_rows\": {}, \"nlist\": {}, \"metric\": \"sq-euclidean\", \"budget_bytes\": {}, \"dataset_bytes\": {}, \"budget_factor\": {}, \"paged_qps\": {:.1}, \"resident_qps\": {:.1}, \"ratio\": {:.3}, \"serial_query_qps\": {:.1}, \"prefetch_query_qps\": {:.1}, \"prefetch_speedup\": {:.3}, \"unbounded_query_qps\": {:.1}, \"paged_vs_unbounded\": {:.3}, \"prefetch_depth\": {}, \"shards_faulted\": {}, \"shards_evicted\": {}, \"bytes_faulted\": {}, \"shards_prefetched\": {}, \"prefetch_committed\": {}, \"prefetch_wasted\": {}, \"peak_bytes\": {}, \"max_shard_bytes\": {}}}{comma}",
+            "    {{\"train_n\": {}, \"dim\": {}, \"eval_rows\": {}, \"nlist\": {}, \"metric\": \"sq-euclidean\", \"budget_bytes\": {}, \"dataset_bytes\": {}, \"budget_factor\": {}, \"paged_qps\": {:.1}, \"resident_qps\": {:.1}, \"ratio\": {:.3}, \"serial_query_qps\": {:.1}, \"unbounded_query_qps\": {:.1}, \"paged_vs_unbounded\": {:.3}, \"shards_faulted\": {}, \"shards_evicted\": {}, \"bytes_faulted\": {}, \"peak_bytes\": {}, \"max_shard_bytes\": {}}}{comma}",
             c.train_n,
             c.dim,
             c.eval_rows,
@@ -1196,17 +1156,11 @@ fn main() {
             c.resident_qps,
             c.paged_qps / c.resident_qps,
             c.serial_query_qps,
-            c.prefetch_query_qps,
-            c.prefetch_query_qps / c.serial_query_qps,
             c.unbounded_query_qps,
             c.serial_query_qps / c.unbounded_query_qps,
-            c.prefetch_depth,
             c.shards_faulted,
             c.shards_evicted,
             c.bytes_faulted,
-            c.shards_prefetched,
-            c.prefetch_committed,
-            c.prefetch_wasted,
             c.peak_bytes,
             c.max_shard_bytes,
         );

@@ -13,6 +13,8 @@
 //! ([`datasets_arg`]). See `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for recorded paper-vs-measured comparisons.
 
+#![forbid(unsafe_code)]
+
 use snoopy_data::registry::{spec_by_name, table1_specs, DatasetSpec, SizeScale};
 use std::fs;
 use std::path::PathBuf;

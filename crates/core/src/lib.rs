@@ -34,6 +34,8 @@
 //! `γ_{f,n}` of Section IV-B on synthetic tasks with known BER, reproducing
 //! the justification for the minimum aggregation (Figures 14–17).
 
+#![forbid(unsafe_code)]
+
 pub mod arm;
 pub mod config;
 pub mod guidance;

@@ -15,13 +15,12 @@
 //! it — is **bit-identical** to a fully-resident run; the budget trades
 //! only time, never answers.
 //!
-//! Three pieces of the study run on `snoopy-pool` workers: each loaded
-//! shard's waiting queries scan in one chunk per worker, the index's shard
-//! **prefetch pipeline** ([`OutOfCoreConfig::prefetch_depth`]) materialises
-//! the next clusters the sweep visits while the current one scans, and the
-//! FNV-1a **checksum verification** of both payload files re-hashes the
-//! dataset concurrently with the study — its verdict is awaited before any
-//! result is surfaced, so a poisoned dataset fails loud
+//! Shards fault in on the calling thread as the sweep reaches them. Two
+//! pieces of the study run on `snoopy-pool` workers: each loaded shard's
+//! waiting queries scan in one chunk per worker, and the FNV-1a **checksum
+//! verification** of both payload files re-hashes the dataset concurrently
+//! with the study — its verdict is awaited before any result is surfaced,
+//! so a poisoned dataset fails loud
 //! ([`snoopy_linalg::disk::DiskDatasetError::ChecksumMismatch`]) instead of
 //! silently feeding corrupt rows into the estimators.
 
@@ -39,8 +38,8 @@ use snoopy_linalg::LabeledView;
 #[derive(Debug, Clone, Copy)]
 pub struct OutOfCoreConfig {
     /// Resident shard budget. Peak residency is bounded by
-    /// `budget + max_shard × (1 + prefetch_depth)`: the shard being scanned
-    /// plus up to `prefetch_depth` staged ones; see [`PagedResidentBytes`].
+    /// `budget + max_shard`: one shard being scanned may exceed the budget;
+    /// see [`PagedResidentBytes`].
     pub shard_budget_bytes: usize,
     /// k-means cluster count — equivalently the shard count before
     /// empty-cluster pruning.
@@ -51,11 +50,9 @@ pub struct OutOfCoreConfig {
     /// Attach the per-shard int8 shadow: visited shards scan at about one
     /// byte per dimension with exact f32 re-ranking (identical table).
     pub quantize: bool,
-    /// Prefetch pipeline depth `P`: the shards of the next `P` clusters
-    /// the sweep visits materialise on pool workers while the current one
-    /// scans; each is certain to be visited, so none is wasted. 0 faults
-    /// every shard on the calling thread; results are bit-identical at
-    /// every depth. Widens peak residency to `budget + max_shard × (1 + P)`.
+    /// Ignored: the study has no prefetch pipeline and faults every shard
+    /// on the calling thread, whatever this is set to. Defaults to 0 and is
+    /// kept so that callers written against the pipeline still build.
     pub prefetch_depth: usize,
 }
 
@@ -66,7 +63,7 @@ impl Default for OutOfCoreConfig {
             nlist: 16,
             eval_rows: 256,
             quantize: false,
-            prefetch_depth: 2,
+            prefetch_depth: 0,
         }
     }
 }
@@ -129,8 +126,7 @@ pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreRe
 
     let estimators = default_estimators();
     let k = shared_table_k(&estimators).max(1);
-    let mut index = ShardedIndex::build(train_x, Metric::SquaredEuclidean, cfg.nlist, cfg.shard_budget_bytes)
-        .with_prefetch_depth(cfg.prefetch_depth);
+    let mut index = ShardedIndex::build(train_x, Metric::SquaredEuclidean, cfg.nlist, cfg.shard_budget_bytes);
     if cfg.quantize {
         index = index.quantize();
     }
@@ -240,34 +236,7 @@ mod tests {
         assert_eq!(paged.min_estimate, resident.min_estimate);
         assert!(paged.paging.shards_evicted >= 1, "budget should force eviction: {:?}", paged.paging);
         let rb = paged.residency;
-        let allowance = rb.max_shard * (1 + cfg.prefetch_depth);
-        assert!(rb.peak <= rb.budget + allowance, "residency contract: {rb:?}");
-    }
-
-    #[test]
-    fn prefetch_depths_agree_with_the_serial_study() {
-        let dir = TempDir::new("oocore_core_pf");
-        write_dataset(dir.path(), 17, 400, 8);
-        let base = OutOfCoreConfig {
-            shard_budget_bytes: (300 * 8 * 4) / 4,
-            nlist: 8,
-            eval_rows: 100,
-            ..OutOfCoreConfig::default()
-        };
-        let serial = run_oocore_study(dir.path(), &OutOfCoreConfig { prefetch_depth: 0, ..base })
-            .expect("serial study");
-        for depth in [1usize, 4] {
-            let piped = run_oocore_study(dir.path(), &OutOfCoreConfig { prefetch_depth: depth, ..base })
-                .expect("piped study");
-            assert_eq!(piped.table, serial.table, "depth {depth}");
-            assert_eq!(piped.estimates, serial.estimates, "depth {depth}");
-            assert_eq!(
-                piped.paging.shards_faulted + piped.paging.prefetch_committed,
-                serial.paging.shards_faulted,
-                "depth {depth}: {:?}",
-                piped.paging
-            );
-        }
+        assert!(rb.peak <= rb.budget + rb.max_shard, "residency contract: {rb:?}");
     }
 
     #[test]

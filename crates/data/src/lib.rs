@@ -21,6 +21,8 @@
 //! (Eq. 20), pairwise flipping, and replicas of the CIFAR-N transition
 //! matrices with the statistics of Table II.
 
+#![forbid(unsafe_code)]
+
 pub mod cleaning;
 pub mod dataset;
 pub mod disk;

@@ -18,6 +18,8 @@
 //! 0.9 $/GPU-hour), producing the cost-versus-cleaning traces of
 //! Figures 9, 10 and 21–27.
 
+#![forbid(unsafe_code)]
+
 pub mod oocore;
 pub mod server;
 pub mod simulate;

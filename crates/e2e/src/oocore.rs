@@ -6,13 +6,11 @@
 //! The scenario plays the deployment story the format exists for: features
 //! and labels land on disk once, every later study memory-maps them and
 //! pages cluster shards under a byte budget a quarter of the training
-//! payload, with the default prefetch pipeline overlapping shard
-//! materialisation with scanning. The scenario asserts its own correctness
-//! while it runs — the budget must actually be exceeded (≥ 2 shard
-//! evictions), the pipeline must land at least one prefetch commit, peak
-//! residency must respect the `budget + max_shard × (1 + prefetch_depth)`
-//! contract, and the paged [`snoopy_core::oocore::OutOfCoreReport`] must
-//! match the resident reference bit for bit, estimates included.
+//! payload. The scenario asserts its own correctness while it runs — the
+//! budget must actually be exceeded (≥ 2 shard evictions), peak residency
+//! must respect the `budget + max_shard` contract, and the paged
+//! [`snoopy_core::oocore::OutOfCoreReport`] must match the resident
+//! reference bit for bit, estimates included.
 
 use std::path::Path;
 
@@ -31,19 +29,8 @@ pub struct OocoreRun {
     pub shards_faulted: usize,
     /// Shards evicted across the paged study (≥ 2 by assertion).
     pub shards_evicted: usize,
-    /// Bytes paged in by demand faults across the study.
+    /// Bytes paged in by faults across the study.
     pub bytes_faulted: usize,
-    /// Bytes paged in by the prefetch pipeline across the study.
-    pub bytes_prefetched: usize,
-    /// Speculative shard loads issued by the prefetch pipeline.
-    pub shards_prefetched: usize,
-    /// Prefetched shards committed at visit time (≥ 1 by assertion).
-    pub prefetch_committed: usize,
-    /// Prefetched shards dropped without a commit (0: the pipeline stages
-    /// only clusters that queries wait on).
-    pub prefetch_wasted: usize,
-    /// The prefetch depth the study ran at.
-    pub prefetch_depth: usize,
     /// The resident shard budget the study ran under.
     pub budget_bytes: usize,
     /// Peak resident bytes observed (≤ budget + largest shard).
@@ -95,19 +82,12 @@ pub fn run_oocore_scenario(dir: &Path, rows: usize, seed: u64) -> OocoreRun {
     assert_eq!(paged.table, resident.table, "paged table must be bit-identical to resident");
     assert_eq!(paged.estimates, resident.estimates, "estimates must match bit for bit");
     assert!(paged.paging.shards_evicted >= 2, "the budget must force ≥ 2 evictions, got {:?}", paged.paging);
-    assert!(
-        paged.paging.prefetch_committed >= 1,
-        "the pipeline must land at least one prefetch commit, got {:?}",
-        paged.paging
-    );
     let rb = paged.residency;
-    let allowance = rb.max_shard * (1 + cfg.prefetch_depth);
     assert!(
-        rb.peak <= rb.budget + allowance,
-        "peak residency {} exceeds budget {} + (1 + {}) x largest shard {}",
+        rb.peak <= rb.budget + rb.max_shard,
+        "peak residency {} exceeds budget {} + largest shard {}",
         rb.peak,
         rb.budget,
-        cfg.prefetch_depth,
         rb.max_shard
     );
 
@@ -116,11 +96,6 @@ pub fn run_oocore_scenario(dir: &Path, rows: usize, seed: u64) -> OocoreRun {
         shards_faulted: paged.paging.shards_faulted,
         shards_evicted: paged.paging.shards_evicted,
         bytes_faulted: paged.paging.bytes_faulted,
-        bytes_prefetched: paged.paging.bytes_prefetched,
-        shards_prefetched: paged.paging.shards_prefetched,
-        prefetch_committed: paged.paging.prefetch_committed,
-        prefetch_wasted: paged.paging.prefetch_wasted,
-        prefetch_depth: cfg.prefetch_depth,
         budget_bytes: rb.budget,
         peak_bytes: rb.peak,
         train_rows: paged.train_rows,
@@ -138,13 +113,10 @@ mod tests {
         let dir = TempDir::new("e2e_oocore");
         let run = run_oocore_scenario(dir.path(), 600, 42);
         assert!(run.shards_evicted >= 2);
-        // Every eviction victim was admitted by a demand fault or a commit.
-        assert!(run.shards_faulted + run.prefetch_committed >= run.shards_evicted);
-        assert!(run.prefetch_committed >= 1, "smoke must exercise the pipeline");
-        assert_eq!(run.prefetch_wasted, 0, "only clusters queries wait on are staged");
-        assert_eq!(run.shards_prefetched, run.prefetch_committed, "every speculative load is committed");
-        // Every resident or staged byte was paged in by a fault or a prefetch.
-        assert!(run.peak_bytes <= run.budget_bytes + run.bytes_faulted + run.bytes_prefetched);
+        // Every eviction victim was admitted by a fault.
+        assert!(run.shards_faulted >= run.shards_evicted);
+        // Every resident byte was paged in by a fault.
+        assert!(run.peak_bytes <= run.budget_bytes + run.bytes_faulted);
         assert!((0.0..=1.0).contains(&run.min_estimate));
         assert_eq!(run.train_rows + run.eval_rows, 600);
     }

@@ -23,6 +23,8 @@
 //! * the vision and NLP registries with cost model ([`registry`]),
 //! * a thread-safe embedding cache ([`cache`]).
 
+#![forbid(unsafe_code)]
+
 pub mod basic;
 pub mod cache;
 pub mod pretrained;

@@ -45,6 +45,8 @@
 //! train and evaluated on train) simply ignore or pool the views as their
 //! definition dictates.
 
+#![forbid(unsafe_code)]
+
 pub mod cover_hart;
 pub mod devijver;
 pub mod extrapolation;

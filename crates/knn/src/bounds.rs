@@ -6,11 +6,11 @@
 //! triangle-inequality lower bound and visits them until a bound can no
 //! longer beat its k-th admitted distance, while the loop groups the
 //! visits by cluster — it sweeps the clusters, obtains each one that
-//! queries wait on once from the shard pager (a prefetched shard is
-//! committed, any other faulted in), and scans the [`ClusterSlice`] for
-//! every waiting query through the one f32 tile scan or the one int8
-//! two-phase scan, split over the pool's workers. Every prune decision goes
-//! through [`PruneBounds`].
+//! queries wait on once from the shard pager (which faults the shard in
+//! unless it is still resident), and scans the [`ClusterSlice`] for every
+//! waiting query through the one f32 tile scan or the one int8 two-phase
+//! scan, split over the pool's workers. Every prune decision goes through
+//! [`PruneBounds`].
 //!
 //! ## Exactness argument
 //!
@@ -229,16 +229,6 @@ impl PruneStats {
             0.0
         } else {
             1.0 - self.clusters_visited as f64 / self.clusters_total as f64
-        }
-    }
-
-    /// Fraction of pairwise distances never evaluated exactly:
-    /// `1 − scanned / total` (0 when no query ran).
-    pub fn row_prune_rate(&self) -> f64 {
-        if self.rows_total == 0 {
-            0.0
-        } else {
-            1.0 - self.rows_scanned as f64 / self.rows_total as f64
         }
     }
 
@@ -510,11 +500,7 @@ impl Partition {
                     continue;
                 }
                 std::mem::swap(&mut here, &mut waiting[c]);
-                // The other clusters queries wait on, in the order the
-                // sweep reaches them: each will be visited, so the pager
-                // may stage them.
-                let upcoming = (c + 1..nlist).chain(0..c).filter(|&u| !waiting[u].is_empty());
-                let slice = pager.obtain(c, upcoming);
+                let slice = pager.obtain(c);
                 let serve = |part: &mut [Waiter<'_>], s: &mut ChunkBuffers| {
                     for w in part {
                         schedule.visit(&slice, c, w, s);

@@ -237,11 +237,6 @@ impl IncrementalTopK {
         &self.train_labels
     }
 
-    /// Whether [`IncrementalTopK::with_eviction`] enabled row eviction.
-    pub fn eviction_enabled(&self) -> bool {
-        self.eviction
-    }
-
     /// Extra admission-buffer slots per query beyond `k` (0 unless eviction
     /// is enabled).
     pub fn slack(&self) -> usize {

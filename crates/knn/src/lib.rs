@@ -44,12 +44,11 @@
 //!   [`sharded::PagedResidentBytes`]; `usize::MAX` keeps every visited
 //!   shard resident). Each query visits its clusters in triangle-inequality
 //!   bound order, so a cluster every query's bound rejects is never faulted
-//!   in, but the visit loop is visit-major: it sweeps the clusters, loads
-//!   each one that queries wait on once, and scans it for all of them in
-//!   one chunk per `snoopy-pool` worker, while a configurable prefetch
-//!   pipeline materialises the next clusters of the sweep on the pool's
-//!   workers. Cosine dissimilarity has no triangle inequality, so cosine
-//!   consumers use the exhaustive engine. The visit-major loop, the f32
+//!   in, but the visit loop is visit-major: it sweeps the clusters, faults
+//!   in each one that queries wait on once, on the calling thread, and
+//!   scans it for all of them in one chunk per `snoopy-pool` worker.
+//!   Cosine dissimilarity has no triangle inequality, so cosine consumers
+//!   use the exhaustive engine. The visit-major loop, the f32
 //!   tile scan and the int8 two-phase scan are one crate-internal
 //!   cluster-scan core,
 //! * the per-dimension affine int8 shadow ([`quantized::QuantizedShadow`],
@@ -72,6 +71,8 @@
 //!   every point). Every append and every drained-buffer re-scan folds
 //!   through the exhaustive engine: one batch, or a handful of re-scanned
 //!   queries, is too small to pay for a k-means build.
+
+#![forbid(unsafe_code)]
 
 pub(crate) mod bounds;
 pub mod brute;

@@ -18,8 +18,8 @@
 //! their per-row centroid distances, the kernel norm cache, and (when
 //! quantized) the int8 shadow — that loads and evicts on demand under a
 //! configurable resident byte budget. The visit loop obtains a cluster from
-//! the pager, which commits the cluster's staged shard or faults it in and
-//! then stages the clusters the loop reaches next.
+//! the pager, which faults its shard in on the calling thread unless it is
+//! still resident.
 //!
 //! Queries go through one entry, [`ShardedIndex::topk_with_stats`]: a cold
 //! top-k table of held-out query rows plus its [`PruneStats`] — clusters
@@ -55,21 +55,18 @@
 //! state and reads the shard immutably. A visit therefore splits them into
 //! [`snoopy_pool::workers`] chunks of the pool it runs on, one task per
 //! chunk, each writing only its own queries' states and its own
-//! [`PruneStats`] share (summed as integers afterwards). Shard loads, LRU
-//! decisions and prefetch staging stay on the calling thread, between
-//! visits, so paging is identical at every worker count.
+//! [`PruneStats`] share (summed as integers afterwards). Shard faults and
+//! LRU decisions stay on the calling thread, between visits, so paging is
+//! identical at every worker count.
 //!
 //! ## Residency contract
 //!
 //! Shards are cached LRU under `budget_bytes`: after each fault the
 //! least-recently-used shards are evicted (the just-faulted shard is
-//! pinned) until the cache fits the budget again. With prefetch off, peak
-//! residency is therefore at most `budget + one shard`; with a prefetch
-//! depth of `P`, the staging area adds at most `P` uncommitted shards, so
-//! the contract becomes `peak ≤ budget + max_shard × (1 + P)` — measured by
-//! [`ShardedIndex::resident_bytes`] ([`PagedResidentBytes`]) *and*
-//! debug-asserted after every fault/commit/evict cycle, with fault,
-//! eviction, and prefetch traffic counted in [`PagingStats`].
+//! pinned) until the cache fits the budget again, so peak residency is at
+//! most `budget + max_shard` — measured by [`ShardedIndex::resident_bytes`]
+//! ([`PagedResidentBytes`]) *and* debug-asserted after every fault/evict
+//! cycle, with fault and eviction traffic counted in [`PagingStats`].
 //!
 //! ## Exactness
 //!
@@ -81,33 +78,9 @@
 //! re-faulting a shard recomputes identical bytes — gathers, per-row
 //! geometry and int8 codes are deterministic functions of the source view
 //! and the frozen quantizer — and the int8 margin rests on the quantizer's
-//! index-wide code-norm bound, so the budget, the prefetch depth and the
-//! pool's worker count change time, never work: tables and [`PruneStats`]
-//! are equal at every budget, depth and pool.
-//!
-//! ## Pipelined prefetch
-//!
-//! The sweep knows which clusters it visits next: every cluster with a
-//! waiting query will be visited, in sweep order.
-//! [`ShardedIndex::set_prefetch_depth`] lets `snoopy-pool` workers
-//! *materialise* the next of them while the current shard scans: after
-//! each visit's shard is obtained, the index starts speculative loads for
-//! the next `P` clusters with waiting queries, in sweep order, that are
-//! neither resident nor already staged. Each staged cluster is certain to
-//! be visited, so no load is wasted ([`PagingStats::prefetch_wasted`] stays
-//! 0 and `shards_prefetched == prefetch_committed`). A prefetched shard is
-//! bit-identical to a demand-faulted one — gather, per-row centroid
-//! distances, norm cache, and int8 encode are deterministic functions of
-//! the source view — so results cannot depend on what was staged.
-//!
-//! All LRU decisions stay on the calling thread: a speculative shard lives
-//! in a bounded staging area (≤ `P` entries, never charged to the cache)
-//! until its cluster is visited, at which point it is *committed* through
-//! the same evict→charge→evict sequence a demand fault uses, with the same
-//! LRU clock tick. Staging decisions read only the sweep and the residency
-//! trace, so the cache's residency trace is identical at every prefetch
-//! depth and every worker count, and so is the split between faults and
-//! commits at a fixed depth.
+//! index-wide code-norm bound, so the budget and the pool's worker count
+//! change time, never work: tables and [`PruneStats`] are equal at every
+//! budget and pool.
 //!
 //! [`MetricKernel`]: crate::kernel::MetricKernel
 
@@ -124,7 +97,8 @@ use snoopy_linalg::DatasetView;
 /// lifetime — the out-of-core counterpart of [`PruneStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagingStats {
-    /// Shards materialised from the source view (cold faults).
+    /// Shards materialised from the source view (every load is a fault on
+    /// the calling thread).
     pub shards_faulted: usize,
     /// Shards dropped by the LRU budget.
     pub shards_evicted: usize,
@@ -132,18 +106,12 @@ pub struct PagingStats {
     pub bytes_faulted: usize,
     /// Bytes released across all evictions.
     pub bytes_evicted: usize,
-    /// Speculative shard loads submitted to the pool by the prefetch
-    /// pipeline.
+    /// Always 0: the index has no prefetch pipeline, so every load is a
+    /// fault. Kept so that callers written against the pipeline still
+    /// build.
     pub shards_prefetched: usize,
-    /// Prefetched shards whose cluster was visited: committed to the LRU
-    /// cache in place of a demand fault.
+    /// Always 0, like [`PagingStats::shards_prefetched`].
     pub prefetch_committed: usize,
-    /// Prefetched shards dropped without a commit. Always 0: the pipeline
-    /// stages only clusters that queries wait on, each certain to be
-    /// visited.
-    pub prefetch_wasted: usize,
-    /// Bytes materialised by prefetch tasks.
-    pub bytes_prefetched: usize,
 }
 
 /// [`ResidentBytes`] extended with the budget-vs-peak accounting of the
@@ -157,15 +125,10 @@ pub struct PagedResidentBytes {
     pub resident: ResidentBytes,
     /// The configured shard-cache budget in bytes.
     pub budget: usize,
-    /// High-water mark of resident *plus staged* shard bytes since build.
+    /// High-water mark of resident shard bytes since build.
     pub peak: usize,
-    /// Bytes of materialised-but-uncommitted prefetched shards right now
-    /// (non-zero only mid-call; every staged shard is committed before
-    /// [`ShardedIndex::topk_with_stats`] returns).
-    pub staged: usize,
-    /// Largest single shard materialised so far —
-    /// `peak ≤ budget + max_shard × (1 + prefetch_depth)` is the cache's
-    /// residency contract.
+    /// Largest single shard materialised so far — `peak ≤ budget +
+    /// max_shard` is the cache's residency contract.
     pub max_shard: usize,
 }
 
@@ -182,7 +145,6 @@ struct Shard {
 
 /// Everything a shard load reads: the source view, the partition, and the
 /// frozen quantizer.
-#[derive(Clone, Copy)]
 struct ShardLoader<'p> {
     source: DatasetView<'p>,
     part: &'p Partition,
@@ -210,161 +172,14 @@ impl<'p> ShardLoader<'p> {
     }
 }
 
-/// The borrow-erased description of one speculative [`ShardLoader::load`]
-/// call, shipped to a pool worker as a `'static` task. Everything a load
-/// reads is captured as raw parts (the quantizer is small and simply
-/// cloned).
-///
-/// # Safety
-/// `run` dereferences the captured pointers, so a job must not outlive the
-/// buffers they point into. The prefetch pipeline guarantees that
-/// structurally: every spawned job's [`snoopy_pool::JoinHandle`] is joined
-/// before [`ShardedIndex::topk_with_stats`] returns (a staged cluster has
-/// waiting queries, so its visit joins the slot before the loop ends, and
-/// on unwinding a dropped handle waits), and for the whole call the index
-/// is exclusively borrowed — `source` outlives the index by construction
-/// (`'a`), and the partition is never mutated after build.
-struct PrefetchJob {
-    data: *const f32,
-    data_len: usize,
-    rows: usize,
-    cols: usize,
-    part: *const Partition,
-    quantizer: Option<AffineQuantizer>,
-    cluster: usize,
-}
-
-// SAFETY: the job only carries shared read-only borrows in pointer form;
-// the data they point to (`[f32]` / `Partition`) is Sync, and the liveness
-// obligation is discharged by the join-before-return rule above.
-unsafe impl Send for PrefetchJob {}
-
-impl PrefetchJob {
-    /// Captures the load of cluster `c`'s shard.
-    fn capture(loader: &ShardLoader<'_>, c: usize) -> Self {
-        PrefetchJob {
-            data: loader.source.data().as_ptr(),
-            data_len: loader.source.data().len(),
-            rows: loader.source.rows(),
-            cols: loader.source.cols(),
-            part: loader.part,
-            quantizer: loader.quantizer.cloned(),
-            cluster: c,
-        }
-    }
-
-    /// # Safety
-    /// Every captured pointer must still be live (see the type docs).
-    unsafe fn run(&self) -> Shard {
-        let data = std::slice::from_raw_parts(self.data, self.data_len);
-        let source = DatasetView::from_raw(data, self.rows, self.cols);
-        ShardLoader { source, part: &*self.part, quantizer: self.quantizer.as_ref() }.load(self.cluster)
-    }
-}
-
-/// One staging-area slot: a speculative shard load that is either still in
-/// flight on a pool worker or materialised and waiting for its cluster's
-/// visit. Exactly one of the two fields is `Some`.
-struct StagedSlot {
-    cluster: usize,
-    handle: Option<snoopy_pool::JoinHandle<Shard>>,
-    shard: Option<Shard>,
-}
-
-/// The calling thread's view of the prefetch pipeline: at most
-/// [`ShardCache::prefetch_depth`] slots, each owning one speculative load.
-/// The prefetcher never touches the LRU cache's residency — it only hands
-/// fully-materialised shards to [`ShardCache::obtain`] at visit time. It
-/// stages only clusters that queries wait on, each certain to be visited,
-/// so no load is wasted, and its decisions depend only on the
-/// (deterministic) sweep and residency trace — never on worker timing — so
-/// the pipeline issues the same loads at every worker count.
-#[derive(Default)]
-struct Prefetcher {
-    slots: Vec<StagedSlot>,
-}
-
-impl Prefetcher {
-    /// Joins one slot's in-flight handle, folding the materialised bytes
-    /// into the prefetch ledgers (each spawned job passes through here
-    /// exactly once, so `bytes_prefetched` covers every speculative load).
-    fn join_handle(cache: &mut ShardCache, handle: snoopy_pool::JoinHandle<Shard>) -> Shard {
-        let shard = handle.join();
-        cache.stats.bytes_prefetched += shard.bytes;
-        cache.max_shard_bytes = cache.max_shard_bytes.max(shard.bytes);
-        shard
-    }
-
-    /// Takes the staged shard for cluster `c` if the pipeline holds one,
-    /// joining it first when still in flight (the join *helps*, so even a
-    /// one-worker pool makes progress). Returns `None` when `c` was never
-    /// prefetched — the caller demand-faults as usual.
-    fn take(&mut self, cache: &mut ShardCache, c: usize) -> Option<Shard> {
-        let i = self.slots.iter().position(|s| s.cluster == c)?;
-        let mut slot = self.slots.swap_remove(i);
-        match slot.shard.take() {
-            Some(shard) => {
-                cache.staged_bytes -= shard.bytes;
-                Some(shard)
-            }
-            None => Some(Self::join_handle(cache, slot.handle.take().expect("in-flight slot"))),
-        }
-    }
-
-    /// Starts speculative loads for the first `depth` clusters of
-    /// `upcoming` that are neither resident nor staged, while the pipeline
-    /// has a free slot. Called after the current visit's shard is obtained
-    /// and before it is scanned — that is the overlap. Also folds finished
-    /// loads into the staged ledger.
-    fn top_up(
-        &mut self,
-        cache: &mut ShardCache,
-        loader: &ShardLoader<'_>,
-        upcoming: impl Iterator<Item = usize>,
-    ) {
-        let depth = cache.prefetch_depth;
-        if depth == 0 {
-            return;
-        }
-        // Fold finished loads into the staged ledger (non-blocking).
-        for slot in self.slots.iter_mut() {
-            if slot.shard.is_none() && slot.handle.as_ref().expect("in-flight slot").is_finished() {
-                let shard = Self::join_handle(cache, slot.handle.take().expect("in-flight slot"));
-                cache.staged_bytes += shard.bytes;
-                slot.shard = Some(shard);
-                cache.note_peak();
-            }
-        }
-        for c in upcoming.take(depth) {
-            if self.slots.len() == depth {
-                break;
-            }
-            if cache.resident[c].is_some() || self.slots.iter().any(|s| s.cluster == c) {
-                continue;
-            }
-            let job = PrefetchJob::capture(loader, c);
-            // SAFETY: joined before `topk_with_stats` returns — see `PrefetchJob`.
-            let handle = snoopy_pool::spawn(move || unsafe { job.run() });
-            cache.stats.shards_prefetched += 1;
-            self.slots.push(StagedSlot { cluster: c, handle: Some(handle), shard: None });
-        }
-    }
-}
-
 /// The LRU shard cache: one slot per cluster, a resident-byte ledger, and
 /// the paging counters.
 struct ShardCache {
     resident: Vec<Option<Shard>>,
     resident_bytes: usize,
-    /// Bytes of materialised-but-uncommitted prefetched shards (staging
-    /// area ledger; never counted against `budget`).
-    staged_bytes: usize,
     peak_resident: usize,
     max_shard_bytes: usize,
     budget: usize,
-    /// Current prefetch pipeline depth `P` — bounds the staging area and
-    /// widens the residency contract to `budget + max_shard × (1 + P)`.
-    prefetch_depth: usize,
     tick: u64,
     stats: PagingStats,
 }
@@ -374,47 +189,34 @@ impl ShardCache {
         ShardCache {
             resident: (0..clusters).map(|_| None).collect(),
             resident_bytes: 0,
-            staged_bytes: 0,
             peak_resident: 0,
             max_shard_bytes: 0,
             budget,
-            prefetch_depth: 0,
             tick: 0,
             stats: PagingStats::default(),
         }
     }
 
-    /// Folds the current resident + staged footprint into the high-water
-    /// mark and debug-asserts the residency contract: committed bytes fit
-    /// `budget + max_shard` (one pinned over-budget shard allowed) and the
-    /// staging area holds at most `P` shards' worth of bytes.
+    /// Folds the current resident footprint into the high-water mark and
+    /// debug-asserts the residency contract: resident bytes fit `budget +
+    /// max_shard` (one pinned over-budget shard allowed).
     fn note_peak(&mut self) {
-        self.peak_resident = self.peak_resident.max(self.resident_bytes + self.staged_bytes);
+        self.peak_resident = self.peak_resident.max(self.resident_bytes);
         debug_assert!(
             self.resident_bytes <= self.budget.saturating_add(self.max_shard_bytes),
-            "committed shard bytes {} exceed budget {} + max_shard {}",
+            "resident shard bytes {} exceed budget {} + max_shard {}",
             self.resident_bytes,
             self.budget,
             self.max_shard_bytes
         );
-        debug_assert!(
-            self.staged_bytes <= self.prefetch_depth.saturating_mul(self.max_shard_bytes),
-            "staged bytes {} exceed depth {} x max_shard {}",
-            self.staged_bytes,
-            self.prefetch_depth,
-            self.max_shard_bytes
-        );
     }
 
-    /// Makes cluster `c`'s shard resident and marks it used. On a miss it
-    /// admits `staged` (a prefetched shard, counted as a commit) or else
-    /// materialises one through `load` (a demand fault), in one
-    /// evict→charge→evict sequence with one LRU clock tick — so the
-    /// residency trace is identical whether a shard arrived by fault or by
-    /// prefetch. The fresh shard is pinned while LRU shards are evicted
-    /// until the cache fits the budget again.
-    fn obtain(&mut self, c: usize, staged: Option<Shard>, load: impl FnOnce() -> Shard) {
-        debug_assert!(staged.is_none() || self.resident[c].is_none(), "staged cluster {c} already resident");
+    /// Makes cluster `c`'s shard resident, marks it used and returns it. On
+    /// a miss it faults the shard in through `load` in one
+    /// evict→charge→evict sequence with one LRU clock tick: the fresh shard
+    /// is pinned while LRU shards are evicted until the cache fits the
+    /// budget again.
+    fn obtain(&mut self, c: usize, load: impl FnOnce() -> Shard) -> &Shard {
         self.tick += 1;
         if self.resident[c].is_none() {
             // Make room first: a visit's scans all finish before the next
@@ -422,26 +224,19 @@ impl ShardCache {
             // shard is evictable now. This keeps the peak at `budget + one
             // shard` rather than `budget + two`.
             self.evict_over_budget(usize::MAX);
-            let shard = match staged {
-                Some(shard) => {
-                    self.stats.prefetch_committed += 1;
-                    shard
-                }
-                None => {
-                    let shard = load();
-                    self.stats.shards_faulted += 1;
-                    self.stats.bytes_faulted += shard.bytes;
-                    self.max_shard_bytes = self.max_shard_bytes.max(shard.bytes);
-                    shard
-                }
-            };
+            let shard = load();
+            self.stats.shards_faulted += 1;
+            self.stats.bytes_faulted += shard.bytes;
+            self.max_shard_bytes = self.max_shard_bytes.max(shard.bytes);
             self.resident_bytes += shard.bytes;
             self.resident[c] = Some(shard);
             self.note_peak(); // transient charge-before-evict state counts
             self.evict_over_budget(c);
             self.note_peak();
         }
-        self.resident[c].as_mut().expect("shard resident after fault or commit").last_use = self.tick;
+        let shard = self.resident[c].as_mut().expect("shard resident after fault");
+        shard.last_use = self.tick;
+        shard
     }
 
     /// Evicts least-recently-used shards (never `pin`, the shard being
@@ -478,13 +273,11 @@ impl ShardCache {
     }
 }
 
-/// How the visit loop obtains the rows of a visited cluster: it commits the
-/// cluster's staged shard or faults it in, then stages the clusters the
-/// sweep reaches next.
+/// How the visit loop obtains the rows of a visited cluster: from the
+/// cache, faulting the cluster's shard in on a miss.
 pub(crate) struct Pager<'p> {
     loader: ShardLoader<'p>,
     cache: &'p mut ShardCache,
-    pf: Prefetcher,
 }
 
 impl<'p> Pager<'p> {
@@ -494,16 +287,10 @@ impl<'p> Pager<'p> {
         self.loader.quantizer
     }
 
-    /// Cluster `c`'s shard, called once per sweep visit. `upcoming` lists
-    /// the other clusters queries wait on, in the order the sweep reaches
-    /// them: every one will be visited, so the pipeline stages from its
-    /// front while this visit scans.
-    pub fn obtain(&mut self, c: usize, upcoming: impl Iterator<Item = usize>) -> ClusterSlice<'_> {
-        let loader = self.loader;
-        let staged = self.pf.take(self.cache, c);
-        self.cache.obtain(c, staged, || loader.load(c));
-        self.pf.top_up(self.cache, &loader, upcoming);
-        let shard = self.cache.resident[c].as_ref().expect("shard resident after fault or commit");
+    /// Cluster `c`'s shard, called once per sweep visit.
+    pub fn obtain(&mut self, c: usize) -> ClusterSlice<'_> {
+        let Pager { loader, cache } = self;
+        let shard = cache.obtain(c, || loader.load(c));
         ClusterSlice { rows: &shard.rows, ids: loader.ids(c) }
     }
 }
@@ -592,25 +379,10 @@ impl<'a> ShardedIndex<'a> {
         self.cache.budget
     }
 
-    /// The current prefetch pipeline depth `P` (0 = every shard faults on
-    /// the calling thread).
-    pub fn prefetch_depth(&self) -> usize {
-        self.cache.prefetch_depth
-    }
-
-    /// Sets the prefetch pipeline depth: the shards of up to `depth`
-    /// upcoming clusters with waiting queries materialise on `snoopy-pool`
-    /// workers while the current one scans (see the [module docs](self)).
-    /// Depth 0 (the build default) faults every shard on the calling
-    /// thread. Results are bit-identical at every depth and worker count;
-    /// peak residency is bounded by `budget + max_shard × (1 + depth)`.
-    pub fn set_prefetch_depth(&mut self, depth: usize) {
-        self.cache.prefetch_depth = depth;
-    }
-
-    /// Builder-style [`ShardedIndex::set_prefetch_depth`].
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.set_prefetch_depth(depth);
+    /// Returns the index unchanged: there is no prefetch pipeline, and
+    /// every shard faults on the calling thread whatever `depth` is. Kept
+    /// so that callers written against the pipeline still build.
+    pub fn with_prefetch_depth(self, _depth: usize) -> Self {
         self
     }
 
@@ -620,7 +392,7 @@ impl<'a> ShardedIndex<'a> {
     }
 
     /// The current resident footprint, the budget, and the peak — the
-    /// residency contract is `peak ≤ budget + max_shard × (1 + prefetch_depth)`.
+    /// residency contract is `peak ≤ budget + max_shard`.
     pub fn resident_bytes(&self) -> PagedResidentBytes {
         let mut rb = ResidentBytes {
             quantized_meta: self.quantizer.as_ref().map_or(0, |q| q.param_bytes()),
@@ -635,7 +407,6 @@ impl<'a> ShardedIndex<'a> {
             resident: rb,
             budget: self.cache.budget,
             peak: self.cache.peak_resident,
-            staged: self.cache.staged_bytes,
             max_shard: self.cache.max_shard_bytes,
         }
     }
@@ -650,9 +421,7 @@ impl<'a> ShardedIndex<'a> {
     /// [`ShardedIndex::topk`] plus the pruning counters (paging counters
     /// accumulate on the index — [`ShardedIndex::paging_stats`]). Each
     /// visited shard's waiting queries scan in one chunk per worker of the
-    /// current pool; with a non-zero [`ShardedIndex::set_prefetch_depth`]
-    /// upcoming shards also materialise on pool workers (see the
-    /// [module docs](self)).
+    /// current pool (see the [module docs](self)).
     ///
     /// # Panics
     /// Panics on a query/index dimension mismatch.
@@ -660,15 +429,9 @@ impl<'a> ShardedIndex<'a> {
         assert_eq!(queries.cols(), self.source.cols(), "query/train dimensionality mismatch");
         let mut states = vec![TopKState::new(k.max(1)); queries.rows()];
         let ShardedIndex { source, part, quantizer, cache } = self;
-        let mut pager = Pager {
-            loader: ShardLoader { source: *source, part, quantizer: quantizer.as_ref() },
-            pf: Prefetcher::default(),
-            cache,
-        };
+        let mut pager =
+            Pager { loader: ShardLoader { source: *source, part, quantizer: quantizer.as_ref() }, cache };
         let stats = part.update_topk(&mut pager, queries, &mut states);
-        // A staged cluster has waiting queries, so its visit took the slot.
-        debug_assert!(pager.pf.slots.is_empty(), "a staged shard outlived the sweep");
-        debug_assert_eq!(pager.cache.staged_bytes, 0, "staging ledger must drain to zero");
         (NeighborTable::from_states(&states), stats)
     }
 }
@@ -759,87 +522,6 @@ mod tests {
     fn cosine_sharded_panics() {
         let data = blobs(10, 3, 2, 1);
         let _ = ShardedIndex::build(data.view(), Metric::Cosine, 2, usize::MAX / 2);
-    }
-
-    #[test]
-    fn prefetch_matches_serial_bit_for_bit() {
-        let train = blobs(500, 8, 10, 61);
-        let queries = blobs(60, 8, 10, 62);
-        let budget = 2 * (500 / 10) * 8 * 4; // ~2 shards: heavy eviction churn
-        let mut serial = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 10, budget);
-        let reference = serial.topk(queries.view(), 5);
-        let serial_paging = serial.paging_stats();
-        assert!(serial_paging.shards_evicted >= 2, "{serial_paging:?}");
-        for depth in [1usize, 2, 8] {
-            let mut piped = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 10, budget)
-                .with_prefetch_depth(depth);
-            assert_eq!(piped.prefetch_depth(), depth);
-            assert_eq!(piped.topk(queries.view(), 5), reference, "depth {depth}");
-            let paging = piped.paging_stats();
-            // The LRU cache sees the same admission sequence whether a shard
-            // arrived by fault or by commit, so the eviction trace is pinned.
-            assert_eq!(paging.shards_evicted, serial_paging.shards_evicted, "depth {depth}");
-            assert_eq!(
-                paging.shards_faulted + paging.prefetch_committed,
-                serial_paging.shards_faulted,
-                "depth {depth}: every serial fault is either a fault or a commit"
-            );
-        }
-    }
-
-    #[test]
-    fn prefetch_counters_balance_and_commit() {
-        let train = blobs(600, 10, 12, 71);
-        let queries = blobs(50, 10, 12, 72);
-        let budget = 3 * (600 / 12) * 10 * 4;
-        let mut index =
-            ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 12, budget).with_prefetch_depth(4);
-        let table = index.topk(queries.view(), 5);
-        assert_eq!(table, knn_reference(train.view(), queries.view(), Metric::SquaredEuclidean, 5));
-        let paging = index.paging_stats();
-        assert!(paging.prefetch_committed >= 1, "pipeline must land commits: {paging:?}");
-        assert_eq!(paging.prefetch_wasted, 0, "only clusters queries wait on are staged: {paging:?}");
-        assert_eq!(
-            paging.shards_prefetched, paging.prefetch_committed,
-            "every load is committed: {paging:?}"
-        );
-        assert!(paging.bytes_prefetched > 0, "{paging:?}");
-        let rb = index.resident_bytes();
-        assert_eq!(rb.staged, 0, "staging drains before topk_with_stats returns");
-    }
-
-    #[test]
-    fn prefetch_residency_contract_holds() {
-        let train = blobs(800, 10, 16, 81);
-        let queries = blobs(64, 10, 16, 82);
-        for depth in [1usize, 3] {
-            for budget in [1usize, 40 * 10 * 4, 4 * 50 * 10 * 4] {
-                let mut index = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 16, budget)
-                    .with_prefetch_depth(depth);
-                index.topk(queries.view(), 5);
-                let rb = index.resident_bytes();
-                let allowance = rb.max_shard.saturating_mul(1 + depth);
-                assert!(
-                    rb.peak <= rb.budget.saturating_add(allowance),
-                    "depth {depth}: peak {} budget {} max_shard {}",
-                    rb.peak,
-                    rb.budget,
-                    rb.max_shard
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prefetch_quantized_stays_exact() {
-        let train = blobs(600, 12, 10, 91);
-        let queries = blobs(50, 12, 10, 92);
-        let budget = 3 * (600 / 10) * 12 * 4;
-        let mut index = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 10, budget)
-            .quantize()
-            .with_prefetch_depth(2);
-        let table = index.topk(queries.view(), 5);
-        assert_eq!(table, knn_reference(train.view(), queries.view(), Metric::SquaredEuclidean, 5));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! zero) — at an unbounded budget (every visited shard stays resident) and
 //! at a two-shard budget (eviction churn mid-query) — the same way
 //! `proptest_knn.rs` pinned the parallel engine. Paging changes time, never
-//! work: tables and every [`PruneStats`] counter are equal at every budget
-//! and prefetch depth.
+//! work: tables and every [`PruneStats`] counter are equal at every budget.
 
 use proptest::prelude::*;
 use snoopy_knn::engine::knn_reference;
@@ -40,14 +39,12 @@ proptest! {
         seed in 0u64..400,
         n in 1usize..90,
         nlist in 1usize..64,
-        depth in 0usize..3,
     ) {
         let (train_x, _) = cloud_with_ties(seed, n, 5, 3);
         let (test_x, _) = cloud(seed ^ 0x77, 17, 5, 3);
         for metric in prunable_metrics() {
             for budget in budgets(train_x.view(), nlist) {
-                let mut index =
-                    ShardedIndex::build(train_x.view(), metric, nlist, budget).with_prefetch_depth(depth);
+                let mut index = ShardedIndex::build(train_x.view(), metric, nlist, budget);
                 prop_assert!(index.num_clusters() <= n.min(nlist));
                 for k in [1usize, 3, 10, n] {
                     for queries in [test_x.view(), train_x.view()] {
@@ -65,12 +62,12 @@ proptest! {
 
     /// Paging invariance: paging changes time, never work. A cold
     /// `topk_with_stats` at budget 0 (each fault evicts the previous shard),
-    /// a two-shard budget and an unbounded one, each at prefetch depths 0
-    /// and 2, plain or quantized, returns the reference table and the same
-    /// [`PruneStats`], counter for counter — and counts phase-1 int8 rows
-    /// exactly when the index is quantized and a cluster was visited.
+    /// a two-shard budget and an unbounded one, plain or quantized, returns
+    /// the reference table and the same [`PruneStats`], counter for counter
+    /// — and counts phase-1 int8 rows exactly when the index is quantized
+    /// and a cluster was visited.
     #[test]
-    fn paging_invariance_across_budgets_and_depths(
+    fn paging_invariance_across_budgets(
         seed in 0u64..300,
         n in 1usize..90,
         nlist in 1usize..12,
@@ -83,19 +80,16 @@ proptest! {
             let reference = knn_reference(train_x.view(), test_x.view(), metric, 4);
             let mut first: Option<PruneStats> = None;
             for budget in [0, two_shards, unbounded] {
-                for depth in [0usize, 2] {
-                    let mut index =
-                        ShardedIndex::build(train_x.view(), metric, nlist, budget).with_prefetch_depth(depth);
-                    if quantize {
-                        index = index.quantize();
-                    }
-                    let (table, stats) = index.topk_with_stats(test_x.view(), 4);
-                    let at = format!("{} budget {} depth {}", metric.name(), budget, depth);
-                    prop_assert_eq!(&table, &reference, "{}", at);
-                    prop_assert_eq!(stats, *first.get_or_insert(stats), "{}", at);
+                let mut index = ShardedIndex::build(train_x.view(), metric, nlist, budget);
+                if quantize {
+                    index = index.quantize();
                 }
+                let (table, stats) = index.topk_with_stats(test_x.view(), 4);
+                let at = format!("{} budget {}", metric.name(), budget);
+                prop_assert_eq!(&table, &reference, "{}", at);
+                prop_assert_eq!(stats, *first.get_or_insert(stats), "{}", at);
             }
-            let stats = first.expect("six paged runs");
+            let stats = first.expect("three paged runs");
             prop_assert_eq!(stats.rows_quantized > 0, quantize && stats.clusters_visited > 0);
         }
     }
@@ -105,7 +99,7 @@ proptest! {
 /// one row (nlist > n), nlist = 1 (a single cluster degenerates to an
 /// exhaustive scan and must still be exact), and zero queries (every
 /// constructor builds the same empty table) — at a zero and an unbounded
-/// budget, at prefetch depths 0 and 2.
+/// budget.
 #[test]
 fn degenerate_single_row_and_single_cluster() {
     let (one, _) = cloud(1, 1, 3, 2);
@@ -119,25 +113,16 @@ fn degenerate_single_row_and_single_cluster() {
         let engine = EvalEngine::default();
         assert_eq!(engine.topk(train_x.view(), no_queries, metric, 7), reference, "{}", metric.name());
         for budget in [0, usize::MAX] {
-            for depth in [0usize, 2] {
-                let mut paged = ShardedIndex::build(one.view(), metric, 8, budget).with_prefetch_depth(depth);
-                assert_eq!(paged.num_clusters(), 1);
-                assert_eq!(
-                    paged.topk(queries.view(), 3),
-                    knn_reference(one.view(), queries.view(), metric, 3)
-                );
-                let mut paged =
-                    ShardedIndex::build(train_x.view(), metric, 1, budget).with_prefetch_depth(depth);
-                assert_eq!(paged.num_clusters(), 1);
-                assert_eq!(
-                    paged.topk(test_x.view(), 7),
-                    knn_reference(train_x.view(), test_x.view(), metric, 7)
-                );
-                let (table, stats) = paged.topk_with_stats(no_queries, 7);
-                assert_eq!(table.num_queries(), 0);
-                assert_eq!(table, reference);
-                assert_eq!(stats, PruneStats::default());
-            }
+            let mut paged = ShardedIndex::build(one.view(), metric, 8, budget);
+            assert_eq!(paged.num_clusters(), 1);
+            assert_eq!(paged.topk(queries.view(), 3), knn_reference(one.view(), queries.view(), metric, 3));
+            let mut paged = ShardedIndex::build(train_x.view(), metric, 1, budget);
+            assert_eq!(paged.num_clusters(), 1);
+            assert_eq!(paged.topk(test_x.view(), 7), knn_reference(train_x.view(), test_x.view(), metric, 7));
+            let (table, stats) = paged.topk_with_stats(no_queries, 7);
+            assert_eq!(table.num_queries(), 0);
+            assert_eq!(table, reference);
+            assert_eq!(stats, PruneStats::default());
         }
     }
 }

@@ -48,99 +48,27 @@ proptest! {
 
         // The pruned index over the mapped view, with a budget of roughly
         // two shards so most queries evict mid-flight, against an unbounded
-        // one over the in-memory matrix, at prefetch depths 0 and 2.
+        // one over the in-memory matrix.
         let shard_bytes = (n / nlist).max(1) * d * 4;
         for quantize in [false, true] {
             for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
                 let reference = engine.topk(train.view(), queries.view(), metric, k);
                 let mut resident = ShardedIndex::build(train.view(), metric, nlist, usize::MAX);
+                let mut paged = ShardedIndex::build(disk_train.view(), metric, nlist, 2 * shard_bytes);
                 if quantize {
                     resident = resident.quantize();
+                    paged = paged.quantize();
                 }
-                for depth in [0usize, 2] {
-                    let mut paged = ShardedIndex::build(disk_train.view(), metric, nlist, 2 * shard_bytes)
-                        .with_prefetch_depth(depth);
-                    if quantize {
-                        paged = paged.quantize();
-                    }
-                    let got = paged.topk_with_stats(disk_queries.view(), k);
-                    let want = resident.topk_with_stats(queries.view(), k);
-                    let at = format!("metric {} quantize {} depth {}", metric.name(), quantize, depth);
-                    prop_assert_eq!(&got.0, &reference, "{}", at);
-                    prop_assert_eq!(&got.0, &want.0, "{}", at);
-                    prop_assert_eq!(got.1, want.1, "{}", at);
-                    let rb = paged.resident_bytes();
-                    prop_assert!(
-                        rb.peak <= rb.budget + (1 + depth) * rb.max_shard,
-                        "peak {} budget {} max_shard {}", rb.peak, rb.budget, rb.max_shard
-                    );
-                }
-            }
-        }
-    }
-
-    /// The prefetch pipeline is invisible in results: at every depth ×
-    /// eviction-forcing budget the pipelined scan produces the depth-0
-    /// serial scan's table bit for bit, the staging area drains, the
-    /// counters balance (every speculative load is committed — only
-    /// clusters queries wait on are staged, so none is wasted — and faults +
-    /// commits equal the serial fault count), and peak residency honours
-    /// `budget + (1 + P) × max_shard`. The in-flight staging bound (never
-    /// more than `P` shards' worth of staged bytes) is debug-asserted
-    /// inside the cache on every commit/evict cycle, which these
-    /// debug-built cases exercise on every visit.
-    #[test]
-    fn prefetch_depths_are_bit_identical_to_serial(
-        seed in 0u64..500,
-        n in 60usize..160,
-        d in 2usize..7,
-        nlist in 3usize..9,
-        k in 1usize..6,
-        budget_shards in 1usize..4,
-    ) {
-        let (train, _) = cloud_with_ties(seed, n, d, 3);
-        let (queries, _) = cloud_with_ties(seed ^ 0x00c0_4e5e, 13, d, 3);
-        let dir = TempDir::new("proptest_oocore_pf");
-        let train_path = dir.path().join("train.snpy");
-        let query_path = dir.path().join("queries.snpy");
-        DiskDataset::write(&train_path, train.view()).expect("write train");
-        DiskDataset::write(&query_path, queries.view()).expect("write queries");
-        let disk_train = DiskDataset::open(&train_path).expect("open train");
-        let disk_queries = DiskDataset::open(&query_path).expect("open queries");
-
-        let shard_bytes = (n / nlist).max(1) * d * 4;
-        let budget = budget_shards * shard_bytes;
-        for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
-            let mut serial = ShardedIndex::build(disk_train.view(), metric, nlist, budget);
-            let reference = serial.topk(disk_queries.view(), k);
-            let serial_paging = serial.paging_stats();
-            for depth in [1usize, 4] {
-                let mut piped = ShardedIndex::build(disk_train.view(), metric, nlist, budget)
-                    .with_prefetch_depth(depth);
-                prop_assert_eq!(
-                    &piped.topk(disk_queries.view(), k),
-                    &reference,
-                    "metric {} depth {}", metric.name(), depth
-                );
-                let paging = piped.paging_stats();
-                prop_assert_eq!(
-                    paging.shards_faulted + paging.prefetch_committed,
-                    serial_paging.shards_faulted,
-                    "every serial fault is a fault or a commit: {:?}", paging
-                );
-                prop_assert_eq!(paging.shards_evicted, serial_paging.shards_evicted);
-                prop_assert_eq!(
-                    paging.shards_prefetched,
-                    paging.prefetch_committed + paging.prefetch_wasted,
-                    "speculative loads must balance: {:?}", paging
-                );
-                prop_assert_eq!(paging.prefetch_wasted, 0, "a staged cluster is always visited: {:?}", paging);
-                let rb = piped.resident_bytes();
-                prop_assert_eq!(rb.staged, 0, "staging must drain");
+                let got = paged.topk_with_stats(disk_queries.view(), k);
+                let want = resident.topk_with_stats(queries.view(), k);
+                let at = format!("metric {} quantize {}", metric.name(), quantize);
+                prop_assert_eq!(&got.0, &reference, "{}", at);
+                prop_assert_eq!(&got.0, &want.0, "{}", at);
+                prop_assert_eq!(got.1, want.1, "{}", at);
+                let rb = paged.resident_bytes();
                 prop_assert!(
-                    rb.peak <= rb.budget + (1 + depth) * rb.max_shard,
-                    "depth {}: peak {} budget {} max_shard {}",
-                    depth, rb.peak, rb.budget, rb.max_shard
+                    rb.peak <= rb.budget + rb.max_shard,
+                    "peak {} budget {} max_shard {}", rb.peak, rb.budget, rb.max_shard
                 );
             }
         }

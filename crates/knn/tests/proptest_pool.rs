@@ -1,9 +1,9 @@
 //! Pool-determinism proptests: the persistent work-stealing pool behind the
 //! evaluation engine changes *where* chunks run, never *what* they compute.
 //! Every consumer — cold top-k, the pruned index (whose k-means build and
-//! shard prefetch run on the pool), and the incremental successor state —
-//! must return bit-identical results at every pool worker count, which is
-//! also the number of chunks each scan splits into.
+//! per-shard query fan-out run on the pool), and the incremental successor
+//! state — must return bit-identical results at every pool worker count,
+//! which is also the number of chunks each scan splits into.
 
 use proptest::prelude::*;
 use snoopy_knn::engine::{knn_reference, EvalEngine};
@@ -47,9 +47,9 @@ proptest! {
         }
     }
 
-    /// The pruned index (paging under a two-shard budget with prefetch) and
-    /// the incremental state match the exhaustive serial answers at every
-    /// pool worker count.
+    /// The pruned index (paging under a two-shard budget) and the
+    /// incremental state match the exhaustive serial answers at every pool
+    /// worker count.
     #[test]
     fn clustered_and_incremental_are_worker_count_invariant(
         seed in 0u64..400,
@@ -68,8 +68,7 @@ proptest! {
                 pool.install(|| {
                     let budget = 2 * train_x.rows().div_ceil(nlist) * train_x.cols() * size_of::<f32>();
                     let mut index =
-                        ShardedIndex::build(train_x.view(), Metric::SquaredEuclidean, nlist, budget)
-                            .with_prefetch_depth(2);
+                        ShardedIndex::build(train_x.view(), Metric::SquaredEuclidean, nlist, budget);
                     prop_assert_eq!(
                         &index.topk(test_x.view(), k), &reference,
                         "pruned k {} nlist {} workers {}", k, nlist, workers

@@ -72,7 +72,6 @@ proptest! {
         nlist in 1usize..32,
         shape in 0u64..65536,
         const_cols in 0usize..3,
-        depth in 0usize..3,
     ) {
         let (raw_train, _) = cloud_with_ties(seed, n, 5, 3);
         let (raw_test, _) = cloud(seed ^ 0x77, 13, 5, 3);
@@ -80,7 +79,7 @@ proptest! {
         let test_x = apply_columns(&raw_test, shape, const_cols);
         for metric in prunable_metrics() {
             for budget in budgets(train_x.view(), nlist) {
-                let mut index = quantized(train_x.view(), metric, nlist, budget).with_prefetch_depth(depth);
+                let mut index = quantized(train_x.view(), metric, nlist, budget);
                 for k in [1usize, 3, 10, n] {
                     for queries in [test_x.view(), train_x.view()] {
                         let got = index.topk(queries, k);

@@ -1,17 +1,15 @@
 //! Pins the pruned index's work on a Gaussian-mixture input: for two seeds,
 //! k = 1 and 10, plain and quantized, the table's FNV-1a hash and every
 //! [`PruneStats`] counter equal fixed values at a budget of about an eighth
-//! of the payload, at two shards and unbounded, at prefetch depths 0, 2 and
-//! 4, on pools of 1, 2 and 3 workers. Paging changes time, never work: the
-//! visit schedule decides which shard loads serve which queries, and no
-//! schedule may move a hit or a counter.
+//! of the payload, at two shards and unbounded, on pools of 1, 2 and 3
+//! workers. Paging changes time, never work: the visit schedule decides
+//! which shard loads serve which queries, and no schedule may move a hit or
+//! a counter.
 //!
 //! Within one (seed, budget, quantize) cell the paging counters must also
-//! agree: faults plus prefetch commits and evictions are equal at every
-//! depth and pool, the fault/commit split is equal across pools at a fixed
-//! depth, no prefetched shard is wasted, and at the eighth budget one call
-//! pays at most `4 × nlist` shard loads. A failure prints the current pin
-//! table.
+//! agree: every pool faults and evicts the same shards, and at the eighth
+//! budget one call pays at most `4 × nlist` shard faults. A failure prints
+//! the current pin table.
 
 use snoopy_knn::{Metric, NeighborTable, PagingStats, PruneStats, ShardedIndex};
 use snoopy_pool::ThreadPool;
@@ -37,6 +35,9 @@ const PINS: [Pin; 8] = [
     (2, true, 1, 0xbf26_cd64_daae_2cb9, [256, 2048, 8192, 18072, 506216, 2097152, 524288]),
     (2, true, 10, 0x1e4f_0240_9f14_7670, [256, 2048, 8192, 30172, 494116, 2097152, 524288]),
 ];
+
+/// One call's table hash, `PruneStats` counters and paging delta.
+type Call = (u64, [usize; 7], PagingStats);
 
 /// FNV-1a 64 over the table's shape and every hit's index and distance bits.
 fn fnv1a(table: &NeighborTable) -> u64 {
@@ -73,10 +74,7 @@ fn delta(after: PagingStats, before: PagingStats) -> PagingStats {
         shards_evicted: after.shards_evicted - before.shards_evicted,
         bytes_faulted: after.bytes_faulted - before.bytes_faulted,
         bytes_evicted: after.bytes_evicted - before.bytes_evicted,
-        shards_prefetched: after.shards_prefetched - before.shards_prefetched,
-        prefetch_committed: after.prefetch_committed - before.prefetch_committed,
-        prefetch_wasted: after.prefetch_wasted - before.prefetch_wasted,
-        bytes_prefetched: after.bytes_prefetched - before.bytes_prefetched,
+        ..PagingStats::default()
     }
 }
 
@@ -95,14 +93,13 @@ fn paged_topk_is_pinned_across_budgets_depths_and_pools() {
         for quantize in [false, true] {
             let cells = actual.len();
             for (name, budget) in budgets {
-                // (depth, workers) → per-k (hash, counters, paging delta).
-                let mut runs = Vec::new();
-                for depth in [0usize, 2, 4] {
-                    for pool in &pools {
-                        let per_k: Vec<(u64, [usize; 7], PagingStats)> = pool.install(|| {
+                // Per pool: its worker count and one call per k.
+                let runs: Vec<(usize, Vec<Call>)> = pools
+                    .iter()
+                    .map(|pool| {
+                        let per_k = pool.install(|| {
                             let mut index =
-                                ShardedIndex::build(train, Metric::SquaredEuclidean, NLIST, budget)
-                                    .with_prefetch_depth(depth);
+                                ShardedIndex::build(train, Metric::SquaredEuclidean, NLIST, budget);
                             if quantize {
                                 index = index.quantize();
                             }
@@ -115,37 +112,23 @@ fn paged_topk_is_pinned_across_budgets_depths_and_pools() {
                                 })
                                 .collect()
                         });
-                        runs.push((depth, pool.workers(), per_k));
-                    }
-                }
-                let at = |depth: usize, workers: usize| {
-                    format!("seed {seed} quantize {quantize} budget {name} depth {depth} workers {workers}")
-                };
-                let (_, _, first) = &runs[0];
-                for (depth, workers, per_k) in &runs {
-                    for (i, ((hash, counts, paging), (hash0, counts0, paging0))) in
-                        per_k.iter().zip(first).enumerate()
-                    {
-                        let at = format!("{} k-slot {i}", at(*depth, *workers));
-                        assert_eq!((hash, counts), (hash0, counts0), "{at}");
-                        assert_eq!(paging.prefetch_wasted, 0, "{at}: {paging:?}");
-                        assert_eq!(paging.shards_prefetched, paging.prefetch_committed, "{at}: {paging:?}");
-                        assert_eq!(
-                            (paging.shards_faulted + paging.prefetch_committed, paging.shards_evicted),
-                            (paging0.shards_faulted + paging0.prefetch_committed, paging0.shards_evicted),
-                            "{at}: every depth and pool loads and evicts the same shards"
+                        (pool.workers(), per_k)
+                    })
+                    .collect();
+                let (_, first) = &runs[0];
+                for (workers, per_k) in &runs {
+                    for (i, (call, call0)) in per_k.iter().zip(first).enumerate() {
+                        let at = format!(
+                            "seed {seed} quantize {quantize} budget {name} workers {workers} k-slot {i}"
                         );
+                        // Hits, counters and paging are functions of the
+                        // schedule, not of the pool.
+                        assert_eq!(call, call0, "{at}");
+                        let paging = call.2;
                         if name == "eighth" {
-                            let loads = paging.shards_faulted + paging.prefetch_committed;
-                            assert!(loads <= 4 * NLIST, "{at}: {loads} shard loads, {paging:?}");
+                            let faults = paging.shards_faulted;
+                            assert!(faults <= 4 * NLIST, "{at}: {faults} shard faults, {paging:?}");
                         }
-                    }
-                    // The fault/commit split is a function of the schedule,
-                    // not of the pool.
-                    let (_, _, same_depth) =
-                        runs.iter().find(|(d, _, _)| d == depth).expect("the depth's first run");
-                    for ((_, _, paging), (_, _, paging0)) in per_k.iter().zip(same_depth) {
-                        assert_eq!(paging, paging0, "{}", at(*depth, *workers));
                     }
                 }
                 let pins = [1usize, 10]

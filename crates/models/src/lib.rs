@@ -15,6 +15,8 @@
 //! * a simulated machine-cost model ([`cost`]) used to convert training time
 //!   into the hypothetical dollar costs of Figures 9/10.
 
+#![forbid(unsafe_code)]
+
 pub mod automl;
 pub mod cost;
 pub mod finetune;

@@ -28,12 +28,12 @@
 //!   scope owner, like `std::thread::scope` join does.
 //! * **Detached tasks with completion handles.** [`spawn`] submits one
 //!   `'static` task and returns a [`JoinHandle`] to its eventual result —
-//!   the primitive behind pipelined work that outlives any single scope
-//!   (shard prefetch, background checksum verification). [`JoinHandle::join`]
-//!   *helps* exactly like a waiting scope does, so joining from inside a
-//!   pool task cannot deadlock even on a one-worker pool; dropping a handle
-//!   also waits for the task (a `JoinHandle` is a completion obligation, not
-//!   a fire-and-forget token — see its docs).
+//!   for work that runs alongside the caller rather than inside one scope
+//!   (the out-of-core study's background checksum verification).
+//!   [`JoinHandle::join`] *helps* exactly like a waiting scope does, so
+//!   joining from inside a pool task cannot deadlock even on a one-worker
+//!   pool; dropping a handle also waits for the task (a `JoinHandle` is a
+//!   completion obligation, not a fire-and-forget token — see its docs).
 //! * **Determinism.** The pool never changes *what* is computed, only
 //!   *where*: callers split work into chunks exactly as before, each chunk
 //!   writes a disjoint `&mut` slice, and every consumer in this workspace
@@ -423,18 +423,19 @@ struct TaskState<T> {
     done: Condvar,
 }
 
-/// Owner side of a detached task submitted with [`spawn`].
+/// Owner side of a detached task submitted with [`spawn`]. Its users are
+/// the out-of-core study's checksum verification, which re-hashes the
+/// dataset while the study runs, and the end-to-end benchmark's copy of
+/// that study.
 ///
 /// A `JoinHandle` is a **completion obligation**, not a fire-and-forget
 /// token: [`JoinHandle::join`] waits for the task and returns its result
 /// (resuming the task's panic, if it panicked), and *dropping* the handle
 /// also waits for the task to finish — discarding the result and swallowing
-/// any panic payload. Wait-on-drop is what lets callers erase non-`'static`
-/// borrows into a spawned task soundly: as long as every handle is joined or
-/// dropped before the borrowed data goes away, the task can never observe a
-/// dangling reference, even while unwinding. Both `join` and the drop wait
-/// *help* — they pop and run queued pool tasks — so waiting from inside a
-/// pool task cannot deadlock, even on a one-worker pool.
+/// any panic payload — so no task outlives the code that spawned it. Both
+/// `join` and the drop wait *help* — they pop and run queued pool tasks —
+/// so waiting from inside a pool task cannot deadlock, even on a one-worker
+/// pool.
 pub struct JoinHandle<T> {
     shared: Arc<Shared>,
     /// `Some` until the result has been claimed by [`JoinHandle::join`] (or
@@ -443,15 +444,6 @@ pub struct JoinHandle<T> {
 }
 
 impl<T> JoinHandle<T> {
-    /// Whether the task has finished running (its result is ready to
-    /// [`JoinHandle::join`] without waiting).
-    pub fn is_finished(&self) -> bool {
-        match &self.state {
-            Some(state) => state.sync.lock().expect("task lock poisoned").is_some(),
-            None => true,
-        }
-    }
-
     /// Waits for the task and returns its result. If the task panicked, the
     /// panic is resumed here. While waiting, this thread executes queued
     /// pool tasks (the same "caller helps" rule as [`scope`]), so joining
@@ -685,25 +677,6 @@ mod tests {
             drop(handle);
         }
         assert_eq!(ran.load(Ordering::Relaxed), 1, "drop must not return before the task finished");
-    }
-
-    #[test]
-    fn is_finished_becomes_true_after_completion() {
-        let pool = ThreadPool::new(1);
-        let gate = Arc::new(AtomicUsize::new(0));
-        let handle = {
-            let gate = Arc::clone(&gate);
-            pool.install(|| {
-                spawn(move || {
-                    while gate.load(Ordering::Acquire) == 0 {
-                        std::hint::spin_loop();
-                    }
-                })
-            })
-        };
-        assert!(!handle.is_finished(), "task is gated and cannot have finished");
-        gate.store(1, Ordering::Release);
-        handle.join();
     }
 
     #[test]

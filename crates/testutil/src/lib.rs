@@ -13,6 +13,8 @@
 //! it may depend on `snoopy-data` (and transitively `snoopy-knn`) because
 //! cargo permits cycles through dev-dependencies.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snoopy_data::gaussian::{GaussianMixture, GaussianMixtureSpec};

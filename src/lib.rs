@@ -42,6 +42,8 @@
 //! | [`core`] | the feasibility study itself |
 //! | [`e2e`] | the end-to-end label-cleaning use-case simulator |
 
+#![forbid(unsafe_code)]
+
 pub use snoopy_bandit as bandit;
 pub use snoopy_core as core;
 pub use snoopy_data as data;
