@@ -34,7 +34,7 @@ pub use snoopy_knn::{NeighborTable, PagedResidentBytes, PagingStats, ShardedInde
 use snoopy_linalg::LabeledView;
 
 /// Knobs of an out-of-core study. All sizes are bytes of shard payload
-/// (gathered f32 rows + per-row metadata + optional int8 shadow).
+/// (gathered f32 rows + per-row metadata).
 #[derive(Debug, Clone, Copy)]
 pub struct OutOfCoreConfig {
     /// Resident shard budget. Peak residency is bounded by
@@ -47,8 +47,9 @@ pub struct OutOfCoreConfig {
     /// Trailing rows held out as the evaluation split (clamped so at least
     /// one training row remains).
     pub eval_rows: usize,
-    /// Attach the per-shard int8 shadow: visited shards scan at about one
-    /// byte per dimension with exact f32 re-ranking (identical table).
+    /// Ignored: every visited shard goes through the one f32 scan, whatever
+    /// this is set to. Defaults to `false` and is kept so that callers
+    /// written against the int8 shadow still build.
     pub quantize: bool,
     /// Ignored: the study has no prefetch pipeline and faults every shard
     /// on the calling thread, whatever this is set to. Defaults to 0 and is
@@ -127,9 +128,6 @@ pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreRe
     let estimators = default_estimators();
     let k = shared_table_k(&estimators).max(1);
     let mut index = ShardedIndex::build(train_x, Metric::SquaredEuclidean, cfg.nlist, cfg.shard_budget_bytes);
-    if cfg.quantize {
-        index = index.quantize();
-    }
     let table = index.topk(eval_x, k);
     let estimates = estimate_all_with_table(&estimators, &table, &train, &eval, full.num_classes());
     let min_estimate = estimates.iter().copied().fold(f64::INFINITY, f64::min);
@@ -286,23 +284,6 @@ mod tests {
             };
             assert_eq!((row, label, num_classes), (0, flipped, 4));
         }
-    }
-
-    #[test]
-    fn quantized_paged_study_is_still_bit_identical() {
-        let dir = TempDir::new("oocore_core_q");
-        write_dataset(dir.path(), 23, 300, 6);
-        let cfg = OutOfCoreConfig {
-            shard_budget_bytes: 4 * 1024,
-            nlist: 6,
-            eval_rows: 60,
-            quantize: true,
-            ..OutOfCoreConfig::default()
-        };
-        let paged = run_oocore_study(dir.path(), &cfg).expect("paged study");
-        let resident = run_resident_reference(dir.path(), &cfg).expect("resident study");
-        assert_eq!(paged.table, resident.table);
-        assert_eq!(paged.estimates, resident.estimates);
     }
 
     #[test]

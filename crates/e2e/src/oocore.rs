@@ -73,7 +73,6 @@ pub fn run_oocore_scenario(dir: &Path, rows: usize, seed: u64) -> OocoreRun {
         shard_budget_bytes: (train_payload / 4).max(1),
         nlist: 8,
         eval_rows,
-        quantize: false,
         ..OutOfCoreConfig::default()
     };
 

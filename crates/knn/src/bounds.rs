@@ -8,9 +8,8 @@
 //! visits by cluster — it sweeps the clusters, obtains each one that
 //! queries wait on once from the shard pager (which faults the shard in
 //! unless it is still resident), and scans the [`ClusterSlice`] for every
-//! waiting query through the one f32 tile scan or the one int8 two-phase
-//! scan, split over the pool's workers. Every prune decision goes through
-//! [`PruneBounds`].
+//! waiting query through the one f32 tile scan, split over the pool's
+//! workers. Every prune decision goes through [`PruneBounds`].
 //!
 //! ## Exactness argument
 //!
@@ -66,86 +65,6 @@
 //! per-pair path when a tile is broken by a pruned row — distance values
 //! never depend on which path computed them.
 //!
-//! ## Two-phase int8 scan (the quantized shadow)
-//!
-//! After the tile kernels, a visited row's cost is dominated by *memory
-//! traffic*: 4 bytes/dim of f32. [`crate::sharded::ShardedIndex::quantize`]
-//! freezes one [`AffineQuantizer`] and every shard then carries a
-//! [`QuantizedShadow`] — a per-dimension affine int8 copy of its rows
-//! (`x ≈ s ∘ X + o`, codes in `[−127, 127]`) — and visited clusters scan in
-//! two phases:
-//!
-//! 1. **Approximate phase** — an *integer* dot tile
-//!    ([`snoopy_linalg::kernel::dot_q8_row_tile`], `i16 × i8 → i32`, exact
-//!    and associative, hence trivially deterministic and free to
-//!    autovectorize into widening multiply-adds) computes `â ≈ ‖q − x̂‖²`
-//!    against each row's *reconstruction point* `x̂ = fl(s ∘ X) + o` from
-//!    **one byte per dimension**: with `u = fl(q − o)` and `w = fl(u ∘ s)`,
-//!    the query side is re-quantized onto one query-level scale `g`
-//!    (`v = round(w / g)`, `|v| ≤ 8191`) and the norm trick gives
-//!    `â = (‖u‖² + ‖y‖²) − 2g·⟨v, X⟩` finished in f64 from exact inputs,
-//!    where `y = fl(s ∘ X)` and `‖y‖²` is precomputed per row.
-//! 2. **Exact re-rank** — rows the widened bound below cannot exclude go
-//!    through the *exact* f32 [`MetricKernel::pair_with`] and are offered
-//!    into the same [`TopKState`], interleaved per tile so every admission
-//!    tightens τ for the very next tile. Only the exact kernel's values are
-//!    ever admitted, so the final table is bit-identical to the exhaustive
-//!    engine — phase 1 only decides *which* rows get the exact treatment.
-//!
-//! **Widened bound derivation.** The shadow stores, per row, an upper bound
-//! `r_i ≥ e(x_i, x̂_i)` on the reconstruction distance (computed exactly in
-//! f64 at encode time — clamping included — and rounded *up* into f32). The
-//! triangle inequality gives `e(q, x_i) ≥ e(q, x̂_i) − r_i`. The computed
-//! `â` approximates `e(q, x̂_i)²` with two separately-accounted error
-//! sources:
-//!
-//! * **Float roundings** — forming `u`, `w`, and `y` (~5ε of products) plus
-//!   the two fixed-order f32 norm accumulations; the integer dot and the
-//!   f64 finishing contribute nothing at f32 scale. The inventory totals
-//!   below `(d + 16)·ε_f32·(‖u‖ + M)²` where `M ≥ max_i ‖y_i‖` is one
-//!   index-wide code-norm bound taken from the quantizer; the quantized
-//!   query budgets `margin = 2(d + 32)·ε_f32·(‖u‖ + M)²` — double it.
-//!   Because `M` belongs to the frozen quantizer rather than to a shard,
-//!   each query is prepared once, whichever shards it visits.
-//! * **Query quantization** — replacing `w` by `g·v` perturbs the dot term
-//!   by `|2 Σ_j (w_j − g v_j) X_{ij}| ≤ 1.02·g·Σ_j |X_{ij}|` (half a step
-//!   plus division-rounding slack per code). This is *exact per row*: the
-//!   shadow stores `A_i = Σ_j |X_{ij}|` and the scan subtracts
-//!   `qslack·A_i`, `qslack = 1.02·g`, instead of smearing a worst-case
-//!   term over every row.
-//!
-//! Hence
-//!
-//! ```text
-//! e(q, x̂_i)² ≥ â − margin − qslack·A_i
-//! e(q, x_i)  ≥ √(max(0, â − margin − qslack·A_i)) − r_i
-//! ```
-//!
-//! is a valid Euclidean lower bound, fed through *the same* slack + guard
-//! comparison as the centroid bounds. To avoid a per-row square root the
-//! scan precomputes (lazily, only when τ changes) the threshold
-//! `T = √((τ² + guard + err) / slack)` — the `prunes` inequality solved for
-//! the bound — and tests `â − margin − qslack·A_i > (T + r_i)²`, which is
-//! exactly equivalent for non-negative operands. A row is skipped **only**
-//! when the widened, slack-deflated bound strictly clears τ, so a
-//! quantization error can only cost a wasted exact evaluation, never a
-//! missed neighbour. The margin model is absolute, so it additionally
-//! requires that no f32 intermediate overflows and that the integer dot
-//! stays inside i32: a code-norm bound above `snoopy-knn::quantized`'s
-//! `MAX_SAFE_NORM = 10¹⁸` or a width above `MAX_QUANTIZED_DIMS = 2000`
-//! refuses the quantizer for the whole index, and a query norm above the
-//! cap refuses the int8 phase for that query; both fall back to the exact
-//! scan — see the overflow-guard notes in [`crate::quantized`].
-//!
-//! In quantized mode the f64 per-row centroid bound is *replaced* by the
-//! int8 bound inside visited clusters (reading the 8-byte `row_center`
-//! entries would defeat the 1-byte/dim traffic goal); the cluster-level
-//! bound and visit order are unchanged. [`PruneStats`] separates the two
-//! phases: `rows_quantized` counts phase-1 approximate evaluations,
-//! `rows_scanned` keeps its meaning of *exact* kernel evaluations (= the
-//! re-rank count), and [`PruneStats::rerank_rate`] reports how tight the
-//! int8 bound is in practice.
-//!
 //! [`Metric::Cosine`] is *not* a metric (no triangle inequality on the
 //! dissimilarity), so the index refuses it and cosine consumers use the
 //! exhaustive [`crate::engine::EvalEngine`].
@@ -155,7 +74,6 @@ use std::ops::Range;
 use crate::engine::{TopKState, DEFAULT_TILE_ROWS};
 use crate::kernel::MetricKernel;
 use crate::metric::Metric;
-use crate::quantized::{AffineQuantizer, QuantizedQuery, QuantizedShadow};
 use crate::sharded::Pager;
 use snoopy_linalg::{DatasetView, Matrix};
 
@@ -196,11 +114,9 @@ fn kth_distance(state: &TopKState) -> Option<f32> {
 ///
 /// `clusters_total` / `rows_total` count the work the exhaustive engine
 /// would have done (per query); `clusters_visited` counts clusters whose
-/// rows were looked at, `rows_scanned` counts *exact* distance evaluations
-/// (on a quantized index: the phase-2 re-ranks), `rows_pruned` counts rows
-/// skipped by a per-row bound inside visited clusters, and `rows_quantized`
-/// counts phase-1 int8 approximate evaluations (zero on an unquantized
-/// index). Rows in never-visited clusters appear in none of them.
+/// rows were looked at, `rows_scanned` counts distance evaluations, and
+/// `rows_pruned` counts rows skipped by a per-row bound inside visited
+/// clusters. Rows in never-visited clusters appear in none of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Queries answered.
@@ -209,16 +125,12 @@ pub struct PruneStats {
     pub clusters_visited: usize,
     /// Clusters times queries — the exhaustive cluster-visit count.
     pub clusters_total: usize,
-    /// Exact query–row distance evaluations actually performed (phase 2 on
-    /// a quantized index).
+    /// Query–row distance evaluations actually performed.
     pub rows_scanned: usize,
     /// Rows skipped by a per-row bound inside visited clusters.
     pub rows_pruned: usize,
     /// Training rows times queries — the exhaustive distance count.
     pub rows_total: usize,
-    /// Phase-1 int8 approximate evaluations (candidate tests) on a
-    /// quantized index; 0 on the f32 path.
-    pub rows_quantized: usize,
 }
 
 impl PruneStats {
@@ -231,33 +143,15 @@ impl PruneStats {
             1.0 - self.clusters_visited as f64 / self.clusters_total as f64
         }
     }
-
-    /// How loose the int8 bound was: the fraction of phase-1 approximate
-    /// evaluations that still needed an exact re-rank,
-    /// `rows_scanned / rows_quantized` (0 when nothing was quantized —
-    /// callers asserting tightness should check `rows_quantized > 0`).
-    pub fn rerank_rate(&self) -> f64 {
-        if self.rows_quantized == 0 {
-            0.0
-        } else {
-            self.rows_scanned as f64 / self.rows_quantized as f64
-        }
-    }
 }
 
 /// Heap footprint of the pruned index, bucketed by role — the `resident`
-/// part of [`crate::sharded::PagedResidentBytes`], so the shadow's
-/// footprint claims are measured, not asserted.
+/// part of [`crate::sharded::PagedResidentBytes`], so the footprint is
+/// measured, not asserted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidentBytes {
-    /// The gathered f32 training rows (what an unquantized scan streams).
+    /// The gathered f32 training rows (what a scan streams).
     pub train_rows: usize,
-    /// The int8 codes (what a quantized phase-1 scan streams per row) —
-    /// exactly `train_rows / 4` when quantized, 0 otherwise.
-    pub quantized_codes: usize,
-    /// Quantized per-row book-keeping: code norms, code sums, reconstruction
-    /// radii, and the affine parameters.
-    pub quantized_meta: usize,
     /// Centroid rows plus per-cluster radii and offsets.
     pub centroids: usize,
     /// Per-row index metadata: centroid distances, original-row ids, and
@@ -268,7 +162,7 @@ pub struct ResidentBytes {
 impl ResidentBytes {
     /// Sum over all buckets.
     pub fn total(&self) -> usize {
-        self.train_rows + self.quantized_codes + self.quantized_meta + self.centroids + self.row_meta
+        self.train_rows + self.centroids + self.row_meta
     }
 }
 
@@ -343,17 +237,6 @@ impl PruneBounds {
     #[inline]
     pub fn prunes(&self, lb: f64, tau_sq: f64, err: f64) -> bool {
         lb * lb * self.slack - err > tau_sq + self.abs_guard
-    }
-
-    /// The [`PruneBounds::prunes`] inequality solved for the bound: a
-    /// non-negative Euclidean lower bound prunes iff it strictly exceeds
-    /// `√((τ² + guard + err) / slack)`. The quantized scan caches this per
-    /// τ value so the per-row test `â − margin > (T + r_i)²` needs no
-    /// square root (`τ = ∞`, state not yet full, maps to `∞` and never
-    /// prunes).
-    #[inline]
-    pub fn prune_threshold(&self, tau: f32, err: f64) -> f64 {
-        ((self.tau_sq(tau) + self.abs_guard + err) / self.slack).sqrt()
     }
 }
 
@@ -456,10 +339,8 @@ impl Partition {
     /// next cluster and waits there, or is done. Every query still visits
     /// its own clusters in its own bound order, checking the same τ, so the
     /// states and the counters equal those of a query-at-a-time loop bit
-    /// for bit; the grouping changes only how often a shard is loaded. A
-    /// visited slice scans through the int8 two-phase scan when the index
-    /// is quantized and the query fits the overflow guard, the f32 tile
-    /// scan otherwise. Admitted indices are member ids.
+    /// for bit; the grouping changes only how often a shard is loaded.
+    /// Admitted indices are member ids.
     pub fn update_topk(
         &self,
         pager: &mut Pager<'_>,
@@ -474,7 +355,7 @@ impl Partition {
             rows_total: nq * self.members.len(),
             ..PruneStats::default()
         };
-        let schedule = Schedule::new(self, queries, pager.quantizer());
+        let schedule = Schedule::new(self, queries);
         let mut waiting: Vec<Vec<Waiter<'_>>> = (0..nlist).map(|_| Vec::new()).collect();
         let mut active = 0;
         for (query, state) in states.iter_mut().enumerate() {
@@ -489,10 +370,8 @@ impl Partition {
         // clusters.
         let largest = (0..nlist).map(|c| self.cluster(c).len()).max().unwrap_or(0);
         let tile_len = DEFAULT_TILE_ROWS.min(largest.max(1));
-        let int8_len = if schedule.quantizer.is_some() { tile_len } else { 0 };
         let workers = snoopy_pool::workers();
-        let mut buffers: Vec<ChunkBuffers> =
-            (0..workers).map(|_| ChunkBuffers::new(tile_len, int8_len)).collect();
+        let mut buffers: Vec<ChunkBuffers> = (0..workers).map(|_| ChunkBuffers::new(tile_len)).collect();
         let mut here = Vec::new();
         while active > 0 {
             for c in 0..nlist {
@@ -529,7 +408,6 @@ impl Partition {
             stats.clusters_visited += s.stats.clusters_visited;
             stats.rows_scanned += s.stats.rows_scanned;
             stats.rows_pruned += s.stats.rows_pruned;
-            stats.rows_quantized += s.stats.rows_quantized;
         }
         stats
     }
@@ -550,8 +428,6 @@ struct Waiter<'s> {
 struct Schedule<'a> {
     part: &'a Partition,
     queries: DatasetView<'a>,
-    /// The frozen quantizer every shard encodes against, if any.
-    quantizer: Option<&'a AffineQuantizer>,
     /// The kernel with the query side bound.
     kernel: MetricKernel,
     /// Per query: its kernel-error margin ([`PruneBounds::kernel_err`]).
@@ -564,7 +440,7 @@ struct Schedule<'a> {
 }
 
 impl<'a> Schedule<'a> {
-    fn new(part: &'a Partition, queries: DatasetView<'a>, quantizer: Option<&'a AffineQuantizer>) -> Self {
+    fn new(part: &'a Partition, queries: DatasetView<'a>) -> Self {
         let nlist = part.num_clusters();
         let mut order = vec![0u32; queries.rows() * nlist];
         let mut ranked = Vec::with_capacity(nlist);
@@ -579,7 +455,7 @@ impl<'a> Schedule<'a> {
         let mut kernel = MetricKernel::new(part.metric());
         kernel.bind_queries(queries);
         let errs = queries.rows_iter().map(|q| part.bounds.kernel_err(norm_f64(q))).collect();
-        Schedule { part, queries, quantizer, kernel, errs, order, nlist }
+        Schedule { part, queries, kernel, errs, order, nlist }
     }
 
     /// The cluster `w` waits on, `None` once it is done.
@@ -610,45 +486,22 @@ impl<'a> Schedule<'a> {
             err: self.errs[w.query],
         };
         s.stats.clusters_visited += 1;
-        // The int8 margin rests on the frozen quantizer's index-wide
-        // code-norm bound, so it holds for every shard. `None`: unquantized,
-        // or the query's norm trips the overflow guard, and the query scans
-        // exactly.
-        let int8 = self.quantizer.and_then(|qz| qz.prepare_query(q, &mut s.wbuf, &mut s.vbuf));
-        match (&int8, &slice.rows.shadow) {
-            (Some(qq), Some(sh)) => {
-                slice.scan_int8(&cx, sh, qq, &s.vbuf, w.state, &mut s.qtile, &mut s.keep, &mut s.stats)
-            }
-            _ => {
-                let dqc = euclid_f64(q, self.part.centroids.row(c));
-                slice.scan_f32(&cx, dqc, w.state, &mut s.tile, &mut s.stats)
-            }
-        }
+        let dqc = euclid_f64(q, self.part.centroids.row(c));
+        slice.scan(&cx, dqc, w.state, &mut s.tile, &mut s.stats);
         w.pos += 1;
         self.check_next(w);
     }
 }
 
-/// One worker chunk's scan buffers and counters.
+/// One worker chunk's distance tile and counters.
 struct ChunkBuffers {
     tile: Vec<f32>,
-    qtile: Vec<i32>,
-    keep: Vec<bool>,
-    wbuf: Vec<f32>,
-    vbuf: Vec<i16>,
     stats: PruneStats,
 }
 
 impl ChunkBuffers {
-    fn new(tile_len: usize, int8_len: usize) -> Self {
-        ChunkBuffers {
-            tile: vec![0.0; tile_len],
-            qtile: vec![0; int8_len],
-            keep: vec![false; int8_len],
-            wbuf: Vec::new(),
-            vbuf: Vec::new(),
-            stats: PruneStats::default(),
-        }
+    fn new(tile_len: usize) -> Self {
+        ChunkBuffers { tile: vec![0.0; tile_len], stats: PruneStats::default() }
     }
 }
 
@@ -663,8 +516,8 @@ struct QueryCtx<'q> {
 }
 
 /// A row buffer with everything a scan derives from it. Rows are addressed
-/// in `data` — never re-sliced — because the kernel's norm cache and the
-/// shadow's codes index rows of that view.
+/// in `data` — never re-sliced — because the kernel's norm cache indexes
+/// rows of that view.
 #[derive(Debug, Clone)]
 pub(crate) struct ScanRows {
     pub data: Matrix,
@@ -672,37 +525,26 @@ pub(crate) struct ScanRows {
     pub row_center: Vec<f64>,
     /// The tile kernel with `data` bound as its train side.
     pub kernel: MetricKernel,
-    /// The int8 shadow of `data` (`None` when the index is unquantized).
-    pub shadow: Option<QuantizedShadow>,
 }
 
 impl ScanRows {
-    /// `data` with `metric`'s kernel bound to it, encoded against
-    /// `quantizer` when the index is quantized.
-    pub fn new(
-        metric: Metric,
-        data: Matrix,
-        row_center: Vec<f64>,
-        quantizer: Option<&AffineQuantizer>,
-    ) -> Self {
+    /// `data` with `metric`'s kernel bound to it.
+    pub fn new(metric: Metric, data: Matrix, row_center: Vec<f64>) -> Self {
         let mut kernel = MetricKernel::new(metric);
         kernel.bind_train(data.view());
-        let shadow = quantizer.map(|q| QuantizedShadow::build(data.view(), q));
-        ScanRows { data, row_center, kernel, shadow }
+        ScanRows { data, row_center, kernel }
     }
 
-    /// Adds the heap footprint of the rows, the shadow, the centroid
-    /// distances and the norm cache to `rb`.
+    /// Adds the heap footprint of the rows, the centroid distances and the
+    /// norm cache to `rb`.
     pub fn add_bytes(&self, rb: &mut ResidentBytes) {
         rb.train_rows += self.data.rows() * self.data.cols() * size_of::<f32>();
-        rb.quantized_codes += self.shadow.as_ref().map_or(0, |s| s.code_bytes());
-        rb.quantized_meta += self.shadow.as_ref().map_or(0, |s| s.meta_bytes());
         rb.row_meta +=
             self.row_center.len() * size_of::<f64>() + self.kernel.train_bound() * size_of::<f32>();
     }
 }
 
-/// One visited cluster as the scans read it: every row of `rows` (a shard),
+/// One visited cluster as the scan reads it: every row of `rows` (a shard),
 /// whose original row ids are `ids`.
 pub(crate) struct ClusterSlice<'s> {
     pub rows: &'s ScanRows,
@@ -714,7 +556,7 @@ impl ClusterSlice<'_> {
     /// per-row bound goes through the tile kernel; a broken tile falls back
     /// to the bit-identical per-pair path with a live (row-by-row)
     /// threshold.
-    fn scan_f32(
+    fn scan(
         &self,
         cx: &QueryCtx<'_>,
         dqc: f64,
@@ -752,57 +594,6 @@ impl ClusterSlice<'_> {
                     state.offer(kernel.pair_with(cx.q, cx.qv, data, r + j), id);
                     stats.rows_scanned += 1;
                 }
-            }
-        }
-    }
-
-    /// The int8 two-phase scan: phase 1 computes the exact integer dots of
-    /// a whole tile from `shadow`'s codes (one byte per dimension of row
-    /// traffic) and classifies the tile against the widened bound in one
-    /// straight-line f64 pass; phase 2 re-ranks the surviving rows through
-    /// the exact per-pair kernel — interleaved per tile, so each admission
-    /// tightens τ for the next tile. The classify pass uses the τ of the
-    /// tile *start* (a stale — larger — τ only keeps rows a fresh one might
-    /// prune) and the prune threshold `T` is recomputed only when τ changes
-    /// (see [`PruneBounds::prune_threshold`]).
-    #[allow(clippy::too_many_arguments)] // the scan's full per-query context
-    fn scan_int8(
-        &self,
-        cx: &QueryCtx<'_>,
-        shadow: &QuantizedShadow,
-        qq: &QuantizedQuery,
-        v: &[i16],
-        state: &mut TopKState,
-        qtile: &mut [i32],
-        keep: &mut [bool],
-        stats: &mut PruneStats,
-    ) {
-        let mut cached_tau = f32::NAN; // NaN ≠ everything → first full state recomputes
-        let mut cached_threshold = f64::INFINITY;
-        let (data, kernel) = (self.rows.data.view(), &self.rows.kernel);
-        for (t, ids) in self.ids.chunks(qtile.len()).enumerate() {
-            let (r, len) = (t * qtile.len(), ids.len());
-            let dots = &mut qtile[..len];
-            shadow.approx_dot_tile(v, r, dots);
-            stats.rows_quantized += len;
-            let threshold = match kth_distance(state) {
-                Some(tau) => {
-                    if tau != cached_tau {
-                        cached_tau = tau;
-                        cached_threshold = cx.bounds.prune_threshold(tau, cx.err);
-                    }
-                    cached_threshold
-                }
-                None => f64::INFINITY, // not full: every row survives classification
-            };
-            shadow.classify_tile(qq, threshold, r, dots, &mut keep[..len]);
-            for (j, (&kept, &id)) in keep[..len].iter().zip(ids).enumerate() {
-                if !kept {
-                    stats.rows_pruned += 1;
-                    continue;
-                }
-                state.offer(kernel.pair_with(cx.q, cx.qv, data, r + j), id);
-                stats.rows_scanned += 1;
             }
         }
     }

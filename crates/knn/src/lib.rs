@@ -48,15 +48,8 @@
 //!   in each one that queries wait on once, on the calling thread, and
 //!   scans it for all of them in one chunk per `snoopy-pool` worker.
 //!   Cosine dissimilarity has no triangle inequality, so cosine consumers
-//!   use the exhaustive engine. The visit-major loop, the f32
-//!   tile scan and the int8 two-phase scan are one crate-internal
-//!   cluster-scan core,
-//! * the per-dimension affine int8 shadow ([`quantized::QuantizedShadow`],
-//!   [`sharded::ShardedIndex::quantize`]): visited clusters scan
-//!   approximately at **one byte per dimension** through a fixed-order int8
-//!   dot tile, a quantization-error-widened bound selects the candidate
-//!   superset, and only survivors are re-ranked through the exact f32
-//!   kernel — a ~4× smaller scan copy with the identical `NeighborTable`,
+//!   use the exhaustive engine. The visit-major loop and the f32 tile scan
+//!   are one crate-internal cluster-scan core,
 //! * an exact brute-force index ([`brute::BruteForceIndex`]) whose
 //!   neighbour tables and 1NN / kNN errors on held-out query rows route
 //!   through the engine,
@@ -80,7 +73,6 @@ pub mod engine;
 pub mod incremental;
 pub mod kernel;
 pub mod metric;
-pub mod quantized;
 pub mod sharded;
 
 pub use bounds::{PruneStats, ResidentBytes, KMEANS_SEED};
@@ -89,5 +81,4 @@ pub use engine::{EvalEngine, NearestHit, NeighborTable, TopKState};
 pub use incremental::{EvictReport, IncrementalTopK};
 pub use kernel::MetricKernel;
 pub use metric::Metric;
-pub use quantized::AffineQuantizer;
 pub use sharded::{PagedResidentBytes, PagingStats, ShardedIndex};

@@ -12,14 +12,13 @@
 //! that do not fit in memory, or an in-memory view with
 //! `budget_bytes = usize::MAX`. It keeps the partition resident and runs
 //! the crate's one cluster-scan core (the crate-internal `bounds` module:
-//! one visit-major loop, one f32 tile scan, one int8 two-phase
-//! scan, and the derivation of every bound they test), but materialises
-//! each cluster as an independent **shard** — the gathered f32 member rows,
-//! their per-row centroid distances, the kernel norm cache, and (when
-//! quantized) the int8 shadow — that loads and evicts on demand under a
-//! configurable resident byte budget. The visit loop obtains a cluster from
-//! the pager, which faults its shard in on the calling thread unless it is
-//! still resident.
+//! one visit-major loop, one f32 tile scan, and the derivation of every
+//! bound they test), but materialises each cluster as an independent
+//! **shard** — the gathered f32 member rows, their per-row centroid
+//! distances and the kernel norm cache — that loads and evicts on demand
+//! under a configurable resident byte budget. The visit loop obtains a
+//! cluster from the pager, which faults its shard in on the calling thread
+//! unless it is still resident.
 //!
 //! Queries go through one entry, [`ShardedIndex::topk_with_stats`]: a cold
 //! top-k table of held-out query rows plus its [`PruneStats`] — clusters
@@ -75,12 +74,10 @@
 //! comes from the same [`MetricKernel`] expressions (which depend only on
 //! the pair of rows, never on which buffer holds them), and every prune
 //! decision is sound by the bounds of the scan core. Evicting and
-//! re-faulting a shard recomputes identical bytes — gathers, per-row
-//! geometry and int8 codes are deterministic functions of the source view
-//! and the frozen quantizer — and the int8 margin rests on the quantizer's
-//! index-wide code-norm bound, so the budget and the pool's worker count
-//! change time, never work: tables and [`PruneStats`] are equal at every
-//! budget and pool.
+//! re-faulting a shard recomputes identical bytes — gathers and per-row
+//! geometry are deterministic functions of the source view — so the budget
+//! and the pool's worker count change time, never work: tables and
+//! [`PruneStats`] are equal at every budget and pool.
 //!
 //! [`MetricKernel`]: crate::kernel::MetricKernel
 
@@ -89,7 +86,6 @@ use crate::bounds::{
 };
 use crate::engine::{NeighborTable, TopKState};
 use crate::metric::Metric;
-use crate::quantized::AffineQuantizer;
 use snoopy_linalg::kmeans::lloyd_kmeans;
 use snoopy_linalg::DatasetView;
 
@@ -118,10 +114,10 @@ pub struct PagingStats {
 /// shard cache — what [`ShardedIndex::resident_bytes`] reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagedResidentBytes {
-    /// Currently-resident footprint, bucketed by role (`train_rows`,
-    /// `quantized_codes` and the per-row part of `quantized_meta` cover
-    /// resident shards only; `centroids`, `row_meta`'s member ids and the
-    /// affine parameters cover the always-resident index metadata).
+    /// Currently-resident footprint, bucketed by role (`train_rows` and the
+    /// per-row part of `row_meta` cover resident shards only; `centroids`
+    /// and `row_meta`'s member ids cover the always-resident index
+    /// metadata).
     pub resident: ResidentBytes,
     /// The configured shard-cache budget in bytes.
     pub budget: usize,
@@ -143,12 +139,10 @@ struct Shard {
     last_use: u64,
 }
 
-/// Everything a shard load reads: the source view, the partition, and the
-/// frozen quantizer.
+/// Everything a shard load reads: the source view and the partition.
 struct ShardLoader<'p> {
     source: DatasetView<'p>,
     part: &'p Partition,
-    quantizer: Option<&'p AffineQuantizer>,
 }
 
 impl<'p> ShardLoader<'p> {
@@ -165,7 +159,7 @@ impl<'p> ShardLoader<'p> {
         let data = self.source.select_rows(self.ids(c));
         let centroid = self.part.centroids.row(c);
         let row_center = data.rows_iter().map(|r| euclid_f64(r, centroid)).collect();
-        let rows = ScanRows::new(self.part.metric(), data, row_center, self.quantizer);
+        let rows = ScanRows::new(self.part.metric(), data, row_center);
         let mut rb = ResidentBytes::default();
         rows.add_bytes(&mut rb);
         Shard { bytes: rb.total(), rows, last_use: 0 }
@@ -259,18 +253,6 @@ impl ShardCache {
             self.stats.bytes_evicted += bytes;
         }
     }
-
-    /// Drops every resident shard (used when the quantizer changes so
-    /// shards re-materialise with shadows). Counted as evictions.
-    fn clear(&mut self) {
-        for slot in self.resident.iter_mut() {
-            if let Some(s) = slot.take() {
-                self.resident_bytes -= s.bytes;
-                self.stats.shards_evicted += 1;
-                self.stats.bytes_evicted += s.bytes;
-            }
-        }
-    }
 }
 
 /// How the visit loop obtains the rows of a visited cluster: from the
@@ -280,13 +262,7 @@ pub(crate) struct Pager<'p> {
     cache: &'p mut ShardCache,
 }
 
-impl<'p> Pager<'p> {
-    /// The frozen quantizer every shard encodes against (`None` when the
-    /// index is unquantized).
-    pub fn quantizer(&self) -> Option<&'p AffineQuantizer> {
-        self.loader.quantizer
-    }
-
+impl Pager<'_> {
     /// Cluster `c`'s shard, called once per sweep visit.
     pub fn obtain(&mut self, c: usize) -> ClusterSlice<'_> {
         let Pager { loader, cache } = self;
@@ -304,11 +280,6 @@ pub struct ShardedIndex<'a> {
     source: DatasetView<'a>,
     /// Centroids, radii, member ids and prune constants — always resident.
     part: Partition,
-    /// The frozen affine fitted over the *whole* source at
-    /// [`ShardedIndex::quantize`] time — every shard encodes against it, so
-    /// eviction and re-faulting cannot change any code, and its code-norm
-    /// bound serves every shard's int8 margin.
-    quantizer: Option<AffineQuantizer>,
     cache: ShardCache,
 }
 
@@ -331,26 +302,7 @@ impl<'a> ShardedIndex<'a> {
         // fault, not stored.
         let part = Partition::new(source, metric, &km.centroids, &km.assignments);
         let cache = ShardCache::new(part.num_clusters(), budget_bytes);
-        ShardedIndex { source, part, quantizer: None, cache }
-    }
-
-    /// Attaches the int8 quantization: fits the affine over the whole
-    /// source (one streaming pass) and freezes it, so every shard —
-    /// including ones re-faulted after eviction — encodes identically.
-    /// Resident shards are dropped and re-materialise with shadows on next
-    /// visit; visited clusters then run the two-phase int8-then-exact scan.
-    /// Results stay bit-identical (the shadow only selects re-rank
-    /// candidates); data past the overflow guard simply scans exact.
-    pub fn quantize(mut self) -> Self {
-        self.quantizer = AffineQuantizer::fit(self.source);
-        self.cache.clear();
-        self
-    }
-
-    /// Whether a frozen quantizer is attached (false when the overflow
-    /// guard refused the data).
-    pub fn is_quantized(&self) -> bool {
-        self.quantizer.is_some()
+        ShardedIndex { source, part, cache }
     }
 
     /// Number of indexed source rows.
@@ -386,6 +338,13 @@ impl<'a> ShardedIndex<'a> {
         self
     }
 
+    /// Returns the index unchanged: every visited cluster goes through the
+    /// one f32 scan. Kept so that callers written against the int8 shadow
+    /// still build.
+    pub fn quantize(self) -> Self {
+        self
+    }
+
     /// Cumulative paging counters since build.
     pub fn paging_stats(&self) -> PagingStats {
         self.cache.stats
@@ -395,7 +354,6 @@ impl<'a> ShardedIndex<'a> {
     /// residency contract is `peak ≤ budget + max_shard`.
     pub fn resident_bytes(&self) -> PagedResidentBytes {
         let mut rb = ResidentBytes {
-            quantized_meta: self.quantizer.as_ref().map_or(0, |q| q.param_bytes()),
             centroids: self.part.geometry_bytes(),
             row_meta: self.part.members.len() * size_of::<usize>(),
             ..ResidentBytes::default()
@@ -428,9 +386,8 @@ impl<'a> ShardedIndex<'a> {
     pub fn topk_with_stats(&mut self, queries: DatasetView<'_>, k: usize) -> (NeighborTable, PruneStats) {
         assert_eq!(queries.cols(), self.source.cols(), "query/train dimensionality mismatch");
         let mut states = vec![TopKState::new(k.max(1)); queries.rows()];
-        let ShardedIndex { source, part, quantizer, cache } = self;
-        let mut pager =
-            Pager { loader: ShardLoader { source: *source, part, quantizer: quantizer.as_ref() }, cache };
+        let ShardedIndex { source, part, cache } = self;
+        let mut pager = Pager { loader: ShardLoader { source: *source, part }, cache };
         let stats = part.update_topk(&mut pager, queries, &mut states);
         (NeighborTable::from_states(&states), stats)
     }
@@ -460,25 +417,6 @@ mod tests {
             }
             assert!(index.paging_stats().shards_evicted >= 2, "{:?}", index.paging_stats());
         }
-    }
-
-    #[test]
-    fn quantized_sharded_stays_exact_and_pages() {
-        let train = blobs(600, 12, 10, 21);
-        let queries = blobs(50, 12, 10, 22);
-        let budget = 3 * (600 / 10) * 12 * 4; // ~3 shards of f32 rows
-        let mut index = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 10, budget).quantize();
-        assert!(index.is_quantized());
-        let reference = knn_reference(train.view(), queries.view(), Metric::SquaredEuclidean, 5);
-        // The second call re-faults the shards the first one evicted.
-        for _ in 0..2 {
-            let (table, stats) = index.topk_with_stats(queries.view(), 5);
-            assert_eq!(table, reference);
-            assert!(stats.rows_quantized > 0, "shards must carry shadows: {stats:?}");
-        }
-        let paging = index.paging_stats();
-        assert!(paging.shards_faulted > index.num_clusters(), "re-faults expected: {paging:?}");
-        assert!(paging.shards_evicted >= 2, "{paging:?}");
     }
 
     #[test]
@@ -581,94 +519,5 @@ mod tests {
             assert_eq!(index.num_clusters(), 2);
             assert_eq!(index.topk(queries.view(), 1), reference, "metric {}", metric.name());
         }
-    }
-
-    #[test]
-    fn quantized_subnormal_underflow_does_not_prune_zero_distance_ties() {
-        // The quantized twin of the subnormal guard test: the int8 bound's
-        // threshold path must also keep τ = 0 from pruning the lower-index
-        // tie (the guard makes T ≥ √(guard) > any subnormal bound).
-        let train = Matrix::from_rows(&[vec![2.2e-23f32, 0.0], vec![-1.8e-23, 0.0]]);
-        let queries = Matrix::from_rows(&[vec![0.0f32, 0.0]]);
-        for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
-            let reference = knn_reference(train.view(), queries.view(), metric, 1);
-            let mut index = ShardedIndex::build(train.view(), metric, 2, usize::MAX).quantize();
-            assert!(index.is_quantized());
-            assert_eq!(index.num_clusters(), 2);
-            assert_eq!(index.topk(queries.view(), 1), reference, "metric {}", metric.name());
-        }
-    }
-
-    #[test]
-    fn quantized_scan_reranks_a_strict_subset_and_reports_phase_counters() {
-        let train = blobs(800, 16, 12, 51);
-        let queries = blobs(50, 16, 12, 52);
-        let mut plain = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 12, usize::MAX);
-        let mut quantized =
-            ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 12, usize::MAX).quantize();
-        let (table_p, stats_p) = plain.topk_with_stats(queries.view(), 5);
-        let (table_q, stats_q) = quantized.topk_with_stats(queries.view(), 5);
-        assert_eq!(table_p, table_q);
-        assert_eq!(stats_p.rows_quantized, 0, "f32 path never counts phase 1");
-        assert_eq!(stats_p.rerank_rate(), 0.0);
-        assert!(stats_q.rows_quantized > 0, "{stats_q:?}");
-        assert!(stats_q.rows_scanned < stats_q.rows_quantized, "int8 bound must prune: {stats_q:?}");
-        assert!(stats_q.rerank_rate() < 1.0, "{stats_q:?}");
-        assert_eq!(
-            stats_q.rows_scanned + stats_q.rows_pruned,
-            stats_q.rows_quantized,
-            "every phase-1 row is re-ranked or pruned: {stats_q:?}"
-        );
-    }
-
-    #[test]
-    fn quantized_resident_bytes_measures_the_4x_scan_copy() {
-        // Each training row queried against the index visits its own
-        // cluster (a zero lower bound never prunes), and an unbounded budget
-        // keeps every faulted shard resident.
-        let train = blobs(300, 32, 6, 61);
-        let mut plain = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 6, usize::MAX);
-        plain.topk(train.view(), 1);
-        let rb_plain = plain.resident_bytes().resident;
-        assert_eq!(rb_plain.train_rows, 300 * 32 * 4);
-        assert_eq!(rb_plain.quantized_codes, 0);
-        assert_eq!(rb_plain.quantized_meta, 0);
-        let mut quantized = plain.quantize();
-        quantized.topk(train.view(), 1);
-        let rb = quantized.resident_bytes().resident;
-        assert_eq!(rb.train_rows, 300 * 32 * 4);
-        assert_eq!(rb.quantized_codes * 4, rb.train_rows, "codes are exactly 4x smaller");
-        // code norms + abs sums + radii (3 f32/row) + affine params (2 f32/dim).
-        assert_eq!(rb.quantized_meta, 300 * 12 + 32 * 8);
-        assert!(rb.total() > rb_plain.total());
-        assert!(rb.centroids > 0 && rb.row_meta > 0);
-    }
-
-    #[test]
-    fn quantized_extreme_magnitudes_fall_back_and_stay_exact() {
-        // Data past the shadow's overflow guard (row norms ≈ √8·10¹⁸ >
-        // MAX_SAFE_NORM) but still well inside the f32-finite regime the
-        // exact kernel's error model requires: quantize() must refuse the
-        // shadow and the scan must stay exact.
-        let huge = Matrix::from_fn(40, 8, |r, c| if (r + c) % 2 == 0 { 1.0e18 } else { -1.0e18 });
-        let mut index = ShardedIndex::build(huge.view(), Metric::SquaredEuclidean, 4, usize::MAX).quantize();
-        assert!(!index.is_quantized(), "overflow guard must reject the shadow");
-        let q = Matrix::from_fn(5, 8, |r, c| ((r * 8 + c) as f32).sin() * 1.0e18);
-        assert_eq!(
-            index.topk(q.view(), 3),
-            knn_reference(huge.view(), q.view(), Metric::SquaredEuclidean, 3)
-        );
-        // Sane data, extreme query rows: those queries alone fall back
-        // (`prepare_query` refuses norms past the guard, per query).
-        let train = blobs(200, 8, 4, 71);
-        let mut index = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 4, usize::MAX).quantize();
-        assert!(index.is_quantized());
-        let mut rows: Vec<Vec<f32>> = (0..4).map(|r| q.row(r).to_vec()).collect();
-        rows.push(vec![2.0e18; 8]);
-        let mixed = Matrix::from_rows(&rows);
-        assert_eq!(
-            index.topk(mixed.view(), 3),
-            knn_reference(train.view(), mixed.view(), Metric::SquaredEuclidean, 3)
-        );
     }
 }

@@ -2,8 +2,8 @@
 //! versioned disk format and reopened as an mmap-backed view is
 //! **bit-identical** to the in-memory matrix through every consumer — the
 //! exhaustive engine, the [`IncrementalTopK`] append/evict paths, and the
-//! pruned [`ShardedIndex`], plain and quantized, under budgets small enough
-//! to force eviction mid-query. Backing must be invisible: same bytes in,
+//! pruned [`ShardedIndex`] under budgets small enough to force eviction
+//! mid-query. Backing must be invisible: same bytes in,
 //! same bits out.
 
 use proptest::prelude::*;
@@ -18,8 +18,8 @@ proptest! {
     /// through the exhaustive engine and the pruned index: the index over
     /// the mapped view under an eviction-forcing budget returns the
     /// exhaustive table, and does the same pruning work — every
-    /// [`snoopy_knn::PruneStats`] counter, plain or quantized — as an
-    /// unbounded index over the in-memory matrix.
+    /// [`snoopy_knn::PruneStats`] counter — as an unbounded index over the
+    /// in-memory matrix.
     #[test]
     fn disk_views_match_memory_through_every_backend(
         seed in 0u64..500,
@@ -50,27 +50,21 @@ proptest! {
         // two shards so most queries evict mid-flight, against an unbounded
         // one over the in-memory matrix.
         let shard_bytes = (n / nlist).max(1) * d * 4;
-        for quantize in [false, true] {
-            for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
-                let reference = engine.topk(train.view(), queries.view(), metric, k);
-                let mut resident = ShardedIndex::build(train.view(), metric, nlist, usize::MAX);
-                let mut paged = ShardedIndex::build(disk_train.view(), metric, nlist, 2 * shard_bytes);
-                if quantize {
-                    resident = resident.quantize();
-                    paged = paged.quantize();
-                }
-                let got = paged.topk_with_stats(disk_queries.view(), k);
-                let want = resident.topk_with_stats(queries.view(), k);
-                let at = format!("metric {} quantize {}", metric.name(), quantize);
-                prop_assert_eq!(&got.0, &reference, "{}", at);
-                prop_assert_eq!(&got.0, &want.0, "{}", at);
-                prop_assert_eq!(got.1, want.1, "{}", at);
-                let rb = paged.resident_bytes();
-                prop_assert!(
-                    rb.peak <= rb.budget + rb.max_shard,
-                    "peak {} budget {} max_shard {}", rb.peak, rb.budget, rb.max_shard
-                );
-            }
+        for metric in [Metric::SquaredEuclidean, Metric::Euclidean] {
+            let reference = engine.topk(train.view(), queries.view(), metric, k);
+            let mut resident = ShardedIndex::build(train.view(), metric, nlist, usize::MAX);
+            let mut paged = ShardedIndex::build(disk_train.view(), metric, nlist, 2 * shard_bytes);
+            let got = paged.topk_with_stats(disk_queries.view(), k);
+            let want = resident.topk_with_stats(queries.view(), k);
+            let at = format!("metric {}", metric.name());
+            prop_assert_eq!(&got.0, &reference, "{}", at);
+            prop_assert_eq!(&got.0, &want.0, "{}", at);
+            prop_assert_eq!(got.1, want.1, "{}", at);
+            let rb = paged.resident_bytes();
+            prop_assert!(
+                rb.peak <= rb.budget + rb.max_shard,
+                "peak {} budget {} max_shard {}", rb.peak, rb.budget, rb.max_shard
+            );
         }
     }
 

@@ -1,12 +1,12 @@
-//! Pins the pruned index's work on a Gaussian-mixture input: for two seeds,
-//! k = 1 and 10, plain and quantized, the table's FNV-1a hash and every
-//! [`PruneStats`] counter equal fixed values at a budget of about an eighth
+//! Pins the pruned index's work on a Gaussian-mixture input: for two seeds
+//! and k = 1 and 10, the table's FNV-1a hash and every [`PruneStats`]
+//! counter equal fixed values at a budget of about an eighth
 //! of the payload, at two shards and unbounded, on pools of 1, 2 and 3
 //! workers. Paging changes time, never work: the visit schedule decides
 //! which shard loads serve which queries, and no schedule may move a hit or
 //! a counter.
 //!
-//! Within one (seed, budget, quantize) cell the paging counters must also
+//! Within one (seed, budget) cell the paging counters must also
 //! agree: every pool faults and evicts the same shards, and at the eighth
 //! budget one call pays at most `4 × nlist` shard faults. A failure prints
 //! the current pin table.
@@ -19,25 +19,21 @@ const QUERIES: usize = 256;
 const DIM: usize = 16;
 const NLIST: usize = 32;
 
-/// One pinned cell: seed, quantized, k, table hash, and the `PruneStats`
-/// counters in field order (`queries`, `clusters_visited`, `clusters_total`,
-/// `rows_scanned`, `rows_pruned`, `rows_total`, `rows_quantized`). Recorded
-/// from the query-at-a-time visit loop the visit-major sweep replaced.
-type Pin = (u64, bool, usize, u64, [usize; 7]);
+/// One pinned cell: seed, k, table hash, and the `PruneStats` counters in
+/// field order (`queries`, `clusters_visited`, `clusters_total`,
+/// `rows_scanned`, `rows_pruned`, `rows_total`). Recorded from the
+/// query-at-a-time visit loop the visit-major sweep replaced.
+type Pin = (u64, usize, u64, [usize; 6]);
 
-const PINS: [Pin; 8] = [
-    (1, false, 1, 0x7005_afac_7e07_34d7, [256, 2071, 8192, 521986, 7823, 2097152, 0]),
-    (1, false, 10, 0xefe4_cdaa_5ba7_e8fe, [256, 2109, 8192, 524986, 14462, 2097152, 0]),
-    (1, true, 1, 0x7005_afac_7e07_34d7, [256, 2071, 8192, 17941, 511868, 2097152, 529809]),
-    (1, true, 10, 0xefe4_cdaa_5ba7_e8fe, [256, 2109, 8192, 29464, 509984, 2097152, 539448]),
-    (2, false, 1, 0xbf26_cd64_daae_2cb9, [256, 2048, 8192, 521305, 2983, 2097152, 0]),
-    (2, false, 10, 0x1e4f_0240_9f14_7670, [256, 2048, 8192, 524047, 241, 2097152, 0]),
-    (2, true, 1, 0xbf26_cd64_daae_2cb9, [256, 2048, 8192, 18072, 506216, 2097152, 524288]),
-    (2, true, 10, 0x1e4f_0240_9f14_7670, [256, 2048, 8192, 30172, 494116, 2097152, 524288]),
+const PINS: [Pin; 4] = [
+    (1, 1, 0x7005_afac_7e07_34d7, [256, 2071, 8192, 521986, 7823, 2097152]),
+    (1, 10, 0xefe4_cdaa_5ba7_e8fe, [256, 2109, 8192, 524986, 14462, 2097152]),
+    (2, 1, 0xbf26_cd64_daae_2cb9, [256, 2048, 8192, 521305, 2983, 2097152]),
+    (2, 10, 0x1e4f_0240_9f14_7670, [256, 2048, 8192, 524047, 241, 2097152]),
 ];
 
 /// One call's table hash, `PruneStats` counters and paging delta.
-type Call = (u64, [usize; 7], PagingStats);
+type Call = (u64, [usize; 6], PagingStats);
 
 /// FNV-1a 64 over the table's shape and every hit's index and distance bits.
 fn fnv1a(table: &NeighborTable) -> u64 {
@@ -55,16 +51,8 @@ fn fnv1a(table: &NeighborTable) -> u64 {
     hash
 }
 
-fn counters(s: &PruneStats) -> [usize; 7] {
-    [
-        s.queries,
-        s.clusters_visited,
-        s.clusters_total,
-        s.rows_scanned,
-        s.rows_pruned,
-        s.rows_total,
-        s.rows_quantized,
-    ]
+fn counters(s: &PruneStats) -> [usize; 6] {
+    [s.queries, s.clusters_visited, s.clusters_total, s.rows_scanned, s.rows_pruned, s.rows_total]
 }
 
 /// The paging counters one call added.
@@ -79,7 +67,7 @@ fn delta(after: PagingStats, before: PagingStats) -> PagingStats {
 }
 
 #[test]
-fn paged_topk_is_pinned_across_budgets_depths_and_pools() {
+fn paged_topk_is_pinned_across_budgets_and_pools() {
     let pools: Vec<ThreadPool> = [1, 2, 3].into_iter().map(ThreadPool::new).collect();
     let payload = TRAIN * DIM * size_of::<f32>();
     let budgets = [("eighth", payload / 8), ("two shards", 2 * payload / NLIST), ("unbounded", usize::MAX)];
@@ -90,57 +78,47 @@ fn paged_topk_is_pinned_across_budgets_depths_and_pools() {
         let data = snoopy_testutil::blob_cloud(seed, TRAIN + QUERIES, DIM, 4, 2.5, 1.0);
         let (train, queries) =
             (data.view().slice_rows(0, TRAIN), data.view().slice_rows(TRAIN, TRAIN + QUERIES));
-        for quantize in [false, true] {
-            let cells = actual.len();
-            for (name, budget) in budgets {
-                // Per pool: its worker count and one call per k.
-                let runs: Vec<(usize, Vec<Call>)> = pools
-                    .iter()
-                    .map(|pool| {
-                        let per_k = pool.install(|| {
-                            let mut index =
-                                ShardedIndex::build(train, Metric::SquaredEuclidean, NLIST, budget);
-                            if quantize {
-                                index = index.quantize();
-                            }
-                            [1usize, 10]
-                                .into_iter()
-                                .map(|k| {
-                                    let before = index.paging_stats();
-                                    let (table, stats) = index.topk_with_stats(queries, k);
-                                    (fnv1a(&table), counters(&stats), delta(index.paging_stats(), before))
-                                })
-                                .collect()
-                        });
-                        (pool.workers(), per_k)
-                    })
-                    .collect();
-                let (_, first) = &runs[0];
-                for (workers, per_k) in &runs {
-                    for (i, (call, call0)) in per_k.iter().zip(first).enumerate() {
-                        let at = format!(
-                            "seed {seed} quantize {quantize} budget {name} workers {workers} k-slot {i}"
-                        );
-                        // Hits, counters and paging are functions of the
-                        // schedule, not of the pool.
-                        assert_eq!(call, call0, "{at}");
-                        let paging = call.2;
-                        if name == "eighth" {
-                            let faults = paging.shards_faulted;
-                            assert!(faults <= 4 * NLIST, "{at}: {faults} shard faults, {paging:?}");
-                        }
+        let cells = actual.len();
+        for (name, budget) in budgets {
+            // Per pool: its worker count and one call per k.
+            let runs: Vec<(usize, Vec<Call>)> = pools
+                .iter()
+                .map(|pool| {
+                    let per_k = pool.install(|| {
+                        let mut index = ShardedIndex::build(train, Metric::SquaredEuclidean, NLIST, budget);
+                        [1usize, 10]
+                            .into_iter()
+                            .map(|k| {
+                                let before = index.paging_stats();
+                                let (table, stats) = index.topk_with_stats(queries, k);
+                                (fnv1a(&table), counters(&stats), delta(index.paging_stats(), before))
+                            })
+                            .collect()
+                    });
+                    (pool.workers(), per_k)
+                })
+                .collect();
+            let (_, first) = &runs[0];
+            for (workers, per_k) in &runs {
+                for (i, (call, call0)) in per_k.iter().zip(first).enumerate() {
+                    let at = format!("seed {seed} budget {name} workers {workers} k-slot {i}");
+                    // Hits, counters and paging are functions of the
+                    // schedule, not of the pool.
+                    assert_eq!(call, call0, "{at}");
+                    let paging = call.2;
+                    if name == "eighth" {
+                        let faults = paging.shards_faulted;
+                        assert!(faults <= 4 * NLIST, "{at}: {faults} shard faults, {paging:?}");
                     }
                 }
-                let pins = [1usize, 10]
-                    .into_iter()
-                    .zip(first)
-                    .map(|(k, &(hash, counts, _))| (seed, quantize, k, hash, counts));
-                if actual.len() == cells {
-                    actual.extend(pins);
-                } else {
-                    let pins: Vec<Pin> = pins.collect();
-                    assert_eq!(&actual[cells..], &pins[..], "seed {seed} quantize {quantize}: budget {name}");
-                }
+            }
+            let pins =
+                [1usize, 10].into_iter().zip(first).map(|(k, &(hash, counts, _))| (seed, k, hash, counts));
+            if actual.len() == cells {
+                actual.extend(pins);
+            } else {
+                let pins: Vec<Pin> = pins.collect();
+                assert_eq!(&actual[cells..], &pins[..], "seed {seed}: budget {name}");
             }
         }
     }

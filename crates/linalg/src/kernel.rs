@@ -333,76 +333,6 @@ pub fn matmul_tile(a: &[f32], b: &[f32], inner: usize, cols: usize, out: &mut [f
     }
 }
 
-/// Asymmetric integer dot product `Σ v[j] · x[j]` of an `i16` query code
-/// row against an `i8` data code row, accumulated in `i32` — the quantized
-/// counterpart of [`dot`].
-///
-/// Unlike the float kernels there is no lane machinery here: integer
-/// addition is associative, every product is exact, and the sum is the
-/// mathematical integer whatever order the compiler picks — so the loop is
-/// written as a plain reduction the autovectorizer turns into widening
-/// multiply-add (`pmaddwd` on baseline x86-64) without any determinism
-/// caveat. Bit-for-bit reproducibility across tile shapes, machines, and
-/// pool worker counts is inherited from exactness.
-///
-/// The caller owns the overflow budget: with `|v[j]| ≤ 8191` and
-/// `|x[j]| ≤ 127` the sum stays inside `i32` for up to 2064 dimensions
-/// (`8191 · 127 · 2064 < 2³¹`); `snoopy-knn`'s quantized shadow enforces a
-/// 2000-dimension cap before ever calling in.
-///
-/// # Panics
-/// Debug-asserts equal lengths.
-#[inline]
-pub fn dot_q8(v: &[i16], x: &[i8]) -> i32 {
-    debug_assert_eq!(v.len(), x.len());
-    // Blocked 32 elements at a time: widen the `x` block to i16 first (byte
-    // unpack + arithmetic shift), then reduce the block as an
-    // i16 × i16 → i32 dot, which lowers to four full-width widening
-    // multiply-adds (`pmaddwd`) with one horizontal reduction per block.
-    // Measured ~2× over the straight `zip` reduction (which only manages
-    // half-width multiply-adds) on baseline x86-64 — and any grouping
-    // computes the same exact integer, so the block shape is purely a
-    // codegen choice with no determinism caveat.
-    let mut acc = 0i32;
-    let mut vc = v.chunks_exact(32);
-    let mut xc = x.chunks_exact(32);
-    for (cv, cx) in (&mut vc).zip(&mut xc) {
-        let mut wide = [0i16; 32];
-        for (w, &b) in wide.iter_mut().zip(cx) {
-            *w = b as i16;
-        }
-        let mut block = 0i32;
-        for (&a, &b) in cv.iter().zip(&wide) {
-            block += a as i32 * b as i32;
-        }
-        acc += block;
-    }
-    for (&a, &b) in vc.remainder().iter().zip(xc.remainder()) {
-        acc += a as i32 * b as i32;
-    }
-    acc
-}
-
-/// Fills `out[j] = Σ v · code row t0 + j` over a row-major `i8` code buffer
-/// — the quantized counterpart of [`dot_row_tile`], one byte per dimension
-/// of row-side traffic. Exact integer results need no cross-loop
-/// bit-identity argument; each row is one [`dot_q8`] reduction.
-///
-/// Same parameter-shape rationale as [`dot_row_tile`]: raw `(buffer, cols)`
-/// slices plus the `#[inline(never)]` call boundary give the optimizer a
-/// `noalias` view of `out` against the inputs.
-///
-/// # Panics
-/// Panics (via slice indexing) if `(t0 + out.len()) * cols` exceeds the
-/// code buffer or `v.len()` differs from `cols`.
-#[inline(never)]
-pub fn dot_q8_row_tile(v: &[i16], codes: &[i8], cols: usize, t0: usize, out: &mut [i32]) {
-    for (j, o) in out.iter_mut().enumerate() {
-        let r = t0 + j;
-        *o = dot_q8(v, &codes[r * cols..(r + 1) * cols]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,61 +415,6 @@ mod tests {
         assert_eq!(dot(m.row(0), m.row(1)).to_bits(), dot(m.row(1), m.row(0)).to_bits());
     }
 
-    fn wavy_codes(n: usize, d: usize, phase: i32) -> Vec<i8> {
-        (0..n * d).map(|i| (((i as i32 * 37 + phase) % 255) - 127) as i8).collect()
-    }
-
-    fn wavy_qcodes(d: usize, phase: i32) -> Vec<i16> {
-        (0..d).map(|i| (((i as i32 * 113 + phase) % 16383) - 8191) as i16).collect()
-    }
-
-    #[test]
-    fn q8_dot_equals_exact_i64_sum() {
-        // The i32 accumulation must be the mathematical integer — checked
-        // against an i64 reference across ragged dimensions.
-        for d in [1usize, 2, 7, 8, 9, 15, 16, 17, 31, 64, 257] {
-            let v = wavy_qcodes(d, 11);
-            let codes = wavy_codes(1, d, 5);
-            let want: i64 = v.iter().zip(&codes).map(|(&a, &b)| a as i64 * b as i64).sum();
-            assert_eq!(dot_q8(&v, &codes) as i64, want, "d {d}");
-        }
-    }
-
-    #[test]
-    fn q8_tile_matches_scalar_q8_dot_for_ragged_shapes() {
-        for d in [1usize, 3, 8, 11, 16, 29] {
-            for n in [1usize, 2, 3, 4, 5, 7, 8, 13] {
-                let codes = wavy_codes(n, d, 3);
-                let v = wavy_qcodes(d, 7);
-                for t0 in 0..n {
-                    for len in 0..=(n - t0) {
-                        let mut out = vec![0i32; len];
-                        dot_q8_row_tile(&v, &codes, d, t0, &mut out);
-                        for (j, &got) in out.iter().enumerate() {
-                            let scalar = dot_q8(&v, &codes[(t0 + j) * d..(t0 + j + 1) * d]);
-                            assert_eq!(got, scalar, "d {d} n {n} t0 {t0} len {len} j {j}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn q8_extreme_codes_stay_inside_i32() {
-        // The documented overflow budget: |v| ≤ 8191, |x| ≤ 127, d ≤ 2064
-        // keeps the sum inside i32 — exercised at the worst corner.
-        let d = 2064;
-        let v = vec![8191i16; d];
-        let codes = vec![127i8; d];
-        let want = 8191i64 * 127 * d as i64;
-        assert!(want <= i32::MAX as i64);
-        assert_eq!(dot_q8(&v, &codes) as i64, want);
-        let neg = vec![-127i8; d];
-        assert_eq!(dot_q8(&v, &neg) as i64, -want);
-        assert_eq!(dot_q8(&[8191], &[-127]), -8191 * 127);
-    }
-
     #[test]
     fn empty_and_zero_inputs() {
         assert_eq!(dot(&[], &[]), 0.0);
@@ -550,8 +425,5 @@ mod tests {
         dot_row_tile(&z, Matrix::zeros(4, 13).data(), 13, 2, &mut out);
         let mut out_b: Vec<f32> = vec![];
         dot_row_tile2(&z, &z, Matrix::zeros(4, 13).data(), 13, 2, &mut out, &mut out_b);
-        assert_eq!(dot_q8(&[], &[]), 0);
-        let mut out_q: Vec<i32> = vec![];
-        dot_q8_row_tile(&[0i16; 13], &[0i8; 4 * 13], 13, 2, &mut out_q);
     }
 }
