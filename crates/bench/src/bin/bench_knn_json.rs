@@ -315,11 +315,14 @@ fn main() {
         }
     }
 
-    // Scalar vs tiled kernel, single core: the PR-3 per-pair scalar scan
-    // against today's tile-blocked MetricKernel path on a 1-worker pool
-    // — isolates the kernel-layer speedup from parallelism. Parity of the
-    // tiled path is asserted bit for bit against the serial reference, and
-    // across two tile sizes, before anything is timed.
+    // Scalar vs tiled kernel, single core: a per-pair scalar scan against
+    // the tile-blocked MetricKernel path on a 1-worker pool — isolates the
+    // kernel-layer speedup from parallelism. The two sides also differ in
+    // instruction set: the scalar loop is compiled for the build target
+    // only, while the tiled kernel runs on `kernel::path()` (AVX2 where the
+    // CPU has it). Parity of the tiled path is asserted bit for bit against
+    // the serial reference, and across two tile sizes, before anything is
+    // timed.
     let (kernel_sizes, kernel_dims, kernel_queries, kernel_reps): (&[usize], &[usize], usize, usize) =
         match scale {
             snoopy_data::registry::SizeScale::Tiny => (&[2_000], &[16, 64], 100, 3),
@@ -882,6 +885,9 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"benchmark\": \"knn_kernels\",");
     let _ = writeln!(json, "  \"threads\": {threads},");
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
+    let _ = writeln!(json, "  \"kernel_path\": \"{}\",", snoopy_linalg::kernel::path());
     // Per-section provenance: say what each section's speedup compares and
     // whether that comparison depends on the thread count. A blanket
     // "single-core numbers are noise" note would be wrong for most of the
@@ -900,7 +906,14 @@ fn main() {
         "{}",
         thread_dep("topk_cases", "serial vs parallel top-k extraction; k = 1 is the 1NN scan")
     );
-    let _ = writeln!(json, "{}", thread_free("kernel_cases", "scalar vs tile-blocked distance kernel"));
+    let _ = writeln!(
+        json,
+        "{}",
+        thread_free(
+            "kernel_cases",
+            "per-pair scalar loop on the build target's baseline instruction set vs the tile-blocked distance kernel on kernel_path"
+        )
+    );
     let _ = writeln!(json, "{}", thread_free("incremental_cases", "incremental append vs cold rebuild"));
     let _ = writeln!(
         json,

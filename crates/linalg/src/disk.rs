@@ -42,8 +42,9 @@
 //! ## Backing
 //!
 //! On Unix the payload is memory-mapped read-only (`PROT_READ`,
-//! `MAP_PRIVATE`) through a minimal raw-syscall wrapper — the one place in
-//! the crate that uses `unsafe` — so views page in on demand and the OS
+//! `MAP_PRIVATE`) through a minimal raw-syscall wrapper — the crate's one
+//! `unsafe` code besides the three AVX2 dispatch calls in
+//! [`kernel`](crate::kernel) — so views page in on demand and the OS
 //! evicts cold pages under memory pressure. Elsewhere the payload is read
 //! into an owned buffer (same API, eager residency).
 

@@ -61,9 +61,38 @@
 //! Small's entries), so their `x·L` and `x·B` keep the skipping loop while
 //! the dense `(x·L)·Q` takes the block. `Pca::transform`, whose centred rows
 //! sum every term, calls the register block on every block.
+//!
+//! # Runtime dispatch
+//!
+//! The default `x86-64` target compiles for SSE2 only, so each of the three
+//! public kernels ([`dot_row_tile`], [`dot_row_tile2`], [`matmul_tile`])
+//! checks its arguments once and then picks one of two compilations of the
+//! same private `#[inline(always)]` body: a
+//! `#[target_feature(enable = "avx2")]` twin when the CPU has AVX2 (one
+//! cached `is_x86_feature_detected!` probe), else the body as the build
+//! target compiles it. [`path`] names the one taken; no setting changes it,
+//! and on other architectures only the body compiles. The three twin calls
+//! are the only `unsafe` in the kernels, each justified by the probe just
+//! before it.
+//!
+//! The two paths give the same bits. The twin runs the same source in the
+//! same per-lane order, only on wider registers: AVX2 enables no FMA, Rust
+//! never contracts `a * b + c` into one, and nothing here calls `mul_add`.
+//! `tests::avx2_twins_match_the_baseline_bodies_bit_for_bit` checks every
+//! output of both on ragged shapes and on ±∞, NaN and `-0.0` entries.
+//!
+//! Every helper a body reaches ([`dot`], `sum_lanes`, `dot_block4`,
+//! `dot_block2x4`, `matmul_block`, `matmul_panel`) must stay
+//! `#[inline(always)]`. With plain `#[inline]`, LLVM compiled `dot`'s lane
+//! loop, `dot_block4` and `dot_block2x4` as out-of-line SSE2 functions that
+//! the twins call once per four-row block, and the twins ran slower than
+//! the baseline: in perfbench's traced `oocore` workload (seed 1, 2-core
+//! Xeon) the resident table took 0.197 s, against 0.104 s on the baseline
+//! and 0.081 s with the helpers inlined.
 
 /// Independent accumulator lanes per dot product. Eight `f32` lanes fill one
-/// 256-bit vector register (two 128-bit ones on SSE-only targets).
+/// 256-bit vector register on the AVX2 path (two 128-bit ones on the SSE2
+/// baseline).
 pub const LANES: usize = 8;
 
 /// Rows evaluated per register block in the tile drivers.
@@ -75,7 +104,7 @@ pub const COL_BLOCK: usize = 8;
 
 /// Fixed pairwise reduction tree over the lane accumulators — part of the
 /// kernel's bit-exactness contract (a linear re-sum would round differently).
-#[inline]
+#[inline(always)] // every helper a kernel body reaches: see "Runtime dispatch"
 fn sum_lanes(acc: [f32; LANES]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
@@ -85,10 +114,13 @@ fn sum_lanes(acc: [f32; LANES]) -> f32 {
 /// This is *the* reference accumulation: every tiled path in the workspace
 /// produces bit-identical values to this function on the same pair.
 ///
+/// Always inlined, so a dispatched kernel body computes its tail rows with
+/// its own instruction set (module docs, "Runtime dispatch").
+///
 /// # Panics
 /// Debug-asserts equal lengths (callers pass rows of dimension-checked
 /// views).
-#[inline]
+#[inline(always)]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; LANES];
@@ -114,7 +146,7 @@ pub fn norm_sq(a: &[f32]) -> f32 {
 
 /// One register block: `q` against four rows, all four pairs sharing each
 /// loaded query chunk. Per-pair accumulation order is identical to [`dot`].
-#[inline]
+#[inline(always)]
 fn dot_block4(q: &[f32], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) -> [f32; 4] {
     let mut acc = [[0.0f32; LANES]; ROW_BLOCK];
     let (cq, tq) = q.as_chunks::<LANES>();
@@ -141,7 +173,7 @@ fn dot_block4(q: &[f32], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) -> [f32
 /// The 2 × 4 register block: two queries against four rows, eight pairs
 /// sharing every loaded chunk. Per-pair accumulation order is identical to
 /// [`dot`].
-#[inline]
+#[inline(always)]
 fn dot_block2x4(qa: &[f32], qb: &[f32], rows: [&[f32]; ROW_BLOCK]) -> [[f32; ROW_BLOCK]; 2] {
     let mut acc = [[0.0f32; LANES]; 2 * ROW_BLOCK];
     let (ca, ta) = qa.as_chunks::<LANES>();
@@ -188,13 +220,32 @@ fn dot_block2x4(qa: &[f32], qb: &[f32], rows: [&[f32]; ROW_BLOCK]) -> [[f32; ROW
 /// function is also deliberately *not* inlinable — the call boundary
 /// carries the `noalias` guarantee on `out`; inlined into a consumer loop,
 /// the tile stores could alias the row data and every chunk would be
-/// reloaded, undoing the register blocking.
+/// reloaded, undoing the register blocking. It runs on the host's
+/// [`path`] (module docs, "Runtime dispatch").
 ///
 /// # Panics
-/// Panics (via slice indexing) if `(t0 + out.len()) * cols` exceeds the
-/// buffer or `q.len()` differs from `cols`.
+/// Panics if `q.len()` differs from `cols` or (via slice indexing) if
+/// `(t0 + out.len()) * cols` exceeds the buffer.
 #[inline(never)]
 pub fn dot_row_tile(q: &[f32], rows: &[f32], cols: usize, t0: usize, out: &mut [f32]) {
+    assert_eq!(q.len(), cols, "query length must equal the row width");
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` has just confirmed that this CPU supports AVX2,
+        // the only feature the twin enables.
+        return unsafe { dot_row_tile_avx2(q, rows, cols, t0, out) };
+    }
+    dot_row_tile_body(q, rows, cols, t0, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_row_tile_avx2(q: &[f32], rows: &[f32], cols: usize, t0: usize, out: &mut [f32]) {
+    dot_row_tile_body(q, rows, cols, t0, out);
+}
+
+#[inline(always)]
+fn dot_row_tile_body(q: &[f32], rows: &[f32], cols: usize, t0: usize, out: &mut [f32]) {
     let n = out.len();
     let row = |r: usize| &rows[r * cols..(r + 1) * cols];
     let mut j = 0;
@@ -213,11 +264,11 @@ pub fn dot_row_tile(q: &[f32], rows: &[f32], cols: usize, t0: usize, out: &mut [
 /// `out_a[j] = ⟨qa, rows.row(t0 + j)⟩` and
 /// `out_b[j] = ⟨qb, rows.row(t0 + j)⟩` through the 2 × 4 register block.
 /// Bit-identical to two [`dot_row_tile`] calls (hence to [`dot`]) on the
-/// same pairs.
+/// same pairs, and dispatched the same way.
 ///
 /// # Panics
-/// Panics if `out_a.len() != out_b.len()` or the tile range exceeds the
-/// buffer.
+/// Panics if `qa.len()` or `qb.len()` differs from `cols`,
+/// `out_a.len() != out_b.len()`, or the tile range exceeds the buffer.
 #[inline(never)] // see `dot_row_tile` — same parameter-shape and `noalias` boundary argument
 pub fn dot_row_tile2(
     qa: &[f32],
@@ -228,7 +279,42 @@ pub fn dot_row_tile2(
     out_a: &mut [f32],
     out_b: &mut [f32],
 ) {
+    assert_eq!(qa.len(), cols, "first query length must equal the row width");
+    assert_eq!(qb.len(), cols, "second query length must equal the row width");
     assert_eq!(out_a.len(), out_b.len(), "paired tile buffers must have equal lengths");
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` has just confirmed that this CPU supports AVX2,
+        // the only feature the twin enables.
+        return unsafe { dot_row_tile2_avx2(qa, qb, rows, cols, t0, out_a, out_b) };
+    }
+    dot_row_tile2_body(qa, qb, rows, cols, t0, out_a, out_b);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_row_tile2_avx2(
+    qa: &[f32],
+    qb: &[f32],
+    rows: &[f32],
+    cols: usize,
+    t0: usize,
+    out_a: &mut [f32],
+    out_b: &mut [f32],
+) {
+    dot_row_tile2_body(qa, qb, rows, cols, t0, out_a, out_b);
+}
+
+#[inline(always)]
+fn dot_row_tile2_body(
+    qa: &[f32],
+    qb: &[f32],
+    rows: &[f32],
+    cols: usize,
+    t0: usize,
+    out_a: &mut [f32],
+    out_b: &mut [f32],
+) {
     let n = out_a.len();
     let row = |r: usize| &rows[r * cols..(r + 1) * cols];
     let mut j = 0;
@@ -305,7 +391,7 @@ fn matmul_block<const R: usize>(a: [&[f32]; R], b: &[f32], cols: usize, out: &mu
 /// input, NaN and ±∞ included. The module docs give the zero-free block
 /// rule under which `DatasetView::matmul` also matches the skipping loop.
 ///
-/// Same parameter-shape and `#[inline(never)]` rationale as
+/// Same parameter-shape, `#[inline(never)]` and dispatch rationale as
 /// [`dot_row_tile`]: raw slices and the call boundary give LLVM a `noalias`
 /// view of `out`, so the accumulators stay in registers.
 ///
@@ -317,9 +403,27 @@ pub fn matmul_tile(a: &[f32], b: &[f32], inner: usize, cols: usize, out: &mut [f
     if cols == 0 {
         return;
     }
-    let rows = out.len() / cols;
-    assert_eq!(a.len(), rows * inner, "row tile is not rows × inner");
+    assert_eq!(a.len(), out.len() / cols * inner, "row tile is not rows × inner");
     assert_eq!(b.len(), inner * cols, "right factor is not inner × cols");
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` has just confirmed that this CPU supports AVX2,
+        // the only feature the twin enables.
+        return unsafe { matmul_tile_avx2(a, b, inner, cols, out) };
+    }
+    matmul_tile_body(a, b, inner, cols, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_tile_avx2(a: &[f32], b: &[f32], inner: usize, cols: usize, out: &mut [f32]) {
+    matmul_tile_body(a, b, inner, cols, out);
+}
+
+/// [`matmul_tile`] for `cols > 0` and a checked `a` and `b`.
+#[inline(always)]
+fn matmul_tile_body(a: &[f32], b: &[f32], inner: usize, cols: usize, out: &mut [f32]) {
+    let rows = out.len() / cols;
     let row = |r: usize| &a[r * inner..(r + 1) * inner];
     let mut r = 0;
     while r + ROW_BLOCK <= rows {
@@ -331,6 +435,27 @@ pub fn matmul_tile(a: &[f32], b: &[f32], inner: usize, cols: usize, out: &mut [f
         matmul_block([row(r)], b, cols, &mut out[r * cols..(r + 1) * cols]);
         r += 1;
     }
+}
+
+/// The instruction set the three tile kernels run on in this process:
+/// `"avx2"` on an x86_64 CPU with AVX2, else `"baseline"` (the build
+/// target's own, SSE2 for the default `x86-64` target). Both give the same
+/// bits; `bench_knn_json` records it next to its timings.
+pub fn path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        return "avx2";
+    }
+    "baseline"
+}
+
+/// Whether this CPU has AVX2 — the one dispatch decision of the module.
+/// std probes CPUID once per process and caches the answer, so each call is
+/// a load and a bit test.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2() -> bool {
+    is_x86_feature_detected!("avx2")
 }
 
 #[cfg(test)]
@@ -395,6 +520,103 @@ mod tests {
                         let sb = dot(queries.row(1), rows.row(t0 + j));
                         assert_eq!(out_a[j].to_bits(), sa.to_bits(), "a: d {d} n {n} t0 {t0} j {j}");
                         assert_eq!(out_b[j].to_bits(), sb.to_bits(), "b: d {d} n {n} t0 {t0} j {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "query length must equal the row width")]
+    fn tile_rejects_a_query_of_the_wrong_length() {
+        let rows = wavy(4, 16, 0.0);
+        let q = wavy(1, 8, 1.1);
+        let mut out = [0.0f32; 4];
+        dot_row_tile(q.row(0), rows.data(), 16, 0, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "second query length must equal the row width")]
+    fn paired_tile_rejects_a_query_of_the_wrong_length() {
+        let rows = wavy(4, 16, 0.0);
+        let (qa, qb) = (wavy(1, 16, 1.1), wavy(1, 24, 1.7));
+        let (mut out_a, mut out_b) = ([0.0f32; 4], [0.0f32; 4]);
+        dot_row_tile2(qa.row(0), qb.row(0), rows.data(), 16, 0, &mut out_a, &mut out_b);
+    }
+
+    /// `len` entries of a product factor: a finite wave with a `-0.0` every
+    /// fifth entry and, when `special`, +∞, -∞ and NaN in turn every
+    /// seventh.
+    fn factor(len: usize, phase: f32, special: bool) -> Vec<f32> {
+        const SPECIAL: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let entry = |i: usize| match (i % 5, i % 7) {
+            (_, 3) if special => SPECIAL[i / 7 % 3],
+            (2, _) => -0.0,
+            _ => (i as f32 * 0.61 + phase).sin() * 2.0,
+        };
+        (0..len).map(entry).collect()
+    }
+
+    /// Equal bits, or NaN on both sides: a NaN's payload depends on which
+    /// operand the compiled `+` put first, and the dev profile's twin and
+    /// body order some NaN sums differently.
+    fn same_bits(twin: &[f32], body: &[f32]) -> bool {
+        twin.len() == body.len()
+            && twin.iter().zip(body).all(|(t, b)| t.to_bits() == b.to_bits() || (t.is_nan() && b.is_nan()))
+    }
+
+    /// Every output of each AVX2 twin equals its baseline body's, over the
+    /// shapes of the two tile tests above and the product's rows 0..=13,
+    /// inner 0..=20 and columns 1..=27 (a zero-width product returns before
+    /// dispatch) with ±∞ and NaN in either factor.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_twins_match_the_baseline_bodies_bit_for_bit() {
+        let twins = avx2();
+        if !twins {
+            println!("note: this CPU has no AVX2, so only the baseline bodies ran");
+        }
+        for d in [1usize, 3, 7, 8, 9, 11, 16, 29] {
+            for n in [1usize, 2, 3, 4, 5, 7, 8, 11, 13] {
+                let (rows, queries) = (wavy(n, d, 0.0), wavy(2, d, 1.7));
+                let (qa, qb, rows) = (queries.row(0), queries.row(1), rows.data());
+                for t0 in 0..n {
+                    for len in 0..=(n - t0) {
+                        let [mut one, mut pa, mut pb] = [(); 3].map(|_| vec![0.0f32; len]);
+                        dot_row_tile_body(qa, rows, d, t0, &mut one);
+                        dot_row_tile2_body(qa, qb, rows, d, t0, &mut pa, &mut pb);
+                        if !twins {
+                            continue;
+                        }
+                        let [mut twin_one, mut twin_pa, mut twin_pb] = [(); 3].map(|_| vec![0.0f32; len]);
+                        // SAFETY: `avx2()` confirmed that this CPU supports AVX2.
+                        unsafe {
+                            dot_row_tile_avx2(qa, rows, d, t0, &mut twin_one);
+                            dot_row_tile2_avx2(qa, qb, rows, d, t0, &mut twin_pa, &mut twin_pb);
+                        }
+                        assert!(same_bits(&twin_one, &one), "tile: d {d} n {n} t0 {t0} len {len}");
+                        assert!(same_bits(&twin_pa, &pa), "paired a: d {d} n {n} t0 {t0} len {len}");
+                        assert!(same_bits(&twin_pb, &pb), "paired b: d {d} n {n} t0 {t0} len {len}");
+                    }
+                }
+            }
+        }
+        for (special_a, special_b) in [(false, false), (true, false), (false, true)] {
+            for rows in 0..=13usize {
+                for inner in 0..=20usize {
+                    for cols in 1..=27usize {
+                        let a = factor(rows * inner, 0.3, special_a);
+                        let b = factor(inner * cols, 1.9, special_b);
+                        let mut body = vec![0.0f32; rows * cols];
+                        matmul_tile_body(&a, &b, inner, cols, &mut body);
+                        if !twins {
+                            continue;
+                        }
+                        let mut twin = vec![0.0f32; rows * cols];
+                        // SAFETY: `avx2()` confirmed that this CPU supports AVX2.
+                        unsafe { matmul_tile_avx2(&a, &b, inner, cols, &mut twin) };
+                        let at = (rows, inner, cols, special_a, special_b);
+                        assert!(same_bits(&twin, &body), "product rows, inner, cols, specials: {at:?}");
                     }
                 }
             }

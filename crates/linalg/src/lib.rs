@@ -5,7 +5,8 @@
 //!
 //! The crate deliberately implements only what the rest of the workspace
 //! needs, from scratch and — apart from the contained `mmap` wrapper in
-//! [`disk`] — without unsafe code:
+//! [`disk`] and the three calls in [`kernel`] that dispatch to an AVX2 twin
+//! after a CPU probe — without unsafe code:
 //!
 //! * a row-major [`Matrix`] of `f32` features with the usual constructors,
 //!   slicing, and matrix operations (`matmul`, `transpose`, a covariance
@@ -15,7 +16,8 @@
 //!   bit-identical to the scalar path for every tile shape — the compute
 //!   substrate of every distance evaluation in `snoopy-knn` — and a 4 × 8
 //!   blocked matrix product, bit-identical to the `ikj` loop, behind every
-//!   linear map of the transformation zoo,
+//!   linear map of the transformation zoo; each runs as an AVX2 build of
+//!   the same code on CPUs that have it, with the same bits,
 //! * zero-copy dataset views ([`view::DatasetView`], [`view::LabeledView`])
 //!   — the shared data handshake between the dataset registry, the kNN
 //!   engine, the Bayes-error estimators, and the feasibility study,
